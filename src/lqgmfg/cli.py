@@ -60,9 +60,11 @@ def _sanitize(obj):
 
 
 def _write_json(path: Path, obj) -> None:
+    # Only json.dumps without indent takes the C encoder; json.dump and any
+    # indent fall back to the pure-Python one, slow on a long solution.
+    text = json.dumps(_sanitize(obj), sort_keys=True)
     with open(path, "w") as fh:
-        json.dump(_sanitize(obj), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _manifest(args, command: str, spec_path: str, overrides: dict) -> dict:

@@ -7,6 +7,15 @@ bit-reproducible, which the simulation experiments rely on; the systems
 solved here are linear with stiffness bounded by verified spectral margins,
 so adaptivity buys nothing.
 
+The linear kernels (``rk4_linear_tabulated``, ``rk4_linear_time_varying``)
+share one implementation with no per-step Python loop.  For dy/dt = M y + g
+each RK4 step is an affine map y -> P_i y + c_i, with P_i the RK4 polynomial
+in hM and c_i set by the step's three tabulated g values; all step maps are
+built at once with batched matmuls and composed by a log-depth prefix scan
+(Hillis-Steele; Blelloch, "Prefix sums and their applications", 1990).  The
+result is the same fixed-step RK4 as a sequential loop up to the order of
+rounding, and still bit-reproducible from one run to the next.
+
 RNG convention used throughout the package: one ``numpy`` Generator per
 simulated agent, seeded as ``seed XOR agent_index`` (64-bit).  This makes
 parallel execution over agents race-free and lets coupled experiments
@@ -142,71 +151,94 @@ def integrate_ode(rhs, y0, grid: TimeGrid, direction: str = "forward") -> Trajec
 
 def rk4_linear_tabulated(M: np.ndarray, g_half: np.ndarray, y0: np.ndarray,
                          grid: TimeGrid, direction: str = "forward") -> Trajectory:
-    """RK4 for the linear system dy/dt = M y + g(t) with g tabulated on the
-    doubled grid (2*steps+1 nodes, so midpoint values are exact inputs).
+    """RK4 for the linear system dy/dt = M y + g(t) with constant M and g
+    tabulated on the doubled grid (2*steps+1 nodes, so midpoint values are
+    exact inputs).
 
     This is the fast path used by the consistency solver: the driving terms
     are supplied on half-steps (from a cubic interpolant of the iterate), so
     the integration keeps its fourth-order accuracy without per-step
-    interpolant calls.
+    interpolant calls.  Each step's map y -> P y + c_i has P the RK4
+    polynomial in hM; see ``_rk4_linear`` for how the steps are combined.
     """
-    if direction not in ("forward", "backward"):
-        raise ValueError(f"unknown direction {direction!r}")
-    steps = grid.steps
-    if g_half.shape[0] != 2 * steps + 1:
-        raise ValueError("g_half must be tabulated on the doubled grid")
-    y = np.asarray(y0, dtype=float).copy()
-    out = np.empty((steps + 1,) + y.shape)
-    h = grid.dt if direction == "forward" else -grid.dt
-    order = range(steps) if direction == "forward" else range(steps, 0, -1)
-    start = 0 if direction == "forward" else steps
-    out[start] = y
-    for i in order:
-        if direction == "forward":
-            ga, gm, gb = g_half[2 * i], g_half[2 * i + 1], g_half[2 * i + 2]
-        else:
-            ga, gm, gb = g_half[2 * i], g_half[2 * i - 1], g_half[2 * i - 2]
-        k1 = M @ y + ga
-        k2 = M @ (y + (h / 2.0) * k1) + gm
-        k3 = M @ (y + (h / 2.0) * k2) + gm
-        k4 = M @ (y + h * k3) + gb
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)):
-            raise OdeBlowupError(grid.times()[i] + h)
-        j = i + 1 if direction == "forward" else i - 1
-        out[j] = y
-    return Trajectory(grid, out)
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2:
+        raise ValueError("M must be a constant square matrix")
+    return _rk4_linear(M, g_half, y0, grid, direction)
 
 
 def rk4_linear_time_varying(M_half: np.ndarray, g_half: np.ndarray, y0: np.ndarray,
                             grid: TimeGrid, direction: str = "forward") -> Trajectory:
     """RK4 for dy/dt = M(t) y + g(t) with both M and g tabulated on the
-    doubled grid (2*steps+1 nodes)."""
+    doubled grid (2*steps+1 nodes).  Same step maps and scan as
+    ``rk4_linear_tabulated``, with M read at each step's three nodes."""
+    M_half = np.asarray(M_half, dtype=float)
+    if M_half.shape[0] != 2 * grid.steps + 1:
+        raise ValueError("M_half must be tabulated on the doubled grid")
+    return _rk4_linear(M_half, g_half, y0, grid, direction)
+
+
+def _rk4_linear(M: np.ndarray, g_half: np.ndarray, y0: np.ndarray,
+                grid: TimeGrid, direction: str) -> Trajectory:
+    """Classical RK4 for dy/dt = M(t) y + g(t), all steps at once.
+
+    In homogeneous coordinates the system is z' = N(t) z with z = (y, 1) and
+    N = [[M, g], [0, 0]], so one RK4 step is the (d+1)x(d+1) matrix
+    Phi_i = [[P_i, c_i], [0, 1]], the RK4 polynomial in h N over the step's
+    three nodes.  All Phi_i are built with batched matmuls; a Hillis-Steele
+    inclusive scan (ceil(log2 steps) batched passes) then forms the prefix
+    products Phi_i ... Phi_0, whose action on (y0, 1) gives every node.
+
+    ``M`` is constant (d, d) or tabulated (2*steps+1, d, d); the backward
+    direction runs the doubled grid reversed with h = -dt.  Raises
+    OdeBlowupError at the first node, in integration order, that is not
+    finite.
+    """
     if direction not in ("forward", "backward"):
         raise ValueError(f"unknown direction {direction!r}")
     steps = grid.steps
-    if M_half.shape[0] != 2 * steps + 1 or g_half.shape[0] != 2 * steps + 1:
-        raise ValueError("M_half and g_half must be tabulated on the doubled grid")
-    y = np.asarray(y0, dtype=float).copy()
-    out = np.empty((steps + 1,) + y.shape)
-    h = grid.dt if direction == "forward" else -grid.dt
-    order = range(steps) if direction == "forward" else range(steps, 0, -1)
-    start = 0 if direction == "forward" else steps
-    out[start] = y
-    for i in order:
-        if direction == "forward":
-            ia, im, ib = 2 * i, 2 * i + 1, 2 * i + 2
-        else:
-            ia, im, ib = 2 * i, 2 * i - 1, 2 * i - 2
-        k1 = M_half[ia] @ y + g_half[ia]
-        k2 = M_half[im] @ (y + (h / 2.0) * k1) + g_half[im]
-        k3 = M_half[im] @ (y + (h / 2.0) * k2) + g_half[im]
-        k4 = M_half[ib] @ (y + h * k3) + g_half[ib]
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)):
-            raise OdeBlowupError(grid.times()[i] + h)
-        j = i + 1 if direction == "forward" else i - 1
-        out[j] = y
+    g_half = np.asarray(g_half, dtype=float)
+    if g_half.shape[0] != 2 * steps + 1:
+        raise ValueError("g_half must be tabulated on the doubled grid")
+    y0 = np.asarray(y0, dtype=float)
+    d = y0.shape[0]
+    h = grid.dt
+    if direction == "backward":
+        h = -h
+        g_half = g_half[::-1]
+        if M.ndim == 3:
+            M = M[::-1]
+
+    N = np.zeros((2 * steps + 1, d + 1, d + 1))
+    N[:, :d, :d] = M
+    N[:, :d, d] = g_half
+    Na, Nm, Nb = N[0:-1:2], N[1::2], N[2::2]
+    eye = np.eye(d + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # phi = I + h/6 (k1 + 2 k2 + 2 k3 + k4), accumulated in place so only
+        # one stage array is alive at a time
+        phi = Na.copy()
+        k = Nm @ (eye + (h / 2.0) * Na)
+        phi += 2.0 * k
+        k = Nm @ (eye + (h / 2.0) * k)
+        phi += 2.0 * k
+        phi += Nb @ (eye + h * k)
+        phi *= h / 6.0
+        phi += eye
+        shift = 1
+        while shift < steps:
+            phi[shift:] = phi[shift:] @ phi[:-shift]
+            shift *= 2
+        y = phi[:, :d, :d] @ y0 + phi[:, :d, d]
+
+    finite = np.isfinite(y).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite)) + 1              # steps to the first bad node
+        node = i if direction == "forward" else steps - i
+        raise OdeBlowupError(float(grid.times()[node]))
+    out = np.concatenate([y0[None, :], y])
+    if direction == "backward":
+        out = np.ascontiguousarray(out[::-1])
     return Trajectory(grid, out)
 
 

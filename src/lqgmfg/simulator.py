@@ -573,25 +573,24 @@ def nash_deviation_experiment(spec: PopulationSpec, mf: MeanFieldSolution,
     counts = exact_counts(spec.pi, N)
     k0 = 0
     res = ExperimentResult("nash")
-    packs = [draw_noise(_rep_seed(seed, rep), N, grid.steps, spec.n, spec.m,
-                        spec.subpops[0].r) for rep in range(reps)]
     cfg = SimConfig(N=N, counts=counts, grid=grid, seed=seed)
+    family = list(deviation_family)
 
-    def tagged_cost(dev: PolicyDeviation | None) -> np.ndarray:
-        vals = np.empty(reps)
-        devs = {0: dev} if dev is not None else None
-        for rep in range(reps):
-            fin = simulate_population(spec, mf, cfg, deviations=devs,
-                                      noise=packs[rep])
-            vals[rep] = empirical_cost(fin, spec, k0, mode, spec.rho,
-                                       agents=[0]).per_agent[0]
-        return vals
+    # One noise pack at a time: every member runs on the same pack (paired
+    # comparison), which is dropped before the next repetition is drawn.
+    costs = np.empty((1 + len(family), reps))      # row 0: equilibrium
+    for rep in range(reps):
+        pack = draw_noise(_rep_seed(seed, rep), N, grid.steps, spec.n, spec.m,
+                          spec.subpops[0].r)
+        for j, dev in enumerate([None] + family):
+            fin = simulate_population(spec, mf, cfg, noise=pack,
+                                      deviations={0: dev} if dev is not None else None)
+            costs[j, rep] = empirical_cost(fin, spec, k0, mode, spec.rho,
+                                           agents=[0]).per_agent[0]
 
-    base = tagged_cost(None)
-    base_mean = base.mean()
+    base_mean = costs[0].mean()
     dev_means = []
-    for j, dev in enumerate(deviation_family):
-        vals = tagged_cost(dev)
+    for j, vals in enumerate(costs[1:]):
         dev_means.append(vals.mean())
         res.rows.append({"experiment": "nash", "N": N, "rep": j,
                          "checkpoint_t": grid.t1, "value": dev_means[-1],

@@ -2,11 +2,35 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lqgmfg.numerics import (OdeBlowupError, TimeGrid, Trajectory, agent_rng,
                              cholesky_psd, fit_rate, integrate_ode,
-                             rk4_linear_tabulated, sample_gaussian,
-                             spectral_abscissa)
+                             rk4_linear_tabulated, rk4_linear_time_varying,
+                             sample_gaussian, spectral_abscissa)
+
+
+def rk4_reference(M_half, g_half, y0, grid, direction="forward"):
+    """Plain sequential RK4 loop for dy/dt = M(t) y + g(t), both tabulated on
+    the doubled grid."""
+    steps = grid.steps
+    fwd = direction == "forward"
+    h = grid.dt if fwd else -grid.dt
+    i = 0 if fwd else steps
+    y = np.asarray(y0, dtype=float)
+    out = np.empty((steps + 1, y.shape[0]))
+    out[i] = y
+    for _ in range(steps):
+        a, mid, b = (2 * i, 2 * i + 1, 2 * i + 2) if fwd else (2 * i, 2 * i - 1, 2 * i - 2)
+        k1 = M_half[a] @ y + g_half[a]
+        k2 = M_half[mid] @ (y + (h / 2.0) * k1) + g_half[mid]
+        k3 = M_half[mid] @ (y + (h / 2.0) * k2) + g_half[mid]
+        k4 = M_half[b] @ (y + h * k3) + g_half[b]
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        i += 1 if fwd else -1
+        out[i] = y
+    return out
 
 
 def test_rk4_exponential():
@@ -55,6 +79,86 @@ def test_rk4_linear_tabulated_matches_generic():
     gen = integrate_ode(lambda t, y: M @ y + np.array([math.sin(t), math.cos(t)]),
                         np.array([1.0, -1.0]), grid)
     assert np.allclose(tab.values, gen.values, atol=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.integers(1, 4), steps=st.integers(1, 300),
+       T=st.floats(0.05, 2.0), scale=st.floats(0.0, 2.0),
+       time_varying=st.booleans(), direction=st.sampled_from(["forward", "backward"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_rk4_linear_kernels_match_sequential_loop(d, steps, T, scale, time_varying,
+                                                   direction, seed):
+    # random M of either sign (unstable ones included) and arbitrary g on the
+    # doubled grid: the scan must reproduce the step-by-step loop
+    rng = np.random.default_rng(seed)
+    grid = TimeGrid(0.0, T, steps)
+    g_half = rng.uniform(-1.0, 1.0, (2 * steps + 1, d))
+    y0 = rng.uniform(-1.0, 1.0, d)
+    if time_varying:
+        M_half = scale * rng.uniform(-1.0, 1.0, (2 * steps + 1, d, d))
+        got = rk4_linear_time_varying(M_half, g_half, y0, grid, direction)
+    else:
+        M = scale * rng.uniform(-1.0, 1.0, (d, d))
+        M_half = np.broadcast_to(M, (2 * steps + 1, d, d))
+        got = rk4_linear_tabulated(M, g_half, y0, grid, direction)
+    ref = rk4_reference(M_half, g_half, y0, grid, direction)
+    assert got.values.shape == ref.shape
+    assert np.max(np.abs(got.values - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_rk4_linear_time_varying_matches_generic(direction):
+    grid = TimeGrid(0.0, 2.0, 120)
+
+    def M(t):
+        return np.array([[-0.5 + 0.3 * math.sin(t), 0.2], [-0.1 * t, -0.3]])
+
+    def g(t):
+        return np.array([math.sin(t), math.cos(2.0 * t)])
+
+    ts_half = np.linspace(grid.t0, grid.t1, 2 * grid.steps + 1)
+    M_half = np.stack([M(t) for t in ts_half])
+    g_half = np.stack([g(t) for t in ts_half])
+    y0 = np.array([1.0, -0.5])
+    tab = rk4_linear_time_varying(M_half, g_half, y0, grid, direction)
+    gen = integrate_ode(lambda t, y: M(t) @ y + g(t), y0, grid, direction)
+    assert np.allclose(tab.values, gen.values, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("direction, rate", [("forward", 50.0), ("backward", -50.0)])
+def test_rk4_linear_blowup_at_first_nonfinite_node(direction, rate):
+    # y' = rate y from y = 1: after k steps y = P^k with P the RK4 factor
+    # 1 + z + z^2/2 + z^3/6 + z^4/24 (z = 5 here), which first exceeds the
+    # float range at k = 170 (log margins 3.4 below and 0.8 above)
+    grid = TimeGrid(0.0, 20.0, 200)
+    z = abs(rate) * grid.dt
+    P = 1.0 + z + z ** 2 / 2.0 + z ** 3 / 6.0 + z ** 4 / 24.0
+    k = math.ceil(math.log(np.finfo(float).max) / math.log(P))
+    node = k if direction == "forward" else grid.steps - k
+    M = np.array([[rate]])
+    g_half = np.zeros((2 * grid.steps + 1, 1))
+    M_half = np.broadcast_to(M, (2 * grid.steps + 1, 1, 1))
+    with pytest.raises(OdeBlowupError) as exc:
+        rk4_linear_tabulated(M, g_half, np.ones(1), grid, direction)
+    assert exc.value.t == grid.times()[node]
+    with pytest.raises(OdeBlowupError) as exc:
+        rk4_linear_time_varying(M_half, g_half, np.ones(1), grid, direction)
+    assert exc.value.t == grid.times()[node]
+
+
+def test_rk4_linear_rejects_bad_inputs():
+    grid = TimeGrid(0.0, 1.0, 10)
+    M = -np.eye(2)
+    g_half = np.zeros((2 * grid.steps + 1, 2))
+    with pytest.raises(ValueError):
+        rk4_linear_tabulated(M, g_half[:-1], np.ones(2), grid)
+    with pytest.raises(ValueError):
+        rk4_linear_tabulated(M, g_half, np.ones(2), grid, direction="sideways")
+    M_half = np.broadcast_to(M, (2 * grid.steps + 1, 2, 2))
+    with pytest.raises(ValueError):
+        rk4_linear_time_varying(M_half[:-1], g_half, np.ones(2), grid)
+    with pytest.raises(ValueError):
+        rk4_linear_time_varying(M_half, g_half[:-1], np.ones(2), grid)
 
 
 def test_spectral_abscissa():

@@ -11,6 +11,7 @@ from lqgmfg.simulator import (PolicyDeviation, SimConfig, coe_experiment,
                               draw_noise, empirical_cost, exact_counts,
                               nash_deviation_experiment, simulate_population,
                               simulate_representative, write_experiment_csv)
+from lqgmfg.simulator import _rep_seed
 
 GRID = TimeGrid(0.0, 4.0, 400)
 
@@ -231,6 +232,39 @@ def test_nash_family_of_equilibrium_only(coupled):
                                     deviation_family=[PolicyDeviation()],
                                     grid=TimeGrid(0.0, 2.0, 200))
     assert res.summary["eps_hat"] == 0.0
+
+
+def test_nash_matches_direct_per_repetition_costs(coupled):
+    spec, mf = coupled
+    grid = TimeGrid(0.0, 2.0, 200)
+    N, reps, seed = 6, 3, 11
+    family = [PolicyDeviation(mean_shift=[0.3]), PolicyDeviation(cov_scale=1.5)]
+    res = nash_deviation_experiment(spec, mf, N=N, reps=reps, seed=seed,
+                                    deviation_family=family, grid=grid)
+    cfg = SimConfig(N=N, counts=exact_counts(spec.pi, N), grid=grid, seed=seed)
+
+    def tagged_costs(dev):
+        vals = np.empty(reps)
+        for rep in range(reps):
+            pack = draw_noise(_rep_seed(seed, rep), N, grid.steps, spec.n, spec.m,
+                              spec.subpops[0].r)
+            fin = simulate_population(spec, mf, cfg, noise=pack,
+                                      deviations=None if dev is None else {0: dev})
+            vals[rep] = empirical_cost(fin, spec, 0, "exploratory-regularized",
+                                       spec.rho, agents=[0]).per_agent[0]
+        return vals
+
+    base = tagged_costs(None).mean()
+    devs = [tagged_costs(dev) for dev in family]
+    eps_hat = max(0.0, base - min(v.mean() for v in devs))
+    assert res.summary == {"N": N, "eps_hat": eps_hat, "equilibrium_cost": base,
+                           "deviation_costs": [v.mean() for v in devs], "reps": reps}
+    assert res.rows == [
+        {"experiment": "nash", "N": N, "rep": j, "checkpoint_t": grid.t1,
+         "value": v.mean(), "std_err": v.std(ddof=1) / math.sqrt(reps)}
+        for j, v in enumerate(devs)] + [
+        {"experiment": "nash", "N": N, "rep": -1, "checkpoint_t": grid.t1,
+         "value": eps_hat, "std_err": ""}]
 
 
 def test_nash_uncoupled_no_profit(decoupled_noisy):
