@@ -24,7 +24,7 @@ from . import __version__
 from .meanfield import (ConsistencyError, SolverConfig, consistency_residual,
                         solve_consistency, stability_reports)
 from .model import SpecValidationError, load_spec
-from .numerics import OdeBlowupError, TimeGrid
+from .numerics import RNG_SCHEME, OdeBlowupError, TimeGrid
 from .policy import policy_entropy, value_gap
 from .riccati import RiccatiError
 from .simulator import (PolicyDeviation, coe_experiment, cost_gap_experiment,
@@ -53,6 +53,9 @@ def _sanitize(obj):
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, np.ndarray):
+        # a float array without NaN needs no walk: tolist() is already JSON
+        if obj.dtype.kind == "f" and not np.isnan(obj).any():
+            return obj.tolist()
         return _sanitize(obj.tolist())
     if isinstance(obj, (np.bool_,)):
         return bool(obj)
@@ -73,6 +76,7 @@ def _manifest(args, command: str, spec_path: str, overrides: dict) -> dict:
         "spec": spec_path,
         "overrides": overrides,
         "seed": args.seed,
+        "rng_scheme": RNG_SCHEME,
         "out": str(args.out),
         "tool_version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -313,8 +317,8 @@ def cmd_trade(args) -> int:
             reps = args.reps or 64
             drifts = []
             for rep in range(reps):
-                pr = simulate_market(params, pol, n_traders, grid,
-                                     args.seed + 1000 + rep)
+                pr = simulate_market(params, pol, n_traders, grid, args.seed,
+                                     rep=1 + rep)
                 drifts.append(pr.F[-1] - pr.F[0])
             drifts = np.asarray(drifts)
             se = drifts.std(ddof=1) / math.sqrt(reps)

@@ -91,18 +91,20 @@ class MeanFieldSolution:
     spec: PopulationSpec
 
     def to_json_dict(self) -> dict:
+        """The solution as a dict for ``cli._write_json``; matrices and
+        trajectories stay arrays, which it writes as nested lists."""
         g = self.grid
         return {
             "grid": {"t0": g.t0, "t1": g.t1, "steps": g.steps},
-            "Pi": [sol.Pi.tolist() for sol in self.Pi],
+            "Pi": [sol.Pi for sol in self.Pi],
             "riccati_residuals": [sol.residual for sol in self.Pi],
-            "s": [traj.values.tolist() for traj in self.s],
-            "J": self.J.tolist(),
-            "L": self.L.values.tolist(),
-            "Abar": self.Abar.tolist(),
-            "mbar": self.mbar.values.tolist(),
-            "xbar": self.xbar.values.tolist(),
-            "mubar": self.mubar.values.tolist(),
+            "s": [traj.values for traj in self.s],
+            "J": self.J,
+            "L": self.L.values,
+            "Abar": self.Abar,
+            "mbar": self.mbar.values,
+            "xbar": self.xbar.values,
+            "mubar": self.mubar.values,
             "residual": self.residual,
             "iterations": self.iterations,
         }

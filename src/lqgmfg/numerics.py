@@ -16,10 +16,14 @@ built at once with batched matmuls and composed by a log-depth prefix scan
 result is the same fixed-step RK4 as a sequential loop up to the order of
 rounding, and still bit-reproducible from one run to the next.
 
-RNG convention used throughout the package: one ``numpy`` Generator per
-simulated agent, seeded as ``seed XOR agent_index`` (64-bit).  This makes
-parallel execution over agents race-free and lets coupled experiments
-(common random numbers) replay the exact same noise per agent.
+RNG convention used throughout the package (``RNG_SCHEME``): every random
+stream is named by a user seed and a key of small integers (a repetition, an
+episode) and drawn from ``rng_stream(seed, *key)``, NumPy's
+``SeedSequence(seed, spawn_key=key)`` -- the child that
+``SeedSequence(seed).spawn`` hands out -- feeding a PCG64 generator.  Streams
+of different (seed, key) pairs are statistically independent; agents are
+rows of one stream, in a fixed order, so coupled experiments (common random
+numbers) still replay the exact same noise per agent.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 _SEED_MASK = (1 << 64) - 1
+RNG_SCHEME = "SeedSequence(seed, spawn_key=key)/PCG64"
 
 
 class OdeBlowupError(RuntimeError):
@@ -299,9 +304,16 @@ def sample_gaussian(mean, cov, rng: np.random.Generator, size: int | None = None
     return mean[None, :] + z @ L.T
 
 
-def agent_rng(seed: int, agent_index: int) -> np.random.Generator:
-    """Per-agent stream: Generator seeded with seed XOR agent_index."""
-    return np.random.default_rng((int(seed) ^ int(agent_index)) & _SEED_MASK)
+def rng_stream(seed: int, *key: int) -> np.random.Generator:
+    """The stream named by (seed, *key), independent of every other pair.
+
+    The key goes into the spawn key, not next to the seed in the entropy
+    list: ``SeedSequence([s, 0])`` is the same stream as ``SeedSequence(s)``,
+    and ``SeedSequence([2**32 + 1, 0])`` the same as ``SeedSequence([1, 1])``.
+    A negative seed is taken modulo 2**64.
+    """
+    return np.random.default_rng(np.random.SeedSequence(
+        int(seed) & _SEED_MASK, spawn_key=tuple(int(k) for k in key)))
 
 
 def fit_rate(xs, ys) -> float:

@@ -10,11 +10,16 @@ and covariance checks only.  A deterministic classical feedback applies the
 same numbers (its control equals the policy mean), so the two modes share
 one kernel and, for a shared seed, one state path.
 
-Noise discipline: one stream per agent (seed XOR agent index), drawn
-up-front in a fixed order (initial state, then per-node action noise, then
-Brownian increments).  Coupled experiments replay the identical noise pack
-in the finite and limiting systems (common random numbers), which is what
-makes the gap statistics estimable at desk scale.
+Noise discipline: one stream per noise pack, ``rng_stream(seed, rep)``,
+drawn up-front.  Agent i owns row i of that stream, in a fixed order
+(initial state, then per-node action noise, then Brownian increments), so
+its noise depends on (seed, rep, i) only, not on N.  Coupled experiments
+replay the identical noise pack in the finite and limiting systems (common
+random numbers), which is what makes the gap statistics estimable at desk
+scale.
+
+Paths are stepped time-major: node i of every agent is one contiguous
+(N, .) block, and the batch exposes (N, nodes, .) views of those arrays.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import numpy as np
 
 from .meanfield import MeanFieldSolution
 from .model import PopulationSpec
-from .numerics import TimeGrid, cholesky_psd, fit_rate
+from .numerics import TimeGrid, cholesky_psd, fit_rate, rng_stream
 
 __all__ = [
     "SimConfig",
@@ -47,12 +52,10 @@ __all__ = [
     "write_experiment_csv",
 ]
 
-_SEED_MASK = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15  # splitmix increment for derived rep seeds
-
-
-def _rep_seed(seed: int, rep: int) -> int:
-    return (int(seed) + _GOLDEN * (rep + 1)) & _SEED_MASK
+# rows per draw in draw_noise: about 1 MiB of float64 at a time
+_BLOCK_BYTES = 1 << 20
+# nodes per time-major noise copy in _simulate
+_NOISE_CHUNK = 16
 
 
 def exact_counts(pi: np.ndarray, N: int) -> tuple[int, ...]:
@@ -130,17 +133,29 @@ class AgentNoise:
         return AgentNoise(self.x0_z[idx], self.action_z[idx], self.dW[idx])
 
 
-def draw_noise(seed: int, N: int, steps: int, n: int, m: int, r: int) -> AgentNoise:
-    """One stream per agent (seed XOR index); fixed draw order keeps the
-    classical/exploratory modes and the finite/limiting systems coupled."""
+def draw_noise(seed: int, N: int, steps: int, n: int, m: int, r: int,
+               rep: int = 0) -> AgentNoise:
+    """Noise pack ``rep`` of ``seed``: one stream, ``rng_stream(seed, rep)``.
+
+    The values are those of one C-order (N, n + (steps+1)*m + steps*r) draw,
+    row i being agent i's initial state, action noise and increments, so row
+    i depends only on i, not on N.  The draw is made in blocks of rows, and
+    each array of the pack is allocated on its own.
+    """
+    nodes = steps + 1
     x0_z = np.empty((N, n))
-    action_z = np.empty((N, steps + 1, m))
+    action_z = np.empty((N, nodes, m))
     dW = np.empty((N, steps, r))
-    for i in range(N):
-        rng = np.random.default_rng((int(seed) ^ i) & _SEED_MASK)
-        x0_z[i] = rng.standard_normal(n)
-        action_z[i] = rng.standard_normal((steps + 1, m))
-        dW[i] = rng.standard_normal((steps, r))
+    a = n + nodes * m
+    w = a + steps * r
+    rng = rng_stream(seed, rep)
+    block = max(1, _BLOCK_BYTES // (8 * w))
+    for lo in range(0, N, block):
+        hi = min(N, lo + block)
+        z = rng.standard_normal((hi - lo, w))
+        x0_z[lo:hi] = z[:, :n]
+        action_z[lo:hi] = z[:, n:a].reshape(hi - lo, nodes, m)
+        dW[lo:hi] = z[:, a:].reshape(hi - lo, steps, r)
     return AgentNoise(x0_z, action_z, dW)
 
 
@@ -150,7 +165,8 @@ class SimulationBatch:
 
     xref carries the tracking reference: the empirical average state for a
     finite population (y = psi_k x^(N)), or the solved stacked mean state
-    for representative paths (y = psibar_k xbar).
+    for representative paths (y = psibar_k xbar).  states, actions and means
+    are (N, nodes, .) views of time-major (nodes, N, .) arrays.
     """
 
     grid: TimeGrid
@@ -240,14 +256,15 @@ def _simulate(spec: PopulationSpec, mf: MeanFieldSolution, grid: TimeGrid,
     slices = _type_slices(counts)
     types = np.repeat(np.arange(K), counts)
 
-    states = np.empty((N, nodes, n))
-    means = np.empty((N, nodes, m))
-    actions = np.empty((N, nodes, m))
+    # time-major: node i of all agents is one contiguous block, written in place
+    states = np.empty((nodes, N, n))
+    means = np.empty((nodes, N, m))
+    actions = np.empty((nodes, N, m))
     x_avg = np.empty((nodes, n))
     mu_avg = np.empty((nodes, m))
 
     L0 = cholesky_psd(spec.x0_cov)
-    states[:, 0] = spec.x0_mean[None, :] + noise.x0_z @ L0.T
+    states[0] = spec.x0_mean[None, :] + noise.x0_z @ L0.T
 
     shifts, cov_scales = _deviation_arrays(deviations, N, m)
     sd_scales = np.sqrt(cov_scales)[:, None]
@@ -259,26 +276,30 @@ def _simulate(spec: PopulationSpec, mf: MeanFieldSolution, grid: TimeGrid,
         field_drift = [xbar_t @ spec.Fbar(k).T + mubar_t @ spec.Hbar(k).T
                        for k in range(K)]
 
-    x = states[:, 0]
+    x = states[0]
     for i in range(nodes):
-        mu = np.empty((N, m))
+        c = i % _NOISE_CHUNK
+        if c == 0:
+            # time-major copies of the next chunk of nodes' noise: node i then
+            # reads contiguous rows, without a time-major copy of the whole pack
+            az = noise.action_z[:, i:i + _NOISE_CHUNK].transpose(1, 0, 2).copy()
+            dw = noise.dW[:, i:i + _NOISE_CHUNK].transpose(1, 0, 2).copy()
+        mu = means[i]
         for k, sl in enumerate(slices):
             mu[sl] = -(x[sl] @ tables.gain[k].T) + tables.offset[k][i][None, :]
         mu += shifts
+        u = actions[i]
         if mode == "exploratory":
-            u = np.empty((N, m))
             for k, sl in enumerate(slices):
-                u[sl] = mu[sl] + sd_scales[sl] * (noise.action_z[sl, i]
+                u[sl] = mu[sl] + sd_scales[sl] * (az[c, sl]
                                                   @ tables.cov_chol[k].T)
         else:
-            u = mu.copy()
-        means[:, i] = mu
-        actions[:, i] = u
+            u[...] = mu
         x_avg[i] = x.mean(axis=0)
         mu_avg[i] = mu.mean(axis=0)
         if i == steps:
             break
-        x_new = np.empty_like(x)
+        x_new = states[i + 1]
         for k, sl in enumerate(slices):
             p = spec.subpops[k]
             drift = x[sl] @ p.A.T + mu[sl] @ p.B.T + tables.b_tab[k][i][None, :]
@@ -286,17 +307,18 @@ def _simulate(spec: PopulationSpec, mf: MeanFieldSolution, grid: TimeGrid,
                 drift += field_drift[k][i][None, :]
             else:
                 drift += x_avg[i] @ p.F.T + mu_avg[i] @ p.H.T
-            x_new[sl] = x[sl] + dt * drift + sqdt * (noise.dW[sl, i] @ p.D.T)
+            x_new[sl] = x[sl] + dt * drift + sqdt * (dw[c, sl] @ p.D.T)
         if not np.all(np.isfinite(x_new)):
             bad = np.argwhere(~np.isfinite(x_new))[0]
             raise RuntimeError(
                 f"non-finite state for agent {bad[0]} at t={grid.times()[i + 1]:.4g}")
-        states[:, i + 1] = x_new
         x = x_new
 
     xref = mf.xbar.interp(grid.times()) if exogenous_field else x_avg
-    return SimulationBatch(grid=grid, mode=mode, types=types, states=states,
-                           actions=actions, means=means, dW=noise.dW,
+    return SimulationBatch(grid=grid, mode=mode, types=types,
+                           states=states.transpose(1, 0, 2),
+                           actions=actions.transpose(1, 0, 2),
+                           means=means.transpose(1, 0, 2), dW=noise.dW,
                            x_avg=x_avg, mu_avg=mu_avg, xref=xref,
                            infinite=exogenous_field, cov_scales=cov_scales)
 
@@ -419,7 +441,9 @@ def empirical_cost(batch: SimulationBatch, spec: PopulationSpec, k: int,
         trace_term = 0.5 * np.trace(p.R @ lam_rinv) * scales
         running = quad_e + lin_e + quad_mu + cross + lin_u + trace_term[:, None]
         if mode == "exploratory-regularized":
-            ent = np.array([_entropy_for(p, s) for s in scales])
+            # one slogdet per distinct scale, not per agent
+            uniq, inv = np.unique(scales, return_inverse=True)
+            ent = np.array([_entropy_for(p, s) for s in uniq])[inv]
             running = running - ent[:, None]
 
     disc = np.exp(-rho * ts)
@@ -484,17 +508,17 @@ def coupling_gap_experiment(spec: PopulationSpec, mf: MeanFieldSolution,
         types = np.repeat(np.arange(spec.K), counts)
         vals = np.empty(reps)
         for rep in range(reps):
-            pack = draw_noise(_rep_seed(seed, rep), N, grid.steps,
-                              spec.n, spec.m, spec.subpops[0].r)
+            pack = draw_noise(seed, N, grid.steps, spec.n, spec.m,
+                              spec.subpops[0].r, rep=rep)
             cfg = SimConfig(N=N, counts=counts, grid=grid, seed=seed,
                             coupling=coupling)
             fin = simulate_population(spec, mf, cfg, noise=pack)
             if coupling == "common-random-numbers":
                 pack_inf = pack
             else:
-                pack_inf = draw_noise(_rep_seed(seed ^ 0x5DEECE66D, rep), N,
-                                      grid.steps, spec.n, spec.m,
-                                      spec.subpops[0].r)
+                # packs reps..2*reps-1: no stream shared with the finite run
+                pack_inf = draw_noise(seed, N, grid.steps, spec.n, spec.m,
+                                      spec.subpops[0].r, rep=reps + rep)
             inf = simulate_representative(spec, mf, grid, seed, noise=pack_inf,
                                           types=types)
             gap = np.sum((fin.states[:, ck] - inf.states[:, ck]) ** 2, axis=1)
@@ -532,8 +556,8 @@ def cost_gap_experiment(spec: PopulationSpec, mf: MeanFieldSolution,
         counts = exact_counts(spec.pi, N)
         diffs = np.empty(reps)
         for rep in range(reps):
-            pack = draw_noise(_rep_seed(seed, rep), N, grid.steps,
-                              spec.n, spec.m, spec.subpops[0].r)
+            pack = draw_noise(seed, N, grid.steps, spec.n, spec.m,
+                              spec.subpops[0].r, rep=rep)
             cfg = SimConfig(N=N, counts=counts, grid=grid, seed=seed)
             fin = simulate_population(spec, mf, cfg, deviations=devs, noise=pack)
             inf = simulate_representative(spec, mf, grid, seed, k=k0, n_paths=1,
@@ -580,8 +604,8 @@ def nash_deviation_experiment(spec: PopulationSpec, mf: MeanFieldSolution,
     # comparison), which is dropped before the next repetition is drawn.
     costs = np.empty((1 + len(family), reps))      # row 0: equilibrium
     for rep in range(reps):
-        pack = draw_noise(_rep_seed(seed, rep), N, grid.steps, spec.n, spec.m,
-                          spec.subpops[0].r)
+        pack = draw_noise(seed, N, grid.steps, spec.n, spec.m,
+                          spec.subpops[0].r, rep=rep)
         for j, dev in enumerate([None] + family):
             fin = simulate_population(spec, mf, cfg, noise=pack,
                                       deviations={0: dev} if dev is not None else None)

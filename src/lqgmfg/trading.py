@@ -35,7 +35,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .model import PopulationSpec, SubpopParams, validate_spec
-from .numerics import TimeGrid, Trajectory, rk4_linear_time_varying
+from .numerics import TimeGrid, Trajectory, rk4_linear_time_varying, rng_stream
 from .riccati import solve_differential_riccati
 
 __all__ = [
@@ -58,9 +58,6 @@ __all__ = [
     "params_to_json",
     "params_from_json",
 ]
-
-_SEED_MASK = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
 
 
 class EstimationError(RuntimeError):
@@ -351,24 +348,23 @@ class MarketPaths:
 
 
 def simulate_market(params: MarketParams, policy: TradingPolicy, N: int,
-                    grid: TimeGrid, seed: int) -> MarketPaths:
+                    grid: TimeGrid, seed: int, rep: int = 0) -> MarketPaths:
     """Euler simulation of the trading dynamics with executed (sampled)
     trading rates.
 
     Execution price marks S_i(t) = F(t) + a * cumulative own volume; cash
-    dZ = -S dq at the left point.  Trader i draws from stream seed XOR i;
-    the common midprice noise uses stream seed XOR N.
+    dZ = -S dq at the left point.  Episode ``rep`` of ``seed`` draws from
+    one stream, ``rng_stream(seed, rep)``: row 0 of a C-order (N + 1, steps)
+    draw is the common midprice noise and row 1 + i trader i's, so neither
+    depends on N.
     """
     steps, dt = grid.steps, grid.dt
     sqdt = math.sqrt(dt)
     nodes = steps + 1
     if policy.grid.steps != steps or abs(policy.grid.t1 - grid.t1) > 1e-12:
         raise ValueError("policy grid does not match the simulation grid")
-    z = np.empty((N, steps))
-    for i in range(N):
-        rng = np.random.default_rng((int(seed) ^ i) & _SEED_MASK)
-        z[i] = rng.standard_normal(steps)
-    xi = np.random.default_rng((int(seed) ^ N) & _SEED_MASK).standard_normal(steps)
+    noise = rng_stream(seed, rep).standard_normal((N + 1, steps))
+    xi, z = noise[0], noise[1:]
     L = math.sqrt(max(policy.cov[0, 0], 0.0))
 
     F = np.empty(nodes)
@@ -550,9 +546,6 @@ def rl_loop(true_params: MarketParams, init_params: MarketParams,
     dataset = TradingDataset()
     current = init_params
 
-    def episode_seed(it: int, ep: int) -> int:
-        return (config.seed + _GOLDEN * (it * 1000 + ep + 1)) & _SEED_MASK
-
     est = ParamEstimates(sigma_hat=init_params.sigma, lambda_hat=init_params.lambda_perm,
                          a_hat=init_params.a_temp, se_lambda=float("nan"),
                          se_a=float("nan"))
@@ -579,7 +572,7 @@ def rl_loop(true_params: MarketParams, init_params: MarketParams,
         costs = []
         for ep in range(config.inner_repeats):
             paths = simulate_market(true_params, policy, config.n_traders, grid,
-                                    episode_seed(it, ep))
+                                    config.seed, rep=it * config.inner_repeats + ep)
             dataset.append(paths)
             costs.append(realized_cost(paths, true_params))
         trace.rows.append({

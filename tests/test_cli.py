@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from lqgmfg.cli import main
+from lqgmfg.cli import _sanitize, main
+from lqgmfg.numerics import RNG_SCHEME
 from lqgmfg.model import save_spec
 from lqgmfg.presets import (coupled_single_type_spec, scalar_decoupled_spec,
                             unstable_spec)
@@ -37,6 +38,8 @@ def test_solve_success(spec_files, tmp_path):
     assert (out / "meanfield_solution.json").exists()
     assert (out / "stability_report.json").exists()
     assert (out / "manifest.json").exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["rng_scheme"] == RNG_SCHEME
     assert (out / "decoupled.json").exists()  # input copy
     doc = json.loads((out / "meanfield_solution.json").read_text())
     assert doc["residual"] < 1e-8
@@ -146,3 +149,11 @@ def test_trade_malformed_params(tmp_path):
     bad.write_text(json.dumps({"sigma": 0.1}))
     rc = main(["trade", "learn", str(bad), "--out", str(tmp_path / "o")])
     assert rc == 1
+
+
+def test_sanitize_arrays():
+    clean = np.array([[0.1, -2.5e-300], [np.inf, 3.0]])
+    assert _sanitize(clean) == [[0.1, -2.5e-300], [np.inf, 3.0]]
+    assert _sanitize({"a": np.array([1.0, np.nan])}) == {"a": [1.0, None]}
+    assert _sanitize(np.array([1, 2])) == [1, 2]
+    assert json.dumps(_sanitize(clean)) == json.dumps(clean.tolist())

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lqgmfg.numerics import (OdeBlowupError, TimeGrid, Trajectory, agent_rng,
+from lqgmfg.numerics import (OdeBlowupError, TimeGrid, Trajectory, rng_stream,
                              cholesky_psd, fit_rate, integrate_ode,
                              rk4_linear_tabulated, rk4_linear_time_varying,
                              sample_gaussian, spectral_abscissa)
@@ -207,11 +207,22 @@ def test_sample_gaussian_rejects_indefinite():
 
 
 def test_agent_rng_streams_differ():
-    a = agent_rng(123, 0).standard_normal(4)
-    b = agent_rng(123, 1).standard_normal(4)
-    c = agent_rng(123, 0).standard_normal(4)
+    a = rng_stream(123, 0).standard_normal(4)
+    b = rng_stream(123, 1).standard_normal(4)
+    c = rng_stream(123, 0).standard_normal(4)
     assert not np.array_equal(a, b)
     assert np.array_equal(a, c)
+
+
+def test_rng_stream_keys_do_not_alias():
+    def draw(*args):
+        return rng_stream(*args).standard_normal(4)
+
+    # the entropy-list form SeedSequence([seed, key]) aliases in both cases
+    assert not np.array_equal(draw(5, 0), np.random.default_rng(5).standard_normal(4))
+    assert not np.array_equal(draw(2**32 + 1, 0), draw(1, 1))
+    assert not np.array_equal(draw(0, 1), draw(1, 0))
+    assert np.array_equal(draw(-1), draw(2**64 - 1))
 
 
 def test_fit_rate():

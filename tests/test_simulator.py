@@ -1,17 +1,21 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lqgmfg import solve_consistency
-from lqgmfg.numerics import TimeGrid
+from lqgmfg import simulator, solve_consistency
+from lqgmfg.model import PopulationSpec, SubpopParams
+from lqgmfg.numerics import TimeGrid, Trajectory, cholesky_psd, rng_stream
 from lqgmfg.presets import scalar_decoupled_spec
-from lqgmfg.simulator import (PolicyDeviation, SimConfig, coe_experiment,
-                              cost_gap_experiment, coupling_gap_experiment,
-                              draw_noise, empirical_cost, exact_counts,
+from lqgmfg.simulator import (AgentNoise, PolicyDeviation, SimConfig,
+                              coe_experiment, cost_gap_experiment,
+                              coupling_gap_experiment, draw_noise,
+                              empirical_cost, exact_counts,
                               nash_deviation_experiment, simulate_population,
                               simulate_representative, write_experiment_csv)
-from lqgmfg.simulator import _rep_seed
 
 GRID = TimeGrid(0.0, 4.0, 400)
 
@@ -25,6 +29,36 @@ def test_exact_counts():
     assert exact_counts(np.array([0.6, 0.4]), 10) == (6, 4)
     assert exact_counts(np.array([1 / 3, 1 / 3, 1 / 3]), 10) == (4, 3, 3)
     assert sum(exact_counts(np.array([0.55, 0.45]), 17)) == 17
+
+
+def test_noise_seeds_share_no_row():
+    a = draw_noise(0, 16, 50, 1, 1, 1)
+    b = draw_noise(1, 16, 50, 1, 1, 1)
+    rows_a = {tuple(z) for z in a.dW[:, :, 0]}
+    assert not rows_a & {tuple(z) for z in b.dW[:, :, 0]}
+    # nor do two packs of one seed
+    c = draw_noise(0, 16, 50, 1, 1, 1, rep=1)
+    assert not rows_a & {tuple(z) for z in c.dW[:, :, 0]}
+
+
+def test_noise_row_independent_of_population_size():
+    small = draw_noise(5, 3, 40, 2, 2, 1, rep=2)
+    large = draw_noise(5, 50, 40, 2, 2, 1, rep=2)
+    assert np.array_equal(small.x0_z, large.x0_z[:3])
+    assert np.array_equal(small.action_z, large.action_z[:3])
+    assert np.array_equal(small.dW, large.dW[:3])
+    assert np.array_equal(large.subset(slice(0, 3)).dW, small.dW)
+
+
+def test_noise_blocks_equal_one_draw():
+    # 4002 values a row: a 1 MiB block holds 32 rows, so 70 rows span three
+    N, steps, n, m, r = 70, 2000, 1, 1, 1
+    nodes = steps + 1
+    pack = draw_noise(9, N, steps, n, m, r, rep=4)
+    z = rng_stream(9, 4).standard_normal((N, n + nodes * m + steps * r))
+    assert np.array_equal(pack.x0_z, z[:, :n])
+    assert np.array_equal(pack.action_z, z[:, n:n + nodes * m].reshape(N, nodes, m))
+    assert np.array_equal(pack.dW, z[:, n + nodes * m:].reshape(N, steps, r))
 
 
 def test_identical_agents_deterministic(decoupled):
@@ -169,6 +203,26 @@ def test_cost_mode_entropy_difference(decoupled_noisy):
         -p.lambda_explore * H * (1 - math.exp(-spec.rho * GRID.t1)) / spec.rho, rel=1e-4)
 
 
+def test_entropy_charged_at_each_agents_scale(decoupled_noisy):
+    spec, mf = decoupled_noisy
+    scales = [0.5, 2.0, 1.0, 0.5, 3.0, 1.0]
+    devs = {i: PolicyDeviation(cov_scale=c) for i, c in enumerate(scales)}
+    batch = simulate_population(spec, mf, cfg_for(len(scales), seed=4),
+                                deviations=devs)
+    reg = empirical_cost(batch, spec, 0, "exploratory-regularized", spec.rho)
+    plain = empirical_cost(batch, spec, 0, "exploratory", spec.rho)
+    p = spec.subpops[0]
+    ts = GRID.times()
+    w = np.full(ts.shape, GRID.dt)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    disc = float(np.exp(-spec.rho * ts) @ w)
+    for i, c in enumerate(scales):
+        H = 0.5 * math.log(2 * math.pi * math.e * c * p.lambda_explore / p.R[0, 0])
+        assert reg.per_agent[i] - plain.per_agent[i] == pytest.approx(
+            -p.lambda_explore * H * disc, rel=1e-9)
+
+
 def test_truncation_bound_covers_tail(decoupled_noisy):
     spec, mf = decoupled_noisy
     grid1 = TimeGrid(0.0, 8.0, 800)
@@ -246,8 +300,8 @@ def test_nash_matches_direct_per_repetition_costs(coupled):
     def tagged_costs(dev):
         vals = np.empty(reps)
         for rep in range(reps):
-            pack = draw_noise(_rep_seed(seed, rep), N, grid.steps, spec.n, spec.m,
-                              spec.subpops[0].r)
+            pack = draw_noise(seed, N, grid.steps, spec.n, spec.m,
+                              spec.subpops[0].r, rep=rep)
             fin = simulate_population(spec, mf, cfg, noise=pack,
                                       deviations=None if dev is None else {0: dev})
             vals[rep] = empirical_cost(fin, spec, 0, "exploratory-regularized",
@@ -345,3 +399,163 @@ def test_csv_writer_deterministic(tmp_path, decoupled_noisy):
     assert p1.read_bytes() == p2.read_bytes()
     header = p1.read_text().splitlines()[0]
     assert header == "experiment,N,rep,checkpoint_t,value,std_err"
+
+
+# ---------------------------------------------------------------------------
+# The time-major kernel against the agent-major loop it replaced
+# ---------------------------------------------------------------------------
+
+def simulate_reference(spec, mf, grid, counts, noise, mode, deviations,
+                       exogenous_field):
+    """Agent-major Euler-Maruyama loop: paths stored as (N, nodes, .), one
+    strided row per agent per node.  The reference for ``_simulate``."""
+    K = spec.K
+    n, m = spec.n, spec.m
+    N = sum(counts)
+    steps, dt = grid.steps, grid.dt
+    nodes = steps + 1
+    sqdt = math.sqrt(dt)
+    tables = simulator._PolicyTables(spec, mf, grid)
+    slices = simulator._type_slices(counts)
+
+    states = np.empty((N, nodes, n))
+    means = np.empty((N, nodes, m))
+    actions = np.empty((N, nodes, m))
+    x_avg = np.empty((nodes, n))
+    mu_avg = np.empty((nodes, m))
+
+    L0 = cholesky_psd(spec.x0_cov)
+    states[:, 0] = spec.x0_mean[None, :] + noise.x0_z @ L0.T
+
+    shifts, cov_scales = simulator._deviation_arrays(deviations, N, m)
+    sd_scales = np.sqrt(cov_scales)[:, None]
+
+    if exogenous_field:
+        ts = grid.times()
+        xbar_t = mf.xbar.interp(ts)
+        mubar_t = mf.mubar.interp(ts)
+        field_drift = [xbar_t @ spec.Fbar(k).T + mubar_t @ spec.Hbar(k).T
+                       for k in range(K)]
+
+    x = states[:, 0]
+    for i in range(nodes):
+        mu = np.empty((N, m))
+        for k, sl in enumerate(slices):
+            mu[sl] = -(x[sl] @ tables.gain[k].T) + tables.offset[k][i][None, :]
+        mu += shifts
+        if mode == "exploratory":
+            u = np.empty((N, m))
+            for k, sl in enumerate(slices):
+                u[sl] = mu[sl] + sd_scales[sl] * (noise.action_z[sl, i]
+                                                  @ tables.cov_chol[k].T)
+        else:
+            u = mu.copy()
+        means[:, i] = mu
+        actions[:, i] = u
+        x_avg[i] = x.mean(axis=0)
+        mu_avg[i] = mu.mean(axis=0)
+        if i == steps:
+            break
+        x_new = np.empty_like(x)
+        for k, sl in enumerate(slices):
+            p = spec.subpops[k]
+            drift = x[sl] @ p.A.T + mu[sl] @ p.B.T + tables.b_tab[k][i][None, :]
+            if exogenous_field:
+                drift += field_drift[k][i][None, :]
+            else:
+                drift += x_avg[i] @ p.F.T + mu_avg[i] @ p.H.T
+            x_new[sl] = x[sl] + dt * drift + sqdt * (noise.dW[sl, i] @ p.D.T)
+        states[:, i + 1] = x_new
+        x = x_new
+    return {"states": states, "actions": actions, "means": means,
+            "x_avg": x_avg, "mu_avg": mu_avg, "cov_scales": cov_scales}
+
+
+_BATCH_FIELDS = ("states", "actions", "means", "x_avg", "mu_avg", "cov_scales")
+
+
+def _assert_kernel_matches_reference(spec, mf, grid, counts, noise, mode,
+                                     deviations):
+    N = sum(counts)
+    types = np.repeat(np.arange(spec.K), counts)
+    cfg = SimConfig(N=N, counts=tuple(counts), grid=grid, seed=0, mode=mode)
+    batches = {
+        False: simulate_population(spec, mf, cfg, deviations=deviations,
+                                   noise=noise),
+        True: simulate_representative(spec, mf, grid, 0, mode=mode, noise=noise,
+                                      deviations=deviations, types=types)}
+    for exogenous, batch in batches.items():
+        ref = simulate_reference(spec, mf, grid, counts, noise, mode,
+                                 deviations, exogenous)
+        for f in _BATCH_FIELDS:
+            assert np.array_equal(getattr(batch, f), ref[f]), (f, exogenous)
+        assert batch.states.shape == (N, grid.steps + 1, spec.n)
+
+
+def _random_game(rng, K, n, m, r, steps):
+    """A K-type spec with random blocks and a random (not equilibrium) mean
+    field: the kernel only reads xbar, mubar, s_k and Pi_k from it."""
+    def mat(rows, cols, scale):
+        return scale * rng.standard_normal((rows, cols))
+
+    def spd(d):
+        M = rng.standard_normal((d, d))
+        return M @ M.T + 0.5 * np.eye(d)
+
+    subpops = tuple(
+        SubpopParams(A=mat(n, n, 0.5), B=mat(n, m, 1.0), Q=spd(n), R=spd(m),
+                     S=mat(n, m, 0.1), F=mat(n, n, 0.3), H=mat(n, m, 0.3),
+                     D=mat(n, r, 0.3), b=mat(1, n, 0.2)[0],
+                     psi=mat(n, n, 0.3), lambda_explore=rng.uniform(0.0, 0.5))
+        for _ in range(K))
+    spec = PopulationSpec(subpops=subpops, pi=rng.dirichlet(np.ones(K)),
+                          rho=0.5, x0_mean=rng.standard_normal(n),
+                          x0_cov=spd(n) * 0.1)
+    grid = TimeGrid(0.0, 1.0, steps)
+    nodes = steps + 1
+
+    def traj(d):
+        return Trajectory(grid, rng.standard_normal((nodes, d)))
+
+    mf = SimpleNamespace(xbar=traj(n * K), mubar=traj(m * K),
+                         s=[traj(n) for _ in range(K)],
+                         Pi=[SimpleNamespace(Pi=spd(n)) for _ in range(K)])
+    return spec, mf, grid
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(K=st.integers(1, 3), n=st.integers(1, 2), m=st.integers(1, 2),
+       r=st.integers(1, 2), steps=st.integers(1, 30),
+       counts=st.lists(st.integers(0, 5), min_size=3, max_size=3),
+       mode=st.sampled_from(["exploratory", "classical"]),
+       n_devs=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+def test_kernel_matches_agent_major_reference(K, n, m, r, steps, counts, mode,
+                                              n_devs, seed):
+    rng = np.random.default_rng(seed)
+    spec, mf, grid = _random_game(rng, K, n, m, r, steps)
+    counts = counts[:K]
+    counts[0] = max(counts[0], 1)
+    N = sum(counts)
+    noise = AgentNoise(rng.standard_normal((N, n)),
+                       rng.standard_normal((N, steps + 1, m)),
+                       rng.standard_normal((N, steps, r)))
+    deviations = {int(i): PolicyDeviation(mean_shift=rng.standard_normal(m)
+                                          if rng.random() < 0.7 else None,
+                                          cov_scale=float(rng.uniform(0.2, 3.0)))
+                  for i in rng.choice(N, size=min(n_devs, N), replace=False)}
+    _assert_kernel_matches_reference(spec, mf, grid, counts, noise, mode,
+                                     deviations or None)
+
+
+@pytest.mark.parametrize("mode", ["exploratory", "classical"])
+@pytest.mark.parametrize("game", ["coupled", "two_type"])
+def test_kernel_matches_reference_on_solved_games(request, game, mode):
+    spec, mf = request.getfixturevalue(game)
+    grid = TimeGrid(0.0, 2.0, 200)
+    counts = list(exact_counts(spec.pi, 40))
+    noise = draw_noise(3, 40, grid.steps, spec.n, spec.m, spec.subpops[0].r)
+    deviations = {0: PolicyDeviation(mean_shift=[0.3], cov_scale=1.7),
+                  7: PolicyDeviation(cov_scale=0.4),
+                  39: PolicyDeviation(mean_shift=[-0.2])}
+    _assert_kernel_matches_reference(spec, mf, grid, counts, noise, mode,
+                                     deviations)

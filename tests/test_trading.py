@@ -83,6 +83,27 @@ def test_simulate_constant_rate_drift():
     assert paths.q[0, -1] == pytest.approx(5.0 + c, abs=1e-12)
 
 
+def test_market_noise_streams():
+    # a constant rate with unit exploration variance: nu = -1 + trader noise;
+    # no permanent impact, so F moves with the midprice noise only
+    params = MarketParams(sigma=0.1, lambda_perm=0.0, a_temp=0.02,
+                          phi_urgency=0.0, psi_terminal=0.0, T=1.0,
+                          F0=10.0, q0=5.0)
+    grid = TimeGrid(0.0, 1.0, 100)
+    pol = TradingPolicy(grid=grid, gain=np.zeros((grid.steps + 1, 1, 2)),
+                        offset=np.full((grid.steps + 1, 1), -1.0),
+                        cov=np.eye(1))
+    two = simulate_market(params, pol, 2, grid, 0)
+    three = simulate_market(params, pol, 3, grid, 0)
+    # neither trader i's noise nor the midprice noise depends on N
+    assert np.array_equal(two.nu, three.nu[:2])
+    assert np.array_equal(two.F, three.F)
+    for other in (simulate_market(params, pol, 2, grid, 1),
+                  simulate_market(params, pol, 2, grid, 0, rep=1)):
+        assert not np.isin(other.nu, two.nu).any()
+        assert not np.isin(other.F[1:], two.F[1:]).any()
+
+
 def test_wealth_accounting_identity(planned):
     _mapping, _fh, pol = planned
     grid = TimeGrid(0.0, 1.0, 200)
