@@ -21,6 +21,9 @@ in a single sweep.  The infinite horizon is truncated to [0, T] with T
 chosen so the discount factor and the slowest stable mode decay below 1e-8;
 backward integration of the offsets is stable because the shifted
 closed-loop matrices are Hurwitz under the verified margins.
+
+``consistency_blocks`` builds the gains and drift blocks from Pi, constant
+here and tabulated in time for the finite-horizon trading solve.
 """
 
 from __future__ import annotations
@@ -31,15 +34,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .model import PopulationSpec, SpecValidationError, validate_spec
+from .model import PopulationSpec, SpecValidationError, selector_matrix, validate_spec
 from .numerics import TimeGrid, Trajectory, rk4_linear_tabulated, spectral_abscissa
-from .riccati import (RiccatiSolution, StabilityReport, solve_discounted_are,
-                      verify_stability)
+from .riccati import (RiccatiSolution, StabilityReport, feedback_gain,
+                      solve_discounted_are, verify_stability)
 
 __all__ = [
     "SolverConfig",
     "MeanFieldSolution",
     "ConsistencyError",
+    "TypeBlocks",
+    "consistency_blocks",
     "feedback_gains",
     "aggregate_drift",
     "steady_state",
@@ -64,7 +69,6 @@ class SolverConfig:
     damping: float = 0.5
     tol: float = 1e-9
     max_iters: int = 200
-    are_tol: float = 1e-11
 
     def __post_init__(self):
         if not (0.0 < self.damping <= 1.0):
@@ -110,45 +114,68 @@ class MeanFieldSolution:
         }
 
 
-class _TypeOps:
-    """Per-type constant matrices entering the consistency equations."""
+class TypeBlocks:
+    """Type k's blocks of the consistency equations, built from Pi_k.
+
+    Pi is (n, n) for the stationary problem or a table (T, n, n) for a
+    finite horizon; every block built from it carries the same leading axis.
+    """
 
     def __init__(self, spec: PopulationSpec, k: int, Pi: np.ndarray):
         p = spec.subpops[k]
-        n, m, K = p.n, p.m, spec.K
-        self.params = p
-        self.k = k
         Rinv = np.linalg.inv(p.R)
-        self.Rinv = Rinv
-        self.gain = Rinv @ (p.B.T @ Pi + p.S.T)            # R^-1 (B^T Pi + S^T)
-        self.A_cl = p.A - p.B @ self.gain
-        self.M = spec.rho * np.eye(n) - self.A_cl.T        # ds/dt = M s - g(t)
-        Fb, Hb, Pb = spec.Fbar(k), spec.Hbar(k), spec.psibar(k)
-        self.Fbar, self.Hbar, self.psibar = Fb, Hb, Pb
+        Fb, Pb = spec.Fbar(k), spec.psibar(k)
         BRS = p.B @ Rinv @ p.S.T
-        self.Cx = Pi @ (Fb + BRS @ Pb) + (p.S @ Rinv @ p.S.T - p.Q) @ Pb     # (n, nK)
-        self.Cu = Pi @ Hb                                                    # (n, mK)
+        gain = feedback_gain(p, Pi)                          # R^-1 (B^T Pi + S^T)
+        e_k = selector_matrix(k + 1, p.n, spec.K)
+        self.params, self.Pi, self.Rinv, self.Hbar = p, Pi, Rinv, spec.Hbar(k)
+        self.A_cl = p.A - p.B @ gain
+        self.M = spec.rho * np.eye(p.n) - self.A_cl.mT      # ds/dt = M s - g(t)
+        self.J_row = -gain @ e_k + Rinv @ p.S.T @ Pb         # (..., m, nK)
+        self.Abar_own = self.A_cl @ e_k + BRS @ Pb + Fb      # Abar row block less Hbar J
+        # g(t) = Cx xbar(t) + Cu mubar(t) + c0(t) drives the offset equation
+        self.Cx = Pi @ (Fb + BRS @ Pb) + (p.S @ Rinv @ p.S.T - p.Q) @ Pb   # (..., n, nK)
+        self.Cu = Pi @ self.Hbar                                             # (..., n, mK)
         self.c_const = -Pi @ (p.B @ (Rinv @ p.nvec)) - p.S @ (Rinv @ p.nvec) + p.eta
-        self.Pi = Pi
-        # selector block: columns k*n:(k+1)*n of the stacked mean state
-        self.ek_slice = slice(k * n, (k + 1) * n)
-        self.J_row = -self.gain @ _selector(k, n, K) + Rinv @ p.S.T @ Pb     # (m, nK)
-        self.BRS = BRS
 
     def c0(self, ts: np.ndarray) -> np.ndarray:
-        """Driver-independent part of g_k, tabulated at times ts."""
-        b_vals = self.params.b(ts)
-        return b_vals @ self.Pi.T + self.c_const[None, :]
+        """Driver-independent part of g_k at times ts; with a tabulated Pi,
+        ts holds one time per table row."""
+        return (self.Pi @ self.params.b(ts)[..., None])[..., 0] + self.c_const
 
     def L_row(self, s_vals: np.ndarray) -> np.ndarray:
         """-R^-1 (B^T s(t) + n) for tabulated s values (nodes, n)."""
         return -(s_vals @ self.params.B + self.params.nvec[None, :]) @ self.Rinv.T
 
+    def mbar(self, s_vals: np.ndarray, L_vals: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        """Drift offset -B R^-1 (B^T s + n) + Hbar L + b at times ts."""
+        return (self.L_row(s_vals) @ self.params.B.T + L_vals @ self.Hbar.T
+                + self.params.b(ts))
 
-def _selector(k: int, n: int, K: int) -> np.ndarray:
-    e = np.zeros((n, n * K))
-    e[:, k * n:(k + 1) * n] = np.eye(n)
-    return e
+
+def _stack_Abar(blocks: list[TypeBlocks], J: np.ndarray) -> np.ndarray:
+    return np.concatenate([b.Abar_own + b.Hbar @ J for b in blocks], axis=-2)
+
+
+def consistency_blocks(spec: PopulationSpec, Pis):
+    """Per-type blocks, the stacked gain J (..., mK, nK) and the aggregate
+    drift Abar (..., nK, nK), from one Pi per type: a RiccatiSolution or an
+    array of shape (n, n) or (T, n, n)."""
+    blocks = [TypeBlocks(spec, k, Pi.Pi if isinstance(Pi, RiccatiSolution)
+                         else np.asarray(Pi, dtype=float))
+              for k, Pi in enumerate(Pis)]
+    J = np.concatenate([b.J_row for b in blocks], axis=-2)
+    return blocks, J, _stack_Abar(blocks, J)
+
+
+def _offset_grid(Pis, s_trajs: list[Trajectory], spec: PopulationSpec) -> TimeGrid:
+    if len(Pis) != spec.K or len(s_trajs) != spec.K:
+        raise ValueError(f"need {spec.K} Riccati solutions and offset trajectories")
+    grid = s_trajs[0].grid
+    for tr in s_trajs[1:]:
+        if tr.grid != grid:
+            raise ValueError("offset trajectories must share a common grid")
+    return grid
 
 
 def feedback_gains(Pis: list[RiccatiSolution] | list[np.ndarray],
@@ -158,20 +185,9 @@ def feedback_gains(Pis: list[RiccatiSolution] | list[np.ndarray],
     Row block k of J is -R_k^-1 (B_k^T Pi_k + S_k^T) e_k + R_k^-1 S_k^T
     psibar_k; row block k of L(t) is -R_k^-1 (B_k^T s_k(t) + n_k).
     """
-    K, n, m = spec.K, spec.n, spec.m
-    if len(Pis) != K or len(s_trajs) != K:
-        raise ValueError(f"need {K} Riccati solutions and offset trajectories")
-    grid = s_trajs[0].grid
-    for tr in s_trajs[1:]:
-        if tr.grid != grid:
-            raise ValueError("offset trajectories must share a common grid")
-    J = np.zeros((m * K, n * K))
-    L_vals = np.zeros((grid.steps + 1, m * K))
-    for k in range(K):
-        Pi = Pis[k].Pi if isinstance(Pis[k], RiccatiSolution) else np.asarray(Pis[k])
-        ops = _TypeOps(spec, k, Pi)
-        J[k * m:(k + 1) * m, :] = ops.J_row
-        L_vals[:, k * m:(k + 1) * m] = ops.L_row(s_trajs[k].values)
+    grid = _offset_grid(Pis, s_trajs, spec)
+    blocks, J, _ = consistency_blocks(spec, Pis)
+    L_vals = np.hstack([b.L_row(tr.values) for b, tr in zip(blocks, s_trajs)])
     return J, Trajectory(grid, L_vals)
 
 
@@ -183,33 +199,13 @@ def aggregate_drift(spec: PopulationSpec, Pis, J: np.ndarray,
     + B_k R_k^-1 S_k^T psibar_k + Fbar_k + Hbar_k J; the offset is
     mbar_k(t) = -B_k R_k^-1 (B_k^T s_k(t) + n_k) + Hbar_k L(t) + b_k(t).
     """
-    K, n, m = spec.K, spec.n, spec.m
-    grid = s_trajs[0].grid
+    grid = _offset_grid(Pis, s_trajs, spec)
     ts = grid.times()
-    _, L = feedback_gains(Pis, s_trajs, spec)
-    Abar = np.zeros((n * K, n * K))
-    mbar_vals = np.zeros((grid.steps + 1, n * K))
-    for k in range(K):
-        Pi = Pis[k].Pi if isinstance(Pis[k], RiccatiSolution) else np.asarray(Pis[k])
-        ops = _TypeOps(spec, k, Pi)
-        Abar[k * n:(k + 1) * n, :] = (ops.A_cl @ _selector(k, n, K)
-                                      + ops.BRS @ ops.psibar + ops.Fbar + ops.Hbar @ J)
-        Lk = ops.L_row(s_trajs[k].values)
-        mbar_vals[:, k * n:(k + 1) * n] = (Lk @ ops.params.B.T
-                                           + L.values @ ops.Hbar.T
-                                           + ops.params.b(ts))
-    return Abar, Trajectory(grid, mbar_vals)
-
-
-def _static_ops(spec: PopulationSpec, config: SolverConfig):
-    Pis = [solve_discounted_are(spec.subpops[k], spec.rho, tol=config.are_tol)
-           for k in range(spec.K)]
-    ops = [_TypeOps(spec, k, Pis[k].Pi) for k in range(spec.K)]
-    K, n, m = spec.K, spec.n, spec.m
-    J = np.vstack([o.J_row for o in ops])
-    Abar = np.vstack([o.A_cl @ _selector(k, n, K) + ops[k].BRS @ ops[k].psibar
-                      + ops[k].Fbar + ops[k].Hbar @ J for k, o in enumerate(ops)])
-    return Pis, ops, J, Abar
+    blocks, _, _ = consistency_blocks(spec, Pis)
+    L_vals = np.hstack([b.L_row(tr.values) for b, tr in zip(blocks, s_trajs)])
+    mbar_vals = np.hstack([b.mbar(tr.values, L_vals, ts)
+                           for b, tr in zip(blocks, s_trajs)])
+    return _stack_Abar(blocks, J), Trajectory(grid, mbar_vals)
 
 
 def steady_state(spec: PopulationSpec, Pis=None):
@@ -222,11 +218,7 @@ def steady_state(spec: PopulationSpec, Pis=None):
     if Pis is None:
         Pis = [solve_discounted_are(spec.subpops[k], spec.rho) for k in range(spec.K)]
     K, n, m = spec.K, spec.n, spec.m
-    ops = [_TypeOps(spec, k, Pis[k].Pi if isinstance(Pis[k], RiccatiSolution) else Pis[k])
-           for k in range(K)]
-    J = np.vstack([o.J_row for o in ops])
-    Abar = np.vstack([ops[k].A_cl @ _selector(k, n, K) + ops[k].BRS @ ops[k].psibar
-                      + ops[k].Fbar + ops[k].Hbar @ J for k in range(K)])
+    ops, J, Abar = consistency_blocks(spec, Pis)
     # L(s) = -U s - l0 with U block-diagonal in R_k^-1 B_k^T
     U = np.zeros((m * K, n * K))
     l0 = np.zeros(m * K)
@@ -295,7 +287,8 @@ def solve_consistency(spec: PopulationSpec, config: SolverConfig | None = None,
     if not report.ok:
         raise SpecValidationError(report)
 
-    Pis, ops, J, Abar = _static_ops(spec, config)
+    Pis = [solve_discounted_are(p, spec.rho) for p in spec.subpops]
+    ops, J, Abar = consistency_blocks(spec, Pis)
     grid = _auto_grid(spec, ops, Abar, config)
     K, n, m = spec.K, spec.n, spec.m
     ts = grid.times()
@@ -341,12 +334,8 @@ def solve_consistency(spec: PopulationSpec, config: SolverConfig | None = None,
             L_vals[:, k * m:(k + 1) * m] = o.L_row(s_k.values)
 
         L_half = CubicSpline(ts, L_vals, axis=0)(ts_half)
-        mbar_half = np.zeros((2 * grid.steps + 1, n * K))
-        for k, o in enumerate(ops):
-            sk_half = s_trajs[k].half_grid_values()
-            Lk_half = o.L_row(sk_half)
-            mbar_half[:, k * n:(k + 1) * n] = (Lk_half @ o.params.B.T
-                                               + L_half @ o.Hbar.T + o.params.b(ts_half))
+        mbar_half = np.hstack([o.mbar(s_k.half_grid_values(), L_half, ts_half)
+                               for o, s_k in zip(ops, s_trajs)])
         xbar_new = rk4_linear_tabulated(Abar, mbar_half, xi_stack, grid, "forward")
         mubar_new = xbar_new.values @ J.T + L_vals
 

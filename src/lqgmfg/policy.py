@@ -18,6 +18,7 @@ import numpy as np
 from .meanfield import MeanFieldSolution
 from .model import PopulationSpec
 from .numerics import sample_gaussian
+from .riccati import feedback_gain
 
 __all__ = [
     "GaussianPolicy",
@@ -35,7 +36,7 @@ def _control_pieces(mf: MeanFieldSolution, k: int):
     spec = mf.spec
     p = spec.subpops[k]
     Pi = mf.Pi[k].Pi
-    gain = np.linalg.solve(p.R, p.B.T @ Pi + p.S.T)      # (m, n)
+    gain = feedback_gain(p, Pi)                          # (m, n)
     psibar = spec.psibar(k)
     return p, Pi, gain, psibar
 

@@ -5,12 +5,10 @@ The stationary equation solved here is
 
     rho*Pi = Pi A + A^T Pi - (Pi B + S) R^-1 (B^T Pi + S^T) + Q,
 
-which is the standard cross-term ARE for the shifted matrix A - (rho/2) I.
-Rather than a Hamiltonian eigen-decomposition we integrate the differential
-Riccati equation backward from Pi(T) = 0 until the flow is stationary: it is
-simpler, handles the cross term uniformly, and the transient solver is
-needed anyway for finite-horizon problems.  Q - S R^-1 S^T >= 0 keeps the
-flow in the PSD cone from the zero seed.
+which is the standard cross-term ARE for the shifted matrix A - (rho/2) I,
+so the library solver computes its stabilizing solution directly.  The
+differential equation, integrated backward from a terminal weight, serves
+the finite-horizon problems.
 """
 
 from __future__ import annotations
@@ -18,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_continuous_are
 
 from .model import SubpopParams
 from .numerics import TimeGrid, Trajectory, integrate_ode, spectral_abscissa
@@ -27,6 +26,7 @@ __all__ = [
     "StabilityReport",
     "RiccatiError",
     "are_residual",
+    "feedback_gain",
     "solve_discounted_are",
     "solve_differential_riccati",
     "verify_stability",
@@ -41,7 +41,6 @@ class RiccatiError(RuntimeError):
 class RiccatiSolution:
     Pi: np.ndarray
     residual: float
-    iterations: int
     closed_loop_abscissa: float
 
 
@@ -69,78 +68,50 @@ def _riccati_rhs(params: SubpopParams, rho: float):
 
     def rhs(_t, Pi):
         G = Pi @ B + S
-        return rho * Pi - Pi @ A - A.T @ Pi + G @ np.linalg.solve(R, G.T) - Q
+        d = rho * Pi - Pi @ A - A.T @ Pi + G @ np.linalg.solve(R, G.T) - Q
+        # an exactly symmetric slope keeps Pi symmetric: the flow's
+        # antisymmetric part is driven by A + B R^-1 (B^T Pi + S^T), so
+        # round-off there grows on long horizons
+        return 0.5 * (d + d.T)
 
     return rhs
 
 
+def feedback_gain(params: SubpopParams, Pi: np.ndarray) -> np.ndarray:
+    """R^-1 (B^T Pi + S^T), the state-feedback gain; Pi may be (n, n) or a
+    table (T, n, n), and the gain then has the same leading axis."""
+    return np.linalg.solve(params.R, params.B.T @ Pi + params.S.T)
+
+
 def closed_loop_matrix(params: SubpopParams, Pi: np.ndarray) -> np.ndarray:
     """A - B R^-1 (B^T Pi + S^T): the per-agent closed-loop drift."""
-    A, B, R, S = params.A, params.B, params.R, params.S
-    return A - B @ np.linalg.solve(R, B.T @ Pi + S.T)
+    return params.A - params.B @ feedback_gain(params, Pi)
 
 
-def solve_discounted_are(params: SubpopParams, rho: float, tol: float = 1e-10,
-                         dt: float = 0.05) -> RiccatiSolution:
-    """Solve the discounted cross-term ARE by backward integration.
+def solve_discounted_are(params: SubpopParams, rho: float,
+                         tol: float = 1e-10) -> RiccatiSolution:
+    """Solve the discounted cross-term ARE as the standard ARE of A - rho/2 I.
 
-    Integrates the differential equation backward from Pi(T)=0 in windows of
-    one time unit; stops once the window-to-window change is below
-    tol*(1+||Pi||) and the algebraic residual is below tol.  The equilibrium
-    is a fixed point of the RK4 map, so the step only needs to keep the flow
-    stable, not accurate: the default is coarse and halves automatically on
-    an unstable window.  Exceeding the maximum horizon (no stationary limit)
-    signals an Assumption-4 failure and raises RiccatiError.
+    Uses scipy's Schur-vector solver (Arnold & Laub, Proc. IEEE 1984).  No
+    stabilizing solution (a failed solve, a non-finite result, or a residual
+    above tol) raises RiccatiError; the closed-loop margin is left to
+    verify_stability.
     """
-    n = params.n
-    Pi = np.zeros((n, n))
-    rhs = _riccati_rhs(params, rho)
-    window = 1.0
-    steps = max(int(round(window / dt)), 4)
-    elapsed = 0.0
-    iterations = 0
-    prev_resid = np.inf
-    stagnant = 0
-    while True:
-        traj = None
-        while traj is None:
-            grid = TimeGrid(0.0, window, steps)
-            try:
-                traj = integrate_ode(rhs, Pi, grid, direction="backward")
-            except RuntimeError as exc:
-                steps *= 2
-                if steps > 16384:
-                    raise RiccatiError(f"Riccati did not stabilize: {exc}") from exc
-        Pi_new = 0.5 * (traj.values[0] + traj.values[0].T)
-        iterations += 1
-        elapsed += window
-        change = np.linalg.norm(Pi_new - Pi, "fro")
-        scale = 1.0 + np.linalg.norm(Pi_new, "fro")
-        Pi = Pi_new
-        resid = are_residual(Pi, params, rho)
-        if change < tol * scale and resid <= tol:
-            break
-        # the continuous equilibrium is a fixed point of the RK4 map, so once
-        # the iterate is stationary the residual contracts until round-off; a
-        # non-improving residual above tol at stationarity is a genuine floor
-        if change < 1e-3 * scale and resid > tol and resid >= 0.99 * prev_resid:
-            stagnant += 1
-            if stagnant >= 3:
-                raise RiccatiError(
-                    f"Riccati did not stabilize: residual floor {resid:.3e} "
-                    f"above tol {tol:.1e}")
-        else:
-            stagnant = 0
-        prev_resid = resid
-        margin = rho / 2.0 - spectral_abscissa(closed_loop_matrix(params, Pi))
-        max_horizon = 200.0 / max(rho, abs(margin), 0.1)
-        if elapsed > max_horizon:
-            raise RiccatiError(
-                f"Riccati did not stabilize within horizon {max_horizon:.1f} "
-                f"(change {change:.3e}, residual {resid:.3e})")
+    A, B, Q, R, S = params.A, params.B, params.Q, params.R, params.S
+    shifted = A - 0.5 * rho * np.eye(params.n)
+    try:
+        Pi = solve_continuous_are(shifted, B, Q, R, s=S)
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise RiccatiError(f"Riccati did not stabilize: {exc}") from exc
+    Pi = 0.5 * (Pi + Pi.T)
+    if not np.all(np.isfinite(Pi)):
+        raise RiccatiError("Riccati did not stabilize: non-finite solution")
+    resid = are_residual(Pi, params, rho)
+    if not resid <= tol:
+        raise RiccatiError(
+            f"Riccati did not stabilize: residual {resid:.3e} above tol {tol:.1e}")
     cl = spectral_abscissa(closed_loop_matrix(params, Pi))
-    return RiccatiSolution(Pi=Pi, residual=resid, iterations=iterations,
-                           closed_loop_abscissa=cl)
+    return RiccatiSolution(Pi=Pi, residual=resid, closed_loop_abscissa=cl)
 
 
 def solve_differential_riccati(params: SubpopParams, rho: float, Pi_T: np.ndarray,

@@ -32,6 +32,7 @@ import numpy as np
 from .meanfield import MeanFieldSolution
 from .model import PopulationSpec
 from .numerics import TimeGrid, cholesky_psd, fit_rate, rng_stream
+from .riccati import feedback_gain
 
 __all__ = [
     "SimConfig",
@@ -207,7 +208,7 @@ class _PolicyTables:
         self.b_tab = []
         xbar_t = mf.xbar.interp(ts)                      # (nodes, nK)
         for k, p in enumerate(spec.subpops):
-            gain = np.linalg.solve(p.R, p.B.T @ mf.Pi[k].Pi + p.S.T)
+            gain = feedback_gain(p, mf.Pi[k].Pi)
             s_t = mf.s[k].interp(ts)                     # (nodes, n)
             psibar = spec.psibar(k)
             # off = -R^-1 (B^T s - S^T psibar xbar + n); mean = -gain x + off
@@ -650,7 +651,7 @@ def coe_experiment(spec: PopulationSpec, mf: MeanFieldSolution, k: int,
     dt, steps = grid.dt, grid.steps
     rng = np.random.default_rng(seed)
 
-    gain = np.linalg.solve(p.R, p.B.T @ mf.Pi[k].Pi + p.S.T)
+    gain = feedback_gain(p, mf.Pi[k].Pi)
     s_t = mf.s[k].interp(ts)
     xbar_t = mf.xbar.interp(ts)
     mubar_t = mf.mubar.interp(ts)

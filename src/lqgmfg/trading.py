@@ -34,9 +34,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import CubicSpline
 
+from .meanfield import consistency_blocks
 from .model import PopulationSpec, SubpopParams, validate_spec
 from .numerics import TimeGrid, Trajectory, rk4_linear_time_varying, rng_stream
-from .riccati import solve_differential_riccati
+from .riccati import feedback_gain, solve_differential_riccati
 
 __all__ = [
     "MarketParams",
@@ -185,14 +186,14 @@ def solve_finite_horizon(mapping: LqgMapping, steps: int = 200,
             if v[0] != "discount" and "Q - S R^-1 S^T" not in v[1]]
     if hard:
         raise ValueError(f"trading spec violates model assumptions: {hard}")
-    K, n, m = spec.K, spec.n, spec.m
+    K = spec.K
     grid = TimeGrid(0.0, _horizon_of(mapping), steps)
     ts = grid.times()
     ts_half = np.linspace(grid.t0, grid.t1, 2 * steps + 1)
     nodes = steps + 1
     rho = spec.rho
 
-    Pi_trajs, M_half, Acl_half, J_half, ops = [], [], [], [], []
+    Pi_trajs, Pi_half = [], []
     for k in range(K):
         p = spec.subpops[k]
         # the backward Riccati layer near T can be stiff for large terminal
@@ -205,35 +206,15 @@ def solve_finite_horizon(mapping: LqgMapping, steps: int = 200,
             refine += 1
         fine = TimeGrid(grid.t0, grid.t1, steps * refine)
         Pi_fine = solve_differential_riccati(p, rho, mapping.terminal_weight, fine)
-        Pi_k = Trajectory(grid, Pi_fine.values[::refine])
-        Pi_trajs.append(Pi_k)
-        Pi_h = Pi_fine.spline()(ts_half)                     # (2s+1, n, n)
-        Rinv = np.linalg.inv(p.R)
-        G_h = np.einsum("ij,tjk->tik", Rinv, np.einsum("ji,tjk->tik", p.B, Pi_h)
-                        + p.S.T[None, :, :])                 # R^-1 (B^T Pi + S^T)
-        A_cl = p.A[None, :, :] - np.einsum("ij,tjk->tik", p.B, G_h)
-        M_half.append(rho * np.eye(n)[None, :, :] - np.transpose(A_cl, (0, 2, 1)))
-        Acl_half.append(A_cl)
-        e_k = np.zeros((n, n * K))
-        e_k[:, k * n:(k + 1) * n] = np.eye(n)
-        psib = spec.psibar(k)
-        Jrow = -np.einsum("tij,jk->tik", G_h, e_k) + (Rinv @ p.S.T @ psib)[None, :, :]
-        J_half.append(Jrow)                                  # (2s+1, m, nK)
-        ops.append({"p": p, "Rinv": Rinv, "Pi_h": Pi_h,
-                    "Fb": spec.Fbar(k), "Hb": spec.Hbar(k), "psib": psib,
-                    "e_k": e_k})
-
-    J_all_half = np.concatenate(J_half, axis=1)              # (2s+1, mK, nK)
-    Abar_half = np.concatenate(
-        [np.einsum("tij,jk->tik", Acl_half[k], ops[k]["e_k"])
-         + (ops[k]["p"].B @ ops[k]["Rinv"] @ ops[k]["p"].S.T @ ops[k]["psib"])[None, :, :]
-         + ops[k]["Fb"][None, :, :]
-         + np.einsum("ij,tjk->tik", ops[k]["Hb"], J_all_half)
-         for k in range(K)], axis=1)
+        Pi_trajs.append(Trajectory(grid, Pi_fine.values[::refine]))
+        Pi_half.append(Pi_fine.spline()(ts_half))            # (2s+1, n, n)
+    ops, J_half, Abar_half = consistency_blocks(spec, Pi_half)
+    c0_half = [o.c0(ts_half) for o in ops]
+    J_nodes = J_half[::2]                                    # (nodes, mK, nK)
 
     xi_stack = np.tile(spec.x0_mean, K)
     xbar_vals = np.tile(xi_stack, (nodes, 1))
-    mubar_vals = np.einsum("tij,tj->ti", J_all_half[::2], xbar_vals)
+    mubar_vals = (J_nodes @ xbar_vals[..., None])[..., 0]
 
     iterations = 0
     change = np.inf
@@ -242,39 +223,22 @@ def solve_finite_horizon(mapping: LqgMapping, steps: int = 200,
             raise RuntimeError(f"finite-horizon consistency did not converge "
                                f"(change {change:.3e})")
         iterations += 1
-        Xh = CubicSpline(ts, xbar_vals, axis=0)(ts_half)
-        Uh = CubicSpline(ts, mubar_vals, axis=0)(ts_half)
+        Xh = CubicSpline(ts, xbar_vals, axis=0)(ts_half)[..., None]
+        Uh = CubicSpline(ts, mubar_vals, axis=0)(ts_half)[..., None]
 
         s_trajs = []
-        L_vals = np.zeros((nodes, m * K))
-        for k in range(K):
-            o = ops[k]
-            p = o["p"]
-            ybar_h = Xh @ o["psib"].T
-            inner = (Xh @ o["Fb"].T + (ybar_h @ p.S @ o["Rinv"].T) @ p.B.T
-                     + Uh @ o["Hb"].T - (p.B @ (o["Rinv"] @ p.nvec))[None, :]
-                     + p.b(ts_half))
-            g_h = (np.einsum("tij,tj->ti", o["Pi_h"], inner)
-                   + ybar_h @ (p.S @ o["Rinv"] @ p.S.T - p.Q).T
-                   - (p.S @ (o["Rinv"] @ p.nvec))[None, :] + p.eta[None, :])
-            s_k = rk4_linear_time_varying(M_half[k], -g_h, mapping.terminal_offset,
-                                          grid, direction="backward")
-            s_trajs.append(s_k)
-            L_vals[:, k * m:(k + 1) * m] = -(s_k.values @ p.B
-                                             + p.nvec[None, :]) @ o["Rinv"].T
+        for k, o in enumerate(ops):
+            g_h = (o.Cx @ Xh + o.Cu @ Uh)[..., 0] + c0_half[k]
+            s_trajs.append(rk4_linear_time_varying(o.M, -g_h, mapping.terminal_offset,
+                                                   grid, direction="backward"))
+        L_vals = np.hstack([o.L_row(s_k.values) for o, s_k in zip(ops, s_trajs)])
 
         L_half = CubicSpline(ts, L_vals, axis=0)(ts_half)
-        mbar_half = np.zeros((2 * steps + 1, n * K))
-        for k in range(K):
-            o = ops[k]
-            p = o["p"]
-            sk_half = s_trajs[k].half_grid_values()
-            Lk_half = -(sk_half @ p.B + p.nvec[None, :]) @ o["Rinv"].T
-            mbar_half[:, k * n:(k + 1) * n] = (Lk_half @ p.B.T
-                                               + L_half @ o["Hb"].T + p.b(ts_half))
+        mbar_half = np.hstack([o.mbar(s_k.half_grid_values(), L_half, ts_half)
+                               for o, s_k in zip(ops, s_trajs)])
         xbar_new = rk4_linear_time_varying(Abar_half, mbar_half, xi_stack, grid,
                                            "forward")
-        mubar_new = np.einsum("tij,tj->ti", J_all_half[::2], xbar_new.values) + L_vals
+        mubar_new = (J_nodes @ xbar_new.values[..., None])[..., 0] + L_vals
 
         change = max(float(np.max(np.abs(xbar_new.values - xbar_vals))),
                      float(np.max(np.abs(mubar_new - mubar_vals))))
@@ -320,9 +284,7 @@ def trading_policy(mapping: LqgMapping, fh: FiniteHorizonSolution,
     grid = fh.grid
     ts = grid.times()
     Rinv = np.linalg.inv(p.R)
-    Pi_nodes = fh.Pi[k].values
-    gain = np.einsum("ij,tjk->tik", Rinv,
-                     np.einsum("ji,tjk->tik", p.B, Pi_nodes) + p.S.T[None, :, :])
+    gain = feedback_gain(p, fh.Pi[k].values)
     psib = spec.psibar(k)
     xbar_t = fh.xbar.values
     inner = (fh.s[k].values @ p.B - (xbar_t @ psib.T) @ p.S + p.nvec[None, :])

@@ -24,6 +24,7 @@ from scipy.interpolate import CubicSpline
 from .meanfield import MeanFieldSolution
 from .model import PopulationSpec
 from .numerics import TimeGrid, Trajectory, integrate_ode
+from .riccati import feedback_gain
 
 __all__ = [
     "GridDensity",
@@ -217,7 +218,7 @@ def solve_mean_state_path(spec: PopulationSpec, mf: MeanFieldSolution, k: int,
     """
     p = spec.subpops[k]
     Fb, Hb = spec.Fbar(k), spec.Hbar(k)
-    gain = np.linalg.solve(p.R, p.B.T @ mf.Pi[k].Pi + p.S.T)
+    gain = feedback_gain(p, mf.Pi[k].Pi)
     psibar = spec.psibar(k)
     shift = np.broadcast_to(np.atleast_1d(np.asarray(mean_shift, dtype=float)),
                             (p.m,)).astype(float)

@@ -1,11 +1,13 @@
 """The benchmark's output contract: whatever a workload prints, and whether
 or not its output checks pass, the last line of its standard output is one
-strict-JSON result object.
+strict-JSON result object; a traced run's object carries every per-layer
+metric that BENCHMARK.json declares.
 
 Runs ``perfbench/run.py --seconds 0`` (set-up plus one round) in a fresh
 interpreter per workload, as the benchmark is run.
 """
 
+import importlib
 import json
 import math
 import subprocess
@@ -39,3 +41,32 @@ def test_last_stdout_line_is_the_result(workload):
     for name in END_TO_END:
         value = result["metrics"][name]["value"]
         assert isinstance(value, float) and math.isfinite(value) and value > 0
+
+
+def _per_layer_names():
+    with open(ROOT / "BENCHMARK.json") as fh:
+        return {m["name"] for m in json.load(fh)["per_layer"]}
+
+
+def test_every_trace_hook_resolves():
+    # a hook whose function is renamed or moved drops its metrics silently
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import tracing
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    for hook in tracing.HOOKS:
+        fn = getattr(importlib.import_module(hook.module), hook.attr, None)
+        assert callable(fn), f"{hook.module}.{hook.attr}"
+
+
+@pytest.mark.parametrize("workload", ["equilibrium", "trading"])
+def test_traced_run_reports_every_layer_metric(workload):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload",
+         workload, "--seed", "3", "--seconds", "0", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600)
+    last = proc.stdout.rstrip("\n").split("\n")[-1]
+    result = json.loads(last, parse_constant=_reject_constant)
+    assert result["failed"] == 0, proc.stderr[-2000:]
+    assert set(result["metrics"]) == _per_layer_names() | {"trace.overhead_s"}

@@ -5,7 +5,7 @@ import pytest
 
 from lqgmfg.cli import _sanitize, main
 from lqgmfg.numerics import RNG_SCHEME
-from lqgmfg.model import save_spec
+from lqgmfg.model import PopulationSpec, SubpopParams, save_spec, validate_spec
 from lqgmfg.presets import (coupled_single_type_spec, scalar_decoupled_spec,
                             unstable_spec)
 from lqgmfg.trading import MarketParams, params_to_json
@@ -53,6 +53,19 @@ def test_solve_unstable_exit_2(spec_files, tmp_path):
     assert rc == 2
     err = json.loads((out / "error.json").read_text())
     assert "diverged" in err["error"]
+
+
+def test_solve_unstabilizable_exit_2(tmp_path):
+    # B = 0 with A - rho/2 > 0: valid inputs, but no stabilizing ARE solution
+    spec = PopulationSpec(subpops=(SubpopParams(A=1.0, B=0.0, Q=1.0, R=1.0),),
+                          pi=[1.0], rho=0.5, x0_mean=[0.0], x0_cov=[[0.0]])
+    assert validate_spec(spec).ok
+    path = tmp_path / "unstabilizable.json"
+    save_spec(spec, path)
+    out = tmp_path / "out"
+    assert main(["solve", str(path), "--out", str(out)]) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert "did not stabilize" in err["error"]
 
 
 def test_solve_missing_file(tmp_path):

@@ -7,8 +7,9 @@ from scipy.linalg import solve_continuous_are
 from conftest import scalar_are_root
 from lqgmfg.model import SubpopParams
 from lqgmfg.numerics import OdeBlowupError, TimeGrid
-from lqgmfg.riccati import (RiccatiError, are_residual, solve_differential_riccati,
-                            solve_discounted_are, verify_stability)
+from lqgmfg.riccati import (RiccatiError, are_residual, closed_loop_matrix,
+                            solve_differential_riccati, solve_discounted_are,
+                            verify_stability)
 
 
 def sub(A=0.0, B=1.0, Q=1.0, R=1.0, S=0.0):
@@ -63,6 +64,29 @@ def test_shift_identity_against_scipy():
         assert are_residual(sol.Pi, p, rho) < 1e-10
 
 
+def test_are_matches_long_horizon_differential_flow():
+    # independent oracle: the backward Riccati flow from Pi(T) = 0 settles on
+    # the stabilizing solution at rate 2 * (closed-loop margin)
+    rng = np.random.default_rng(2718)
+    for _ in range(8):
+        n, m = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+        A = 0.5 * rng.normal(size=(n, n))
+        B = rng.normal(size=(n, m))
+        R = np.diag(rng.uniform(0.5, 2.0, m))
+        S = 0.2 * rng.normal(size=(n, m))
+        G = rng.normal(size=(n, n))
+        Q = G @ G.T + 0.2 * np.eye(n) + S @ np.linalg.solve(R, S.T)
+        rho = rng.uniform(0.0, 1.0)
+        p = SubpopParams(A=A, B=B, Q=Q, R=R, S=S)
+        sol = solve_discounted_are(p, rho)
+        eig = np.linalg.eigvals(closed_loop_matrix(p, sol.Pi)) - 0.5 * rho
+        T = 30.0 / -eig.real.max()
+        dt = min(0.05, 0.5 / np.abs(eig).max())
+        grid = TimeGrid(0.0, T, int(math.ceil(T / dt)))
+        flow = solve_differential_riccati(p, rho, np.zeros((n, n)), grid)
+        assert np.max(np.abs(flow.values[0] - sol.Pi)) < 1e-8
+
+
 def test_residual_invariant_random_3x3():
     rng = np.random.default_rng(13)
     for _ in range(5):
@@ -88,6 +112,7 @@ def test_monotone_in_q():
         prev = sol.Pi[0, 0]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_unstabilizable_raises():
     # B = 0 with unstable A: no stationary limit
     p = SubpopParams(A=1.0, B=0.0, Q=1.0, R=1.0)
@@ -142,8 +167,7 @@ def test_verify_stability_margins():
 
 def test_verify_stability_flags():
     sol = solve_discounted_are(sub(), rho=0.5)
-    bad = type(sol)(Pi=np.array([[0.0]]), residual=0.0, iterations=1,
-                    closed_loop_abscissa=-1.0)
+    bad = type(sol)(Pi=np.array([[0.0]]), residual=0.0, closed_loop_abscissa=-1.0)
     rep = verify_stability(bad, Abar=np.array([[-1.0]]), rho=0.5)
     assert not rep.ok and "Pi not positive definite" in rep.messages
     rep0 = verify_stability(sol, Abar=np.zeros((1, 1)), rho=0.0)
