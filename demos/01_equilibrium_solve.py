@@ -1,22 +1,24 @@
 """Solve the mean-field consistency system for a two-type game.
 
 Walks through the full solving pipeline: validation, the per-type Riccati
-solutions, the damped fixed-point iteration for the aggregate state and
-control means, the stability margins, and the long-run steady state.
+solutions, the direct solve of the consistency system (the offsets run
+backward from the steady state, the aggregate mean forward from the initial
+mean, both in one two-point boundary solve), the stability margins, and the
+long-run steady state.
 """
 
 import numpy as np
 
-from lqgmfg import (SolverConfig, consistency_residual, solve_consistency,
-                    stability_reports, steady_state, validate_spec)
+from lqgmfg import (consistency_residual, solve_consistency, stability_reports,
+                    steady_state, validate_spec)
 from lqgmfg.presets import two_type_spec
 
 spec = two_type_spec()
 report = validate_spec(spec)
 print("assumption check:", "ok" if report.ok else report.violations)
 
-mf = solve_consistency(spec, SolverConfig(tol=1e-10))
-print(f"\nconverged in {mf.iterations} Picard iterations")
+mf = solve_consistency(spec)
+print(f"\nsolved on {mf.grid.steps} RK4 steps over [0, {mf.grid.t1:.1f}] in one pass")
 print(f"solver residual          : {mf.residual:.3e}")
 print(f"independent FD residual  : {consistency_residual(mf, spec):.3e}")
 

@@ -105,16 +105,7 @@ def _fail(out: Path | None, exc: Exception, code: int) -> int:
 
 
 def _solver_config(args) -> SolverConfig:
-    kw = {}
-    if args.horizon is not None:
-        kw["horizon"] = args.horizon
-    if args.steps is not None:
-        kw["steps"] = args.steps
-    if args.tol is not None:
-        kw["tol"] = args.tol
-    if args.damping is not None:
-        kw["damping"] = args.damping
-    return SolverConfig(**kw)
+    return SolverConfig(horizon=args.horizon, steps=args.steps)
 
 
 def cmd_solve(args) -> int:
@@ -122,8 +113,7 @@ def cmd_solve(args) -> int:
     try:
         spec = load_spec(args.spec)
         out = _prepare_out(args, "solve", args.spec,
-                           {"horizon": args.horizon, "steps": args.steps,
-                            "tol": args.tol, "damping": args.damping})
+                           {"horizon": args.horizon, "steps": args.steps})
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         return _fail(out, exc, 1)
     try:
@@ -385,8 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--steps", type=int, default=None)
         p.add_argument("--horizon", type=float, default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--damping", type=float, default=None)
         p.add_argument("--reps", type=int, default=64)
         p.add_argument("--Ns", default="16,64,256,1024", help="comma list of population sizes")
         p.add_argument("--lambda-list", dest="lambda_list",

@@ -1,29 +1,29 @@
 """Mean-field consistency system: feedback gains J and L, aggregate drift,
-backward offset equations, and the damped Picard fixed-point solver.
+backward offset equations, and the direct solve of the fixed point.
 
 The classical and exploratory consistency systems are the same mapping (the
 exploratory means replace the classical controls one-for-one), so a single
 solver serves both; the ``system`` label exists only so callers can assert
 the equivalence.
 
-One Picard sweep, given driver trajectories (xbar, mubar):
+The system is affine in the mean path.  With mubar = J xbar + L and
+L = -U s - l0 it is one linear ODE in z = (s_1, ..., s_K, xbar),
 
-  1. integrate each offset s_k backward, terminal condition s_k(T) = the
-     algebraic steady state,
-  2. rebuild L(t) and the per-type drift offsets mbar_k(t),
-  3. integrate the stacked mean state xbar forward from (xi, ..., xi),
-  4. set mubar = J xbar + L,
+  dz/dt = Acal(t) z + f(t),   xbar(0) = (xi, ..., xi),   s(T) = s_T,
 
-then damp the driver pair and repeat.  The iteration stops when the coupling
-defect (the only inconsistency a sweep leaves: the s-equations were driven
-by the previous iterate) is below tolerance, so a decoupled game converges
-in a single sweep.  The infinite horizon is truncated to [0, T] with T
-chosen so the discount factor and the slowest stable mode decay below 1e-8;
-backward integration of the offsets is stable because the shifted
-closed-loop matrices are Hurwitz under the verified margins.
+whose s rows are the backward offset equations and whose xbar rows are the
+forward mean dynamics (``stacked_system``).  It is a two-point boundary
+value problem, solved in one pass by the split-boundary mode of the RK4
+kernel (``solve_stacked``), as in Huang, Caines & Malhame (IEEE TAC 2007)
+and Bensoussan, Sung, Yam & Yung (JOTA 2016); the same assembly gives the
+algebraic steady state, Acal z + f = 0.  The infinite horizon is truncated
+to [0, T] with T chosen so the discount factor and the slowest stable mode
+decay below 1e-8, and s_T is the steady state; an aggregate drift without
+the Assumption-4(ii) margin has no bounded solution and raises "diverged".
 
 ``consistency_blocks`` builds the gains and drift blocks from Pi, constant
-here and tabulated in time for the finite-horizon trading solve.
+here and tabulated in time for the finite-horizon trading solve, which
+calls ``solve_stacked`` too.
 """
 
 from __future__ import annotations
@@ -32,10 +32,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg import block_diag
 
 from .model import PopulationSpec, SpecValidationError, selector_matrix, validate_spec
-from .numerics import TimeGrid, Trajectory, rk4_linear_tabulated, spectral_abscissa
+from .numerics import (OdeBlowupError, TimeGrid, Trajectory, rk4_linear_tabulated,
+                       spectral_abscissa)
 from .riccati import (RiccatiSolution, StabilityReport, feedback_gain,
                       solve_discounted_are, verify_stability)
 
@@ -47,6 +48,8 @@ __all__ = [
     "consistency_blocks",
     "feedback_gains",
     "aggregate_drift",
+    "stacked_system",
+    "solve_stacked",
     "steady_state",
     "solve_consistency",
     "consistency_residual",
@@ -62,19 +65,10 @@ class ConsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Fixed-point solver knobs.  horizon/steps None means auto-selected."""
+    """Solver grid.  horizon/steps None means auto-selected."""
 
     horizon: float | None = None
     steps: int | None = None
-    damping: float = 0.5
-    tol: float = 1e-9
-    max_iters: int = 200
-
-    def __post_init__(self):
-        if not (0.0 < self.damping <= 1.0):
-            raise ValueError("damping must lie in (0, 1]")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
 
 
 @dataclass
@@ -128,7 +122,7 @@ class TypeBlocks:
         BRS = p.B @ Rinv @ p.S.T
         gain = feedback_gain(p, Pi)                          # R^-1 (B^T Pi + S^T)
         e_k = selector_matrix(k + 1, p.n, spec.K)
-        self.params, self.Pi, self.Rinv, self.Hbar = p, Pi, Rinv, spec.Hbar(k)
+        self.params, self.Pi, self.Hbar = p, Pi, spec.Hbar(k)
         self.A_cl = p.A - p.B @ gain
         self.M = spec.rho * np.eye(p.n) - self.A_cl.mT      # ds/dt = M s - g(t)
         self.J_row = -gain @ e_k + Rinv @ p.S.T @ Pb         # (..., m, nK)
@@ -136,6 +130,7 @@ class TypeBlocks:
         # g(t) = Cx xbar(t) + Cu mubar(t) + c0(t) drives the offset equation
         self.Cx = Pi @ (Fb + BRS @ Pb) + (p.S @ Rinv @ p.S.T - p.Q) @ Pb   # (..., n, nK)
         self.Cu = Pi @ self.Hbar                                             # (..., n, mK)
+        self.U, self.l0 = Rinv @ p.B.T, Rinv @ p.nvec                        # L_k = -U s_k - l0
         self.c_const = -Pi @ (p.B @ (Rinv @ p.nvec)) - p.S @ (Rinv @ p.nvec) + p.eta
 
     def c0(self, ts: np.ndarray) -> np.ndarray:
@@ -145,12 +140,7 @@ class TypeBlocks:
 
     def L_row(self, s_vals: np.ndarray) -> np.ndarray:
         """-R^-1 (B^T s(t) + n) for tabulated s values (nodes, n)."""
-        return -(s_vals @ self.params.B + self.params.nvec[None, :]) @ self.Rinv.T
-
-    def mbar(self, s_vals: np.ndarray, L_vals: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        """Drift offset -B R^-1 (B^T s + n) + Hbar L + b at times ts."""
-        return (self.L_row(s_vals) @ self.params.B.T + L_vals @ self.Hbar.T
-                + self.params.b(ts))
+        return -(s_vals @ self.U.T + self.l0)
 
 
 def _stack_Abar(blocks: list[TypeBlocks], J: np.ndarray) -> np.ndarray:
@@ -171,11 +161,9 @@ def consistency_blocks(spec: PopulationSpec, Pis):
 def _offset_grid(Pis, s_trajs: list[Trajectory], spec: PopulationSpec) -> TimeGrid:
     if len(Pis) != spec.K or len(s_trajs) != spec.K:
         raise ValueError(f"need {spec.K} Riccati solutions and offset trajectories")
-    grid = s_trajs[0].grid
-    for tr in s_trajs[1:]:
-        if tr.grid != grid:
-            raise ValueError("offset trajectories must share a common grid")
-    return grid
+    if any(tr.grid != s_trajs[0].grid for tr in s_trajs):
+        raise ValueError("offset trajectories must share a common grid")
+    return s_trajs[0].grid
 
 
 def feedback_gains(Pis: list[RiccatiSolution] | list[np.ndarray],
@@ -200,58 +188,95 @@ def aggregate_drift(spec: PopulationSpec, Pis, J: np.ndarray,
     mbar_k(t) = -B_k R_k^-1 (B_k^T s_k(t) + n_k) + Hbar_k L(t) + b_k(t).
     """
     grid = _offset_grid(Pis, s_trajs, spec)
-    ts = grid.times()
     blocks, _, _ = consistency_blocks(spec, Pis)
-    L_vals = np.hstack([b.L_row(tr.values) for b, tr in zip(blocks, s_trajs)])
-    mbar_vals = np.hstack([b.mbar(tr.values, L_vals, ts)
-                           for b, tr in zip(blocks, s_trajs)])
-    return _stack_Abar(blocks, J), Trajectory(grid, mbar_vals)
+    Abar = _stack_Abar(blocks, J)
+    A, f = stacked_system(blocks, J, Abar, grid.times())
+    s_vals = np.hstack([tr.values for tr in s_trajs])
+    return Abar, Trajectory(grid, _drift_offset(A, f, s_vals))
+
+
+def stacked_system(blocks: list[TypeBlocks], J: np.ndarray, Abar: np.ndarray,
+                   ts: np.ndarray):
+    """The consistency system as one linear ODE dz/dt = Acal z + f(t) in
+    z = (s_1, ..., s_K, xbar), of dimension 2nK.
+
+    Substituting mubar = J xbar + L and L = -U s - l0 (U block-diagonal in
+    R_k^-1 B_k^T, l0 stacked R_k^-1 n_k) gives the s_k rows
+    (M_k + Cu_k U, -(Cx_k + Cu_k J)) with f = Cu_k l0 - c0_k, and the xbar
+    rows (-B R^-1 B^T - Hbar U, Abar) with f = b - B R^-1 n - Hbar l0.
+    Acal carries the leading axis of the blocks (none for a constant Pi, one
+    per entry of ts for a tabulated one); f is (len(ts), 2nK).
+    """
+    n, N = blocks[0].params.n, Abar.shape[-1]
+    U = block_diag(*[o.U for o in blocks])
+    l0 = np.concatenate([o.l0 for o in blocks])
+    H = np.vstack([o.Hbar for o in blocks])
+    A = np.zeros(Abar.shape[:-2] + (2 * N, 2 * N))
+    f = np.zeros((len(ts), 2 * N))
+    for k, o in enumerate(blocks):
+        s_k, x_k = slice(k * n, (k + 1) * n), slice(N + k * n, N + (k + 1) * n)
+        A[..., s_k, :N] = o.Cu @ U
+        A[..., s_k, s_k] += o.M
+        A[..., s_k, N:] = -(o.Cx + o.Cu @ J)
+        A[..., x_k, s_k] = -o.params.B @ o.U
+        f[:, s_k] = o.Cu @ l0 - o.c0(ts)
+        f[:, x_k] = o.params.b(ts) - o.params.B @ o.l0
+    A[..., N:, :N] -= H @ U
+    A[..., N:, N:] = Abar
+    f[:, N:] -= H @ l0
+    return A, f
+
+
+def _drift_offset(A: np.ndarray, f: np.ndarray, s_vals: np.ndarray) -> np.ndarray:
+    """mbar(t), the xbar rows of the stacked system less Abar xbar, at the
+    nodes of s_vals (A constant or tabulated on the same nodes as f)."""
+    N = s_vals.shape[-1]
+    return (A[..., N:, :N] @ s_vals[..., None])[..., 0] + f[:, N:]
+
+
+def solve_stacked(spec: PopulationSpec, blocks: list[TypeBlocks], J: np.ndarray,
+                  Abar: np.ndarray, grid: TimeGrid, s_T: np.ndarray, kernel):
+    """Solve the stacked system on ``grid`` with xbar(0) = (xi, ..., xi) and
+    s(T) = s_T, by one split-boundary call of ``kernel``
+    (``rk4_linear_tabulated`` for constant blocks, ``rk4_linear_time_varying``
+    for blocks tabulated on the doubled grid).
+
+    Returns (s trajectories, L, mbar, xbar, mubar).  A non-finite value or
+    a singular boundary system raises ConsistencyError('... diverged ...').
+    """
+    ts_half = np.linspace(grid.t0, grid.t1, 2 * grid.steps + 1)
+    A, f = stacked_system(blocks, J, Abar, ts_half)
+    N = Abar.shape[-1]
+    pins = np.concatenate([s_T, np.tile(spec.x0_mean, spec.K)])
+    try:
+        z = kernel(A, f, pins, grid, n_far=N).values
+    except (OdeBlowupError, np.linalg.LinAlgError) as exc:
+        raise ConsistencyError(f"consistency system diverged ({exc})") from exc
+    n = spec.n
+    s_trajs = [Trajectory(grid, z[:, k * n:(k + 1) * n]) for k in range(spec.K)]
+    L_vals = np.hstack([o.L_row(tr.values) for o, tr in zip(blocks, s_trajs)])
+    xbar = z[:, N:]
+    J_nodes, A_nodes = (J, A) if J.ndim == 2 else (J[::2], A[::2])
+    mubar = (J_nodes @ xbar[..., None])[..., 0] + L_vals
+    mbar = _drift_offset(A_nodes, f[::2], z[:, :N])
+    return (s_trajs, Trajectory(grid, L_vals), Trajectory(grid, mbar),
+            Trajectory(grid, xbar), Trajectory(grid, mubar))
 
 
 def steady_state(spec: PopulationSpec, Pis=None):
-    """Constant solution of the consistency system (ds/dt = 0, dxbar/dt = 0).
-
-    Solves the joint linear system in (s_1..s_K, xbar); requires the offsets
-    b, eta, n to be time-constant in spirit (b is evaluated at its final
-    table value).  A singular system raises 'steady state undefined'.
-    """
+    """Constant solution of the consistency system: Acal z + f = 0 on the
+    stacked assembly, with b evaluated at its final table value.  A singular
+    system raises 'steady state undefined'.  Returns (s_inf per type,
+    xbar_inf)."""
     if Pis is None:
         Pis = [solve_discounted_are(spec.subpops[k], spec.rho) for k in range(spec.K)]
-    K, n, m = spec.K, spec.n, spec.m
-    ops, J, Abar = consistency_blocks(spec, Pis)
-    # L(s) = -U s - l0 with U block-diagonal in R_k^-1 B_k^T
-    U = np.zeros((m * K, n * K))
-    l0 = np.zeros(m * K)
-    for k, o in enumerate(ops):
-        U[k * m:(k + 1) * m, k * n:(k + 1) * n] = o.Rinv @ o.params.B.T
-        l0[k * m:(k + 1) * m] = o.Rinv @ o.params.nvec
-    Hst = np.vstack([o.Hbar for o in ops])                       # (nK, mK)
-    N = n * K
-    Asys = np.zeros((2 * N, 2 * N))
-    rhs = np.zeros(2 * N)
-    t_end = np.inf
-    for k, o in enumerate(ops):
-        rows = slice(k * n, (k + 1) * n)
-        Asys[rows, :N] += o.Cu @ U
-        Asys[rows.start:rows.stop, k * n:(k + 1) * n] += o.M
-        Asys[rows, N:] = -(o.Cu @ J + o.Cx)
-        rhs[rows] = o.c0(np.asarray([t_end]))[0] - o.Cu @ l0
-    BRB = np.zeros((N, N))
-    bconst = np.zeros(N)
-    for k, o in enumerate(ops):
-        BRB[k * n:(k + 1) * n, k * n:(k + 1) * n] = o.params.B @ o.Rinv @ o.params.B.T
-        bconst[k * n:(k + 1) * n] = (o.params.b(t_end)
-                                     - o.params.B @ (o.Rinv @ o.params.nvec))
-    Asys[N:, :N] = BRB + Hst @ U
-    Asys[N:, N:] = -Abar
-    rhs[N:] = bconst - Hst @ l0
+    A, f = stacked_system(*consistency_blocks(spec, Pis), np.asarray([np.inf]))
     try:
-        z = np.linalg.solve(Asys, rhs)
+        z = np.linalg.solve(A, -f[0])
     except np.linalg.LinAlgError as exc:
         raise ConsistencyError("steady state undefined (singular system)") from exc
-    s_inf = [z[k * n:(k + 1) * n] for k in range(K)]
-    xbar_inf = z[N:]
-    return s_inf, xbar_inf
+    n, N = spec.n, spec.n * spec.K
+    return [z[k * n:(k + 1) * n] for k in range(spec.K)], z[N:]
 
 
 def _auto_grid(spec: PopulationSpec, ops, Abar, config: SolverConfig) -> TimeGrid:
@@ -274,11 +299,16 @@ def _auto_grid(spec: PopulationSpec, ops, Abar, config: SolverConfig) -> TimeGri
 
 def solve_consistency(spec: PopulationSpec, config: SolverConfig | None = None,
                       system: str = "exploratory") -> MeanFieldSolution:
-    """Damped Picard iteration for the consistency fixed point.
+    """The consistency fixed point, solved directly (``solve_stacked``) with
+    s(T) the algebraic steady state; ``iterations`` is 1.
 
     ``system`` may be 'classical' or 'exploratory'; both labels run the
     identical mapping (the exploratory system replaces controls by policy
-    means, which coincide), so the outputs are bitwise equal.
+    means, which coincide), so the outputs are bitwise equal.  Without the
+    Assumption-4(ii) aggregate margin rho/2 - abscissa(Abar) > 0 the mean
+    path is unbounded and the solve raises ConsistencyError('... diverged');
+    so does a mean path past 1e8 (1 + |xi|), the mark of a step too coarse
+    for RK4 on the closed-loop modes.
     """
     if system not in ("classical", "exploratory"):
         raise ValueError(f"unknown system label {system!r}")
@@ -289,83 +319,25 @@ def solve_consistency(spec: PopulationSpec, config: SolverConfig | None = None,
 
     Pis = [solve_discounted_are(p, spec.rho) for p in spec.subpops]
     ops, J, Abar = consistency_blocks(spec, Pis)
+    margin = spec.rho / 2.0 - spectral_abscissa(Abar)
+    if not margin > 0:
+        raise ConsistencyError(f"consistency system diverged: aggregate drift margin "
+                               f"rho/2 - abscissa(Abar) = {margin:.3e} is not positive")
     grid = _auto_grid(spec, ops, Abar, config)
-    K, n, m = spec.K, spec.n, spec.m
-    ts = grid.times()
-    ts_half = np.linspace(grid.t0, grid.t1, 2 * grid.steps + 1)
-    nodes = grid.steps + 1
-
-    s_inf, xbar_inf = steady_state(spec, Pis)
-    xi_stack = np.tile(spec.x0_mean, K)
-
-    # iterate 0: frozen initial mean state, decoupled steady-state offsets
-    xbar_vals = np.tile(xi_stack, (nodes, 1))
-    s0 = []
-    for k, o in enumerate(ops):
-        try:
-            s0.append(np.linalg.solve(o.M, o.c0(np.asarray([grid.t1]))[0]))
-        except np.linalg.LinAlgError:
-            s0.append(np.zeros(n))
-    L0 = np.hstack([np.tile(ops[k].L_row(s0[k][None, :]), (nodes, 1)) for k in range(K)])
-    mubar_vals = xbar_vals @ J.T + L0
-
-    c0_half = [o.c0(ts_half) for o in ops]
-    scale_guard = 1e8 * (1.0 + float(np.max(np.abs(xi_stack), initial=0.0)))
-
-    iterations = 0
-    coupling_defect = np.inf
-    while True:
-        if iterations >= config.max_iters:
-            raise ConsistencyError(
-                f"consistency iteration diverged (no fixed point after "
-                f"{config.max_iters} iterations, defect {coupling_defect:.3e})")
-        iterations += 1
-
-        x_sp = CubicSpline(ts, xbar_vals, axis=0)
-        u_sp = CubicSpline(ts, mubar_vals, axis=0)
-        Xh, Uh = x_sp(ts_half), u_sp(ts_half)
-
-        s_trajs: list[Trajectory] = []
-        L_vals = np.zeros((nodes, m * K))
-        for k, o in enumerate(ops):
-            g_half = Xh @ o.Cx.T + Uh @ o.Cu.T + c0_half[k]
-            s_k = rk4_linear_tabulated(o.M, -g_half, s_inf[k], grid, direction="backward")
-            s_trajs.append(s_k)
-            L_vals[:, k * m:(k + 1) * m] = o.L_row(s_k.values)
-
-        L_half = CubicSpline(ts, L_vals, axis=0)(ts_half)
-        mbar_half = np.hstack([o.mbar(s_k.half_grid_values(), L_half, ts_half)
-                               for o, s_k in zip(ops, s_trajs)])
-        xbar_new = rk4_linear_tabulated(Abar, mbar_half, xi_stack, grid, "forward")
-        mubar_new = xbar_new.values @ J.T + L_vals
-
-        dx = xbar_new.values - xbar_vals
-        du = mubar_new - mubar_vals
-        coupling_defect = 0.0
-        for o in ops:
-            coupling_defect = max(coupling_defect,
-                                  float(np.max(np.abs(dx @ o.Cx.T + du @ o.Cu.T))))
-        change = max(float(np.max(np.abs(dx))), float(np.max(np.abs(du))))
-
-        if not np.isfinite(change) or np.max(np.abs(xbar_new.values)) > scale_guard:
-            raise ConsistencyError("consistency iteration diverged (iterates blew up)")
-
-        if coupling_defect < config.tol or change < config.tol:
-            xbar_vals = xbar_new.values
-            mubar_vals = mubar_new
-            break
-        xbar_vals = config.damping * xbar_new.values + (1.0 - config.damping) * xbar_vals
-        mubar_vals = config.damping * mubar_new + (1.0 - config.damping) * mubar_vals
-
-    xbar = Trajectory(grid, xbar_vals)
-    mubar = Trajectory(grid, mubar_vals)
-    L = Trajectory(grid, L_vals)
-    mbar_vals = mbar_half[::2]
-    mbar = Trajectory(grid, mbar_vals)
-    residual = _internal_residual(spec, ops, Abar, J, s_trajs, L, mbar, xbar, mubar)
+    s_inf, _ = steady_state(spec, Pis)
+    s_trajs, L, mbar, xbar, mubar = solve_stacked(spec, ops, J, Abar, grid,
+                                                  np.concatenate(s_inf),
+                                                  rk4_linear_tabulated)
+    bound = 1e8 * (1.0 + float(np.max(np.abs(spec.x0_mean))))   # bounded under the margin
+    if not np.max(np.abs(xbar.values)) <= bound:
+        raise ConsistencyError(f"consistency system diverged: |xbar| > {bound:.3g} (step "
+                               f"{grid.dt:.3g} too coarse for RK4?)")
+    A, f = stacked_system(ops, J, Abar, grid.times())
+    z = np.hstack([tr.values for tr in s_trajs] + [xbar.values])
+    residual = _simpson_defect(z, z @ A.T + f, grid.dt)
     return MeanFieldSolution(Pi=Pis, s=s_trajs, J=J, L=L, Abar=Abar, mbar=mbar,
                              xbar=xbar, mubar=mubar, residual=residual,
-                             iterations=iterations, grid=grid, spec=spec)
+                             iterations=1, grid=grid, spec=spec)
 
 
 def _simpson_defect(vals: np.ndarray, rhs: np.ndarray, dt: float) -> float:
@@ -378,25 +350,11 @@ def _simpson_defect(vals: np.ndarray, rhs: np.ndarray, dt: float) -> float:
     return float(np.max(np.abs(slope - avg))) if slope.size else 0.0
 
 
-def _internal_residual(spec, ops, Abar, J, s_trajs, L, mbar, xbar, mubar) -> float:
-    grid = xbar.grid
-    ts = grid.times()
-    worst = 0.0
-    for k, o in enumerate(ops):
-        g = xbar.values @ o.Cx.T + mubar.values @ o.Cu.T + o.c0(ts)
-        rhs = s_trajs[k].values @ o.M.T - g
-        worst = max(worst, _simpson_defect(s_trajs[k].values, rhs, grid.dt))
-    rhs_x = xbar.values @ Abar.T + mbar.values
-    worst = max(worst, _simpson_defect(xbar.values, rhs_x, grid.dt))
-    worst = max(worst, float(np.max(np.abs(mubar.values - xbar.values @ J.T - L.values))))
-    return worst
-
-
 def consistency_residual(solution: MeanFieldSolution, spec: PopulationSpec) -> float:
     """Independent consistency check: re-derives every right-hand side from
     the solution's own components and measures the defect with fourth-order
     central differences (interior nodes only).  Shares no state with the
-    solver loop.
+    solver.
     """
     grid = solution.grid
     dt = grid.dt

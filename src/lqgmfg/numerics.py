@@ -11,10 +11,15 @@ The linear kernels (``rk4_linear_tabulated``, ``rk4_linear_time_varying``)
 share one implementation with no per-step Python loop.  For dy/dt = M y + g
 each RK4 step is an affine map y -> P_i y + c_i, with P_i the RK4 polynomial
 in hM and c_i set by the step's three tabulated g values; all step maps are
-built at once with batched matmuls and composed by a log-depth prefix scan
-(Hillis-Steele; Blelloch, "Prefix sums and their applications", 1990).  The
-result is the same fixed-step RK4 as a sequential loop up to the order of
-rounding, and still bit-reproducible from one run to the next.
+built at once with batched matmuls and composed, in chunks of up to 64
+steps, by a log-depth prefix scan (Hillis-Steele; Blelloch, "Prefix sums and
+their applications", 1990).  Besides the forward and backward initial value
+problems, the kernels solve the split two-point boundary problem of the
+consistency system (some components pinned at each end): the chunk-start
+states come from one banded linear solve, multiple shooting with chunks
+short enough that none grows by more than e^8.  The result is the same
+fixed-step RK4 as a sequential loop up to the order of rounding, and still
+bit-reproducible from one run to the next.
 
 RNG convention used throughout the package (``RNG_SCHEME``): every random
 stream is named by a user seed and a key of small integers (a repetition, an
@@ -28,13 +33,15 @@ numbers) still replay the exact same noise per agent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 _SEED_MASK = (1 << 64) - 1
 RNG_SCHEME = "SeedSequence(seed, spawn_key=key)/PCG64"
+_CHUNK = 64                  # RK4 steps composed per scan chunk
+_SPLIT_GROWTH = 8.0          # split mode: log of the largest map product per chunk
 
 
 class OdeBlowupError(RuntimeError):
@@ -63,16 +70,8 @@ class TimeGrid:
     def dt(self) -> float:
         return (self.t1 - self.t0) / self.steps
 
-    @property
-    def n_nodes(self) -> int:
-        return self.steps + 1
-
     def times(self) -> np.ndarray:
         return np.linspace(self.t0, self.t1, self.steps + 1)
-
-    def contains(self, t: float) -> bool:
-        eps = 1e-12 * (1.0 + abs(self.t0) + abs(self.t1))
-        return self.t0 - eps <= t <= self.t1 + eps
 
 
 @dataclass
@@ -84,7 +83,6 @@ class Trajectory:
 
     grid: TimeGrid
     values: np.ndarray
-    _spline: CubicSpline | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -92,9 +90,6 @@ class Trajectory:
             raise ValueError(
                 f"trajectory has {self.values.shape[0]} samples, grid expects {self.grid.steps + 1}"
             )
-
-    def at(self, i: int) -> np.ndarray:
-        return self.values[i]
 
     def interp(self, t: float | np.ndarray) -> np.ndarray:
         """Linear interpolation between grid nodes; errors outside the grid."""
@@ -109,18 +104,6 @@ class Trajectory:
             return (1.0 - w) * self.values[int(i0)] + w * self.values[int(i0) + 1]
         w = w.reshape((-1,) + (1,) * (self.values.ndim - 1))
         return (1.0 - w) * self.values[i0] + w * self.values[i0 + 1]
-
-    def spline(self) -> CubicSpline:
-        """Cubic interpolant (cached); used to keep tabulated drivers at RK4 order."""
-        if self._spline is None:
-            self._spline = CubicSpline(self.grid.times(), self.values, axis=0)
-        return self._spline
-
-    def half_grid_values(self) -> np.ndarray:
-        """Values on the doubled grid t0, t0+dt/2, ..., t1 (2*steps+1 nodes)."""
-        g = self.grid
-        ts = np.linspace(g.t0, g.t1, 2 * g.steps + 1)
-        return self.spline()(ts)
 
 
 def integrate_ode(rhs, y0, grid: TimeGrid, direction: str = "forward") -> Trajectory:
@@ -155,49 +138,60 @@ def integrate_ode(rhs, y0, grid: TimeGrid, direction: str = "forward") -> Trajec
 
 
 def rk4_linear_tabulated(M: np.ndarray, g_half: np.ndarray, y0: np.ndarray,
-                         grid: TimeGrid, direction: str = "forward") -> Trajectory:
+                         grid: TimeGrid, direction: str = "forward",
+                         n_far: int = 0) -> Trajectory:
     """RK4 for the linear system dy/dt = M y + g(t) with constant M and g
     tabulated on the doubled grid (2*steps+1 nodes, so midpoint values are
     exact inputs).
 
-    This is the fast path used by the consistency solver: the driving terms
-    are supplied on half-steps (from a cubic interpolant of the iterate), so
-    the integration keeps its fourth-order accuracy without per-step
-    interpolant calls.  Each step's map y -> P y + c_i has P the RK4
-    polynomial in hM; see ``_rk4_linear`` for how the steps are combined.
+    Every step shares one RK4 matrix P (the RK4 polynomial in hM); only the
+    step offsets c_i are tabulated.  See ``_rk4_linear`` for ``direction``,
+    ``n_far`` and how the steps are combined.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise ValueError("M must be a constant square matrix")
-    return _rk4_linear(M, g_half, y0, grid, direction)
+    return _rk4_linear(M, g_half, y0, grid, direction, n_far)
 
 
 def rk4_linear_time_varying(M_half: np.ndarray, g_half: np.ndarray, y0: np.ndarray,
-                            grid: TimeGrid, direction: str = "forward") -> Trajectory:
+                            grid: TimeGrid, direction: str = "forward",
+                            n_far: int = 0) -> Trajectory:
     """RK4 for dy/dt = M(t) y + g(t) with both M and g tabulated on the
-    doubled grid (2*steps+1 nodes).  Same step maps and scan as
-    ``rk4_linear_tabulated``, with M read at each step's three nodes."""
+    doubled grid (2*steps+1 nodes).  Same step maps, scan and boundary
+    problems as ``rk4_linear_tabulated``, with M read at each step's three
+    nodes."""
     M_half = np.asarray(M_half, dtype=float)
     if M_half.shape[0] != 2 * grid.steps + 1:
         raise ValueError("M_half must be tabulated on the doubled grid")
-    return _rk4_linear(M_half, g_half, y0, grid, direction)
+    return _rk4_linear(M_half, g_half, y0, grid, direction, n_far)
 
 
 def _rk4_linear(M: np.ndarray, g_half: np.ndarray, y0: np.ndarray,
-                grid: TimeGrid, direction: str) -> Trajectory:
+                grid: TimeGrid, direction: str, n_far: int) -> Trajectory:
     """Classical RK4 for dy/dt = M(t) y + g(t), all steps at once.
 
-    In homogeneous coordinates the system is z' = N(t) z with z = (y, 1) and
-    N = [[M, g], [0, 0]], so one RK4 step is the (d+1)x(d+1) matrix
-    Phi_i = [[P_i, c_i], [0, 1]], the RK4 polynomial in h N over the step's
-    three nodes.  All Phi_i are built with batched matmuls; a Hillis-Steele
-    inclusive scan (ceil(log2 steps) batched passes) then forms the prefix
-    products Phi_i ... Phi_0, whose action on (y0, 1) gives every node.
+    One RK4 step is the affine map y -> P_i y + c_i, built for every step
+    with batched matmuls (P_i is shared when M is constant).  The steps are
+    cut into chunks; an inclusive Hillis-Steele scan composes each chunk's
+    maps in ceil(log2 chunk) batched passes, so every node is its chunk's
+    prefix map applied to the chunk-start state.
 
-    ``M`` is constant (d, d) or tabulated (2*steps+1, d, d); the backward
-    direction runs the doubled grid reversed with h = -dt.  Raises
-    OdeBlowupError at the first node, in integration order, that is not
-    finite.
+    ``direction`` ('forward' from t0, 'backward' from t1, where the doubled
+    grid runs reversed with h = -dt) says where ``y0`` holds.  With
+    ``n_far`` = 0 it is an initial value problem and the chunk starts follow
+    one another.  With ``n_far`` > 0 it is a split two-point boundary
+    problem: the first ``n_far`` components of ``y0`` are pinned at the far
+    end instead (t1 going forward), the rest at the start.  The chunk starts
+    then come from one banded solve (``_split_starts``, multiple shooting),
+    and chunks are cut so that the step-map product within one stays below
+    e^_SPLIT_GROWTH in the infinity norm: a node computed from its chunk
+    start loses at most that factor to cancellation, however fast the modes
+    pinned at the far end grow.
+
+    Raises OdeBlowupError at the first node, in integration order, that is
+    not finite (any node of a split problem), and LinAlgError when the split
+    system is singular.
     """
     if direction not in ("forward", "backward"):
         raise ValueError(f"unknown direction {direction!r}")
@@ -207,44 +201,98 @@ def _rk4_linear(M: np.ndarray, g_half: np.ndarray, y0: np.ndarray,
         raise ValueError("g_half must be tabulated on the doubled grid")
     y0 = np.asarray(y0, dtype=float)
     d = y0.shape[0]
+    if not 0 <= n_far <= d:
+        raise ValueError(f"n_far={n_far} must lie in [0, {d}]")
     h = grid.dt
     if direction == "backward":
-        h = -h
-        g_half = g_half[::-1]
-        if M.ndim == 3:
-            M = M[::-1]
+        h, g_half, M = -h, g_half[::-1], (M[::-1] if M.ndim == 3 else M)
 
-    N = np.zeros((2 * steps + 1, d + 1, d + 1))
-    N[:, :d, :d] = M
-    N[:, :d, d] = g_half
-    Na, Nm, Nb = N[0:-1:2], N[1::2], N[2::2]
-    eye = np.eye(d + 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # phi = I + h/6 (k1 + 2 k2 + 2 k3 + k4), accumulated in place so only
-        # one stage array is alive at a time
-        phi = Na.copy()
-        k = Nm @ (eye + (h / 2.0) * Na)
-        phi += 2.0 * k
-        k = Nm @ (eye + (h / 2.0) * k)
-        phi += 2.0 * k
-        phi += Nb @ (eye + h * k)
-        phi *= h / 6.0
-        phi += eye
+    Ma, Mm, Mb = (M, M, M) if M.ndim == 2 else (M[0:-1:2], M[1::2], M[2::2])
+    eye = np.eye(d)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # P = I + h/6 (K1 + 2 K2 + 2 K3 + K4) and likewise c from the g values,
+        # accumulated in place so only one stage array is alive at a time
+        P, K = Ma.copy(), Ma
+        c, k = g_half[0:-1:2].copy(), g_half[0:-1:2]
+        for Ms, gs, w, frac in ((Mm, g_half[1::2], 2.0, 0.5), (Mm, g_half[1::2], 2.0, 0.5),
+                                (Mb, g_half[2::2], 1.0, 1.0)):
+            K = Ms @ (eye + (frac * h) * K)
+            P += w * K
+            k = (Ms @ ((frac * h) * k)[..., None])[..., 0] + gs
+            c += w * k
+        P *= h / 6.0
+        P += eye
+        c *= h / 6.0
+
+        # ||P_i ... P_j|| <= norm^(i-j+1); a non-finite norm is caught below
+        norm = float(np.abs(P).sum(axis=-1).max()) if n_far else 1.0
+        chunk = min(_CHUNK, steps)
+        if norm > 1.0:
+            chunk = max(1, min(chunk, int(_SPLIT_GROWTH / np.log(norm))))
+        C = -(-steps // chunk)
+        last = np.full(C, chunk - 1)
+        last[-1] = steps - 1 - (C - 1) * chunk         # the last chunk may be short
+
+        # chunked scan: lin[..., i] and c[:, i] become the map of steps 0..i
+        # of each chunk; a shared P needs only its powers P^1..P^chunk
+        c = np.concatenate([c, np.zeros((C * chunk - steps, d))]).reshape(C, chunk, d)
+        if P.ndim == 2:
+            lin = np.broadcast_to(P, (chunk, d, d)).copy()
+        else:
+            lin = np.concatenate([P, np.broadcast_to(eye, (C * chunk - steps, d, d))])
+            lin = lin.reshape(C, chunk, d, d)
         shift = 1
-        while shift < steps:
-            phi[shift:] = phi[shift:] @ phi[:-shift]
+        while shift < chunk:
+            c[:, shift:] += (lin[..., shift:, :, :] @ c[:, :-shift, :, None])[..., 0]
+            lin[..., shift:, :, :] = lin[..., shift:, :, :] @ lin[..., :-shift, :, :]
             shift *= 2
-        y = phi[:, :d, :d] @ y0 + phi[:, :d, d]
+        Q = np.broadcast_to(lin, (C, chunk, d, d))[np.arange(C), last]
+        r = c[np.arange(C), last]
+
+        if n_far:
+            if not (np.isfinite(Q).all() and np.isfinite(r).all()):
+                raise OdeBlowupError(grid.t0, "split RK4 solve: non-finite chunk map")
+            starts = _split_starts(Q, r, y0, n_far)
+            starts[0, n_far:] = y0[n_far:]          # the pins hold exactly
+        else:
+            starts = np.empty((C + 1, d))
+            starts[0] = y0
+            for j in range(C):
+                starts[j + 1] = Q[j] @ starts[j] + r[j]
+        y = ((lin @ starts[:-1, None, :, None])[..., 0] + c).reshape(-1, d)[:steps]
 
     finite = np.isfinite(y).all(axis=1)
     if not finite.all():
         i = int(np.argmin(finite)) + 1              # steps to the first bad node
-        node = i if direction == "forward" else steps - i
+        node = steps - i if direction == "backward" else i
         raise OdeBlowupError(float(grid.times()[node]))
-    out = np.concatenate([y0[None, :], y])
+    out = np.concatenate([starts[:1], y])
+    out[-1, :n_far] = y0[:n_far]
     if direction == "backward":
         out = np.ascontiguousarray(out[::-1])
     return Trajectory(grid, out)
+
+
+def _split_starts(Q: np.ndarray, r: np.ndarray, y_pin: np.ndarray, n_far: int) -> np.ndarray:
+    """Chunk-start states Y_0..Y_C of the split boundary problem, in
+    integration order.
+
+    Unknowns Y_0..Y_C (d each) in one vector; equations in this order: the
+    start pins Y_0[n_far:] = y_pin[n_far:], the continuity
+    Y_{j+1} - Q_j Y_j = r_j for j = 0..C-1, and the far-end pins
+    Y_C[:n_far] = y_pin[:n_far].  The matrix is banded with 2d - n_far - 1
+    sub- and n_far super-diagonals; in ``solve_banded``'s layout (row
+    u + i - j holds entry (i, j)) every unit entry lies on row 0, the far-end
+    pins on row d, and -Q_j[i, q] on row d + i - q of column j d + q.
+    """
+    C, d = r.shape
+    ab = np.zeros((2 * d, (C + 1) * d))
+    ab[0, n_far:] = 1.0
+    ab[d, C * d:C * d + n_far] = 1.0
+    i, q = np.indices((d, d))
+    ab[d + i - q, d * np.arange(C)[:, None, None] + q] = -Q
+    rhs = np.concatenate([y_pin[n_far:], r.ravel(), y_pin[:n_far]])
+    return solve_banded((2 * d - n_far - 1, n_far), ab, rhs).reshape(C + 1, d)
 
 
 def spectral_abscissa(M: np.ndarray) -> float:

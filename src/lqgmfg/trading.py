@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .meanfield import consistency_blocks
+from .meanfield import consistency_blocks, solve_stacked
 from .model import PopulationSpec, SubpopParams, validate_spec
 from .numerics import TimeGrid, Trajectory, rk4_linear_time_varying, rng_stream
 from .riccati import feedback_gain, solve_differential_riccati
@@ -161,24 +161,24 @@ class FiniteHorizonSolution:
     s: list[Trajectory]            # per type, (nodes, n)
     xbar: Trajectory               # (nodes, nK)
     mubar: Trajectory              # (nodes, mK)
-    iterations: int
-    change: float
+    iterations: int                # 1: one direct solve
 
 
-def solve_finite_horizon(mapping: LqgMapping, steps: int = 200,
-                         damping: float = 0.5, tol: float = 1e-9,
-                         max_iters: int = 200) -> FiniteHorizonSolution:
-    """Picard iteration for the finite-horizon consistency system.
+def solve_finite_horizon(mapping: LqgMapping, steps: int = 200) -> FiniteHorizonSolution:
+    """The finite-horizon consistency system, solved directly.
 
-    Identical structure to the stationary solver, but the Riccati weight
-    Pi_k(t) is the backward differential solution from the terminal matrix,
-    so the feedback gains are time-varying.  Two validate_spec checks are
-    waived here: the positive discount (rho = 0 is the finite-horizon
-    setting) and Q - S R^-1 S^T >= 0, which only guarantees the
-    infinite-horizon flow stays in the PSD cone -- the trading terminal
-    weight is itself indefinite (the -q_T F_T book value) and boundedness
-    on [0, T] is enforced at runtime by the blow-up detector instead.
-    R > 0 and all structural checks remain hard errors.
+    The same stacked system as the stationary solver
+    (``meanfield.solve_stacked``), but the Riccati weight Pi_k(t) is the
+    backward differential solution from the terminal matrix, so the gains
+    and blocks are tabulated on the doubled grid, and s(T) is the mapping's
+    terminal offset.  Two validate_spec checks are waived here: the
+    positive discount (rho = 0 is the finite-horizon setting) and
+    Q - S R^-1 S^T >= 0, which only guarantees the infinite-horizon flow
+    stays in the PSD cone -- the trading terminal weight is itself
+    indefinite (the -q_T F_T book value) and boundedness on [0, T] is
+    enforced at runtime by the blow-up detector instead.  R > 0 and all
+    structural checks remain hard errors.  A solve that diverges raises
+    ConsistencyError, a RuntimeError.
     """
     spec = mapping.population
     report = validate_spec(spec)
@@ -186,16 +186,12 @@ def solve_finite_horizon(mapping: LqgMapping, steps: int = 200,
             if v[0] != "discount" and "Q - S R^-1 S^T" not in v[1]]
     if hard:
         raise ValueError(f"trading spec violates model assumptions: {hard}")
-    K = spec.K
     grid = TimeGrid(0.0, _horizon_of(mapping), steps)
-    ts = grid.times()
     ts_half = np.linspace(grid.t0, grid.t1, 2 * steps + 1)
-    nodes = steps + 1
     rho = spec.rho
 
     Pi_trajs, Pi_half = [], []
-    for k in range(K):
-        p = spec.subpops[k]
+    for p in spec.subpops:
         # the backward Riccati layer near T can be stiff for large terminal
         # weights; refine its grid to keep fixed-step RK4 inside stability
         gain_norm = float(np.linalg.norm(p.B @ np.linalg.solve(p.R, p.B.T), 2))
@@ -207,53 +203,13 @@ def solve_finite_horizon(mapping: LqgMapping, steps: int = 200,
         fine = TimeGrid(grid.t0, grid.t1, steps * refine)
         Pi_fine = solve_differential_riccati(p, rho, mapping.terminal_weight, fine)
         Pi_trajs.append(Trajectory(grid, Pi_fine.values[::refine]))
-        Pi_half.append(Pi_fine.spline()(ts_half))            # (2s+1, n, n)
+        Pi_half.append(CubicSpline(fine.times(), Pi_fine.values, axis=0)(ts_half))
     ops, J_half, Abar_half = consistency_blocks(spec, Pi_half)
-    c0_half = [o.c0(ts_half) for o in ops]
-    J_nodes = J_half[::2]                                    # (nodes, mK, nK)
-
-    xi_stack = np.tile(spec.x0_mean, K)
-    xbar_vals = np.tile(xi_stack, (nodes, 1))
-    mubar_vals = (J_nodes @ xbar_vals[..., None])[..., 0]
-
-    iterations = 0
-    change = np.inf
-    while True:
-        if iterations >= max_iters:
-            raise RuntimeError(f"finite-horizon consistency did not converge "
-                               f"(change {change:.3e})")
-        iterations += 1
-        Xh = CubicSpline(ts, xbar_vals, axis=0)(ts_half)[..., None]
-        Uh = CubicSpline(ts, mubar_vals, axis=0)(ts_half)[..., None]
-
-        s_trajs = []
-        for k, o in enumerate(ops):
-            g_h = (o.Cx @ Xh + o.Cu @ Uh)[..., 0] + c0_half[k]
-            s_trajs.append(rk4_linear_time_varying(o.M, -g_h, mapping.terminal_offset,
-                                                   grid, direction="backward"))
-        L_vals = np.hstack([o.L_row(s_k.values) for o, s_k in zip(ops, s_trajs)])
-
-        L_half = CubicSpline(ts, L_vals, axis=0)(ts_half)
-        mbar_half = np.hstack([o.mbar(s_k.half_grid_values(), L_half, ts_half)
-                               for o, s_k in zip(ops, s_trajs)])
-        xbar_new = rk4_linear_time_varying(Abar_half, mbar_half, xi_stack, grid,
-                                           "forward")
-        mubar_new = (J_nodes @ xbar_new.values[..., None])[..., 0] + L_vals
-
-        change = max(float(np.max(np.abs(xbar_new.values - xbar_vals))),
-                     float(np.max(np.abs(mubar_new - mubar_vals))))
-        if not np.isfinite(change):
-            raise RuntimeError("finite-horizon consistency diverged")
-        if change < tol:
-            xbar_vals, mubar_vals = xbar_new.values, mubar_new
-            break
-        xbar_vals = damping * xbar_new.values + (1 - damping) * xbar_vals
-        mubar_vals = damping * mubar_new + (1 - damping) * mubar_vals
-
-    return FiniteHorizonSolution(grid=grid, Pi=Pi_trajs, s=s_trajs,
-                                 xbar=Trajectory(grid, xbar_vals),
-                                 mubar=Trajectory(grid, mubar_vals),
-                                 iterations=iterations, change=change)
+    s_T = np.tile(mapping.terminal_offset, spec.K)
+    s_trajs, _, _, xbar, mubar = solve_stacked(spec, ops, J_half, Abar_half, grid, s_T,
+                                               rk4_linear_time_varying)
+    return FiniteHorizonSolution(grid=grid, Pi=Pi_trajs, s=s_trajs, xbar=xbar,
+                                 mubar=mubar, iterations=1)
 
 
 def _horizon_of(mapping: LqgMapping) -> float:

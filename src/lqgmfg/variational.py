@@ -23,7 +23,7 @@ from scipy.interpolate import CubicSpline
 
 from .meanfield import MeanFieldSolution
 from .model import PopulationSpec
-from .numerics import TimeGrid, Trajectory, integrate_ode
+from .numerics import TimeGrid, Trajectory, rk4_linear_tabulated
 from .riccati import feedback_gain
 
 __all__ = [
@@ -212,37 +212,37 @@ def solve_mean_state_path(spec: PopulationSpec, mf: MeanFieldSolution, k: int,
     """Deterministic mean state path of the limiting dynamics.
 
     With mu_path tabulated (nodes, m) the drift uses it directly (cubic
-    interpolation at RK4 half-steps); otherwise the equilibrium feedback
-    plus the constant mean_shift drives the state.  Returns (state
-    trajectory, realized control-mean trajectory).
+    interpolation at RK4 half-steps), dx/dt = A x + g(t); otherwise the
+    equilibrium feedback plus the constant mean_shift drives the state,
+    dx/dt = (A - B gain) x + g(t).  Either way one call of the linear RK4
+    kernel, with g tabulated on the doubled grid from the solved mean field.
+    Returns (state trajectory, realized control-mean trajectory).
     """
     p = spec.subpops[k]
-    Fb, Hb = spec.Fbar(k), spec.Hbar(k)
     gain = feedback_gain(p, mf.Pi[k].Pi)
     psibar = spec.psibar(k)
     shift = np.broadcast_to(np.atleast_1d(np.asarray(mean_shift, dtype=float)),
                             (p.m,)).astype(float)
-    mu_itp = None
+    ts_half = np.linspace(grid.t0, grid.t1, 2 * grid.steps + 1)
+    xbar_half = mf.xbar.interp(ts_half)
+    g = (xbar_half @ spec.Fbar(k).T + mf.mubar.interp(ts_half) @ spec.Hbar(k).T
+         + p.b(ts_half))
+
+    def open_loop_mean(ts, xbar_t):
+        """The control mean less its feedback term: shift - R^-1 (B^T s -
+        S^T psibar xbar + n)."""
+        inner = mf.s[k].interp(ts) @ p.B - (xbar_t @ psibar.T) @ p.S + p.nvec
+        return shift - np.linalg.solve(p.R, inner.T).T
+
     if mu_path is not None:
-        mu_itp = CubicSpline(grid.times(), np.asarray(mu_path, dtype=float), axis=0)
-
-    def mean_at(t, x):
-        s_t = mf.s[k].interp(t)
-        xbar_t = mf.xbar.interp(t)
-        off = np.linalg.solve(p.R, p.B.T @ s_t - p.S.T @ (psibar @ xbar_t) + p.nvec)
-        return -(gain @ x) - off + shift
-
-    def rhs(t, x):
-        mu = mu_itp(t) if mu_itp is not None else mean_at(t, x)
-        return (p.A @ x + Fb @ mf.xbar.interp(t) + Hb @ mf.mubar.interp(t)
-                + p.B @ mu + p.b(t))
-
-    xtraj = integrate_ode(rhs, spec.x0_mean, grid, direction="forward")
-    ts = grid.times()
-    if mu_itp is not None:
         mus = np.asarray(mu_path, dtype=float)
+        g += CubicSpline(grid.times(), mus, axis=0)(ts_half) @ p.B.T
+        xtraj = rk4_linear_tabulated(p.A, g, spec.x0_mean, grid)
     else:
-        mus = np.stack([mean_at(t, xtraj.values[i]) for i, t in enumerate(ts)])
+        g += open_loop_mean(ts_half, xbar_half) @ p.B.T
+        xtraj = rk4_linear_tabulated(p.A - p.B @ gain, g, spec.x0_mean, grid)
+        ts = grid.times()
+        mus = -(xtraj.values @ gain.T) + open_loop_mean(ts, mf.xbar.interp(ts))
     return xtraj, Trajectory(grid, mus)
 
 

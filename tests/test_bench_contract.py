@@ -60,6 +60,16 @@ def test_every_trace_hook_resolves():
         assert callable(fn), f"{hook.module}.{hook.attr}"
 
 
+# Counts a round must reach: a hooked function that still resolves but is no
+# longer called reads 0 without any other sign.  Equilibrium solves five specs
+# (K = 1, 1, 1, 2, 3: eight ARE calls) with one consistency solve each; a
+# trading round plans six times in rl_loop and once for the recovery.
+TRACED_COUNTS = {
+    "equilibrium": {"meanfield.sweeps": 5, "riccati.are_calls": 8},
+    "trading": {"trading.fh_sweeps": 7},
+}
+
+
 @pytest.mark.parametrize("workload", ["equilibrium", "trading"])
 def test_traced_run_reports_every_layer_metric(workload):
     proc = subprocess.run(
@@ -70,3 +80,7 @@ def test_traced_run_reports_every_layer_metric(workload):
     result = json.loads(last, parse_constant=_reject_constant)
     assert result["failed"] == 0, proc.stderr[-2000:]
     assert set(result["metrics"]) == _per_layer_names() | {"trace.overhead_s"}
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    assert metrics["numerics.rk4_nodes"] > 0
+    for name, count in TRACED_COUNTS[workload].items():
+        assert metrics[name] == count, name

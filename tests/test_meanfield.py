@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from lqgmfg.meanfield import (ConsistencyError, SolverConfig, aggregate_drift,
-                              consistency_residual, feedback_gains,
-                              solve_consistency, stability_reports, steady_state)
+                              consistency_blocks, consistency_residual, feedback_gains,
+                              solve_consistency, solve_stacked, stability_reports,
+                              stacked_system, steady_state)
 from lqgmfg.model import PopulationSpec, SpecValidationError, SubpopParams
-from lqgmfg.numerics import TimeGrid, Trajectory
+from lqgmfg.numerics import OdeBlowupError, TimeGrid, Trajectory, rk4_linear_tabulated
 from lqgmfg.presets import scalar_decoupled_spec, unstable_spec
 from lqgmfg.riccati import solve_discounted_are
 
@@ -99,7 +100,7 @@ def test_classical_exploratory_bitwise(coupled):
 
 def test_unstable_spec_diverges():
     with pytest.raises(ConsistencyError, match="diverged"):
-        solve_consistency(unstable_spec(), SolverConfig(max_iters=80))
+        solve_consistency(unstable_spec())
 
 
 def test_invalid_spec_raises():
@@ -165,3 +166,62 @@ def test_solution_json_round_trip(decoupled):
     assert doc["iterations"] == mf.iterations
     assert np.allclose(doc["xbar"], mf.xbar.values)
     assert doc["grid"]["steps"] == mf.grid.steps
+
+
+@pytest.mark.parametrize("failure", [np.linalg.LinAlgError("singular matrix"),
+                                     OdeBlowupError(0.0, "non-finite chunk map")])
+def test_solve_stacked_reports_divergence(coupled, failure):
+    # a singular boundary system or a non-finite value from the kernel is a
+    # divergence of the consistency solve, not a linear-algebra error
+    spec, mf = coupled
+    blocks, J, Abar = consistency_blocks(spec, mf.Pi)
+
+    def kernel(*args, **kwargs):
+        raise failure
+
+    with pytest.raises(ConsistencyError, match="diverged"):
+        solve_stacked(spec, blocks, J, Abar, mf.grid, np.zeros(spec.n * spec.K), kernel)
+
+
+def test_steady_state_solves_the_stacked_system(two_type):
+    # the steady state is the root of the same (Acal, f) the solve integrates
+    spec, mf = two_type
+    blocks, J, Abar = consistency_blocks(spec, mf.Pi)
+    A, f = stacked_system(blocks, J, Abar, np.asarray([np.inf]))
+    s_inf, x_inf = steady_state(spec, mf.Pi)
+    z = np.concatenate(s_inf + [x_inf])
+    assert np.max(np.abs(A @ z + f[0])) < 1e-12
+    assert np.array_equal(np.concatenate(s_inf), np.concatenate([s.values[-1] for s in mf.s]))
+
+
+def _stiff_decoupled_spec():
+    # Q/R = 2500: Pi ~ 50, so the offsets grow forward at rate ~50 and the
+    # mean state decays at the same rate
+    sub = SubpopParams(A=0.0, B=1.0, Q=2500.0, R=1.0, eta=3.0, b=0.5, lambda_explore=0.2)
+    return PopulationSpec(subpops=(sub,), pi=[1.0], rho=0.1, x0_mean=[1.0], x0_cov=[[0.0]])
+
+
+@pytest.mark.parametrize("config", [SolverConfig(), SolverConfig(horizon=20.0, steps=500)])
+def test_stiff_decoupled_spec_matches_sequential_rk4(config):
+    # decoupled with constant data, so s stays at s_inf and xbar is the
+    # forward mean equation driven by it; the split solve must keep both, on
+    # the auto grid (h * 50 = 0.5) and on a coarse one (h * 50 = 2), though
+    # 64 steps of the offsets' forward growth would span e^32 to e^128
+    spec = _stiff_decoupled_spec()
+    mf = solve_consistency(spec, config)
+    (o,), _, Abar = consistency_blocks(spec, mf.Pi)
+    grid = mf.grid
+    s_inf = steady_state(spec, mf.Pi)[0][0]
+    mbar = o.L_row(s_inf[None, :]) @ o.params.B.T + o.params.b(grid.t1)
+    x_ref = rk4_linear_tabulated(Abar, np.tile(mbar, (2 * grid.steps + 1, 1)),
+                                 spec.x0_mean, grid).values
+    assert np.max(np.abs(mf.s[0].values - s_inf)) <= 1e-10 * np.max(np.abs(s_inf))
+    assert np.max(np.abs(mf.xbar.values - x_ref)) <= 1e-10 * np.max(np.abs(x_ref))
+    assert np.max(np.abs(mf.mbar.values - mbar)) <= 1e-10 * np.max(np.abs(mbar))
+
+
+def test_grid_too_coarse_for_rk4_diverges():
+    # h * 50 = 5 puts the closed-loop mode outside RK4's stability interval:
+    # the mean path grows without bound, which must be refused, not returned
+    with pytest.raises(ConsistencyError, match="diverged"):
+        solve_consistency(_stiff_decoupled_spec(), SolverConfig(horizon=20.0, steps=200))

@@ -161,6 +161,93 @@ def test_rk4_linear_rejects_bad_inputs():
         rk4_linear_time_varying(M_half, g_half[:-1], np.ones(2), grid)
 
 
+def split_reference(M_half, g_half, y_pin, grid, n_far, direction="forward"):
+    """Dense solve of the split boundary problem: all steps + 1 nodes as
+    unknowns, one row block per step mapping its first node to its last in
+    the integration direction (P_i, c_i from one RK4 step of
+    ``rk4_reference``), plus the pins: y_pin[n_far:] at the start of the
+    integration, y_pin[:n_far] at its far end."""
+    steps, d = grid.steps, y_pin.shape[0]
+    fwd = direction == "forward"
+    size = (steps + 1) * d
+    A = np.zeros((size, size))
+    rhs = np.zeros(size)
+    for i in range(steps):
+        step = TimeGrid(grid.t0 + i * grid.dt, grid.t0 + (i + 1) * grid.dt, 1)
+        Mi, gi = M_half[2 * i:2 * i + 3], g_half[2 * i:2 * i + 3]
+        src, dst = (i, i + 1) if fwd else (i + 1, i)
+        at = 1 if fwd else 0
+        c = rk4_reference(Mi, gi, np.zeros(d), step, direction)[at]
+        P = np.stack([rk4_reference(Mi, 0.0 * gi, e, step, direction)[at] for e in np.eye(d)],
+                     axis=1)
+        rows = slice(i * d, (i + 1) * d)
+        A[rows, src * d:(src + 1) * d] = -P
+        A[rows, dst * d:(dst + 1) * d] = np.eye(d)
+        rhs[rows] = c
+    start, far = (0, steps) if fwd else (steps, 0)
+    pins = [(far * d + j, j) for j in range(n_far)]
+    pins += [(start * d + j, j) for j in range(n_far, d)]
+    for r, (col, j) in enumerate(pins):
+        A[steps * d + r, col] = 1.0
+        rhs[steps * d + r] = y_pin[j]
+    return np.linalg.solve(A, rhs).reshape(steps + 1, d)
+
+
+def _split_case(rng, d, steps, T, diag, time_varying):
+    grid = TimeGrid(0.0, T, steps)
+    M = rng.uniform(-0.5, 0.5, (d, d)) + np.diag(diag)
+    M_half = (M + 0.3 * rng.uniform(-1.0, 1.0, (2 * steps + 1, d, d)) if time_varying
+              else np.broadcast_to(M, (2 * steps + 1, d, d)))
+    g_half = rng.uniform(-1.0, 1.0, (2 * steps + 1, d))
+    kernel, Ms = ((rk4_linear_time_varying, M_half) if time_varying
+                  else (rk4_linear_tabulated, M))
+    return grid, M_half, g_half, kernel, Ms
+
+
+@pytest.mark.parametrize("steps", [1, 7, 64, 65, 200])
+@pytest.mark.parametrize("time_varying", [False, True])
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_rk4_split_matches_dense_solve(steps, time_varying, direction):
+    # below, at and above the chunk length, and not a multiple of it; M has
+    # an unstable block (forward growth) and a stable one, like the offsets
+    # and the mean state of the consistency system.  n_far = 0 is the
+    # initial value problem, solved by the same maps
+    rng = np.random.default_rng(steps)
+    d = 4
+    grid, M_half, g_half, kernel, Ms = _split_case(rng, d, steps, 3.0,
+                                                   [1.0, 0.8, -1.0, -0.6], time_varying)
+    y_pin = rng.uniform(-1.0, 1.0, d)
+    start, far = (0, -1) if direction == "forward" else (-1, 0)
+    for n_far in range(d + 1):
+        got = kernel(Ms, g_half, y_pin, grid, direction, n_far).values
+        ref = split_reference(M_half, g_half, y_pin, grid, n_far, direction)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+        assert np.array_equal(got[start, n_far:], y_pin[n_far:])
+        assert np.array_equal(got[far, :n_far], y_pin[:n_far])
+
+
+@pytest.mark.parametrize("time_varying", [False, True])
+def test_rk4_split_on_stiff_growth_matches_dense_solve(time_varying):
+    # offsets growing forward at rate ~50 against a mean state decaying at
+    # ~50, with h * 50 = 2: 64 steps of the growth span e^128, so chunks of
+    # fixed length would lose every digit to cancellation
+    rng = np.random.default_rng(11)
+    grid, M_half, g_half, kernel, Ms = _split_case(rng, 2, 500, 20.0, [50.0, -50.0],
+                                                   time_varying)
+    y_pin = np.array([0.3, 1.0])
+    got = kernel(Ms, g_half, y_pin, grid, "forward", 1).values
+    ref = split_reference(M_half, g_half, y_pin, grid, 1)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_rk4_split_rejects_bad_pins():
+    grid = TimeGrid(0.0, 1.0, 10)
+    g_half = np.zeros((2 * grid.steps + 1, 2))
+    for n_far in (3, -1):
+        with pytest.raises(ValueError):
+            rk4_linear_tabulated(-np.eye(2), g_half, np.ones(2), grid, n_far=n_far)
+
+
 def test_spectral_abscissa():
     assert spectral_abscissa(np.eye(2)) == pytest.approx(1.0)
     assert spectral_abscissa(np.array([[0.0, 1.0], [-1.0, 0.0]])) == pytest.approx(0.0, abs=1e-12)

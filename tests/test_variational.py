@@ -4,7 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from lqgmfg.numerics import TimeGrid
+from scipy.interpolate import CubicSpline
+
+from lqgmfg.numerics import TimeGrid, integrate_ode
+from lqgmfg.riccati import feedback_gain
 from lqgmfg.variational import (DensityPath, Direction,
                                 equilibrium_density_path,
                                 exploratory_cost_quadrature, gateaux_derivative,
@@ -175,3 +178,37 @@ def test_optimality_over_perturbation_family(star):
                                             mean_shift=shift, cov_scale=scale)
         J = exploratory_cost_quadrature(cand, xc, mf, 0, spec, GRID)
         assert J > J_star + 1e-4, (shift, scale, J, J_star)
+
+
+def mean_path_reference(spec, mf, k, grid, mean_shift=0.0, mu_path=None):
+    """The mean state path by the generic RK4 with a Python right-hand side,
+    the control mean evaluated at each stage from the interpolated mean
+    field (or from a cubic interpolant of mu_path)."""
+    p = spec.subpops[k]
+    gain = feedback_gain(p, mf.Pi[k].Pi)
+    shift = np.broadcast_to(np.asarray(mean_shift, dtype=float), (p.m,))
+    mu_itp = None if mu_path is None else CubicSpline(grid.times(), mu_path, axis=0)
+
+    def mean_at(t, x):
+        off = np.linalg.solve(p.R, p.B.T @ mf.s[k].interp(t)
+                              - p.S.T @ (spec.psibar(k) @ mf.xbar.interp(t)) + p.nvec)
+        return -(gain @ x) - off + shift
+
+    def rhs(t, x):
+        mu = mu_itp(t) if mu_itp is not None else mean_at(t, x)
+        return (p.A @ x + spec.Fbar(k) @ mf.xbar.interp(t)
+                + spec.Hbar(k) @ mf.mubar.interp(t) + p.B @ mu + p.b(t))
+
+    return integrate_ode(rhs, spec.x0_mean, grid).values
+
+
+@pytest.mark.parametrize("game", ["coupled", "planar"])
+def test_mean_state_path_matches_callback_reference(game, request):
+    spec, mf = request.getfixturevalue(game)
+    grid = TimeGrid(0.0, 4.0, 200)
+    x, mu = solve_mean_state_path(spec, mf, 0, grid, mean_shift=0.3)
+    assert np.max(np.abs(x.values - mean_path_reference(spec, mf, 0, grid, 0.3))) < 1e-12
+    forced = 1.1 * mu.values
+    x_mu, _ = solve_mean_state_path(spec, mf, 0, grid, mu_path=forced)
+    ref = mean_path_reference(spec, mf, 0, grid, mu_path=forced)
+    assert np.max(np.abs(x_mu.values - ref)) < 1e-12
