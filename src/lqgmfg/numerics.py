@@ -312,12 +312,18 @@ def cholesky_psd(cov: np.ndarray) -> np.ndarray:
 
     Escalates a diagonal jitter up to 1e-12 * trace before failing; exact
     zero matrices factor to zero.  Near-singular covariances (tiny
-    exploration weights) are the motivating case.
+    exploration weights) are the motivating case.  A diagonal matrix with
+    a positive diagonal skips the checks: its factor is sqrt(diag), the
+    same bits LAPACK returns.
     """
     cov = np.asarray(cov, dtype=float)
     d = cov.shape[0]
     if cov.shape != (d, d):
         raise ValueError(f"covariance must be square, got {cov.shape}")
+    diag = np.diagonal(cov)
+    # every diagonal entry positive and nothing else nonzero (NaN counts)
+    if np.count_nonzero(diag > 0.0) == d and np.count_nonzero(cov) == d:
+        return np.diag(np.sqrt(diag))
     sym_err = np.max(np.abs(cov - cov.T)) if d else 0.0
     if sym_err > 1e-10 * (1.0 + np.max(np.abs(cov))):
         raise ValueError("covariance not symmetric")

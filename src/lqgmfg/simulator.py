@@ -20,6 +20,14 @@ scale.
 
 Paths are stepped time-major: node i of every agent is one contiguous
 (N, .) block, and the batch exposes (N, nodes, .) views of those arrays.
+
+The experiments compute only what they read.  The coupling gap runs both
+systems to its checkpoint only, on the head of the full noise pack (the
+stream is unchanged), in classical mode, whose states are bitwise those of
+the exploratory run.  ``empirical_cost`` works through agents in blocks, so
+its memory does not grow with the population.  ``coe_experiment`` draws its
+normals a chunk of nodes at a time, the same stream as one draw per node,
+and keeps only the current chunk's states.
 """
 
 from __future__ import annotations
@@ -57,6 +65,8 @@ __all__ = [
 _BLOCK_BYTES = 1 << 20
 # nodes per time-major noise copy in _simulate
 _NOISE_CHUNK = 16
+# agents per block in empirical_cost
+_COST_BLOCK = 256
 
 
 def exact_counts(pi: np.ndarray, N: int) -> tuple[int, ...]:
@@ -132,6 +142,11 @@ class AgentNoise:
 
     def subset(self, idx) -> "AgentNoise":
         return AgentNoise(self.x0_z[idx], self.action_z[idx], self.dW[idx])
+
+    def head(self, steps: int) -> "AgentNoise":
+        """The noise of the first ``steps`` steps (views, no copy)."""
+        return AgentNoise(self.x0_z, self.action_z[:, :steps + 1],
+                          self.dW[:, :steps])
 
 
 def draw_noise(seed: int, N: int, steps: int, n: int, m: int, r: int,
@@ -283,7 +298,8 @@ def _simulate(spec: PopulationSpec, mf: MeanFieldSolution, grid: TimeGrid,
         if c == 0:
             # time-major copies of the next chunk of nodes' noise: node i then
             # reads contiguous rows, without a time-major copy of the whole pack
-            az = noise.action_z[:, i:i + _NOISE_CHUNK].transpose(1, 0, 2).copy()
+            if mode == "exploratory":
+                az = noise.action_z[:, i:i + _NOISE_CHUNK].transpose(1, 0, 2).copy()
             dw = noise.dW[:, i:i + _NOISE_CHUNK].transpose(1, 0, 2).copy()
         mu = means[i]
         for k, sl in enumerate(slices):
@@ -382,6 +398,15 @@ def simulate_representative(spec: PopulationSpec, mf: MeanFieldSolution,
 # Empirical discounted costs
 # ---------------------------------------------------------------------------
 
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum(a * b, axis=-1), one product per column: faster than einsum or
+    a reduction when the last axis is a state or control dimension."""
+    out = a[..., 0] * b[..., 0]
+    for i in range(1, a.shape[-1]):
+        out += a[..., i] * b[..., i]
+    return out
+
+
 def _entropy_for(p, cov_scale: float) -> float:
     """lambda * H(Phi) for the (possibly variance-scaled) Gaussian policy;
     vanishes with the exploration weight (lambda ln lambda -> 0)."""
@@ -407,6 +432,9 @@ def empirical_cost(batch: SimulationBatch, spec: PopulationSpec, k: int,
     When ``tail_tol`` is given, the reported truncation bound must not
     exceed tail_tol * (1 + |mean|); otherwise the horizon is too short for
     the requested discount.
+
+    Agents are costed in blocks of ``_COST_BLOCK``, read time-major, so the
+    temporaries stay a few (nodes, block) arrays whatever the population.
     """
     if mode not in ("classical", "exploratory", "exploratory-regularized"):
         raise ValueError(f"unknown cost mode {mode!r}")
@@ -421,40 +449,49 @@ def empirical_cost(batch: SimulationBatch, spec: PopulationSpec, k: int,
     psib = spec.psibar(k) if batch.infinite else p.psi
     y = batch.xref @ psib.T                               # (nodes, n)
 
-    X = batch.states[agents]                              # (a, nodes, n)
-    E = X - y[None, :, :]
-    MU = batch.means[agents]
-    lam_rinv = p.lambda_explore * np.linalg.inv(p.R)
-
-    quad_e = 0.5 * np.einsum("ati,ij,atj->at", E, p.Q, E)
-    lin_e = E @ p.eta
+    # time-major (nodes, N, .): a block of agents is one gather per node
+    states = batch.states.transpose(1, 0, 2)
     if mode == "classical":
-        U = batch.actions[agents]
-        quad_u = 0.5 * np.einsum("ati,ij,atj->at", U, p.R, U)
-        cross = np.einsum("ati,ij,atj->at", E, p.S, U)
-        lin_u = U @ p.nvec
-        running = quad_e + lin_e + quad_u + cross + lin_u
+        controls, rate = batch.actions.transpose(1, 0, 2), None
     else:
-        quad_mu = 0.5 * np.einsum("ati,ij,atj->at", MU, p.R, MU)
-        cross = np.einsum("ati,ij,atj->at", E, p.S, MU)
-        lin_u = MU @ p.nvec
+        controls = batch.means.transpose(1, 0, 2)
+        # tr(R cov) / 2, the mean of (u - mu)^T R (u - mu) / 2, per agent
         scales = batch.cov_scales[agents]
-        trace_term = 0.5 * np.trace(p.R @ lam_rinv) * scales
-        running = quad_e + lin_e + quad_mu + cross + lin_u + trace_term[:, None]
+        rate = 0.5 * np.trace(p.R @ (p.lambda_explore * np.linalg.inv(p.R))) * scales
         if mode == "exploratory-regularized":
             # one slogdet per distinct scale, not per agent
             uniq, inv = np.unique(scales, return_inverse=True)
-            ent = np.array([_entropy_for(p, s) for s in uniq])[inv]
-            running = running - ent[:, None]
+            rate = rate - np.array([_entropy_for(p, s) for s in uniq])[inv]
+    half_q, half_r = 0.5 * p.Q, 0.5 * p.R
 
     disc = np.exp(-rho * ts)
     w = np.full(ts.shape, grid.dt)
     w[0] *= 0.5
     w[-1] *= 0.5
-    per_agent = running @ (disc * w)
+    dw = disc * w
+    tail = grid.steps // 4 + 1
+    per_agent = np.empty(agents.size)
+    late = 0.0
+    for lo in range(0, agents.size, _COST_BLOCK):
+        blk = slice(lo, lo + _COST_BLOCK)
+        # running cost (e Q/2 + u S^T + eta) . e + (u R/2 + n) . u, with
+        # e = x - y and u the applied action (classical) or the policy mean
+        e = np.take(states, agents[blk], axis=1)
+        e -= y[:, None, :]
+        u = np.take(controls, agents[blk], axis=1)
+        g = e @ half_q
+        g += u @ p.S.T
+        g += p.eta
+        running = _rowdot(g, e)                           # (nodes, block)
+        g = u @ half_r
+        g += p.nvec
+        running += _rowdot(g, u)
+        if rate is not None:
+            running += rate[blk]
+        per_agent[blk] = dw @ running
+        late = max(late, float(np.max(np.abs(running[-tail:]))))
 
-    late = running[:, -(grid.steps // 4 + 1):]
-    bound = 1.5 * float(np.max(np.abs(late))) * math.exp(-rho * grid.t1) / rho if late.size else 0.0
+    bound = 1.5 * late * math.exp(-rho * grid.t1) / rho
     mean = float(per_agent.mean())
     if tail_tol is not None and bound > tail_tol * (1.0 + abs(mean)):
         raise ValueError(f"horizon too short for rho (truncation bound {bound:.3g})")
@@ -498,10 +535,20 @@ def coupling_gap_experiment(spec: PopulationSpec, mf: MeanFieldSolution,
     coupling that makes the O(1/N) decay measurable; 'independent' draws
     fresh noise for the limiting run, which buries that decay under an O(1)
     variance offset and is provided for comparison only.
+
+    Each repetition draws the full-grid pack, so the streams do not depend
+    on the checkpoint, but both systems are stepped only up to the
+    checkpoint and in classical mode (no sampled actions).  The states
+    there are bitwise those of full exploratory runs whenever the truncated
+    grid's nodes equal the full grid's, which ``linspace`` may miss by an
+    ulp.
     """
     grid = _experiment_grid(grid)
+    ts = grid.times()
     ck = int(round(checkpoint_frac * grid.steps))
-    t_ck = grid.times()[ck]
+    t_ck = ts[ck]
+    run = max(ck, 1)                          # steps simulated
+    sub = TimeGrid(grid.t0, float(ts[run]), run)
     res = ExperimentResult("coupling-gap")
     means, ses = [], []
     for N in Ns:
@@ -510,18 +557,18 @@ def coupling_gap_experiment(spec: PopulationSpec, mf: MeanFieldSolution,
         vals = np.empty(reps)
         for rep in range(reps):
             pack = draw_noise(seed, N, grid.steps, spec.n, spec.m,
-                              spec.subpops[0].r, rep=rep)
-            cfg = SimConfig(N=N, counts=counts, grid=grid, seed=seed,
-                            coupling=coupling)
+                              spec.subpops[0].r, rep=rep).head(run)
+            cfg = SimConfig(N=N, counts=counts, grid=sub, seed=seed,
+                            mode="classical", coupling=coupling)
             fin = simulate_population(spec, mf, cfg, noise=pack)
             if coupling == "common-random-numbers":
                 pack_inf = pack
             else:
                 # packs reps..2*reps-1: no stream shared with the finite run
                 pack_inf = draw_noise(seed, N, grid.steps, spec.n, spec.m,
-                                      spec.subpops[0].r, rep=reps + rep)
-            inf = simulate_representative(spec, mf, grid, seed, noise=pack_inf,
-                                          types=types)
+                                      spec.subpops[0].r, rep=reps + rep).head(run)
+            inf = simulate_representative(spec, mf, sub, seed, mode="classical",
+                                          noise=pack_inf, types=types)
             gap = np.sum((fin.states[:, ck] - inf.states[:, ck]) ** 2, axis=1)
             vals[rep] = gap.mean()
             res.rows.append({"experiment": "coupling-gap", "N": N, "rep": rep,
@@ -636,7 +683,13 @@ def coe_experiment(spec: PopulationSpec, mf: MeanFieldSolution, k: int,
     whether actions are sampled or the classical control is applied (the
     drift responds to the policy mean either way, coupled by construction),
     so the estimate is the discounted integral of the control-cost
-    difference along that path.  Streaming kernel, single stream.
+    difference along that path.
+
+    Streaming kernel on one stream, ``default_rng(seed)``: the initial
+    states, then per node the action noise and (before the last node) the
+    Brownian increments.  Chunks of about 1 MiB of nodes are drawn in one
+    call each, which yields the values of one draw per node; only the
+    states of the current chunk are kept.
     """
     rho = spec.rho
     if rho <= 0:
@@ -646,9 +699,10 @@ def coe_experiment(spec: PopulationSpec, mf: MeanFieldSolution, k: int,
         steps = min(int(math.ceil(T / 0.01)), 20000)
         grid = TimeGrid(0.0, T, steps)
     p = spec.subpops[k]
-    n, m = p.n, p.m
+    n, m, r = p.n, p.m, p.r
     ts = grid.times()
     dt, steps = grid.dt, grid.steps
+    nodes = steps + 1
     rng = np.random.default_rng(seed)
 
     gain = feedback_gain(p, mf.Pi[k].Pi)
@@ -662,25 +716,44 @@ def coe_experiment(spec: PopulationSpec, mf: MeanFieldSolution, k: int,
     ybar = xbar_t @ psibar.T
     Lc = cholesky_psd(p.lambda_explore * np.linalg.inv(p.R))
     L0 = cholesky_psd(spec.x0_cov)
-
-    x = spec.x0_mean[None, :] + rng.standard_normal((reps, n)) @ L0.T
-    acc = np.zeros(reps)
+    # Euler step (rows) under the policy mean mu = off - x gain^T:
+    # x' = x step_mat + step_off[i] + sqrt(dt) dW D^T
+    step_mat = (np.eye(n) + dt * (p.A - p.B @ gain)).T
+    step_off = dt * (off @ p.B.T + field)
+    # The control-cost difference of u = mu + du against mu is
+    # ((du/2 + mu)^T R + e^T S + n^T) du, e = x - ybar.  With du = Lc z and
+    # mu, e substituted it is (z zz + x xz + h[i]) . z: one matmul per
+    # operand and one row-dot, every zero-mean cross term kept.
+    zz = 0.5 * Lc.T @ p.R @ Lc
+    xz = (p.S - gain.T @ p.R) @ Lc
+    h = (off @ p.R - ybar @ p.S + p.nvec) @ Lc
+    wdisc = dt * np.exp(-rho * ts)            # discounted trapezoid weights
+    wdisc[[0, -1]] *= 0.5
     sqdt = math.sqrt(dt)
-    for i in range(steps + 1):
-        mu = -(x @ gain.T) + off[i][None, :]
-        z = rng.standard_normal((reps, m))
-        du = z @ Lc.T                      # u - mu
-        e = x - ybar[i][None, :]
-        dl = (0.5 * np.einsum("ai,ij,aj->a", du, p.R, du)
-              + np.einsum("ai,ij,aj->a", mu, p.R, du)
-              + np.einsum("ai,ij,aj->a", e, p.S, du)
-              + du @ p.nvec)
-        w = dt if 0 < i < steps else 0.5 * dt
-        acc += w * math.exp(-rho * ts[i]) * dl
-        if i == steps:
-            break
-        drift = x @ p.A.T + mu @ p.B.T + field[i][None, :]
-        x = x + dt * drift + sqdt * rng.standard_normal((reps, p.r)) @ p.D.T
+
+    # Node i draws z_i (reps, m) then, before the last node, dW_i (reps, r):
+    # a chunk of nodes is one standard_normal fill of the same values.
+    per_node = reps * (m + r)
+    chunk = min(nodes, max(1, _BLOCK_BYTES // (8 * per_node)))
+    buf = np.empty(chunk * per_node)
+    X = np.empty((chunk + 1, reps, n))
+    X[0] = spec.x0_mean[None, :] + rng.standard_normal((reps, n)) @ L0.T
+    acc = np.zeros(reps)
+    for lo in range(0, nodes, chunk):
+        c = min(chunk, nodes - lo)
+        cw = min(c, steps - lo)                 # Euler steps in this chunk
+        rng.standard_normal(out=buf[:c * per_node - (c - cw) * reps * r])
+        zw = buf[:c * per_node].reshape(c, per_node)
+        z = zw[:, :reps * m].reshape(c, reps, m)
+        kick = sqdt * (zw[:cw, reps * m:].reshape(cw, reps, r) @ p.D.T)
+        kick += step_off[lo:lo + cw, None, :]
+        for j in range(cw):
+            np.matmul(X[j], step_mat, out=X[j + 1])
+            X[j + 1] += kick[j]
+        g = z @ zz + X[:c] @ xz
+        g += h[lo:lo + c, None, :]
+        acc += wdisc[lo:lo + c] @ _rowdot(g, z)
+        X[0] = X[c]
     est = float(acc.mean())
     se = float(acc.std(ddof=1) / math.sqrt(reps))
     from .policy import analytic_coe

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -6,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_specs
 from lqgmfg import simulator, solve_consistency
 from lqgmfg.model import PopulationSpec, SubpopParams
 from lqgmfg.numerics import TimeGrid, Trajectory, cholesky_psd, rng_stream
 from lqgmfg.presets import scalar_decoupled_spec
+from lqgmfg.riccati import feedback_gain
 from lqgmfg.simulator import (AgentNoise, PolicyDeviation, SimConfig,
                               coe_experiment, cost_gap_experiment,
                               coupling_gap_experiment, draw_noise,
@@ -559,3 +562,242 @@ def test_kernel_matches_reference_on_solved_games(request, game, mode):
                   39: PolicyDeviation(mean_shift=[-0.2])}
     _assert_kernel_matches_reference(spec, mf, grid, counts, noise, mode,
                                      deviations)
+
+
+# ---------------------------------------------------------------------------
+# The experiment kernels against the loops they replaced
+# ---------------------------------------------------------------------------
+
+def coe_reference(spec, mf, k, reps, seed, grid):
+    """Per-step cost-of-exploration loop: two draws and three 3-operand
+    einsums per node.  The reference for ``coe_experiment``'s chunked kernel;
+    returns (estimate, std_err)."""
+    rho = spec.rho
+    p = spec.subpops[k]
+    n, m = p.n, p.m
+    ts = grid.times()
+    dt, steps = grid.dt, grid.steps
+    rng = np.random.default_rng(seed)
+
+    gain = feedback_gain(p, mf.Pi[k].Pi)
+    s_t = mf.s[k].interp(ts)
+    xbar_t = mf.xbar.interp(ts)
+    mubar_t = mf.mubar.interp(ts)
+    psibar = spec.psibar(k)
+    off = -np.linalg.solve(p.R, (s_t @ p.B - (xbar_t @ psibar.T) @ p.S
+                                 + p.nvec[None, :]).T).T
+    field = xbar_t @ spec.Fbar(k).T + mubar_t @ spec.Hbar(k).T + p.b(ts)
+    ybar = xbar_t @ psibar.T
+    Lc = cholesky_psd(p.lambda_explore * np.linalg.inv(p.R))
+    L0 = cholesky_psd(spec.x0_cov)
+
+    x = spec.x0_mean[None, :] + rng.standard_normal((reps, n)) @ L0.T
+    acc = np.zeros(reps)
+    sqdt = math.sqrt(dt)
+    for i in range(steps + 1):
+        mu = -(x @ gain.T) + off[i][None, :]
+        z = rng.standard_normal((reps, m))
+        du = z @ Lc.T
+        e = x - ybar[i][None, :]
+        dl = (0.5 * np.einsum("ai,ij,aj->a", du, p.R, du)
+              + np.einsum("ai,ij,aj->a", mu, p.R, du)
+              + np.einsum("ai,ij,aj->a", e, p.S, du)
+              + du @ p.nvec)
+        w = dt if 0 < i < steps else 0.5 * dt
+        acc += w * math.exp(-rho * ts[i]) * dl
+        if i == steps:
+            break
+        drift = x @ p.A.T + mu @ p.B.T + field[i][None, :]
+        x = x + dt * drift + sqdt * rng.standard_normal((reps, p.r)) @ p.D.T
+    return float(acc.mean()), float(acc.std(ddof=1) / math.sqrt(reps))
+
+
+@pytest.mark.parametrize("game", ["decoupled_coe", "planar", "random"])
+def test_coe_matches_per_step_reference(request, game):
+    reps, seed = 300, 21
+    if game == "random":
+        # S, n, F, H, b, psi and D all nonzero; type 1 of two
+        spec, mf, grid = _random_game(np.random.default_rng(8), 2, 2, 2, 2, 1000)
+        k = 1
+        subpops = list(spec.subpops)
+        subpops[k] = dataclasses.replace(subpops[k], nvec=[0.3, -0.2])
+        spec = dataclasses.replace(spec, subpops=tuple(subpops))
+    else:
+        spec, mf = request.getfixturevalue(game)
+        grid, k = TimeGrid(0.0, 40.0, 1000), 0
+    p = spec.subpops[k]
+    # the last draw chunk is a partial one
+    chunk = simulator._BLOCK_BYTES // (8 * reps * (p.m + p.r))
+    assert 1 < chunk < grid.steps and (grid.steps + 1) % chunk != 0
+    res = coe_experiment(spec, mf, k, reps=reps, seed=seed, grid=grid)
+    est, se = coe_reference(spec, mf, k, reps, seed, grid)
+    assert res.summary["estimate"] == pytest.approx(est, rel=1e-12, abs=0)
+    assert res.summary["std_err"] == pytest.approx(se, rel=1e-12, abs=0)
+
+
+def coupling_gap_reference(spec, mf, Ns, reps, seed, grid, checkpoint_frac,
+                           coupling):
+    """Both systems simulated on the full grid in exploratory mode, the
+    checkpoint read afterwards.  The reference for
+    ``coupling_gap_experiment``."""
+    ck = int(round(checkpoint_frac * grid.steps))
+    t_ck = grid.times()[ck]
+    res = simulator.ExperimentResult("coupling-gap")
+    means, ses = [], []
+    for N in Ns:
+        counts = exact_counts(spec.pi, N)
+        types = np.repeat(np.arange(spec.K), counts)
+        vals = np.empty(reps)
+        for rep in range(reps):
+            pack = draw_noise(seed, N, grid.steps, spec.n, spec.m,
+                              spec.subpops[0].r, rep=rep)
+            cfg = SimConfig(N=N, counts=counts, grid=grid, seed=seed,
+                            coupling=coupling)
+            fin = simulate_population(spec, mf, cfg, noise=pack)
+            if coupling == "common-random-numbers":
+                pack_inf = pack
+            else:
+                pack_inf = draw_noise(seed, N, grid.steps, spec.n, spec.m,
+                                      spec.subpops[0].r, rep=reps + rep)
+            inf = simulate_representative(spec, mf, grid, seed, noise=pack_inf,
+                                          types=types)
+            gap = np.sum((fin.states[:, ck] - inf.states[:, ck]) ** 2, axis=1)
+            vals[rep] = gap.mean()
+            res.rows.append({"experiment": "coupling-gap", "N": N, "rep": rep,
+                             "checkpoint_t": t_ck, "value": vals[rep],
+                             "std_err": ""})
+        means.append(vals.mean())
+        ses.append(vals.std(ddof=1) / math.sqrt(reps) if reps > 1 else 0.0)
+        res.rows.append({"experiment": "coupling-gap", "N": N, "rep": -1,
+                         "checkpoint_t": t_ck, "value": means[-1],
+                         "std_err": ses[-1]})
+    res.summary = {"Ns": list(Ns), "gap_means": means, "gap_std_errs": ses,
+                   "slope": simulator._safe_slope(Ns, means),
+                   "checkpoint_t": t_ck, "reps": reps}
+    return res
+
+
+@pytest.mark.parametrize("coupling", ["common-random-numbers", "independent"])
+@pytest.mark.parametrize("frac", [0.5, 1.0, 0.37])
+def test_coupling_gap_matches_full_grid_reference(two_type, coupling, frac):
+    spec, mf = two_type
+    # at 0.37 the truncated grid's nodes differ from this grid's by an ulp
+    grid = TimeGrid(0.0, 3.0, 200)
+    kw = dict(reps=3, seed=6, checkpoint_frac=frac, coupling=coupling)
+    Ns = [8, 16, 40]
+    res = coupling_gap_experiment(spec, mf, Ns, grid=grid, **kw)
+    ref = coupling_gap_reference(spec, mf, Ns, grid=grid, **kw)
+    if frac != 0.37:
+        assert res.rows == ref.rows
+        assert res.summary == ref.summary
+        return
+    assert len(res.rows) == len(ref.rows)
+    for row, ref_row in zip(res.rows + [res.summary], ref.rows + [ref.summary]):
+        assert row.keys() == ref_row.keys()
+        for key, v in ref_row.items():
+            if isinstance(v, str) or key in ("N", "rep", "Ns", "reps"):
+                assert row[key] == v
+            else:
+                np.testing.assert_allclose(row[key], v, rtol=1e-12, atol=0)
+
+
+def empirical_cost_reference(batch, spec, k, mode, rho, agents=None):
+    """All agents at once with 3-operand einsums over (agents, nodes, .)
+    gathers.  The reference for ``empirical_cost``'s blocked kernel."""
+    p = spec.subpops[k]
+    if agents is None:
+        agents = np.flatnonzero(batch.types == k)
+    agents = np.asarray(agents, dtype=int)
+    grid = batch.grid
+    ts = grid.times()
+    psib = spec.psibar(k) if batch.infinite else p.psi
+    y = batch.xref @ psib.T
+    E = batch.states[agents] - y[None, :, :]
+    MU = batch.means[agents]
+    lam_rinv = p.lambda_explore * np.linalg.inv(p.R)
+    quad_e = 0.5 * np.einsum("ati,ij,atj->at", E, p.Q, E)
+    lin_e = E @ p.eta
+    if mode == "classical":
+        U = batch.actions[agents]
+        running = (quad_e + lin_e + 0.5 * np.einsum("ati,ij,atj->at", U, p.R, U)
+                   + np.einsum("ati,ij,atj->at", E, p.S, U) + U @ p.nvec)
+    else:
+        scales = batch.cov_scales[agents]
+        trace_term = 0.5 * np.trace(p.R @ lam_rinv) * scales
+        running = (quad_e + lin_e + 0.5 * np.einsum("ati,ij,atj->at", MU, p.R, MU)
+                   + np.einsum("ati,ij,atj->at", E, p.S, MU) + MU @ p.nvec
+                   + trace_term[:, None])
+        if mode == "exploratory-regularized":
+            ent = np.array([simulator._entropy_for(p, s) for s in scales])
+            running = running - ent[:, None]
+    disc = np.exp(-rho * ts)
+    w = np.full(ts.shape, grid.dt)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    per_agent = running @ (disc * w)
+    late = running[:, -(grid.steps // 4 + 1):]
+    bound = 1.5 * float(np.max(np.abs(late))) * math.exp(-rho * grid.t1) / rho
+    return SimpleNamespace(per_agent=per_agent, mean=float(per_agent.mean()),
+                           std_err=float(per_agent.std(ddof=1)
+                                         / math.sqrt(per_agent.size)),
+                           truncation_bound=bound)
+
+
+def _random_batch(rng, spec, N, steps, infinite):
+    """A batch of random time-major paths: the cost reads only these arrays,
+    not how they were simulated."""
+    n, m, K = spec.n, spec.m, spec.K
+    nodes = steps + 1
+    grid = TimeGrid(0.0, rng.uniform(0.5, 3.0), steps)
+    types = np.sort(rng.integers(0, K, N))
+    xref = rng.standard_normal((nodes, n * K if infinite else n))
+
+    def tm(d):
+        return rng.standard_normal((nodes, N, d)).transpose(1, 0, 2)
+
+    return simulator.SimulationBatch(
+        grid=grid, mode="exploratory", types=types, states=tm(n),
+        actions=tm(m), means=tm(m), dW=np.zeros((N, steps, 1)),
+        x_avg=np.zeros((nodes, n)), mu_avg=np.zeros((nodes, m)), xref=xref,
+        infinite=infinite, cov_scales=rng.uniform(0.2, 3.0, N))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(spec=random_specs(), steps=st.integers(1, 12),
+       extra=st.integers(1, 300), infinite=st.booleans(),
+       subset=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_empirical_cost_matches_einsum_reference(spec, steps, extra, infinite,
+                                                 subset, seed):
+    rng = np.random.default_rng(seed)
+    block = simulator._COST_BLOCK
+    batch = _random_batch(rng, spec, block + extra, steps, infinite)
+    k = int(rng.integers(0, spec.K))
+    # an unsorted subset across a block boundary, or all agents of type k
+    agents = (rng.choice(batch.N, size=block + (extra + 1) // 2, replace=False)
+              if subset else None)
+    if agents is None and np.sum(batch.types == k) < 2:
+        agents = np.arange(batch.N)
+    for mode in ("classical", "exploratory", "exploratory-regularized"):
+        got = empirical_cost(batch, spec, k, mode, spec.rho, agents=agents)
+        ref = empirical_cost_reference(batch, spec, k, mode, spec.rho, agents)
+        scale = np.max(np.abs(ref.per_agent))
+        np.testing.assert_allclose(got.per_agent, ref.per_agent, rtol=0,
+                                   atol=1e-12 * scale)
+        for key in ("mean", "std_err", "truncation_bound"):
+            assert getattr(got, key) == pytest.approx(
+                getattr(ref, key), rel=1e-12, abs=1e-12 * scale), (mode, key)
+
+
+def test_empirical_cost_memory_stays_below_the_paths(planar):
+    import tracemalloc
+    spec, _mf = planar
+    batch = _random_batch(np.random.default_rng(3), spec, 2000, 400, False)
+    assert batch.states.shape == (2000, 401, 2)
+    paths = batch.states.nbytes
+    tracemalloc.start()
+    try:
+        empirical_cost(batch, spec, 0, "exploratory-regularized", spec.rho)
+        _now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < paths
