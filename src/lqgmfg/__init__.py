@@ -8,7 +8,7 @@ and the equilibrium / convergence-rate / exploration-cost experiments.
 from .model import (PopulationSpec, SubpopParams, TimeTable, ValidationReport,
                     load_spec, mixture_weights, save_spec, selector_matrix,
                     spec_from_json, spec_to_json, validate_spec)
-from .numerics import TimeGrid, Trajectory, fit_rate, integrate_ode, sample_gaussian, spectral_abscissa
+from .numerics import TimeGrid, Trajectory, fit_rate, sample_gaussian, spectral_abscissa
 from .riccati import (RiccatiSolution, StabilityReport, solve_differential_riccati,
                       solve_discounted_are, verify_stability)
 from .meanfield import (MeanFieldSolution, SolverConfig, consistency_residual,

@@ -57,6 +57,7 @@ __all__ = [
 ]
 
 _DECAY_TARGET = math.log(1e8)
+_RK4_STEP = 2.785 / 64.0    # auto grid: h * fastest rate <= 1/64 of RK4's real interval
 
 
 class ConsistencyError(RuntimeError):
@@ -280,6 +281,9 @@ def steady_state(spec: PopulationSpec, Pis=None):
 
 
 def _auto_grid(spec: PopulationSpec, ops, Abar, config: SolverConfig) -> TimeGrid:
+    """[0, T] with T set by the slowest decay; h = 0.01 (at most 30,000
+    steps), or less where h times the fastest rate of the offset blocks M_k
+    or Abar would pass 1/64 of RK4's stability interval (at most 2^21)."""
     if config.horizon is not None:
         T = float(config.horizon)
     else:
@@ -293,8 +297,11 @@ def _auto_grid(spec: PopulationSpec, ops, Abar, config: SolverConfig) -> TimeGri
             rates.append(-a_bar)
         T = _DECAY_TARGET / min(rates)
         T = min(max(T, 10.0), 500.0)
-    steps = config.steps if config.steps is not None else min(int(math.ceil(T / 0.01)), 30000)
-    return TimeGrid(0.0, T, steps)
+    if config.steps is not None:
+        return TimeGrid(0.0, T, config.steps)
+    fastest = max(np.abs(np.linalg.eigvals(M)).max() for M in [o.M for o in ops] + [Abar])
+    steps = max(min(math.ceil(T / 0.01), 30000), math.ceil(T * fastest / _RK4_STEP))
+    return TimeGrid(0.0, T, min(steps, 2 ** 21))
 
 
 def solve_consistency(spec: PopulationSpec, config: SolverConfig | None = None,

@@ -106,35 +106,13 @@ class Trajectory:
         return (1.0 - w) * self.values[i0] + w * self.values[i0 + 1]
 
 
-def integrate_ode(rhs, y0, grid: TimeGrid, direction: str = "forward") -> Trajectory:
-    """Classical fixed-step RK4 for dy/dt = rhs(t, y) on the given grid.
-
-    direction='backward' integrates from t1 down to t0 with y(t1) = y0;
-    the returned trajectory is always stored in ascending time order.
-    Raises OdeBlowupError on non-finite intermediate values.
-    """
-    if direction not in ("forward", "backward"):
-        raise ValueError(f"unknown direction {direction!r}")
-    y = np.asarray(y0, dtype=float).copy()
-    ts = grid.times()
-    out = np.empty((grid.steps + 1,) + y.shape)
-    h = grid.dt if direction == "forward" else -grid.dt
-    idx = range(grid.steps) if direction == "forward" else range(grid.steps, 0, -1)
-    start = 0 if direction == "forward" else grid.steps
-    out[start] = y
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in idx:
-            t = ts[i]
-            k1 = rhs(t, y)
-            k2 = rhs(t + h / 2.0, y + (h / 2.0) * k1)
-            k3 = rhs(t + h / 2.0, y + (h / 2.0) * k2)
-            k4 = rhs(t + h, y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(y)):
-                raise OdeBlowupError(t + h)
-            j = i + 1 if direction == "forward" else i - 1
-            out[j] = y
-    return Trajectory(grid, out)
+def scan_chunk(steps: int, norm: float) -> int:
+    """Steps per chunk for step maps of infinity norm ``norm``: at most 64,
+    and few enough that no product within a chunk passes e^_SPLIT_GROWTH."""
+    chunk = min(_CHUNK, steps)
+    if norm > 1.0:
+        chunk = max(1, min(chunk, int(_SPLIT_GROWTH / np.log(norm))))
+    return chunk
 
 
 def rk4_linear_tabulated(M: np.ndarray, g_half: np.ndarray, y0: np.ndarray,
@@ -225,10 +203,7 @@ def _rk4_linear(M: np.ndarray, g_half: np.ndarray, y0: np.ndarray,
         c *= h / 6.0
 
         # ||P_i ... P_j|| <= norm^(i-j+1); a non-finite norm is caught below
-        norm = float(np.abs(P).sum(axis=-1).max()) if n_far else 1.0
-        chunk = min(_CHUNK, steps)
-        if norm > 1.0:
-            chunk = max(1, min(chunk, int(_SPLIT_GROWTH / np.log(norm))))
+        chunk = scan_chunk(steps, float(np.abs(P).sum(axis=-1).max()) if n_far else 1.0)
         C = -(-steps // chunk)
         last = np.full(C, chunk - 1)
         last[-1] = steps - 1 - (C - 1) * chunk         # the last chunk may be short

@@ -7,8 +7,11 @@ The stationary equation solved here is
 
 which is the standard cross-term ARE for the shifted matrix A - (rho/2) I,
 so the library solver computes its stabilizing solution directly.  The
-differential equation, integrated backward from a terminal weight, serves
-the finite-horizon problems.
+differential equation, solved backward from a terminal weight, serves the
+finite-horizon problems.  Its coefficients are constant, so it is linear in
+disguise (Radon's lemma; W. T. Reid, "Riccati Differential Equations",
+1972): Pi = Y X^-1 with (X, Y) on a linear Hamiltonian flow, whose exact
+step is one matrix exponential, so stiffness sets no step-size limit.
 """
 
 from __future__ import annotations
@@ -16,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_continuous_are
+from scipy.linalg import expm, solve_continuous_are
 
 from .model import SubpopParams
-from .numerics import TimeGrid, Trajectory, integrate_ode, spectral_abscissa
+from .numerics import OdeBlowupError, TimeGrid, Trajectory, scan_chunk, spectral_abscissa
 
 __all__ = [
     "RiccatiSolution",
@@ -63,20 +66,6 @@ def are_residual(Pi: np.ndarray, params: SubpopParams, rho: float) -> float:
     return float(np.linalg.norm(defect, "fro"))
 
 
-def _riccati_rhs(params: SubpopParams, rho: float):
-    A, B, Q, R, S = params.A, params.B, params.Q, params.R, params.S
-
-    def rhs(_t, Pi):
-        G = Pi @ B + S
-        d = rho * Pi - Pi @ A - A.T @ Pi + G @ np.linalg.solve(R, G.T) - Q
-        # an exactly symmetric slope keeps Pi symmetric: the flow's
-        # antisymmetric part is driven by A + B R^-1 (B^T Pi + S^T), so
-        # round-off there grows on long horizons
-        return 0.5 * (d + d.T)
-
-    return rhs
-
-
 def feedback_gain(params: SubpopParams, Pi: np.ndarray) -> np.ndarray:
     """R^-1 (B^T Pi + S^T), the state-feedback gain; Pi may be (n, n) or a
     table (T, n, n), and the gain then has the same leading axis."""
@@ -116,20 +105,53 @@ def solve_discounted_are(params: SubpopParams, rho: float,
 
 def solve_differential_riccati(params: SubpopParams, rho: float, Pi_T: np.ndarray,
                                grid: TimeGrid) -> Trajectory:
-    """Backward RK4 solution of the matrix Riccati ODE with Pi(grid.t1)=Pi_T.
+    """Exact backward solution of the matrix Riccati ODE
+    dPi/dt = rho Pi - Pi A - A^T Pi + (Pi B + S) R^-1 (B^T Pi + S^T) - Q
+    with Pi(grid.t1) = Pi_T, sampled on the grid and symmetrized.
 
-    Every stored Pi(t) is symmetrized; finite-escape blow-up raises with the
-    escape time.
+    Pi = Y X^-1 where d(X, Y)/dt = Ham (X, Y), Ham = [[At, -W], [-Qt, -At^T]]
+    with At = A - rho/2 I - B R^-1 S^T, W = B R^-1 B^T, Qt = Q - S R^-1 S^T.
+    Each chunk of at most 64 steps (fewer where a power of the step map
+    would pass e^8, as in the split RK4 solve) restarts from (I, Pi) at its
+    latest node and reads its nodes from the powers of the exact step
+    expm(-dt Ham), with one batched solve.  X is singular at a finite
+    escape: the first node where det X <= 0 or a value is not finite raises
+    OdeBlowupError with that node's time.
     """
     Pi_T = np.atleast_2d(np.asarray(Pi_T, dtype=float))
-    if Pi_T.shape != (params.n, params.n):
-        raise ValueError(f"Pi_T must be {params.n}x{params.n}, got {Pi_T.shape}")
+    n = params.n
+    if Pi_T.shape != (n, n):
+        raise ValueError(f"Pi_T must be {n}x{n}, got {Pi_T.shape}")
     if np.max(np.abs(Pi_T - Pi_T.T)) > 1e-10 * (1.0 + np.max(np.abs(Pi_T))):
         raise ValueError("Pi_T must be symmetric")
-    rhs = _riccati_rhs(params, rho)
-    traj = integrate_ode(rhs, Pi_T, grid, direction="backward")
-    traj.values = 0.5 * (traj.values + np.transpose(traj.values, (0, 2, 1)))
-    return traj
+    A, B, Q, R, S = params.A, params.B, params.Q, params.R, params.S
+    Rinv_ST = np.linalg.solve(R, S.T)
+    At = A - 0.5 * rho * np.eye(n) - B @ Rinv_ST
+    Ham = np.block([[At, -B @ np.linalg.solve(R, B.T)], [S @ Rinv_ST - Q, -At.T]])
+    steps, ts = grid.steps, grid.times()
+    out = np.empty((steps + 1, n, n))
+    out[steps] = 0.5 * (Pi_T + Pi_T.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = expm(-grid.dt * Ham)
+        chunk = scan_chunk(steps, float(np.abs(step).sum(axis=-1).max()))
+        powers = np.empty((chunk, 2 * n, 2 * n))      # powers[k] = step^(k + 1)
+        powers[0] = step
+        for k in range(1, chunk):
+            powers[k] = powers[k - 1] @ step
+        j = steps
+        while j > 0:
+            c = min(chunk, j)
+            XY = powers[:c, :, :n] + powers[:c, :, n:] @ out[j]     # nodes j-1 .. j-c
+            X, Y = XY[:, :n], XY[:, n:]
+            ok = (np.linalg.det(X) > 0) & np.isfinite(XY).all(axis=(1, 2))
+            if ok.all():
+                Pi = np.linalg.solve(X.mT, Y.mT)                    # (Y X^-1)^T
+                ok = np.isfinite(Pi).all(axis=(1, 2))
+            if not ok.all():
+                raise OdeBlowupError(float(ts[j - 1 - int(np.argmin(ok))]))
+            out[j - c:j] = (0.5 * (Pi + Pi.mT))[::-1]
+            j -= c
+    return Trajectory(grid, out)
 
 
 def verify_stability(solution: RiccatiSolution, Abar: np.ndarray, rho: float,

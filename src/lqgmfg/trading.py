@@ -16,8 +16,9 @@ and the cost  phi/2 int q^2 dt - Z_T - q_T (F_T - psi q_T).
 This is a finite-horizon problem without discounting, so the planner runs
 the differential Riccati path with the terminal weight from the book-value
 and liquidation penalties and rho = 0 (the general infinite-horizon
-machinery is recovered as the horizon grows).  For the planner's quadratic
-form the temporary impact is charged against the trading rate (execution
+machinery is recovered as the horizon grows), solved exactly on the
+Hamiltonian flow (``riccati.solve_differential_riccati``).  For the
+planner's quadratic form the temporary impact is charged against the trading rate (execution
 price F + a nu), the standard optimal-execution expansion: expanding the
 cash process gives the control cost a nu^2, the cross term F nu, and the
 terminal -q_T F_T; a cumulative-impact charge would leave the rate
@@ -29,10 +30,9 @@ mapping for auditability.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .meanfield import consistency_blocks, solve_stacked
 from .model import PopulationSpec, SubpopParams, validate_spec
@@ -171,14 +171,15 @@ def solve_finite_horizon(mapping: LqgMapping, steps: int = 200) -> FiniteHorizon
     (``meanfield.solve_stacked``), but the Riccati weight Pi_k(t) is the
     backward differential solution from the terminal matrix, so the gains
     and blocks are tabulated on the doubled grid, and s(T) is the mapping's
-    terminal offset.  Two validate_spec checks are waived here: the
-    positive discount (rho = 0 is the finite-horizon setting) and
-    Q - S R^-1 S^T >= 0, which only guarantees the infinite-horizon flow
-    stays in the PSD cone -- the trading terminal weight is itself
-    indefinite (the -q_T F_T book value) and boundedness on [0, T] is
-    enforced at runtime by the blow-up detector instead.  R > 0 and all
+    terminal offset.  Pi_k is exact at every node, with no refinement
+    however stiff.  Two validate_spec checks are waived here: the positive
+    discount (rho = 0 is the finite-horizon setting) and Q - S R^-1 S^T >= 0,
+    which only guarantees the infinite-horizon flow stays in the PSD cone --
+    the trading terminal weight is itself indefinite (the -q_T F_T book
+    value), so a finite escape of Pi on [0, T] (det X <= 0 on the
+    Hamiltonian flow) raises OdeBlowupError instead.  R > 0 and all
     structural checks remain hard errors.  A solve that diverges raises
-    ConsistencyError, a RuntimeError.
+    ConsistencyError; both errors are RuntimeErrors.
     """
     spec = mapping.population
     report = validate_spec(spec)
@@ -187,23 +188,12 @@ def solve_finite_horizon(mapping: LqgMapping, steps: int = 200) -> FiniteHorizon
     if hard:
         raise ValueError(f"trading spec violates model assumptions: {hard}")
     grid = TimeGrid(0.0, _horizon_of(mapping), steps)
-    ts_half = np.linspace(grid.t0, grid.t1, 2 * steps + 1)
-    rho = spec.rho
 
-    Pi_trajs, Pi_half = [], []
-    for p in spec.subpops:
-        # the backward Riccati layer near T can be stiff for large terminal
-        # weights; refine its grid to keep fixed-step RK4 inside stability
-        gain_norm = float(np.linalg.norm(p.B @ np.linalg.solve(p.R, p.B.T), 2))
-        stiff = 2.0 * float(np.linalg.norm(mapping.terminal_weight, 2)) * gain_norm \
-            + 2.0 * float(np.linalg.norm(p.A, 2)) + abs(rho)
-        refine = max(1, int(math.ceil(grid.t1 * stiff / steps)))
-        if refine > 1 and refine % 2:
-            refine += 1
-        fine = TimeGrid(grid.t0, grid.t1, steps * refine)
-        Pi_fine = solve_differential_riccati(p, rho, mapping.terminal_weight, fine)
-        Pi_trajs.append(Trajectory(grid, Pi_fine.values[::refine]))
-        Pi_half.append(CubicSpline(fine.times(), Pi_fine.values, axis=0)(ts_half))
+    # exact Pi on the doubled grid: its midpoints are the RK4 stage inputs
+    fine = TimeGrid(grid.t0, grid.t1, 2 * steps)
+    Pi_half = [solve_differential_riccati(p, spec.rho, mapping.terminal_weight, fine).values
+               for p in spec.subpops]
+    Pi_trajs = [Trajectory(grid, P[::2]) for P in Pi_half]
     ops, J_half, Abar_half = consistency_blocks(spec, Pi_half)
     s_T = np.tile(mapping.terminal_offset, spec.K)
     s_trajs, _, _, xbar, mubar = solve_stacked(spec, ops, J_half, Abar_half, grid, s_T,
@@ -228,9 +218,6 @@ class TradingPolicy:
     gain: np.ndarray       # (nodes, m, n)
     offset: np.ndarray     # (nodes, m)
     cov: np.ndarray        # (m, m)
-
-    def mean_at(self, i: int, x: np.ndarray) -> np.ndarray:
-        return -(x @ self.gain[i].T) + self.offset[i][None, :]
 
 
 def trading_policy(mapping: LqgMapping, fh: FiniteHorizonSolution,
@@ -274,37 +261,48 @@ def simulate_market(params: MarketParams, policy: TradingPolicy, N: int,
     dZ = -S dq at the left point.  Episode ``rep`` of ``seed`` draws from
     one stream, ``rng_stream(seed, rep)``: row 0 of a C-order (N + 1, steps)
     draw is the common midprice noise and row 1 + i trader i's, so neither
-    depends on N.
+    depends on N.  A non-finite q or F raises at the first node it reaches.
+
+    The loop steps only q and F, which feed back; volume, marks and cash are
+    running sums formed after it.  The policy mean stays an (N, 2) @ (2,)
+    BLAS product, whose fused multiply-add plain float arithmetic would not
+    reproduce bit for bit.
     """
     steps, dt = grid.steps, grid.dt
     sqdt = math.sqrt(dt)
-    nodes = steps + 1
     if policy.grid.steps != steps or abs(policy.grid.t1 - grid.t1) > 1e-12:
         raise ValueError("policy grid does not match the simulation grid")
     noise = rng_stream(seed, rep).standard_normal((N + 1, steps))
-    xi, z = noise[0], noise[1:]
+    dF_noise = (params.sigma * sqdt * noise[0]).tolist()
     L = math.sqrt(max(policy.cov[0, 0], 0.0))
+    Lz = L * np.ascontiguousarray(noise[1:].T)       # (steps, N), time-major
+    gain, offset = policy.gain[:, 0], policy.offset[:, 0].tolist()
+    lam, F0 = params.lambda_perm, params.F0
 
-    F = np.empty(nodes)
-    q = np.empty((N, nodes))
-    nu = np.empty((N, steps))
-    S = np.empty((N, nodes))
-    Z = np.zeros((N, nodes))
-    cumvol = np.zeros((N, nodes))
-    F[0] = params.F0
-    q[:, 0] = params.q0
-    for i in range(steps):
-        x = np.stack([q[:, i], np.full(N, F[i] - params.F0)], axis=1)
-        mu = policy.mean_at(i, x)[:, 0]
-        nu[:, i] = mu + L * z[:, i]
-        S[:, i] = F[i] + params.a_temp * cumvol[:, i]
-        Z[:, i + 1] = Z[:, i] - S[:, i] * nu[:, i] * dt
-        q[:, i + 1] = q[:, i] + nu[:, i] * dt
-        cumvol[:, i + 1] = cumvol[:, i] + nu[:, i] * dt
-        F[i + 1] = F[i] + params.lambda_perm * nu[:, i].mean() * dt + params.sigma * sqdt * xi[i]
-        if not (np.all(np.isfinite(q[:, i + 1])) and np.isfinite(F[i + 1])):
-            raise RuntimeError(f"non-finite market state at t={grid.times()[i + 1]:.4g}")
-    S[:, steps] = F[steps] + params.a_temp * cumvol[:, steps]
+    x = np.full((N, 2), float(params.q0))            # (q, F - F0) of each trader
+    xq, xd = x[:, 0], x[:, 1]
+    q = np.empty((steps + 1, N))
+    q[0] = xq
+    nu = np.empty((steps, N))
+    F = [F0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(steps):
+            xd.fill(F[i] - F0)
+            nu_i = np.subtract(offset[i], np.dot(x, gain[i]), out=nu[i])
+            nu_i += Lz[i]
+            xq += nu_i * dt
+            q[i + 1] = xq
+            # the sum / N of nu_i.mean(), without its Python overhead
+            F.append(F[i] + lam * (float(np.add.reduce(nu_i)) / N) * dt + dF_noise[i])
+    F = np.asarray(F)
+    bad = ~(np.isfinite(q[1:]).all(axis=1) & np.isfinite(F[1:]))
+    if bad.any():
+        raise RuntimeError(f"non-finite market state at t={grid.times()[np.argmax(bad) + 1]:.4g}")
+    q, nu = np.ascontiguousarray(q.T), np.ascontiguousarray(nu.T)
+    zero = np.zeros((N, 1))
+    cumvol = np.cumsum(np.concatenate([zero, nu * dt], axis=1), axis=1)
+    S = F + params.a_temp * cumvol
+    Z = np.cumsum(np.concatenate([zero, -(S[:, :-1] * nu * dt)], axis=1), axis=1)
     return MarketPaths(grid=grid, F=F, q=q, nu=nu, S=S, Z=Z, cumvol=cumvol)
 
 
@@ -420,9 +418,7 @@ class LearningTrace:
         cols = ["iteration", "sigma_hat", "lambda_hat", "a_hat", "se_lambda",
                 "se_a", "gain_q0", "cost", "n_rows", "identifiable", "failed"]
         def fmt(v):
-            if isinstance(v, bool):
-                return str(int(v))
-            if isinstance(v, (int, np.integer)):
+            if isinstance(v, (int, np.integer)):        # bools too
                 return str(int(v))
             if isinstance(v, str):
                 return v
@@ -468,8 +464,8 @@ def rl_loop(true_params: MarketParams, init_params: MarketParams,
                          a_hat=init_params.a_temp, se_lambda=float("nan"),
                          se_a=float("nan"))
     for it in range(config.iterations + 1):
+        identifiable = True
         if it > 0:
-            identifiable = True
             try:
                 est = estimate_params(dataset)
                 current = MarketParams(
@@ -479,8 +475,6 @@ def rl_loop(true_params: MarketParams, init_params: MarketParams,
                     F0=true_params.F0, q0=true_params.q0)
             except EstimationError:
                 identifiable = False
-        else:
-            identifiable = True
         try:
             policy, gain_q0 = _plan(current, config.lambda_explore, solver_steps)
         except (RuntimeError, ValueError) as exc:
@@ -495,11 +489,7 @@ def rl_loop(true_params: MarketParams, init_params: MarketParams,
             costs.append(realized_cost(paths, true_params))
         trace.rows.append({
             "iteration": it,
-            "sigma_hat": est.sigma_hat if it > 0 else init_params.sigma,
-            "lambda_hat": est.lambda_hat if it > 0 else init_params.lambda_perm,
-            "a_hat": est.a_hat if it > 0 else init_params.a_temp,
-            "se_lambda": est.se_lambda if it > 0 else float("nan"),
-            "se_a": est.se_a if it > 0 else float("nan"),
+            **asdict(est),            # at it = 0 the initial parameters
             "gain_q0": gain_q0,
             "cost": float(np.mean(costs)),
             "n_rows": dataset.n_rows,

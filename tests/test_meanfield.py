@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from lqgmfg.meanfield import (ConsistencyError, SolverConfig, aggregate_drift,
                               stacked_system, steady_state)
 from lqgmfg.model import PopulationSpec, SpecValidationError, SubpopParams
 from lqgmfg.numerics import OdeBlowupError, TimeGrid, Trajectory, rk4_linear_tabulated
-from lqgmfg.presets import scalar_decoupled_spec, unstable_spec
+from lqgmfg.presets import (coupled_single_type_spec, planar_spec, scalar_decoupled_spec,
+                            two_type_spec, unstable_spec)
 from lqgmfg.riccati import solve_discounted_are
 
 
@@ -194,10 +196,10 @@ def test_steady_state_solves_the_stacked_system(two_type):
     assert np.array_equal(np.concatenate(s_inf), np.concatenate([s.values[-1] for s in mf.s]))
 
 
-def _stiff_decoupled_spec():
+def _stiff_decoupled_spec(Q=2500.0):
     # Q/R = 2500: Pi ~ 50, so the offsets grow forward at rate ~50 and the
     # mean state decays at the same rate
-    sub = SubpopParams(A=0.0, B=1.0, Q=2500.0, R=1.0, eta=3.0, b=0.5, lambda_explore=0.2)
+    sub = SubpopParams(A=0.0, B=1.0, Q=Q, R=1.0, eta=3.0, b=0.5, lambda_explore=0.2)
     return PopulationSpec(subpops=(sub,), pi=[1.0], rho=0.1, x0_mean=[1.0], x0_cov=[[0.0]])
 
 
@@ -205,8 +207,8 @@ def _stiff_decoupled_spec():
 def test_stiff_decoupled_spec_matches_sequential_rk4(config):
     # decoupled with constant data, so s stays at s_inf and xbar is the
     # forward mean equation driven by it; the split solve must keep both, on
-    # the auto grid (h * 50 = 0.5) and on a coarse one (h * 50 = 2), though
-    # 64 steps of the offsets' forward growth would span e^32 to e^128
+    # the auto grid (h * 50 = 0.044) and on a coarse one (h * 50 = 2), though
+    # 64 steps of the offsets' forward growth would span e^2.8 to e^128
     spec = _stiff_decoupled_spec()
     mf = solve_consistency(spec, config)
     (o,), _, Abar = consistency_blocks(spec, mf.Pi)
@@ -218,6 +220,34 @@ def test_stiff_decoupled_spec_matches_sequential_rk4(config):
     assert np.max(np.abs(mf.s[0].values - s_inf)) <= 1e-10 * np.max(np.abs(s_inf))
     assert np.max(np.abs(mf.xbar.values - x_ref)) <= 1e-10 * np.max(np.abs(x_ref))
     assert np.max(np.abs(mf.mbar.values - mbar)) <= 1e-10 * np.max(np.abs(mbar))
+
+
+def test_auto_grid_resolves_stiff_spec():
+    # h * 50 = 0.5 on a fixed 0.01 step left consistency_residual at 0.054;
+    # the auto step keeps h * rate within 1/64 of RK4's stability interval
+    spec = _stiff_decoupled_spec()
+    mf = solve_consistency(spec)
+    assert mf.grid.dt * 50.0 <= 2.785 / 64.0
+    assert consistency_residual(mf, spec) < 1e-5
+
+
+def test_auto_grid_solves_six_times_stiffer_spec():
+    # Q/R = 90000, rate ~300: a 0.01 step (h * rate = 3) is outside RK4's
+    # stability interval and used to raise "diverged"
+    mf = solve_consistency(_stiff_decoupled_spec(Q=2500.0 * 36.0))
+    assert mf.grid.dt * 300.0 <= 2.785 / 64.0
+    for tr in [mf.xbar, mf.mubar] + mf.s:
+        assert np.all(np.isfinite(tr.values))
+    assert np.max(np.abs(mf.xbar.values)) <= 1.0
+
+
+@pytest.mark.parametrize("build", [scalar_decoupled_spec, planar_spec, coupled_single_type_spec,
+                                   two_type_spec])
+def test_auto_grid_keeps_step_on_presets(build):
+    # rates of order 1: the step stays 0.01, so these grids and solutions
+    # do not move
+    grid = solve_consistency(build()).grid
+    assert grid.steps == min(math.ceil(grid.t1 / 0.01), 30000)
 
 
 def test_grid_too_coarse_for_rk4_diverges():

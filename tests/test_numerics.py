@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lqgmfg.numerics import (OdeBlowupError, TimeGrid, Trajectory, rng_stream,
-                             cholesky_psd, fit_rate, integrate_ode,
-                             rk4_linear_tabulated, rk4_linear_time_varying,
-                             sample_gaussian, spectral_abscissa)
+                             cholesky_psd, fit_rate, rk4_linear_tabulated,
+                             rk4_linear_time_varying, sample_gaussian, spectral_abscissa)
+from ode_reference import integrate_ode
 
 
 def rk4_reference(M_half, g_half, y0, grid, direction="forward"):

@@ -5,9 +5,13 @@ replaced.
 loops, kept here as references: each sweep integrates the offsets s_k
 backward against cubic interpolants of the previous (xbar, mubar), then
 xbar forward, and damps the pair, until the coupling defect or the change
-falls below tol.  Where Picard converges, the one-pass solve must land on
-the same fixed point; both are fourth-order on the same grid, so they agree
-to the iteration's tolerance plus an O(dt^4) discretization difference.
+falls below tol.  The finite-horizon reference keeps the earlier Riccati
+table too: RK4 on a grid refined for stiffness, read at the midpoints
+through a cubic spline.  Where Picard converges, the one-pass solve must
+land on the same fixed point; both are fourth-order on the same grid, so
+they agree to the iteration's tolerance plus an O(dt^4) discretization
+difference, most of it the reference's own Riccati table where that is
+stiff.
 """
 
 import math
@@ -18,11 +22,12 @@ from hypothesis import HealthCheck, event, given, settings
 from scipy.interpolate import CubicSpline
 
 from conftest import random_specs
+from ode_reference import rk4_riccati
 from lqgmfg.meanfield import (ConsistencyError, SolverConfig, consistency_blocks,
                               consistency_residual, solve_consistency, steady_state)
 from lqgmfg.numerics import (TimeGrid, rk4_linear_tabulated, rk4_linear_time_varying,
                              spectral_abscissa)
-from lqgmfg.riccati import solve_differential_riccati, solve_discounted_are
+from lqgmfg.riccati import solve_discounted_are
 from lqgmfg.trading import MarketParams, solve_finite_horizon, to_lqg
 
 DAMPING, TOL, MAX_ITERS = 0.5, 1e-9, 200      # the old solvers' defaults
@@ -88,7 +93,7 @@ def picard_finite_horizon(mapping, steps):
         refine = max(1, int(math.ceil(grid.t1 * stiff / steps)))
         refine += refine % 2 if refine > 1 else 0
         fine = TimeGrid(grid.t0, grid.t1, steps * refine)
-        Pi = solve_differential_riccati(p, spec.rho, mapping.terminal_weight, fine)
+        Pi = rk4_riccati(p, spec.rho, mapping.terminal_weight, fine)
         Pi_half.append(CubicSpline(fine.times(), Pi.values, axis=0)(ts_half))
     ops, J_half, Abar_half = consistency_blocks(spec, Pi_half)
     c0_half = [o.c0(ts_half) for o in ops]
@@ -181,13 +186,23 @@ def test_finite_horizon_matches_picard(market, N_types):
     assert _max_diff(fh, picard_finite_horizon(mapping, 600)) < 1e-7
 
 
-def test_finite_horizon_gap_to_picard_is_fourth_order():
-    # on a stiff, urgent liquidation the two schemes differ by 2e-7 at 600
-    # steps; the gap is discretization, not a second fixed point: it shrinks
-    # like dt^4 and vanishes as the grid is refined
+def test_finite_horizon_self_convergence_on_stiff_market():
+    # on a stiff, urgent liquidation the Picard reference's RK4 Riccati table
+    # is off by 3e-5 in mubar at 600 steps, more than the direct solve; so the
+    # direct solve is checked against itself on a 9,600-step grid: its error
+    # is the fourth-order consistency RK4's, and halving the step must cut it
+    # by more than 12
     mapping = to_lqg(MarketParams(sigma=0.2, lambda_perm=0.1, a_temp=0.1, phi_urgency=1.0,
                                   psi_terminal=10.0, T=2.0, F0=5.0, q0=-3.0),
                      lambda_explore=0.1)
-    gaps = [_max_diff(solve_finite_horizon(mapping, steps),
-                      picard_finite_horizon(mapping, steps)) for steps in (600, 1200)]
-    assert gaps[1] < gaps[0] / 12.0 and gaps[1] < 1e-7
+    fine = solve_finite_horizon(mapping, 9600)
+
+    def error(steps):
+        fh, r = solve_finite_horizon(mapping, steps), 9600 // steps
+        ref = (fine.xbar.values[::r], fine.mubar.values[::r], [s.values[::r] for s in fine.s])
+        pi_err = max(float(np.max(np.abs(a.values - b.values[::r])))
+                     for a, b in zip(fh.Pi, fine.Pi))
+        return max(_max_diff(fh, ref), pi_err)
+
+    coarse, half = error(600), error(1200)
+    assert half < coarse / 12.0 and half < 1e-8

@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_continuous_are
 
-from conftest import scalar_are_root
+from conftest import random_specs, scalar_are_root
 from lqgmfg.model import SubpopParams
 from lqgmfg.numerics import OdeBlowupError, TimeGrid
 from lqgmfg.riccati import (RiccatiError, are_residual, closed_loop_matrix,
                             solve_differential_riccati, solve_discounted_are,
                             verify_stability)
+from lqgmfg.trading import MarketParams, to_lqg
+from ode_reference import rk4_riccati
 
 
 def sub(A=0.0, B=1.0, Q=1.0, R=1.0, S=0.0):
@@ -150,11 +154,94 @@ def test_differential_rejects_asymmetric_terminal():
 
 
 def test_differential_finite_escape():
-    # Q = -1 breaks convexity; the backward flow escapes in finite time
+    # Q = -1 breaks convexity: Pi(t) = tan(t - 3) escapes at t = 3 - pi/2,
+    # which must be reported at the first node past it
     p = SubpopParams(A=0.0, B=1.0, Q=-1.0, R=1.0)
     grid = TimeGrid(0.0, 3.0, 600)
-    with pytest.raises(OdeBlowupError):
+    with pytest.raises(OdeBlowupError) as info:
         solve_differential_riccati(p, 0.0, np.zeros((1, 1)), grid)
+    escape = 3.0 - math.pi / 2.0
+    assert escape - grid.dt <= info.value.t < escape
+
+
+def test_differential_finite_escape_2x2():
+    # Q = -U diag(1, 4) U^T with B = R = I: Pi = U diag(tan(t - 3),
+    # 2 tan(2 (t - 3))) U^T, whose second mode escapes first, at 3 - pi/4
+    U = np.array([[math.cos(0.4), -math.sin(0.4)], [math.sin(0.4), math.cos(0.4)]])
+    p = SubpopParams(A=np.zeros((2, 2)), B=np.eye(2), Q=-U @ np.diag([1.0, 4.0]) @ U.T,
+                     R=np.eye(2))
+    grid = TimeGrid(0.0, 3.0, 300)
+    with pytest.raises(OdeBlowupError) as info:
+        solve_differential_riccati(p, 0.0, np.zeros((2, 2)), grid)
+    escape = 3.0 - math.pi / 4.0
+    assert escape - grid.dt <= info.value.t < escape
+    # before the escape the table is the closed form
+    short = TimeGrid(escape + 0.05, 3.0, 40)
+    tau = 3.0 - short.times()
+    modes = np.stack([-np.tan(tau), -2.0 * np.tan(2.0 * tau)], axis=1)
+    exact = np.einsum("ij,tj,kj->tik", U, modes, U)
+    got = solve_differential_riccati(p, 0.0, np.zeros((2, 2)), short).values
+    assert np.max(np.abs(got - exact)) < 1e-12 * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("T, steps", [(2.0, 20), (2.0, 7), (12.0, 40)])
+def test_differential_stiff_step_no_false_escape(T, steps):
+    # Q/R = 1e4: the Hamiltonian rates are +-100, so h * rate is 10 to 30;
+    # one exact step per chunk (40 steps at once would reach e^1200 and
+    # overflow), no escape, and Pi = 100 tanh(100 (T - t))
+    p = SubpopParams(A=0.0, B=1.0, Q=1e4, R=1.0)
+    grid = TimeGrid(0.0, T, steps)
+    assert grid.dt * 100.0 >= 10.0
+    traj = solve_differential_riccati(p, 0.0, np.zeros((1, 1)), grid)
+    exact = 100.0 * np.tanh(100.0 * (T - grid.times()))
+    assert np.max(np.abs(traj.values[:, 0, 0] - exact)) < 1e-12 * 100.0
+
+
+TRADING_MARKETS = {
+    "workload": dict(sigma=0.1, lambda_perm=0.05, a_temp=0.05, phi_urgency=0.1,
+                     psi_terminal=1.0, T=1.0, F0=10.0, q0=5.0),
+    "stiff_liquidation": dict(sigma=0.2, lambda_perm=0.1, a_temp=0.1, phi_urgency=1.0,
+                              psi_terminal=10.0, T=2.0, F0=5.0, q0=-3.0),
+    "cheap_trading": dict(sigma=0.1, lambda_perm=0.05, a_temp=0.005, phi_urgency=0.1,
+                          psi_terminal=1.0, T=1.0, F0=10.0, q0=5.0),
+}
+
+
+@pytest.mark.parametrize("steps", [37, 1200])
+@pytest.mark.parametrize("market", sorted(TRADING_MARKETS))
+def test_differential_trading_closed_form(market, steps):
+    # with Pi_01 = -1 and Pi_11 = 0 invariant, Pi_00 solves the scalar
+    # dPi/dt = Pi^2 / (2a) - phi from 2 psi: with k = sqrt(phi / 2a),
+    # c = sqrt(2 a phi) and tau = T - t,
+    # Pi_00 = c (2 psi + c tanh k tau) / (c + 2 psi tanh k tau)
+    params = MarketParams(**TRADING_MARKETS[market])
+    mapping = to_lqg(params)
+    grid = TimeGrid(0.0, params.T, steps)
+    Pi = solve_differential_riccati(mapping.population.subpops[0], 0.0,
+                                    mapping.terminal_weight, grid).values
+    a, phi, psi = params.a_temp, params.phi_urgency, params.psi_terminal
+    k, c = math.sqrt(phi / (2.0 * a)), math.sqrt(2.0 * a * phi)
+    th = np.tanh(k * (params.T - grid.times()))
+    exact = c * (2.0 * psi + c * th) / (c + 2.0 * psi * th)
+    assert np.max(np.abs(Pi[:, 0, 0] - exact) / exact) < 1e-12
+    scale = float(np.max(exact))
+    assert np.max(np.abs(Pi[:, 0, 1] + 1.0)) < 1e-12 * scale
+    assert np.max(np.abs(Pi[:, 1, 1])) < 1e-12 * scale
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(spec=random_specs(), terminal=st.sampled_from([0.0, 1.0, 5.0]))
+def test_differential_matches_rk4_reference_on_random_specs(spec, terminal):
+    # the exact table against the fixed-step RK4 it replaced, on a grid fine
+    # enough that RK4's own error is below the bound (7e-8 at 400 steps on
+    # one of these, falling 16x per halving)
+    grid = TimeGrid(0.0, 1.0, 800)
+    for p in spec.subpops:
+        Pi_T = terminal * np.eye(p.n)
+        ref = rk4_riccati(p, spec.rho, Pi_T, grid).values
+        got = solve_differential_riccati(p, spec.rho, Pi_T, grid).values
+        assert np.max(np.abs(got - ref)) < 1e-8 * (1.0 + np.max(np.abs(ref)))
+        assert np.array_equal(got, got.transpose(0, 2, 1))
 
 
 def test_verify_stability_margins():

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lqgmfg.numerics import TimeGrid
-from lqgmfg.trading import (EstimationError, MarketParams, TradingDataset,
+from lqgmfg.numerics import TimeGrid, rng_stream
+from lqgmfg.trading import (EstimationError, MarketParams, MarketPaths, TradingDataset,
                             TradingLoopConfig, TradingPolicy, estimate_params,
                             params_from_json, params_to_json, rl_loop,
                             simulate_market, solve_finite_horizon, to_lqg,
@@ -25,6 +27,105 @@ def constant_policy(grid, rate):
     nodes = grid.steps + 1
     return TradingPolicy(grid=grid, gain=np.zeros((nodes, 1, 2)),
                          offset=np.full((nodes, 1), rate), cov=np.zeros((1, 1)))
+
+
+def simulate_market_reference(params, policy, N, grid, seed, rep=0):
+    """The market simulator's earlier loop, every array written at every
+    step; ``simulate_market`` must reproduce it bit for bit."""
+    steps, dt = grid.steps, grid.dt
+    sqdt = math.sqrt(dt)
+    nodes = steps + 1
+    noise = rng_stream(seed, rep).standard_normal((N + 1, steps))
+    xi, z = noise[0], noise[1:]
+    L = math.sqrt(max(policy.cov[0, 0], 0.0))
+    F = np.empty(nodes)
+    q = np.empty((N, nodes))
+    nu = np.empty((N, steps))
+    S = np.empty((N, nodes))
+    Z = np.zeros((N, nodes))
+    cumvol = np.zeros((N, nodes))
+    F[0] = params.F0
+    q[:, 0] = params.q0
+    for i in range(steps):
+        x = np.stack([q[:, i], np.full(N, F[i] - params.F0)], axis=1)
+        mu = (-(x @ policy.gain[i].T) + policy.offset[i][None, :])[:, 0]
+        nu[:, i] = mu + L * z[:, i]
+        S[:, i] = F[i] + params.a_temp * cumvol[:, i]
+        Z[:, i + 1] = Z[:, i] - S[:, i] * nu[:, i] * dt
+        q[:, i + 1] = q[:, i] + nu[:, i] * dt
+        cumvol[:, i + 1] = cumvol[:, i] + nu[:, i] * dt
+        F[i + 1] = F[i] + params.lambda_perm * nu[:, i].mean() * dt + params.sigma * sqdt * xi[i]
+        if not (np.all(np.isfinite(q[:, i + 1])) and np.isfinite(F[i + 1])):
+            raise RuntimeError(f"non-finite market state at t={grid.times()[i + 1]:.4g}")
+    S[:, steps] = F[steps] + params.a_temp * cumvol[:, steps]
+    return MarketPaths(grid=grid, F=F, q=q, nu=nu, S=S, Z=Z, cumvol=cumvol)
+
+
+def _assert_paths_equal(got, ref):
+    for name in ("F", "q", "nu", "S", "Z", "cumvol"):
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(N=st.integers(1, 9), steps=st.integers(1, 50),
+       lam=st.sampled_from([0.0, 0.05, 0.7]), a=st.sampled_from([0.0, 0.02, 0.3]),
+       var=st.sampled_from([0.0, 0.1, 2.0]), scale=st.floats(1e-3, 1e3),
+       seed=st.integers(0, 2**32 - 1))
+def test_simulate_market_matches_reference_bitwise(N, steps, lam, a, var, scale, seed):
+    # random gain and offset tables, with and without impacts and exploration
+    rng = np.random.default_rng(seed)
+    params = MarketParams(sigma=0.1, lambda_perm=lam, a_temp=a, phi_urgency=0.1,
+                          psi_terminal=1.0, T=1.0, F0=10.0, q0=float(rng.uniform(-5.0, 5.0)))
+    grid = TimeGrid(0.0, 1.0, steps)
+    pol = TradingPolicy(grid=grid, gain=scale * rng.uniform(-1.0, 1.0, (steps + 1, 1, 2)),
+                        offset=scale * rng.uniform(-1.0, 1.0, (steps + 1, 1)),
+                        cov=np.full((1, 1), var))
+    _assert_paths_equal(simulate_market(params, pol, N, grid, seed, rep=3),
+                        simulate_market_reference(params, pol, N, grid, seed, rep=3))
+
+
+def test_simulate_market_matches_reference_on_planned_policy(planned):
+    _mapping, _fh, pol = planned
+    grid = TimeGrid(0.0, 1.0, 200)
+    for rep in range(3):
+        _assert_paths_equal(simulate_market(TRUE, pol, 8, grid, 5, rep),
+                            simulate_market_reference(TRUE, pol, 8, grid, 5, rep))
+
+
+def _blowup_message(run):
+    with pytest.raises(RuntimeError, match="non-finite market state") as info:
+        run()
+    return str(info.value)
+
+
+@pytest.mark.parametrize("case", ["nan_offset", "inf_offset_zero_gain", "q_overflow",
+                                  "feedback_overflow"])
+def test_simulate_market_blowup_raises_at_same_node(case):
+    # a NaN or inf rate reaches q and, through lambda * mean, F; a q that
+    # overflows on finite rates leaves F finite (one trader, no feedback
+    # through a zero gain), so only q reveals it; a feedback gain of -1e40
+    # grows the state until it overflows
+    params = MarketParams(sigma=0.1, lambda_perm=0.05, a_temp=0.02, phi_urgency=0.1,
+                          psi_terminal=1.0, T=40.0, F0=10.0, q0=5.0)
+    grid = TimeGrid(0.0, 40.0, 40)
+    gain = np.zeros((41, 1, 2))
+    offset = np.full((41, 1), -1.0)
+    N, node = 3, None
+    if case == "nan_offset":
+        gain[:, 0, 0] = 0.5
+        offset[17], node = np.nan, 18
+    elif case == "inf_offset_zero_gain":
+        offset[23], node = np.inf, 24
+    elif case == "q_overflow":
+        offset[:], N, node = 1.7e308, 1, 2
+    else:
+        gain[:, 0, 0] = -1e40
+    pol = TradingPolicy(grid=grid, gain=gain, offset=offset, cov=np.zeros((1, 1)))
+    with np.errstate(all="ignore"):
+        ref = _blowup_message(lambda: simulate_market_reference(params, pol, N, grid, 0))
+    assert _blowup_message(lambda: simulate_market(params, pol, N, grid, 0)) == ref
+    if node is not None:
+        assert ref.endswith(f"t={grid.times()[node]:.4g}")
 
 
 def test_to_lqg_structure():

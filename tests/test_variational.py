@@ -6,13 +6,14 @@ import pytest
 
 from scipy.interpolate import CubicSpline
 
-from lqgmfg.numerics import TimeGrid, integrate_ode
+from lqgmfg.numerics import TimeGrid
 from lqgmfg.riccati import feedback_gain
 from lqgmfg.variational import (DensityPath, Direction,
                                 equilibrium_density_path,
                                 exploratory_cost_quadrature, gateaux_derivative,
                                 gaussian_grid_density, mass_neutral,
                                 perturb_density, solve_mean_state_path)
+from ode_reference import integrate_ode
 
 GRID = TimeGrid(0.0, 10.0, 1000)
 
