@@ -134,7 +134,11 @@ def cmd_solve(args) -> int:
     stable = all(r.ok for r in reports)
     print(f"converged in {mf.iterations} iterations, residual {mf.residual:.3e}, "
           f"stable={stable}")
-    return 0 if stable else 2
+    if stable:
+        return 0
+    failed = "; ".join(f"type {k}: {msg}" for k, r in enumerate(reports)
+                       for msg in r.messages)
+    return _fail(out, RuntimeError(f"stability margins fail: {failed}"), 2)
 
 
 def _parse_ns(text: str) -> list[int]:

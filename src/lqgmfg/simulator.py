@@ -21,13 +21,15 @@ scale.
 Paths are stepped time-major: node i of every agent is one contiguous
 (N, .) block, and the batch exposes (N, nodes, .) views of those arrays.
 
-The experiments compute only what they read.  The coupling gap runs both
-systems to its checkpoint only, on the head of the full noise pack (the
-stream is unchanged), in classical mode, whose states are bitwise those of
-the exploratory run.  ``empirical_cost`` works through agents in blocks, so
-its memory does not grow with the population.  ``coe_experiment`` draws its
-normals a chunk of nodes at a time, the same stream as one draw per node,
-and keeps only the current chunk's states.
+The experiments compute only what they read.  The population ones run by
+superposition (the epsilon-Nash argument of Huang, Caines & Malhame, IEEE
+TAC 52(9), 2007): the system is linear, so the untagged agents of a type
+enter only through their sum, which ``_mean_paths`` steps on each pack's
+per-type noise sums, with one tagged agent apart on its own row; a batch
+of (deviations, repetitions) steps at once.  ``empirical_cost`` works
+through agents in blocks, so its memory does not grow with the population.
+``coe_experiment`` draws its normals a chunk of nodes at a time, the same
+stream as one draw per node, and keeps only the current chunk's states.
 """
 
 from __future__ import annotations
@@ -95,15 +97,12 @@ class SimConfig:
     grid: TimeGrid
     seed: int
     mode: str = "exploratory"
-    coupling: str = "common-random-numbers"
 
     def __post_init__(self):
         if sum(self.counts) != self.N:
             raise ValueError(f"counts {self.counts} do not sum to N={self.N}")
         if self.mode not in ("classical", "exploratory"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.coupling not in ("independent", "common-random-numbers"):
-            raise ValueError(f"unknown coupling {self.coupling!r}")
 
 
 @dataclass(frozen=True)
@@ -139,14 +138,6 @@ class AgentNoise:
     @property
     def N(self) -> int:
         return self.x0_z.shape[0]
-
-    def subset(self, idx) -> "AgentNoise":
-        return AgentNoise(self.x0_z[idx], self.action_z[idx], self.dW[idx])
-
-    def head(self, steps: int) -> "AgentNoise":
-        """The noise of the first ``steps`` steps (views, no copy)."""
-        return AgentNoise(self.x0_z, self.action_z[:, :steps + 1],
-                          self.dW[:, :steps])
 
 
 def draw_noise(seed: int, N: int, steps: int, n: int, m: int, r: int,
@@ -221,7 +212,9 @@ class _PolicyTables:
         self.offset = []   # (nodes, m)
         self.cov_chol = []
         self.b_tab = []
+        self.field = []    # (nodes, n): Fbar xbar + Hbar mubar, the limiting coupling
         xbar_t = mf.xbar.interp(ts)                      # (nodes, nK)
+        mubar_t = mf.mubar.interp(ts)                    # (nodes, mK)
         for k, p in enumerate(spec.subpops):
             gain = feedback_gain(p, mf.Pi[k].Pi)
             s_t = mf.s[k].interp(ts)                     # (nodes, n)
@@ -234,6 +227,7 @@ class _PolicyTables:
             cov = p.lambda_explore * np.linalg.inv(p.R)
             self.cov_chol.append(cholesky_psd(0.5 * (cov + cov.T)))
             self.b_tab.append(p.b(ts))
+            self.field.append(xbar_t @ spec.Fbar(k).T + mubar_t @ spec.Hbar(k).T)
 
 
 def _type_slices(counts) -> list[slice]:
@@ -285,13 +279,6 @@ def _simulate(spec: PopulationSpec, mf: MeanFieldSolution, grid: TimeGrid,
     shifts, cov_scales = _deviation_arrays(deviations, N, m)
     sd_scales = np.sqrt(cov_scales)[:, None]
 
-    if exogenous_field:
-        ts = grid.times()
-        xbar_t = mf.xbar.interp(ts)
-        mubar_t = mf.mubar.interp(ts)
-        field_drift = [xbar_t @ spec.Fbar(k).T + mubar_t @ spec.Hbar(k).T
-                       for k in range(K)]
-
     x = states[0]
     for i in range(nodes):
         c = i % _NOISE_CHUNK
@@ -321,7 +308,7 @@ def _simulate(spec: PopulationSpec, mf: MeanFieldSolution, grid: TimeGrid,
             p = spec.subpops[k]
             drift = x[sl] @ p.A.T + mu[sl] @ p.B.T + tables.b_tab[k][i][None, :]
             if exogenous_field:
-                drift += field_drift[k][i][None, :]
+                drift += tables.field[k][i][None, :]
             else:
                 drift += x_avg[i] @ p.F.T + mu_avg[i] @ p.H.T
             x_new[sl] = x[sl] + dt * drift + sqdt * (dw[c, sl] @ p.D.T)
@@ -392,6 +379,168 @@ def simulate_representative(spec: PopulationSpec, mf: MeanFieldSolution,
                            spec.subpops[0].r)
     return _simulate(spec, mf, grid, counts, noise, mode, deviations,
                      exogenous_field=True)
+
+
+# ---------------------------------------------------------------------------
+# The population by superposition: per-type mean recurrences
+# ---------------------------------------------------------------------------
+
+@dataclass
+class _NoiseSums:
+    """Noise packs reduced to what the mean recurrence reads: per-type sums
+    over the untagged agents of the initial-state normals (R, K, n) and of
+    the increments, time-major (steps, R, K, r), and each pack's tagged row
+    (R rows, or None)."""
+
+    x0: np.ndarray
+    dW: np.ndarray
+    tag: AgentNoise | None
+
+
+def _noise_sums(packs, counts, steps: int, tag_type: int | None = None) -> _NoiseSums:
+    """Reduce each pack as it comes, so one pack is held at a time.  With
+    ``tag_type``, the first agent of that type is the tagged agent: its row
+    is kept whole and left out of its type's sums."""
+    slices = _type_slices(counts)
+    if tag_type is not None:
+        if counts[tag_type] < 1:
+            raise ValueError(f"no agent of type {tag_type} to tag")
+        t = slices[tag_type].start
+        slices[tag_type] = slice(t + 1, slices[tag_type].stop)
+    x0, dW, tag = [], [], []
+    for pack in packs:
+        x0.append([pack.x0_z[sl].sum(axis=0) for sl in slices])
+        dW.append([pack.dW[sl, :steps].sum(axis=0) for sl in slices])
+        if tag_type is not None:
+            # copies: a view of the row would keep the whole pack alive
+            tag.append((pack.x0_z[t].copy(), pack.action_z[t, :steps + 1].copy(),
+                        pack.dW[t, :steps].copy()))
+    return _NoiseSums(np.array(x0), np.array(dW).transpose(2, 0, 1, 3).copy(),
+                      AgentNoise(*map(np.array, zip(*tag))) if tag else None)
+
+
+def _lin(x: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """x @ M^T over the last axis, M (i, j) or one (i, j) block per type
+    (K, i, j) against x (..., K, j).  One column product at a time, so equal
+    rows of a batch round alike wherever they sit in it."""
+    out = x[..., None, 0] * M[..., 0]
+    for j in range(1, M.shape[-1]):
+        out += x[..., None, j] * M[..., j]
+    return out
+
+
+@dataclass
+class _MeanPaths:
+    """Time-major paths of the mean recurrence over the batch (M, R): the
+    population averages, the tagged agent's states, policy means and actions
+    (or None), and the untagged agents' per-type state sums at the end."""
+
+    sums: np.ndarray      # (M, R, K, n)
+    x_avg: np.ndarray     # (nodes, M, R, n)
+    mu_avg: np.ndarray    # (nodes, M, R, m)
+    states: np.ndarray | None
+    means: np.ndarray | None
+    actions: np.ndarray | None
+
+
+def _mean_paths(spec: PopulationSpec, mf: MeanFieldSolution, grid: TimeGrid,
+                counts, noise: _NoiseSums, steps: int | None = None,
+                exogenous_field: bool = False, tag_type: int = 0,
+                members=(PolicyDeviation(),)) -> _MeanPaths:
+    """The finite population of ``_simulate``, stepped as sums.
+
+    Every untagged agent of a type plays the same linear feedback, so their
+    state sum follows ``_simulate``'s Euler step driven by their noise sum:
+    n K numbers, whatever N.  With a tagged row in ``noise`` the first agent
+    of ``tag_type`` is carried apart on it, playing each of ``members``:
+    n (K + 1).  ``exogenous_field`` drives every agent by the solved mean
+    field instead, as ``simulate_representative`` does.  The first ``steps``
+    steps (default: all) of ``grid`` run for the whole batch at once.
+    """
+    steps = grid.steps if steps is None else steps
+    nodes, dt, sqdt = steps + 1, grid.dt, math.sqrt(grid.dt)
+    ts = grid.times()[:nodes]
+    tables = _PolicyTables(spec, mf, grid)
+    K, n, m, N = spec.K, spec.n, spec.m, sum(counts)
+    tagged = noise.tag is not None
+    c = np.array(counts, dtype=float)[:, None] - np.eye(K)[tag_type][:, None] * tagged
+    A, B, F, H, D = (np.array([getattr(p, f) for p in spec.subpops]) for f in "ABFHD")
+    G = np.array(tables.gain)
+    c_off = c * np.stack(tables.offset, axis=1)[:nodes]          # (nodes, K, m)
+    c_b = c * np.stack(tables.b_tab, axis=1)[:nodes]              # (nodes, K, n)
+    field_t = np.stack(tables.field, axis=1)[:nodes]              # (nodes, K, n)
+    M, R = len(members) if tagged else 1, noise.x0.shape[0]
+    L0 = cholesky_psd(spec.x0_cov)
+    S = np.broadcast_to(c * spec.x0_mean + _lin(noise.x0, L0), (M, R, K, n)).copy()
+    x_avg = np.empty((nodes, M, R, n))
+    mu_avg = np.empty((nodes, M, R, m))
+    if tagged:
+        k = tag_type
+        shift = np.array([d.shift(m) for d in members])[:, None, :]
+        x = np.broadcast_to(spec.x0_mean + _lin(noise.tag.x0_z, L0), (M, R, n)).copy()
+        states = np.empty((nodes, M, R, n))
+        means = np.empty((nodes, M, R, m))
+        dW_t = noise.tag.dW.transpose(1, 0, 2)                    # (steps, R, r)
+    for i in range(nodes):
+        mu_sum = c_off[i] - _lin(S, G)
+        xs, ms = S.sum(axis=-2), mu_sum.sum(axis=-2)
+        if tagged:
+            mu = tables.offset[k][i] - _lin(x, G[k]) + shift
+            states[i], means[i] = x, mu
+            xs += x
+            ms += mu
+        xa = x_avg[i] = xs / N
+        ma = mu_avg[i] = ms / N
+        if i == steps:
+            break
+        drift = _lin(S, A) + _lin(mu_sum, B) + c_b[i]
+        if exogenous_field:
+            drift += c * field_t[i]
+        else:
+            drift += c * (_lin(xa[..., None, :], F) + _lin(ma[..., None, :], H))
+        S = S + dt * drift + sqdt * _lin(noise.dW[i], D)
+        if tagged:
+            drift = _lin(x, A[k]) + _lin(mu, B[k]) + tables.b_tab[k][i]
+            if exogenous_field:
+                drift += field_t[i, k]
+            else:
+                drift += _lin(xa, F[k]) + _lin(ma, H[k])
+            x = x + dt * drift + sqdt * _lin(dW_t[i], D[k])
+    finite = np.isfinite(x_avg).reshape(nodes, -1).all(axis=1)
+    if not finite.all():
+        raise RuntimeError(f"non-finite mean state at t={ts[np.argmin(finite)]:.4g}")
+    if not tagged:
+        return _MeanPaths(S, x_avg, mu_avg, None, None, None)
+    sd = np.sqrt([d.cov_scale for d in members])[:, None, None]
+    az = noise.tag.action_z.transpose(1, 0, 2)                    # (nodes, R, m)
+    actions = means + sd * _lin(az, tables.cov_chol[k])[:, None]
+    return _MeanPaths(S, x_avg, mu_avg, states, means, actions)
+
+
+def _tagged_costs(spec: PopulationSpec, mf: MeanFieldSolution, grid: TimeGrid,
+                  counts, noise: _NoiseSums, members, mode: str,
+                  tag_type: int = 0, exogenous_field: bool = False) -> np.ndarray:
+    """Discounted cost of the tagged agent, (members, repetitions): each
+    path of ``_mean_paths`` costed by ``empirical_cost`` as a one-agent
+    batch against its own population average (or the solved mean)."""
+    paths = _mean_paths(spec, mf, grid, counts, noise, exogenous_field=exogenous_field,
+                        tag_type=tag_type, members=members)
+    xbar = mf.xbar.interp(grid.times()) if exogenous_field else None
+    costs = np.empty(paths.states.shape[1:3])
+    for j, dev in enumerate(members):
+        for r in range(costs.shape[1]):
+            # (1, nodes, .) views of member j's time-major paths in repetition r
+            states, actions, means = (a[:, j, r, None].transpose(1, 0, 2) for a in
+                                      (paths.states, paths.actions, paths.means))
+            batch = SimulationBatch(
+                grid=grid, mode="exploratory", types=np.array([tag_type]),
+                states=states, actions=actions, means=means, dW=noise.tag.dW[r, None],
+                x_avg=paths.x_avg[:, j, r], mu_avg=paths.mu_avg[:, j, r],
+                xref=xbar if exogenous_field else paths.x_avg[:, j, r].copy(),
+                infinite=exogenous_field, cov_scales=np.array([dev.cov_scale]))
+            costs[j, r] = empirical_cost(batch, spec, tag_type, mode,
+                                         spec.rho).per_agent[0]
+    return costs
 
 
 # ---------------------------------------------------------------------------
@@ -536,41 +685,47 @@ def coupling_gap_experiment(spec: PopulationSpec, mf: MeanFieldSolution,
     fresh noise for the limiting run, which buries that decay under an O(1)
     variance offset and is provided for comparison only.
 
-    Each repetition draws the full-grid pack, so the streams do not depend
-    on the checkpoint, but both systems are stepped only up to the
-    checkpoint and in classical mode (no sampled actions).  The states
-    there are bitwise those of full exploratory runs whenever the truncated
-    grid's nodes equal the full grid's, which ``linspace`` may miss by an
-    ulp.
+    No agent is simulated: under shared noise x_i^N - x_i^infty is one d_k
+    for every agent of type k, the difference of the two systems' type
+    means (``_mean_paths`` up to the checkpoint), so the value is
+    sum_k (N_k / N) |d_k|^2; 'independent' adds each agent's own limiting
+    path difference between its two packs.  Each repetition still draws the
+    full-grid pack, so the streams do not depend on the checkpoint.
     """
+    if coupling not in ("independent", "common-random-numbers"):
+        raise ValueError(f"unknown coupling {coupling!r}")
     grid = _experiment_grid(grid)
     ts = grid.times()
     ck = int(round(checkpoint_frac * grid.steps))
     t_ck = ts[ck]
-    run = max(ck, 1)                          # steps simulated
+    run = max(ck, 1)                    # the 'independent' limiting paths' grid
     sub = TimeGrid(grid.t0, float(ts[run]), run)
+    r = spec.subpops[0].r
     res = ExperimentResult("coupling-gap")
     means, ses = [], []
     for N in Ns:
         counts = exact_counts(spec.pi, N)
         types = np.repeat(np.arange(spec.K), counts)
-        vals = np.empty(reps)
+        own = np.zeros((reps, N, spec.n))
+
+        def packs():
+            for rep in range(reps):
+                pack = draw_noise(seed, N, grid.steps, spec.n, spec.m, r, rep=rep)
+                if coupling == "independent":
+                    # packs reps..2*reps-1: no stream shared with the finite run
+                    for sign, pk in ((1.0, pack), (-1.0, draw_noise(
+                            seed, N, grid.steps, spec.n, spec.m, r, rep=reps + rep))):
+                        own[rep] += sign * simulate_representative(
+                            spec, mf, sub, seed, mode="classical", noise=pk,
+                            types=types).states[:, ck]
+                yield pack
+
+        sums = _noise_sums(packs(), counts, ck)
+        fin, inf = (_mean_paths(spec, mf, grid, counts, sums, ck, exogenous_field=exo)
+                    for exo in (False, True))
+        d = (fin.sums[0] - inf.sums[0]) / np.maximum(counts, 1)[:, None]
+        vals = np.sum((d[:, types] + own) ** 2, axis=2).mean(axis=1)
         for rep in range(reps):
-            pack = draw_noise(seed, N, grid.steps, spec.n, spec.m,
-                              spec.subpops[0].r, rep=rep).head(run)
-            cfg = SimConfig(N=N, counts=counts, grid=sub, seed=seed,
-                            mode="classical", coupling=coupling)
-            fin = simulate_population(spec, mf, cfg, noise=pack)
-            if coupling == "common-random-numbers":
-                pack_inf = pack
-            else:
-                # packs reps..2*reps-1: no stream shared with the finite run
-                pack_inf = draw_noise(seed, N, grid.steps, spec.n, spec.m,
-                                      spec.subpops[0].r, rep=reps + rep).head(run)
-            inf = simulate_representative(spec, mf, sub, seed, mode="classical",
-                                          noise=pack_inf, types=types)
-            gap = np.sum((fin.states[:, ck] - inf.states[:, ck]) ** 2, axis=1)
-            vals[rep] = gap.mean()
             res.rows.append({"experiment": "coupling-gap", "N": N, "rep": rep,
                              "checkpoint_t": t_ck, "value": vals[rep],
                              "std_err": ""})
@@ -585,6 +740,16 @@ def coupling_gap_experiment(spec: PopulationSpec, mf: MeanFieldSolution,
     return res
 
 
+def _tagged_packs(spec: PopulationSpec, grid: TimeGrid, counts, reps: int,
+                  seed: int) -> _NoiseSums:
+    """Packs 0..reps-1 of ``seed``, reduced with agent 0 (the first of type
+    0) tagged."""
+    N = sum(counts)
+    return _noise_sums((draw_noise(seed, N, grid.steps, spec.n, spec.m,
+                                   spec.subpops[0].r, rep=rep) for rep in range(reps)),
+                       counts, grid.steps, tag_type=0)
+
+
 def cost_gap_experiment(spec: PopulationSpec, mf: MeanFieldSolution,
                         Ns, reps: int, seed: int,
                         deviation: PolicyDeviation | None = None,
@@ -592,28 +757,24 @@ def cost_gap_experiment(spec: PopulationSpec, mf: MeanFieldSolution,
                         mode: str = "exploratory-regularized") -> ExperimentResult:
     """|J_i^N - J_i^infty| for a tagged agent playing a fixed deviation while
     everyone else plays the equilibrium policy; common random numbers pair
-    the finite and limiting runs."""
+    the finite and limiting runs.
+
+    Both runs are ``_mean_paths`` recurrences on each pack's tagged row and
+    per-type sums (finite population, then solved mean field), costed by
+    ``empirical_cost``; all repetitions of one N step together.
+    """
     grid = _experiment_grid(grid, T=6.0)
     if deviation is None:
         deviation = PolicyDeviation(mean_shift=np.full(spec.m, 0.5))
-    devs = {0: deviation}
     res = ExperimentResult("cost-gap")
     gaps, ses = [], []
-    k0 = 0
     for N in Ns:
         counts = exact_counts(spec.pi, N)
-        diffs = np.empty(reps)
+        sums = _tagged_packs(spec, grid, counts, reps, seed)
+        fin, inf = (_tagged_costs(spec, mf, grid, counts, sums, [deviation], mode,
+                                  exogenous_field=exo)[0] for exo in (False, True))
+        diffs = fin - inf
         for rep in range(reps):
-            pack = draw_noise(seed, N, grid.steps, spec.n, spec.m,
-                              spec.subpops[0].r, rep=rep)
-            cfg = SimConfig(N=N, counts=counts, grid=grid, seed=seed)
-            fin = simulate_population(spec, mf, cfg, deviations=devs, noise=pack)
-            inf = simulate_representative(spec, mf, grid, seed, k=k0, n_paths=1,
-                                          noise=pack.subset(slice(0, 1)),
-                                          deviations=devs)
-            cN = empirical_cost(fin, spec, k0, mode, spec.rho, agents=[0])
-            cI = empirical_cost(inf, spec, k0, mode, spec.rho, agents=[0])
-            diffs[rep] = cN.per_agent[0] - cI.per_agent[0]
             res.rows.append({"experiment": "cost-gap", "N": N, "rep": rep,
                              "checkpoint_t": grid.t1, "value": diffs[rep],
                              "std_err": ""})
@@ -639,26 +800,17 @@ def nash_deviation_experiment(spec: PopulationSpec, mf: MeanFieldSolution,
 
     A lower bound on the true epsilon (the infimum over all admissible
     policies is not computable); identical seeds across family members keep
-    the comparison paired.
+    the comparison paired.  One ``_mean_paths`` recurrence runs every
+    member, the equilibrium as the zero-shift member, on every repetition's
+    tagged row and per-type sums; each path is costed by ``empirical_cost``.
     """
     grid = _experiment_grid(grid, T=6.0)
     counts = exact_counts(spec.pi, N)
-    k0 = 0
     res = ExperimentResult("nash")
-    cfg = SimConfig(N=N, counts=counts, grid=grid, seed=seed)
     family = list(deviation_family)
-
-    # One noise pack at a time: every member runs on the same pack (paired
-    # comparison), which is dropped before the next repetition is drawn.
-    costs = np.empty((1 + len(family), reps))      # row 0: equilibrium
-    for rep in range(reps):
-        pack = draw_noise(seed, N, grid.steps, spec.n, spec.m,
-                          spec.subpops[0].r, rep=rep)
-        for j, dev in enumerate([None] + family):
-            fin = simulate_population(spec, mf, cfg, noise=pack,
-                                      deviations={0: dev} if dev is not None else None)
-            costs[j, rep] = empirical_cost(fin, spec, k0, mode, spec.rho,
-                                           agents=[0]).per_agent[0]
+    sums = _tagged_packs(spec, grid, counts, reps, seed)
+    costs = _tagged_costs(spec, mf, grid, counts, sums,      # row 0: equilibrium
+                          [PolicyDeviation()] + family, mode)
 
     base_mean = costs[0].mean()
     dev_means = []

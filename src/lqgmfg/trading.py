@@ -189,10 +189,13 @@ def solve_finite_horizon(mapping: LqgMapping, steps: int = 200) -> FiniteHorizon
         raise ValueError(f"trading spec violates model assumptions: {hard}")
     grid = TimeGrid(0.0, _horizon_of(mapping), steps)
 
-    # exact Pi on the doubled grid: its midpoints are the RK4 stage inputs
+    # exact Pi on the doubled grid: its midpoints are the RK4 stage inputs;
+    # one table per distinct sub-population (to_lqg repeats one object K times)
     fine = TimeGrid(grid.t0, grid.t1, 2 * steps)
-    Pi_half = [solve_differential_riccati(p, spec.rho, mapping.terminal_weight, fine).values
-               for p in spec.subpops]
+    distinct = {id(p): p for p in spec.subpops}
+    tables = {key: solve_differential_riccati(p, spec.rho, mapping.terminal_weight, fine).values
+              for key, p in distinct.items()}
+    Pi_half = [tables[id(p)] for p in spec.subpops]
     Pi_trajs = [Trajectory(grid, P[::2]) for P in Pi_half]
     ops, J_half, Abar_half = consistency_blocks(spec, Pi_half)
     s_T = np.tile(mapping.terminal_offset, spec.K)

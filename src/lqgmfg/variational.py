@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .meanfield import MeanFieldSolution
 from .model import PopulationSpec
@@ -235,6 +234,8 @@ def solve_mean_state_path(spec: PopulationSpec, mf: MeanFieldSolution, k: int,
         return shift - np.linalg.solve(p.R, inner.T).T
 
     if mu_path is not None:
+        # imported here: scipy.interpolate costs every importer of the CLI ~0.4 s
+        from scipy.interpolate import CubicSpline
         mus = np.asarray(mu_path, dtype=float)
         g += CubicSpline(grid.times(), mus, axis=0)(ts_half) @ p.B.T
         xtraj = rk4_linear_tabulated(p.A, g, spec.x0_mean, grid)

@@ -112,3 +112,47 @@ def random_specs(draw, coupling=st.sampled_from([0.1, 0.3, 2.0])):
     pi[-1] = 1.0 - pi[:-1].sum()
     return PopulationSpec(subpops=subpops, pi=pi, rho=float(rng.uniform(0.2, 1.0)),
                           x0_mean=rng.uniform(-1.0, 1.0, n), x0_cov=0.1 * np.eye(n))
+
+
+@st.composite
+def unconstrained_specs(draw):
+    """Random games with no guarantees: K in {1, 2, 3}, n, m in {1, 2}; A
+    of either stability, B that may lose rank (so (A, B) need not be
+    stabilizable), couplings up to 2.  Most types are convex (R > 0,
+    Q - S R^-1 S^T >= 0); the others have Q and R symmetric of any sign and
+    an exploration weight that may be negative.  Only the dimensions are
+    sure to be consistent, so a spec can be saved and loaded."""
+    K, n, m = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def gram(d):
+        W = rng.uniform(-1.0, 1.0, (d, d))
+        return W @ W.T
+
+    def subpop():
+        B = rng.uniform(-1.0, 1.0, (n, m))
+        if rng.random() < 0.3:
+            B[rng.integers(n)] = 0.0
+        S = rng.uniform(-1.0, 1.0, (n, m))
+        if rng.random() < 0.8:
+            # Q - S R^-1 S^T is zero for some types: Pi may then be singular
+            R = gram(m) + 0.05 * np.eye(m)
+            Q = rng.choice([0.0, 1.0]) * gram(n) + S @ np.linalg.solve(R, S.T)
+            lam = float(rng.uniform(0.0, 0.5))
+        else:
+            R = gram(m) - rng.uniform(0.0, 1.0) * np.eye(m)
+            Q = gram(n) - rng.uniform(0.0, 1.0) * np.eye(n)
+            lam = float(rng.uniform(-0.1, 0.5))
+        return SubpopParams(
+            A=rng.uniform(-1.5, 1.5, (n, n)), B=B, Q=0.5 * (Q + Q.T), R=R, S=S,
+            F=rng.uniform(-2.0, 2.0, (n, n)), H=rng.uniform(-2.0, 2.0, (n, m)),
+            psi=rng.uniform(-2.0, 2.0, (n, n)), D=rng.uniform(-0.5, 0.5, (n, n)),
+            b=rng.uniform(-1.0, 1.0, n), eta=rng.uniform(-1.0, 1.0, n),
+            nvec=rng.uniform(-1.0, 1.0, m), lambda_explore=lam)
+
+    w = rng.uniform(0.2, 1.0, K)
+    pi = w / w.sum()
+    pi[-1] = 1.0 - pi[:-1].sum()
+    return PopulationSpec(subpops=tuple(subpop() for _ in range(K)), pi=pi,
+                          rho=float(rng.uniform(0.05, 1.0)),
+                          x0_mean=rng.uniform(-1.0, 1.0, n), x0_cov=0.1 * gram(n))

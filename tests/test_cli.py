@@ -1,7 +1,17 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+
+from conftest import random_specs, unconstrained_specs
 
 from lqgmfg.cli import _sanitize, main
 from lqgmfg.numerics import RNG_SCHEME
@@ -66,6 +76,29 @@ def test_solve_unstabilizable_exit_2(tmp_path):
     assert main(["solve", str(path), "--out", str(out)]) == 2
     err = json.loads((out / "error.json").read_text())
     assert "did not stabilize" in err["error"]
+
+
+def test_solve_unstable_margins_exit_2(tmp_path):
+    # Q = 0: the solve converges, but Pi = 0 is not positive definite
+    spec = PopulationSpec(subpops=(SubpopParams(A=-1.0, B=1.0, Q=0.0, R=1.0),),
+                          pi=[1.0], rho=0.5, x0_mean=[0.0], x0_cov=[[0.0]])
+    path = tmp_path / "q0.json"
+    save_spec(spec, path)
+    out = tmp_path / "out"
+    assert main(["solve", str(path), "--out", str(out)]) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert "Pi not positive definite" in err["error"]
+    assert json.loads((out / "stability_report.json").read_text())["ok"] is False
+
+
+def test_cli_import_leaves_out_scipy_interpolate():
+    # about 0.4 s on every process that imports the CLI, benchmark runs too
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, lqgmfg.cli; print('scipy.interpolate' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)},
+                          timeout=120)
+    assert proc.stdout.strip() == "False", proc.stderr
 
 
 def test_solve_missing_file(tmp_path):
@@ -170,3 +203,33 @@ def test_sanitize_arrays():
     assert _sanitize({"a": np.array([1.0, np.nan])}) == {"a": [1.0, None]}
     assert _sanitize(np.array([1, 2])) == [1, 2]
     assert json.dumps(_sanitize(clean)) == json.dumps(clean.tolist())
+
+
+def _solve_exit_contract(spec):
+    """`lqgmfg solve` exits 0, or 2 with error.json; never 1, never a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "spec.json", Path(tmp) / "out"
+        save_spec(spec, path)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(["solve", str(path), "--out", str(out)])
+        assert "Traceback" not in err.getvalue()
+        assert rc in (0, 2), err.getvalue()
+        if rc == 2:
+            doc = json.loads((out / "error.json").read_text())
+            assert doc["error"] and doc["type"]
+            event(doc["type"])
+        else:
+            assert (out / "meanfield_solution.json").exists()
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(spec=random_specs())
+def test_solve_exit_contract_on_stabilizable_specs(spec):
+    _solve_exit_contract(spec)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(spec=unconstrained_specs())
+def test_solve_exit_contract_on_unconstrained_specs(spec):
+    _solve_exit_contract(spec)

@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_continuous_are
 
-from conftest import random_specs, scalar_are_root
+from conftest import random_specs, scalar_are_root, unconstrained_specs
 from lqgmfg.model import SubpopParams
 from lqgmfg.numerics import OdeBlowupError, TimeGrid
 from lqgmfg.riccati import (RiccatiError, are_residual, closed_loop_matrix,
@@ -259,3 +259,29 @@ def test_verify_stability_flags():
     assert not rep.ok and "Pi not positive definite" in rep.messages
     rep0 = verify_stability(sol, Abar=np.zeros((1, 1)), rho=0.0)
     assert not rep0.ok and rep0.abar_margin == 0.0
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(spec=random_specs())
+def test_are_solves_every_stabilizable_type(spec):
+    # criterion 1's bound, on the solver's own residual and a recomputed one
+    for p in spec.subpops:
+        sol = solve_discounted_are(p, spec.rho)
+        assert sol.residual <= 1e-9
+        assert are_residual(sol.Pi, p, spec.rho) <= 1e-9
+        assert sol.closed_loop_abscissa < spec.rho / 2
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(spec=unconstrained_specs())
+def test_are_solves_or_raises_riccati_error(spec):
+    # no guarantees: a solution meets criterion 1's bound, or RiccatiError
+    for p in spec.subpops:
+        try:
+            sol = solve_discounted_are(p, spec.rho)
+        except RiccatiError:
+            event("no stabilizing solution")
+            continue
+        event("solved")
+        assert sol.residual <= 1e-9
+        assert are_residual(sol.Pi, p, spec.rho) <= 1e-9

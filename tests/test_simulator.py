@@ -4,11 +4,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_specs
 from lqgmfg import simulator, solve_consistency
+from lqgmfg.meanfield import ConsistencyError
 from lqgmfg.model import PopulationSpec, SubpopParams
 from lqgmfg.numerics import TimeGrid, Trajectory, cholesky_psd, rng_stream
 from lqgmfg.presets import scalar_decoupled_spec
@@ -21,6 +22,11 @@ from lqgmfg.simulator import (AgentNoise, PolicyDeviation, SimConfig,
                               simulate_representative, write_experiment_csv)
 
 GRID = TimeGrid(0.0, 4.0, 400)
+
+
+def rows(noise, idx):
+    """The noise of agents ``idx`` of a pack."""
+    return AgentNoise(noise.x0_z[idx], noise.action_z[idx], noise.dW[idx])
 
 
 def cfg_for(N, grid=GRID, seed=0, mode="exploratory"):
@@ -50,7 +56,6 @@ def test_noise_row_independent_of_population_size():
     assert np.array_equal(small.x0_z, large.x0_z[:3])
     assert np.array_equal(small.action_z, large.action_z[:3])
     assert np.array_equal(small.dW, large.dW[:3])
-    assert np.array_equal(large.subset(slice(0, 3)).dW, small.dW)
 
 
 def test_noise_blocks_equal_one_draw():
@@ -275,6 +280,12 @@ def test_coupling_independent_mode_loses_the_rate(coupled):
     assert min(ind.summary["gap_means"]) > 10 * max(crn.summary["gap_means"])
 
 
+def test_coupling_gap_rejects_unknown_coupling(decoupled):
+    spec, mf = decoupled
+    with pytest.raises(ValueError, match="unknown coupling"):
+        coupling_gap_experiment(spec, mf, [4], reps=2, seed=0, coupling="shared")
+
+
 def test_cost_gap_zero_when_uncoupled(decoupled_noisy):
     spec, mf = decoupled_noisy
     res = cost_gap_experiment(spec, mf, [8, 16], reps=3, seed=2,
@@ -292,36 +303,32 @@ def test_nash_family_of_equilibrium_only(coupled):
 
 
 def test_nash_matches_direct_per_repetition_costs(coupled):
+    # superposition rounds in another order than the N-agent simulation
     spec, mf = coupled
     grid = TimeGrid(0.0, 2.0, 200)
     N, reps, seed = 6, 3, 11
     family = [PolicyDeviation(mean_shift=[0.3]), PolicyDeviation(cov_scale=1.5)]
     res = nash_deviation_experiment(spec, mf, N=N, reps=reps, seed=seed,
                                     deviation_family=family, grid=grid)
-    cfg = SimConfig(N=N, counts=exact_counts(spec.pi, N), grid=grid, seed=seed)
+    counts = exact_counts(spec.pi, N)
 
     def tagged_costs(dev):
-        vals = np.empty(reps)
-        for rep in range(reps):
-            pack = draw_noise(seed, N, grid.steps, spec.n, spec.m,
-                              spec.subpops[0].r, rep=rep)
-            fin = simulate_population(spec, mf, cfg, noise=pack,
-                                      deviations=None if dev is None else {0: dev})
-            vals[rep] = empirical_cost(fin, spec, 0, "exploratory-regularized",
-                                       spec.rho, agents=[0]).per_agent[0]
-        return vals
+        return tagged_cost_reference(spec, mf, grid, counts, seed, reps, dev,
+                                     "exploratory-regularized")
 
     base = tagged_costs(None).mean()
     devs = [tagged_costs(dev) for dev in family]
     eps_hat = max(0.0, base - min(v.mean() for v in devs))
-    assert res.summary == {"N": N, "eps_hat": eps_hat, "equilibrium_cost": base,
-                           "deviation_costs": [v.mean() for v in devs], "reps": reps}
-    assert res.rows == [
-        {"experiment": "nash", "N": N, "rep": j, "checkpoint_t": grid.t1,
-         "value": v.mean(), "std_err": v.std(ddof=1) / math.sqrt(reps)}
-        for j, v in enumerate(devs)] + [
-        {"experiment": "nash", "N": N, "rep": -1, "checkpoint_t": grid.t1,
-         "value": eps_hat, "std_err": ""}]
+    assert_rows_close(
+        res.rows + [res.summary],
+        [{"experiment": "nash", "N": N, "rep": j, "checkpoint_t": grid.t1,
+          "value": v.mean(), "std_err": v.std(ddof=1) / math.sqrt(reps)}
+         for j, v in enumerate(devs)]
+        + [{"experiment": "nash", "N": N, "rep": -1, "checkpoint_t": grid.t1,
+            "value": eps_hat, "std_err": ""},
+           {"N": N, "eps_hat": eps_hat, "equilibrium_cost": base,
+            "deviation_costs": [v.mean() for v in devs], "reps": reps}],
+        rtol=1e-12)
 
 
 def test_nash_uncoupled_no_profit(decoupled_noisy):
@@ -352,7 +359,7 @@ def test_deviations_act_per_agent(two_type):
     for f in fields:
         assert np.array_equal(getattr(dev, f)[[0, 2, 4]], getattr(base, f)[[0, 2, 4]])
     for i, d in devs.items():
-        single = simulate_representative(spec, mf, grid, 8, noise=pack.subset([i]),
+        single = simulate_representative(spec, mf, grid, 8, noise=rows(pack, [i]),
                                          types=types[[i]], deviations={0: d})
         for f in fields:
             assert np.array_equal(getattr(dev, f)[i], getattr(single, f)[0])
@@ -651,8 +658,7 @@ def coupling_gap_reference(spec, mf, Ns, reps, seed, grid, checkpoint_frac,
         for rep in range(reps):
             pack = draw_noise(seed, N, grid.steps, spec.n, spec.m,
                               spec.subpops[0].r, rep=rep)
-            cfg = SimConfig(N=N, counts=counts, grid=grid, seed=seed,
-                            coupling=coupling)
+            cfg = SimConfig(N=N, counts=counts, grid=grid, seed=seed)
             fin = simulate_population(spec, mf, cfg, noise=pack)
             if coupling == "common-random-numbers":
                 pack_inf = pack
@@ -677,28 +683,144 @@ def coupling_gap_reference(spec, mf, Ns, reps, seed, grid, checkpoint_frac,
     return res
 
 
-@pytest.mark.parametrize("coupling", ["common-random-numbers", "independent"])
-@pytest.mark.parametrize("frac", [0.5, 1.0, 0.37])
-def test_coupling_gap_matches_full_grid_reference(two_type, coupling, frac):
-    spec, mf = two_type
-    # at 0.37 the truncated grid's nodes differ from this grid's by an ulp
-    grid = TimeGrid(0.0, 3.0, 200)
-    kw = dict(reps=3, seed=6, checkpoint_frac=frac, coupling=coupling)
-    Ns = [8, 16, 40]
-    res = coupling_gap_experiment(spec, mf, Ns, grid=grid, **kw)
-    ref = coupling_gap_reference(spec, mf, Ns, grid=grid, **kw)
-    if frac != 0.37:
-        assert res.rows == ref.rows
-        assert res.summary == ref.summary
-        return
-    assert len(res.rows) == len(ref.rows)
-    for row, ref_row in zip(res.rows + [res.summary], ref.rows + [ref.summary]):
+def assert_rows_close(rows, ref_rows, rtol):
+    """Experiment rows (and summaries) equal in every key and every string
+    or count, and in every other number to ``rtol`` relative."""
+    assert len(rows) == len(ref_rows)
+    for row, ref_row in zip(rows, ref_rows):
         assert row.keys() == ref_row.keys()
         for key, v in ref_row.items():
             if isinstance(v, str) or key in ("N", "rep", "Ns", "reps"):
                 assert row[key] == v
             else:
-                np.testing.assert_allclose(row[key], v, rtol=1e-12, atol=0)
+                np.testing.assert_allclose(row[key], v, rtol=rtol, atol=0)
+
+
+@pytest.mark.parametrize("coupling", ["common-random-numbers", "independent"])
+@pytest.mark.parametrize("frac", [0.5, 1.0, 0.37])
+def test_coupling_gap_matches_full_grid_reference(two_type, coupling, frac):
+    # the gap is now a difference of type means, not of agent paths: it
+    # matches the agent-by-agent reference to rounding, not bitwise
+    spec, mf = two_type
+    grid = TimeGrid(0.0, 3.0, 200)
+    kw = dict(reps=3, seed=6, checkpoint_frac=frac, coupling=coupling)
+    Ns = [8, 16, 40]
+    res = coupling_gap_experiment(spec, mf, Ns, grid=grid, **kw)
+    ref = coupling_gap_reference(spec, mf, Ns, grid=grid, **kw)
+    assert_rows_close(res.rows + [res.summary], ref.rows + [ref.summary],
+                      rtol=1e-11)
+
+
+def solved(spec):
+    """The spec's mean field, or no example: a random spec may break the
+    aggregate stability margin, and its solve then raises."""
+    try:
+        return solve_consistency(spec)
+    except ConsistencyError:
+        assume(False)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(spec=random_specs(coupling=st.sampled_from([0.1, 0.3])),
+       Ns=st.lists(st.integers(1, 30), min_size=1, max_size=3),
+       steps=st.integers(2, 40), frac=st.sampled_from([0.5, 1.0]),
+       coupling=st.sampled_from(["common-random-numbers", "independent"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_coupling_gap_matches_reference_on_random_specs(spec, Ns, steps, frac,
+                                                        coupling, seed):
+    mf = solved(spec)
+    grid = TimeGrid(0.0, 2.0, steps)
+    kw = dict(reps=2, seed=seed, grid=grid, checkpoint_frac=frac,
+              coupling=coupling)
+    res = coupling_gap_experiment(spec, mf, Ns, **kw)
+    ref = coupling_gap_reference(spec, mf, Ns, **kw)
+    assert [(row["N"], row["rep"]) for row in res.rows] == \
+        [(row["N"], row["rep"]) for row in ref.rows]
+    np.testing.assert_allclose([row["value"] for row in res.rows],
+                               [row["value"] for row in ref.rows], rtol=1e-11, atol=0)
+    # a standard error of two near-equal values cancels: relative to the mean
+    np.testing.assert_allclose(res.summary["gap_std_errs"], ref.summary["gap_std_errs"],
+                               rtol=0, atol=1e-11 * max(ref.summary["gap_means"]))
+
+
+def tagged_cost_reference(spec, mf, grid, counts, seed, reps, dev, mode, k=0,
+                          exogenous=False):
+    """The first agent of type k playing ``dev`` (None: the equilibrium) in
+    each repetition's full N-agent simulation, or alone on its limiting path
+    with ``exogenous``, costed directly.  The reference for the
+    superposition kernel's tagged costs."""
+    N = sum(counts)
+    row = sum(counts[:k])
+    vals = np.empty(reps)
+    for rep in range(reps):
+        pack = draw_noise(seed, N, grid.steps, spec.n, spec.m,
+                          spec.subpops[0].r, rep=rep)
+        if exogenous:
+            agent, devs = 0, None if dev is None else {0: dev}
+            batch = simulate_representative(spec, mf, grid, seed, k=k, n_paths=1,
+                                            noise=rows(pack, [row]), deviations=devs)
+        else:
+            agent, devs = row, None if dev is None else {row: dev}
+            cfg = SimConfig(N=N, counts=tuple(counts), grid=grid, seed=seed)
+            batch = simulate_population(spec, mf, cfg, noise=pack, deviations=devs)
+        vals[rep] = empirical_cost(batch, spec, k, mode, spec.rho,
+                                   agents=[agent]).per_agent[0]
+    return vals
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(spec=random_specs(coupling=st.sampled_from([0.1, 0.3])),
+       steps=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+       counts=st.lists(st.integers(0, 4), min_size=3, max_size=3))
+def test_tagged_costs_match_direct_simulation(spec, steps, seed, counts):
+    mf = solved(spec)
+    grid = TimeGrid(0.0, 1.5, steps)
+    rng = np.random.default_rng(seed)
+    members = [None, PolicyDeviation(mean_shift=rng.normal(size=spec.m)),
+               PolicyDeviation(cov_scale=float(rng.uniform(0.3, 2.0))),
+               PolicyDeviation(mean_shift=rng.normal(size=spec.m),
+                               cov_scale=float(rng.uniform(0.3, 2.0)))]
+    reps = 3
+    for k in range(spec.K):                       # a tagged agent of each type
+        cnt = counts[:spec.K]
+        cnt[k] = max(cnt[k], 1)
+        N = sum(cnt)
+        sums = simulator._noise_sums(
+            (draw_noise(seed, N, steps, spec.n, spec.m, spec.subpops[0].r, rep=rep)
+             for rep in range(reps)), cnt, steps, tag_type=k)
+        for mode in ("classical", "exploratory", "exploratory-regularized"):
+            for exogenous in (False, True):
+                got = simulator._tagged_costs(
+                    spec, mf, grid, cnt, sums,
+                    [dev or PolicyDeviation() for dev in members], mode,
+                    tag_type=k, exogenous_field=exogenous)
+                ref = np.array([tagged_cost_reference(spec, mf, grid, cnt, seed, reps,
+                                                      dev, mode, k, exogenous)
+                                for dev in members])
+                np.testing.assert_allclose(got, ref, rtol=1e-12,
+                                           atol=1e-12 * np.max(np.abs(ref)),
+                                           err_msg=f"type {k} {mode} exogenous={exogenous}")
+        # the equilibrium and a zero deviation are one member, to the bit
+        same = simulator._tagged_costs(spec, mf, grid, cnt, sums,
+                                       [PolicyDeviation()] * 2,
+                                       "exploratory-regularized", tag_type=k)
+        assert np.array_equal(same[0], same[1])
+
+
+def test_cost_gap_matches_direct_simulation(two_type):
+    spec, mf = two_type
+    grid = TimeGrid(0.0, 2.0, 200)
+    dev = PolicyDeviation(mean_shift=[0.2], cov_scale=1.3)
+    kw = dict(reps=4, seed=5, grid=grid, deviation=dev, mode="classical")
+    res = cost_gap_experiment(spec, mf, [5, 12], **kw)
+    for N, row in zip([5, 12], [r for r in res.rows if r["rep"] == -1]):
+        counts = exact_counts(spec.pi, N)
+        diffs = (tagged_cost_reference(spec, mf, grid, counts, 5, 4, dev, "classical")
+                 - tagged_cost_reference(spec, mf, grid, counts, 5, 4, dev, "classical",
+                                         exogenous=True))
+        got = [r["value"] for r in res.rows if r["N"] == N and r["rep"] >= 0]
+        np.testing.assert_allclose(got, diffs, rtol=1e-12, atol=0)
+        assert row["value"] == pytest.approx(abs(diffs.mean()), rel=1e-11, abs=0)
 
 
 def empirical_cost_reference(batch, spec, k, mode, rho, agents=None):
