@@ -25,7 +25,7 @@ from .meanfield import (ConsistencyError, SolverConfig, consistency_residual,
                         solve_consistency, stability_reports)
 from .model import SpecValidationError, load_spec
 from .numerics import RNG_SCHEME, OdeBlowupError, TimeGrid
-from .policy import policy_entropy, value_gap
+from .policy import exploration_covariance, policy_entropy, value_gap
 from .riccati import RiccatiError
 from .simulator import (PolicyDeviation, coe_experiment, cost_gap_experiment,
                         coupling_gap_experiment, nash_deviation_experiment,
@@ -227,9 +227,8 @@ def _lambda_sweep(spec, args):
         gaps.append(g)
         rows.append({"experiment": "lambda-sweep", "N": 0, "rep": i,
                      "checkpoint_t": lam, "value": g, "std_err": ""})
-    lam_min = min(lams)
-    p = spec.subpops[0]
-    cov = lam_min * np.linalg.inv(p.R)
+    p = _with_lambda(spec, min(lams)).subpops[0]
+    cov = exploration_covariance(p)
     rng = np.random.default_rng(args.seed)
     dev = rng.standard_normal((100000, p.m)) @ np.linalg.cholesky(
         cov + 1e-300 * np.eye(p.m)).T
@@ -254,13 +253,13 @@ def _entropy_audit(spec, args):
         s = _with_lambda(spec, lam)
         p = s.subpops[0]
         closed = policy_entropy(0, s)
-        _sign, logdet = np.linalg.slogdet(2 * np.pi * lam * np.linalg.inv(p.R))
-        logdet_convention = lam / (2 * s.rho) * float(logdet)
-        standard_identity = -lam / (2 * s.rho) * (float(logdet) + p.m)
+        logdet = 2.0 * closed - p.m                   # ln det(2 pi lam R^-1)
+        logdet_convention = lam / (2 * s.rho) * logdet
+        standard_identity = -lam / (2 * s.rho) * (logdet + p.m)
         quad_entropy = None
         quad_discounted = None
         if p.m == 1:
-            var = lam / p.R[0, 0]
+            var = exploration_covariance(p)[0, 0]
             sig = math.sqrt(var)
             gd = gaussian_grid_density([0.0], [[var]], [-8 * sig], [8 * sig],
                                        (801,))

@@ -1,27 +1,33 @@
-"""Optimal control laws: the classical state feedback and the exploratory
-Gaussian control distribution, plus the exploration closed forms (entropy,
-cost of exploration, value gap).
+"""The optimal control distribution as one tabulated record, plus the
+exploration closed forms (entropy, cost of exploration, value gap).
 
-The exploratory optimum is Gaussian with mean equal to the classical
-control (literally the same code path here) and covariance
-lambda_k R_k^-1 -- state- and time-independent, linear in the exploration
-weight.  At lambda_k = 0 the policy degenerates to a Dirac mass at the
-classical control.
+The exploratory optimum of type k is Gaussian with mean -gain x + offset(t),
+the classical feedback: gain = R^-1 (B^T Pi + S^T) and offset(t) =
+-R^-1 (B^T s(t) - S^T psibar xbar(t) + n).  Its covariance lambda_k R_k^-1
+is state- and time-independent; at lambda_k = 0 the policy is a Dirac mass
+at the classical control.  ``tabulate_policy`` is the one place that writes
+the offset and the covariance, on the nodes of a grid (Pi constant, or one
+per node for a finite horizon); the simulator, the variational mean paths
+and the trading planner read its record, and the pointwise calls build a
+one-node record at t.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .meanfield import MeanFieldSolution
-from .model import PopulationSpec
-from .numerics import sample_gaussian
+from .model import PopulationSpec, SubpopParams
+from .numerics import TimeGrid, Trajectory, cholesky_psd, sample_gaussian
 from .riccati import feedback_gain
 
 __all__ = [
     "GaussianPolicy",
+    "tabulate_policy",
+    "exploration_covariance",
+    "gaussian_entropy",
     "classical_control",
     "exploratory_policy",
     "policy_for",
@@ -32,42 +38,29 @@ __all__ = [
 ]
 
 
-def _control_pieces(mf: MeanFieldSolution, k: int):
-    spec = mf.spec
-    p = spec.subpops[k]
-    Pi = mf.Pi[k].Pi
-    gain = feedback_gain(p, Pi)                          # (m, n)
-    psibar = spec.psibar(k)
-    return p, Pi, gain, psibar
-
-
-def classical_control(t: float, x: np.ndarray, mf: MeanFieldSolution, k: int) -> np.ndarray:
-    """u* = -R^-1 [(B^T Pi + S^T) x + B^T s(t) - S^T psibar xbar(t) + n].
-
-    s(t) and xbar(t) interpolate linearly between grid nodes; t outside the
-    solved grid raises.
-    """
-    p, _Pi, gain, psibar = _control_pieces(mf, k)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    s_t = mf.s[k].interp(t)
-    xbar_t = mf.xbar.interp(t)
-    offset = np.linalg.solve(p.R, p.B.T @ s_t - p.S.T @ (psibar @ xbar_t) + p.nvec)
-    return -(gain @ x) - offset
-
-
 @dataclass(frozen=True)
 class GaussianPolicy:
-    """State-feedback Gaussian control distribution for one sub-population.
+    """N(-gain x + offset, covariance) on the nodes of ``grid``, or at one
+    time (grid None, one offset row).  gain is (m, n), or (nodes, m, n) for
+    a tabulated Pi; offset is (nodes, m); covariance is lambda R^-1,
+    symmetrized, and chol its ``cholesky_psd`` factor.  ``mean`` is linear
+    in t between nodes."""
 
-    mean(t, x) is the classical control; covariance is lambda_k R_k^-1.
-    """
-
-    k: int
-    mf: MeanFieldSolution
+    grid: TimeGrid | None
+    gain: np.ndarray
+    offset: np.ndarray
     covariance: np.ndarray
+    chol: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "chol", cholesky_psd(self.covariance))
+
+    def _node(self, table: np.ndarray, t: float) -> np.ndarray:
+        return table[0] if self.grid is None else Trajectory(self.grid, table).interp(t)
 
     def mean(self, t: float, x: np.ndarray) -> np.ndarray:
-        return classical_control(t, x, self.mf, self.k)
+        gain = self.gain if self.gain.ndim == 2 else self._node(self.gain, t)
+        return -(gain @ np.atleast_1d(np.asarray(x, dtype=float))) + self._node(self.offset, t)
 
     def at(self, t: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.mean(t, x), self.covariance
@@ -76,17 +69,60 @@ class GaussianPolicy:
         return sample_gaussian(self.mean(t, x), self.covariance, rng)
 
 
-def policy_for(mf: MeanFieldSolution, k: int) -> GaussianPolicy:
-    p = mf.spec.subpops[k]
-    cov = p.lambda_explore * np.linalg.inv(p.R)
-    cov = 0.5 * (cov + cov.T)
-    return GaussianPolicy(k=k, mf=mf, covariance=cov)
+def exploration_covariance(p: SubpopParams, scale: float = 1.0) -> np.ndarray:
+    """scale * lambda R^-1, symmetrized: the optimal policy's covariance, or
+    (scale != 1) that of a variance-scaled deviation from it."""
+    cov = scale * p.lambda_explore * np.linalg.inv(p.R)
+    return 0.5 * (cov + cov.T)
+
+
+def gaussian_entropy(cov: np.ndarray) -> float:
+    """Differential entropy of a Gaussian: 0.5 ln det(2 pi e cov).  Raises
+    unless cov is positive definite."""
+    sign, logdet = np.linalg.slogdet(2.0 * np.pi * np.e * cov)
+    if sign <= 0:
+        raise ValueError("covariance not positive definite")
+    return 0.5 * float(logdet)
+
+
+def tabulate_policy(spec: PopulationSpec, k: int, Pi: np.ndarray, grid: TimeGrid | None,
+                    s: np.ndarray, xbar: np.ndarray) -> GaussianPolicy:
+    """Type k's policy record from Pi ((n, n), or (nodes, n, n)) and s
+    (nodes, n) and xbar (nodes, nK) on the nodes of ``grid``."""
+    p = spec.subpops[k]
+    inner = s @ p.B - (xbar @ spec.psibar(k).T) @ p.S + p.nvec
+    return GaussianPolicy(grid=grid, gain=feedback_gain(p, Pi),
+                          offset=-np.linalg.solve(p.R, inner.T).T,
+                          covariance=exploration_covariance(p))
+
+
+def policy_for(mf: MeanFieldSolution, k: int, grid: TimeGrid | None = None) -> GaussianPolicy:
+    """Type k's optimal policy tabulated on ``grid`` (default: the solve
+    grid), with s and xbar interpolated linearly at its nodes."""
+    grid = grid or mf.grid
+    ts = grid.times()
+    return tabulate_policy(mf.spec, k, mf.Pi[k].Pi, grid, mf.s[k].interp(ts),
+                           mf.xbar.interp(ts))
+
+
+def _policy_at(mf: MeanFieldSolution, k: int, t: float) -> GaussianPolicy:
+    """The one-node record at t; t outside the solved grid raises."""
+    return tabulate_policy(mf.spec, k, mf.Pi[k].Pi, None,
+                           mf.s[k].interp([t]), mf.xbar.interp([t]))
+
+
+def classical_control(t: float, x: np.ndarray, mf: MeanFieldSolution, k: int) -> np.ndarray:
+    """u* = -R^-1 [(B^T Pi + S^T) x + B^T s(t) - S^T psibar xbar(t) + n].
+
+    s(t) and xbar(t) interpolate linearly between grid nodes; t outside the
+    solved grid raises.
+    """
+    return _policy_at(mf, k, t).mean(t, x)
 
 
 def exploratory_policy(t: float, x: np.ndarray, mf: MeanFieldSolution, k: int):
     """The optimal control distribution at (t, x): (mean, covariance)."""
-    pol = policy_for(mf, k)
-    return pol.at(t, x)
+    return _policy_at(mf, k, t).at(t, x)
 
 
 def sample_action(policy_at_point, rng: np.random.Generator) -> np.ndarray:
@@ -106,12 +142,7 @@ def policy_entropy(k: int, spec: PopulationSpec) -> float:
     p = spec.subpops[k]
     if p.lambda_explore <= 0:
         raise ValueError("entropy undefined (Dirac policy at lambda = 0)")
-    m = p.m
-    cov = p.lambda_explore * np.linalg.inv(p.R)
-    sign, logdet = np.linalg.slogdet(2.0 * np.pi * np.e * cov)
-    if sign <= 0:
-        raise ValueError("covariance not positive definite")
-    return 0.5 * float(logdet)
+    return gaussian_entropy(exploration_covariance(p))
 
 
 def analytic_coe(k: int, spec: PopulationSpec) -> float:
@@ -130,7 +161,8 @@ def analytic_coe(k: int, spec: PopulationSpec) -> float:
 
 def value_gap(k: int, spec: PopulationSpec) -> float:
     """Classical-minus-exploratory value gap:
-    (lambda/(2 rho)) * (ln det(2 pi lambda R^-1) - m).
+    (lambda/(2 rho)) * (ln det(2 pi lambda R^-1) - m), which is
+    (lambda/rho) * (H - m) in the policy entropy H.
 
     Reduces to (lambda/2 rho)(ln(2 pi lambda / R) - 1) for m = 1 and
     vanishes as lambda -> 0.
@@ -140,8 +172,4 @@ def value_gap(k: int, spec: PopulationSpec) -> float:
         raise ValueError("value gap needs rho > 0")
     if p.lambda_explore <= 0:
         raise ValueError("value gap needs lambda > 0")
-    cov = 2.0 * np.pi * p.lambda_explore * np.linalg.inv(p.R)
-    sign, logdet = np.linalg.slogdet(cov)
-    if sign <= 0:
-        raise ValueError("covariance not positive definite")
-    return p.lambda_explore / (2.0 * spec.rho) * (float(logdet) - p.m)
+    return p.lambda_explore / spec.rho * (policy_entropy(k, spec) - p.m)

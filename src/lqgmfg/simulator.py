@@ -42,7 +42,8 @@ import numpy as np
 from .meanfield import MeanFieldSolution
 from .model import PopulationSpec
 from .numerics import TimeGrid, cholesky_psd, fit_rate, rng_stream
-from .riccati import feedback_gain
+from .policy import (GaussianPolicy, analytic_coe, exploration_covariance, gaussian_entropy,
+                     tabulate_policy)
 
 __all__ = [
     "SimConfig",
@@ -203,31 +204,23 @@ class CostEstimate:
     truncation_bound: float
 
 
-class _PolicyTables:
-    """Equilibrium feedback per type, tabulated on the simulation grid."""
+def _policies(spec: PopulationSpec, mf: MeanFieldSolution,
+               grid: TimeGrid) -> list[GaussianPolicy]:
+    """Each type's policy record on the grid: the blocks of ``spec`` with
+    the solved Pi, and s and xbar interpolated at the nodes."""
+    ts = grid.times()
+    xbar = mf.xbar.interp(ts)
+    return [tabulate_policy(spec, k, mf.Pi[k].Pi, grid, mf.s[k].interp(ts), xbar)
+            for k in range(spec.K)]
 
-    def __init__(self, spec: PopulationSpec, mf: MeanFieldSolution, grid: TimeGrid):
-        ts = grid.times()
-        self.gain = []     # (m, n) multiplying the own state, with sign: mean = -gain x + off
-        self.offset = []   # (nodes, m)
-        self.cov_chol = []
-        self.b_tab = []
-        self.field = []    # (nodes, n): Fbar xbar + Hbar mubar, the limiting coupling
-        xbar_t = mf.xbar.interp(ts)                      # (nodes, nK)
-        mubar_t = mf.mubar.interp(ts)                    # (nodes, mK)
-        for k, p in enumerate(spec.subpops):
-            gain = feedback_gain(p, mf.Pi[k].Pi)
-            s_t = mf.s[k].interp(ts)                     # (nodes, n)
-            psibar = spec.psibar(k)
-            # off = -R^-1 (B^T s - S^T psibar xbar + n); mean = -gain x + off
-            inner = s_t @ p.B - (xbar_t @ psibar.T) @ p.S + p.nvec[None, :]
-            off = -np.linalg.solve(p.R, inner.T).T
-            self.gain.append(gain)
-            self.offset.append(off)
-            cov = p.lambda_explore * np.linalg.inv(p.R)
-            self.cov_chol.append(cholesky_psd(0.5 * (cov + cov.T)))
-            self.b_tab.append(p.b(ts))
-            self.field.append(xbar_t @ spec.Fbar(k).T + mubar_t @ spec.Hbar(k).T)
+
+def _limiting_field(spec: PopulationSpec, mf: MeanFieldSolution,
+                    ts: np.ndarray) -> np.ndarray:
+    """Fbar_k xbar(t) + Hbar_k mubar(t), the limiting coupling of each type,
+    (nodes, K, n)."""
+    xbar, mubar = mf.xbar.interp(ts), mf.mubar.interp(ts)
+    return np.stack([xbar @ spec.Fbar(k).T + mubar @ spec.Hbar(k).T
+                     for k in range(spec.K)], axis=1)
 
 
 def _type_slices(counts) -> list[slice]:
@@ -262,7 +255,11 @@ def _simulate(spec: PopulationSpec, mf: MeanFieldSolution, grid: TimeGrid,
     steps, dt = grid.steps, grid.dt
     nodes = steps + 1
     sqdt = math.sqrt(dt)
-    tables = _PolicyTables(spec, mf, grid)
+    ts = grid.times()
+    pols = _policies(spec, mf, grid)
+    gain, offset, chol = ([getattr(pol, f) for pol in pols] for f in ("gain", "offset", "chol"))
+    b_tab = [p.b(ts) for p in spec.subpops]
+    field_t = _limiting_field(spec, mf, ts) if exogenous_field else None
     slices = _type_slices(counts)
     types = np.repeat(np.arange(K), counts)
 
@@ -290,13 +287,12 @@ def _simulate(spec: PopulationSpec, mf: MeanFieldSolution, grid: TimeGrid,
             dw = noise.dW[:, i:i + _NOISE_CHUNK].transpose(1, 0, 2).copy()
         mu = means[i]
         for k, sl in enumerate(slices):
-            mu[sl] = -(x[sl] @ tables.gain[k].T) + tables.offset[k][i][None, :]
+            mu[sl] = -(x[sl] @ gain[k].T) + offset[k][i][None, :]
         mu += shifts
         u = actions[i]
         if mode == "exploratory":
             for k, sl in enumerate(slices):
-                u[sl] = mu[sl] + sd_scales[sl] * (az[c, sl]
-                                                  @ tables.cov_chol[k].T)
+                u[sl] = mu[sl] + sd_scales[sl] * (az[c, sl] @ chol[k].T)
         else:
             u[...] = mu
         x_avg[i] = x.mean(axis=0)
@@ -306,19 +302,18 @@ def _simulate(spec: PopulationSpec, mf: MeanFieldSolution, grid: TimeGrid,
         x_new = states[i + 1]
         for k, sl in enumerate(slices):
             p = spec.subpops[k]
-            drift = x[sl] @ p.A.T + mu[sl] @ p.B.T + tables.b_tab[k][i][None, :]
+            drift = x[sl] @ p.A.T + mu[sl] @ p.B.T + b_tab[k][i][None, :]
             if exogenous_field:
-                drift += tables.field[k][i][None, :]
+                drift += field_t[i, k][None, :]
             else:
                 drift += x_avg[i] @ p.F.T + mu_avg[i] @ p.H.T
             x_new[sl] = x[sl] + dt * drift + sqdt * (dw[c, sl] @ p.D.T)
         if not np.all(np.isfinite(x_new)):
             bad = np.argwhere(~np.isfinite(x_new))[0]
-            raise RuntimeError(
-                f"non-finite state for agent {bad[0]} at t={grid.times()[i + 1]:.4g}")
+            raise RuntimeError(f"non-finite state for agent {bad[0]} at t={ts[i + 1]:.4g}")
         x = x_new
 
-    xref = mf.xbar.interp(grid.times()) if exogenous_field else x_avg
+    xref = mf.xbar.interp(ts) if exogenous_field else x_avg
     return SimulationBatch(grid=grid, mode=mode, types=types,
                            states=states.transpose(1, 0, 2),
                            actions=actions.transpose(1, 0, 2),
@@ -460,15 +455,16 @@ def _mean_paths(spec: PopulationSpec, mf: MeanFieldSolution, grid: TimeGrid,
     steps = grid.steps if steps is None else steps
     nodes, dt, sqdt = steps + 1, grid.dt, math.sqrt(grid.dt)
     ts = grid.times()[:nodes]
-    tables = _PolicyTables(spec, mf, grid)
+    pols = _policies(spec, mf, grid)
     K, n, m, N = spec.K, spec.n, spec.m, sum(counts)
     tagged = noise.tag is not None
     c = np.array(counts, dtype=float)[:, None] - np.eye(K)[tag_type][:, None] * tagged
     A, B, F, H, D = (np.array([getattr(p, f) for p in spec.subpops]) for f in "ABFHD")
-    G = np.array(tables.gain)
-    c_off = c * np.stack(tables.offset, axis=1)[:nodes]          # (nodes, K, m)
-    c_b = c * np.stack(tables.b_tab, axis=1)[:nodes]              # (nodes, K, n)
-    field_t = np.stack(tables.field, axis=1)[:nodes]              # (nodes, K, n)
+    G = np.array([pol.gain for pol in pols])
+    offset = np.stack([pol.offset[:nodes] for pol in pols], axis=1)   # (nodes, K, m)
+    b_tab = np.stack([p.b(ts) for p in spec.subpops], axis=1)        # (nodes, K, n)
+    c_off, c_b = c * offset, c * b_tab
+    field_t = _limiting_field(spec, mf, ts)                           # (nodes, K, n)
     M, R = len(members) if tagged else 1, noise.x0.shape[0]
     L0 = cholesky_psd(spec.x0_cov)
     S = np.broadcast_to(c * spec.x0_mean + _lin(noise.x0, L0), (M, R, K, n)).copy()
@@ -485,7 +481,7 @@ def _mean_paths(spec: PopulationSpec, mf: MeanFieldSolution, grid: TimeGrid,
         mu_sum = c_off[i] - _lin(S, G)
         xs, ms = S.sum(axis=-2), mu_sum.sum(axis=-2)
         if tagged:
-            mu = tables.offset[k][i] - _lin(x, G[k]) + shift
+            mu = offset[i, k] - _lin(x, G[k]) + shift
             states[i], means[i] = x, mu
             xs += x
             ms += mu
@@ -500,7 +496,7 @@ def _mean_paths(spec: PopulationSpec, mf: MeanFieldSolution, grid: TimeGrid,
             drift += c * (_lin(xa[..., None, :], F) + _lin(ma[..., None, :], H))
         S = S + dt * drift + sqdt * _lin(noise.dW[i], D)
         if tagged:
-            drift = _lin(x, A[k]) + _lin(mu, B[k]) + tables.b_tab[k][i]
+            drift = _lin(x, A[k]) + _lin(mu, B[k]) + b_tab[i, k]
             if exogenous_field:
                 drift += field_t[i, k]
             else:
@@ -513,7 +509,7 @@ def _mean_paths(spec: PopulationSpec, mf: MeanFieldSolution, grid: TimeGrid,
         return _MeanPaths(S, x_avg, mu_avg, None, None, None)
     sd = np.sqrt([d.cov_scale for d in members])[:, None, None]
     az = noise.tag.action_z.transpose(1, 0, 2)                    # (nodes, R, m)
-    actions = means + sd * _lin(az, tables.cov_chol[k])[:, None]
+    actions = means + sd * _lin(az, pols[k].chol)[:, None]
     return _MeanPaths(S, x_avg, mu_avg, states, means, actions)
 
 
@@ -559,12 +555,9 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _entropy_for(p, cov_scale: float) -> float:
     """lambda * H(Phi) for the (possibly variance-scaled) Gaussian policy;
     vanishes with the exploration weight (lambda ln lambda -> 0)."""
-    lam = p.lambda_explore
-    if lam <= 0:
+    if p.lambda_explore <= 0:
         return 0.0
-    cov = cov_scale * lam * np.linalg.inv(p.R)
-    _sign, logdet = np.linalg.slogdet(2.0 * np.pi * np.e * cov)
-    return lam * 0.5 * float(logdet)
+    return p.lambda_explore * gaussian_entropy(exploration_covariance(p, cov_scale))
 
 
 def empirical_cost(batch: SimulationBatch, spec: PopulationSpec, k: int,
@@ -606,7 +599,7 @@ def empirical_cost(batch: SimulationBatch, spec: PopulationSpec, k: int,
         controls = batch.means.transpose(1, 0, 2)
         # tr(R cov) / 2, the mean of (u - mu)^T R (u - mu) / 2, per agent
         scales = batch.cov_scales[agents]
-        rate = 0.5 * np.trace(p.R @ (p.lambda_explore * np.linalg.inv(p.R))) * scales
+        rate = 0.5 * np.trace(p.R @ exploration_covariance(p)) * scales
         if mode == "exploratory-regularized":
             # one slogdet per distinct scale, not per agent
             uniq, inv = np.unique(scales, return_inverse=True)
@@ -857,16 +850,11 @@ def coe_experiment(spec: PopulationSpec, mf: MeanFieldSolution, k: int,
     nodes = steps + 1
     rng = np.random.default_rng(seed)
 
-    gain = feedback_gain(p, mf.Pi[k].Pi)
-    s_t = mf.s[k].interp(ts)
     xbar_t = mf.xbar.interp(ts)
-    mubar_t = mf.mubar.interp(ts)
-    psibar = spec.psibar(k)
-    off = -np.linalg.solve(p.R, (s_t @ p.B - (xbar_t @ psibar.T) @ p.S
-                                 + p.nvec[None, :]).T).T
-    field = xbar_t @ spec.Fbar(k).T + mubar_t @ spec.Hbar(k).T + p.b(ts)
-    ybar = xbar_t @ psibar.T
-    Lc = cholesky_psd(p.lambda_explore * np.linalg.inv(p.R))
+    pol = tabulate_policy(spec, k, mf.Pi[k].Pi, grid, mf.s[k].interp(ts), xbar_t)
+    gain, off, Lc = pol.gain, pol.offset, pol.chol
+    field = xbar_t @ spec.Fbar(k).T + mf.mubar.interp(ts) @ spec.Hbar(k).T + p.b(ts)
+    ybar = xbar_t @ spec.psibar(k).T
     L0 = cholesky_psd(spec.x0_cov)
     # Euler step (rows) under the policy mean mu = off - x gain^T:
     # x' = x step_mat + step_off[i] + sqrt(dt) dW D^T
@@ -908,7 +896,6 @@ def coe_experiment(spec: PopulationSpec, mf: MeanFieldSolution, k: int,
         X[0] = X[c]
     est = float(acc.mean())
     se = float(acc.std(ddof=1) / math.sqrt(reps))
-    from .policy import analytic_coe
     ana = analytic_coe(k, spec)
     res = ExperimentResult("coe")
     res.rows.append({"experiment": "coe", "N": reps, "rep": -1,

@@ -24,7 +24,9 @@ cash process gives the control cost a nu^2, the cross term F nu, and the
 terminal -q_T F_T; a cumulative-impact charge would leave the rate
 unpenalized (a singular control problem with R = 0), which the quadratic
 framework cannot represent.  The blocks produced are recorded in the
-mapping for auditability.
+mapping for auditability.  The plan is the library's one policy record
+(``policy.GaussianPolicy``), its gain tabulated from the Riccati table, and
+the market simulator samples the traders' rates from it.
 """
 
 from __future__ import annotations
@@ -37,12 +39,12 @@ import numpy as np
 from .meanfield import consistency_blocks, solve_stacked
 from .model import PopulationSpec, SubpopParams, validate_spec
 from .numerics import TimeGrid, Trajectory, rk4_linear_time_varying, rng_stream
-from .riccati import feedback_gain, solve_differential_riccati
+from .policy import GaussianPolicy, tabulate_policy
+from .riccati import solve_differential_riccati
 
 __all__ = [
     "MarketParams",
     "LqgMapping",
-    "TradingPolicy",
     "MarketPaths",
     "TradingDataset",
     "ParamEstimates",
@@ -212,32 +214,13 @@ def _horizon_of(mapping: LqgMapping) -> float:
     return T
 
 
-@dataclass
-class TradingPolicy:
-    """Time-varying Gaussian trading policy: mean = -gain(t) x + offset(t),
-    covariance lambda_explore R^-1."""
-
-    grid: TimeGrid
-    gain: np.ndarray       # (nodes, m, n)
-    offset: np.ndarray     # (nodes, m)
-    cov: np.ndarray        # (m, m)
-
-
 def trading_policy(mapping: LqgMapping, fh: FiniteHorizonSolution,
-                   k: int = 0) -> TradingPolicy:
-    spec = mapping.population
-    p = spec.subpops[k]
-    grid = fh.grid
-    ts = grid.times()
-    Rinv = np.linalg.inv(p.R)
-    gain = feedback_gain(p, fh.Pi[k].values)
-    psib = spec.psibar(k)
-    xbar_t = fh.xbar.values
-    inner = (fh.s[k].values @ p.B - (xbar_t @ psib.T) @ p.S + p.nvec[None, :])
-    offset = -inner @ Rinv.T
-    cov = p.lambda_explore * Rinv
-    return TradingPolicy(grid=grid, gain=gain, offset=offset,
-                         cov=0.5 * (cov + cov.T))
+                   k: int = 0) -> GaussianPolicy:
+    """Type k's time-varying Gaussian trading policy: the policy record on
+    the solve grid, its gain tabulated from the Riccati table, so the mean
+    is -gain(t) x + offset(t) and the covariance lambda_explore R^-1."""
+    return tabulate_policy(mapping.population, k, fh.Pi[k].values, fh.grid,
+                           fh.s[k].values, fh.xbar.values)
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +238,11 @@ class MarketPaths:
     cumvol: np.ndarray     # (N, nodes) integral of own nu
 
 
-def simulate_market(params: MarketParams, policy: TradingPolicy, N: int,
+def simulate_market(params: MarketParams, policy: GaussianPolicy, N: int,
                     grid: TimeGrid, seed: int, rep: int = 0) -> MarketPaths:
     """Euler simulation of the trading dynamics with executed (sampled)
-    trading rates.
+    trading rates nu = -gain(t) x + offset(t) + chol z, z standard normal,
+    read from the policy record (m = 1).
 
     Execution price marks S_i(t) = F(t) + a * cumulative own volume; cash
     dZ = -S dq at the left point.  Episode ``rep`` of ``seed`` draws from
@@ -277,7 +261,7 @@ def simulate_market(params: MarketParams, policy: TradingPolicy, N: int,
         raise ValueError("policy grid does not match the simulation grid")
     noise = rng_stream(seed, rep).standard_normal((N + 1, steps))
     dF_noise = (params.sigma * sqdt * noise[0]).tolist()
-    L = math.sqrt(max(policy.cov[0, 0], 0.0))
+    L = float(policy.chol[0, 0])
     Lz = L * np.ascontiguousarray(noise[1:].T)       # (steps, N), time-major
     gain, offset = policy.gain[:, 0], policy.offset[:, 0].tolist()
     lam, F0 = params.lambda_perm, params.F0
@@ -434,7 +418,7 @@ class LearningTrace:
 
 
 def _plan(params_est: MarketParams, lambda_explore: float,
-          solver_steps: int) -> tuple[TradingPolicy, float]:
+          solver_steps: int) -> tuple[GaussianPolicy, float]:
     mapping = to_lqg(params_est, lambda_explore=lambda_explore)
     fh = solve_finite_horizon(mapping, steps=solver_steps)
     pol = trading_policy(mapping, fh)

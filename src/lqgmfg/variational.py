@@ -23,7 +23,7 @@ import numpy as np
 from .meanfield import MeanFieldSolution
 from .model import PopulationSpec
 from .numerics import TimeGrid, Trajectory, rk4_linear_tabulated
-from .riccati import feedback_gain
+from .policy import exploration_covariance, tabulate_policy
 
 __all__ = [
     "GridDensity",
@@ -214,24 +214,18 @@ def solve_mean_state_path(spec: PopulationSpec, mf: MeanFieldSolution, k: int,
     interpolation at RK4 half-steps), dx/dt = A x + g(t); otherwise the
     equilibrium feedback plus the constant mean_shift drives the state,
     dx/dt = (A - B gain) x + g(t).  Either way one call of the linear RK4
-    kernel, with g tabulated on the doubled grid from the solved mean field.
+    kernel, with g tabulated on the doubled grid from the solved mean field
+    and, under the feedback, from the policy record on that grid.
     Returns (state trajectory, realized control-mean trajectory).
     """
     p = spec.subpops[k]
-    gain = feedback_gain(p, mf.Pi[k].Pi)
-    psibar = spec.psibar(k)
     shift = np.broadcast_to(np.atleast_1d(np.asarray(mean_shift, dtype=float)),
                             (p.m,)).astype(float)
-    ts_half = np.linspace(grid.t0, grid.t1, 2 * grid.steps + 1)
+    half = TimeGrid(grid.t0, grid.t1, 2 * grid.steps)
+    ts_half = half.times()
     xbar_half = mf.xbar.interp(ts_half)
     g = (xbar_half @ spec.Fbar(k).T + mf.mubar.interp(ts_half) @ spec.Hbar(k).T
          + p.b(ts_half))
-
-    def open_loop_mean(ts, xbar_t):
-        """The control mean less its feedback term: shift - R^-1 (B^T s -
-        S^T psibar xbar + n)."""
-        inner = mf.s[k].interp(ts) @ p.B - (xbar_t @ psibar.T) @ p.S + p.nvec
-        return shift - np.linalg.solve(p.R, inner.T).T
 
     if mu_path is not None:
         # imported here: scipy.interpolate costs every importer of the CLI ~0.4 s
@@ -240,10 +234,11 @@ def solve_mean_state_path(spec: PopulationSpec, mf: MeanFieldSolution, k: int,
         g += CubicSpline(grid.times(), mus, axis=0)(ts_half) @ p.B.T
         xtraj = rk4_linear_tabulated(p.A, g, spec.x0_mean, grid)
     else:
-        g += open_loop_mean(ts_half, xbar_half) @ p.B.T
-        xtraj = rk4_linear_tabulated(p.A - p.B @ gain, g, spec.x0_mean, grid)
-        ts = grid.times()
-        mus = -(xtraj.values @ gain.T) + open_loop_mean(ts, mf.xbar.interp(ts))
+        pol = tabulate_policy(spec, k, mf.Pi[k].Pi, half, mf.s[k].interp(ts_half), xbar_half)
+        open_loop = shift + pol.offset          # the control mean less its feedback
+        g += open_loop @ p.B.T
+        xtraj = rk4_linear_tabulated(p.A - p.B @ pol.gain, g, spec.x0_mean, grid)
+        mus = -(xtraj.values @ pol.gain.T) + open_loop[::2]
     return xtraj, Trajectory(grid, mus)
 
 
@@ -260,7 +255,7 @@ def equilibrium_density_path(spec: PopulationSpec, mf: MeanFieldSolution, k: int
     p = spec.subpops[k]
     if p.m != 1:
         raise ValueError("equilibrium density path implemented for m = 1")
-    var = cov_scale * p.lambda_explore / p.R[0, 0]
+    var = exploration_covariance(p, cov_scale)[0, 0]
     if var <= 0:
         raise ValueError("needs lambda_explore > 0")
     xtraj, mu = solve_mean_state_path(spec, mf, k, grid, mean_shift=mean_shift)

@@ -206,21 +206,29 @@ def test_sanitize_arrays():
 
 
 def _solve_exit_contract(spec):
-    """`lqgmfg solve` exits 0, or 2 with error.json; never 1, never a traceback."""
+    """`lqgmfg solve` exits 0, or 2 with error.json; never 1, never a
+    traceback.  A rerun exits alike and writes every file byte for byte the
+    same, except manifest.json (a timestamp and the output path)."""
     with tempfile.TemporaryDirectory() as tmp:
-        path, out = Path(tmp) / "spec.json", Path(tmp) / "out"
+        path = Path(tmp) / "spec.json"
         save_spec(spec, path)
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            rc = main(["solve", str(path), "--out", str(out)])
-        assert "Traceback" not in err.getvalue()
-        assert rc in (0, 2), err.getvalue()
+        runs = []
+        for out in (Path(tmp) / "out", Path(tmp) / "rerun"):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = main(["solve", str(path), "--out", str(out)])
+            assert "Traceback" not in err.getvalue()
+            assert rc in (0, 2), err.getvalue()
+            runs.append((rc, {f.name: f.read_bytes() for f in out.iterdir()
+                              if f.name != "manifest.json"}))
+        (rc, files), rerun = runs
+        assert rerun == runs[0]
         if rc == 2:
-            doc = json.loads((out / "error.json").read_text())
+            doc = json.loads(files["error.json"])
             assert doc["error"] and doc["type"]
             event(doc["type"])
         else:
-            assert (out / "meanfield_solution.json").exists()
+            assert "meanfield_solution.json" in files
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)

@@ -2,11 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from conftest import random_specs
+from lqgmfg import solve_consistency
+from lqgmfg.meanfield import ConsistencyError
 from lqgmfg.model import PopulationSpec, SubpopParams
+from lqgmfg.numerics import Trajectory
 from lqgmfg.policy import (analytic_coe, classical_control, exploratory_policy,
                            policy_entropy, policy_for, sample_action, value_gap)
 from lqgmfg.presets import planar_spec, scalar_decoupled_spec
+from lqgmfg.riccati import feedback_gain
+from lqgmfg.trading import FiniteHorizonSolution, LqgMapping, trading_policy
 from lqgmfg.variational import gaussian_grid_density
 
 
@@ -146,3 +154,39 @@ def test_density_normalization_quadrature():
     gd2 = gaussian_grid_density([0.0, 0.0], [[1.0, 0.3], [0.3, 1.0]],
                                 [-8.0, -8.0], [8.0, 8.0], (201, 201))
     assert gd2.integral() == pytest.approx(1.0, abs=1e-6)
+
+
+def offset_formula(spec, k, s, xbar):
+    """-R^-1 (B^T s - S^T psibar xbar + n) per node, as each consumer wrote
+    it out before the policy record."""
+    p = spec.subpops[k]
+    return -np.linalg.solve(p.R, (s @ p.B - (xbar @ spec.psibar(k).T) @ p.S + p.nvec).T).T
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(spec=random_specs(coupling=st.sampled_from([0.1, 0.3])))
+def test_policy_record_matches_offset_formula_on_random_specs(spec):
+    try:
+        mf = solve_consistency(spec)
+    except ConsistencyError:
+        assume(False)
+    ts = mf.grid.times()
+    # a Pi table that varies in time, as the finite-horizon trading solve makes
+    Pi_tab = [sol.Pi * (1.0 + ts / ts[-1])[:, None, None] for sol in mf.Pi]
+    fh = FiniteHorizonSolution(grid=mf.grid, Pi=[Trajectory(mf.grid, P) for P in Pi_tab],
+                               s=mf.s, xbar=mf.xbar, mubar=mf.mubar, iterations=1)
+    mapping = LqgMapping(population=spec, terminal_weight=None, terminal_offset=None,
+                         blocks={})
+    for k, p in enumerate(spec.subpops):
+        cov = p.lambda_explore * np.linalg.inv(p.R)
+        cov = 0.5 * (cov + cov.T)
+        pol = policy_for(mf, k)
+        assert np.array_equal(pol.offset, offset_formula(spec, k, mf.s[k].interp(ts),
+                                                         mf.xbar.interp(ts)))
+        assert np.array_equal(pol.gain, feedback_gain(p, mf.Pi[k].Pi))
+        assert np.array_equal(pol.covariance, cov)
+        pol = trading_policy(mapping, fh, k)
+        assert np.array_equal(pol.offset, offset_formula(spec, k, mf.s[k].values,
+                                                         mf.xbar.values))
+        assert np.array_equal(pol.gain, feedback_gain(p, Pi_tab[k]))
+        assert np.array_equal(pol.covariance, cov)

@@ -425,8 +425,18 @@ def simulate_reference(spec, mf, grid, counts, noise, mode, deviations,
     steps, dt = grid.steps, grid.dt
     nodes = steps + 1
     sqdt = math.sqrt(dt)
-    tables = simulator._PolicyTables(spec, mf, grid)
     slices = simulator._type_slices(counts)
+    # the equilibrium feedback per type on the grid, written out in full
+    ts = grid.times()
+    xbar_t = mf.xbar.interp(ts)
+    gains, offsets, chols, b_tabs = [], [], [], []
+    for k, p in enumerate(spec.subpops):
+        gains.append(feedback_gain(p, mf.Pi[k].Pi))
+        inner = mf.s[k].interp(ts) @ p.B - (xbar_t @ spec.psibar(k).T) @ p.S + p.nvec[None, :]
+        offsets.append(-np.linalg.solve(p.R, inner.T).T)
+        cov = p.lambda_explore * np.linalg.inv(p.R)
+        chols.append(cholesky_psd(0.5 * (cov + cov.T)))
+        b_tabs.append(p.b(ts))
 
     states = np.empty((N, nodes, n))
     means = np.empty((N, nodes, m))
@@ -441,8 +451,6 @@ def simulate_reference(spec, mf, grid, counts, noise, mode, deviations,
     sd_scales = np.sqrt(cov_scales)[:, None]
 
     if exogenous_field:
-        ts = grid.times()
-        xbar_t = mf.xbar.interp(ts)
         mubar_t = mf.mubar.interp(ts)
         field_drift = [xbar_t @ spec.Fbar(k).T + mubar_t @ spec.Hbar(k).T
                        for k in range(K)]
@@ -451,13 +459,12 @@ def simulate_reference(spec, mf, grid, counts, noise, mode, deviations,
     for i in range(nodes):
         mu = np.empty((N, m))
         for k, sl in enumerate(slices):
-            mu[sl] = -(x[sl] @ tables.gain[k].T) + tables.offset[k][i][None, :]
+            mu[sl] = -(x[sl] @ gains[k].T) + offsets[k][i][None, :]
         mu += shifts
         if mode == "exploratory":
             u = np.empty((N, m))
             for k, sl in enumerate(slices):
-                u[sl] = mu[sl] + sd_scales[sl] * (noise.action_z[sl, i]
-                                                  @ tables.cov_chol[k].T)
+                u[sl] = mu[sl] + sd_scales[sl] * (noise.action_z[sl, i] @ chols[k].T)
         else:
             u = mu.copy()
         means[:, i] = mu
@@ -469,7 +476,7 @@ def simulate_reference(spec, mf, grid, counts, noise, mode, deviations,
         x_new = np.empty_like(x)
         for k, sl in enumerate(slices):
             p = spec.subpops[k]
-            drift = x[sl] @ p.A.T + mu[sl] @ p.B.T + tables.b_tab[k][i][None, :]
+            drift = x[sl] @ p.A.T + mu[sl] @ p.B.T + b_tabs[k][i][None, :]
             if exogenous_field:
                 drift += field_drift[k][i][None, :]
             else:

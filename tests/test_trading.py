@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lqgmfg.numerics import TimeGrid, rng_stream
+from lqgmfg.policy import GaussianPolicy
 from lqgmfg.trading import (EstimationError, MarketParams, MarketPaths, TradingDataset,
-                            TradingLoopConfig, TradingPolicy, estimate_params,
+                            TradingLoopConfig, estimate_params,
                             params_from_json, params_to_json, rl_loop,
                             simulate_market, solve_finite_horizon, to_lqg,
                             trading_policy)
@@ -26,8 +27,8 @@ def planned():
 
 def constant_policy(grid, rate):
     nodes = grid.steps + 1
-    return TradingPolicy(grid=grid, gain=np.zeros((nodes, 1, 2)),
-                         offset=np.full((nodes, 1), rate), cov=np.zeros((1, 1)))
+    return GaussianPolicy(grid=grid, gain=np.zeros((nodes, 1, 2)),
+                          offset=np.full((nodes, 1), rate), covariance=np.zeros((1, 1)))
 
 
 def simulate_market_reference(params, policy, N, grid, seed, rep=0):
@@ -38,7 +39,7 @@ def simulate_market_reference(params, policy, N, grid, seed, rep=0):
     nodes = steps + 1
     noise = rng_stream(seed, rep).standard_normal((N + 1, steps))
     xi, z = noise[0], noise[1:]
-    L = math.sqrt(max(policy.cov[0, 0], 0.0))
+    L = math.sqrt(max(policy.covariance[0, 0], 0.0))
     F = np.empty(nodes)
     q = np.empty((N, nodes))
     nu = np.empty((N, steps))
@@ -78,9 +79,9 @@ def test_simulate_market_matches_reference_bitwise(N, steps, lam, a, var, scale,
     params = MarketParams(sigma=0.1, lambda_perm=lam, a_temp=a, phi_urgency=0.1,
                           psi_terminal=1.0, T=1.0, F0=10.0, q0=float(rng.uniform(-5.0, 5.0)))
     grid = TimeGrid(0.0, 1.0, steps)
-    pol = TradingPolicy(grid=grid, gain=scale * rng.uniform(-1.0, 1.0, (steps + 1, 1, 2)),
-                        offset=scale * rng.uniform(-1.0, 1.0, (steps + 1, 1)),
-                        cov=np.full((1, 1), var))
+    pol = GaussianPolicy(grid=grid, gain=scale * rng.uniform(-1.0, 1.0, (steps + 1, 1, 2)),
+                         offset=scale * rng.uniform(-1.0, 1.0, (steps + 1, 1)),
+                         covariance=np.full((1, 1), var))
     _assert_paths_equal(simulate_market(params, pol, N, grid, seed, rep=3),
                         simulate_market_reference(params, pol, N, grid, seed, rep=3))
 
@@ -121,7 +122,7 @@ def test_simulate_market_blowup_raises_at_same_node(case):
         offset[:], N, node = 1.7e308, 1, 2
     else:
         gain[:, 0, 0] = -1e40
-    pol = TradingPolicy(grid=grid, gain=gain, offset=offset, cov=np.zeros((1, 1)))
+    pol = GaussianPolicy(grid=grid, gain=gain, offset=offset, covariance=np.zeros((1, 1)))
     with np.errstate(all="ignore"):
         ref = _blowup_message(lambda: simulate_market_reference(params, pol, N, grid, 0))
     assert _blowup_message(lambda: simulate_market(params, pol, N, grid, 0)) == ref
@@ -192,9 +193,9 @@ def test_market_noise_streams():
                           phi_urgency=0.0, psi_terminal=0.0, T=1.0,
                           F0=10.0, q0=5.0)
     grid = TimeGrid(0.0, 1.0, 100)
-    pol = TradingPolicy(grid=grid, gain=np.zeros((grid.steps + 1, 1, 2)),
-                        offset=np.full((grid.steps + 1, 1), -1.0),
-                        cov=np.eye(1))
+    pol = GaussianPolicy(grid=grid, gain=np.zeros((grid.steps + 1, 1, 2)),
+                         offset=np.full((grid.steps + 1, 1), -1.0),
+                         covariance=np.eye(1))
     two = simulate_market(params, pol, 2, grid, 0)
     three = simulate_market(params, pol, 3, grid, 0)
     # neither trader i's noise nor the midprice noise depends on N
