@@ -43,8 +43,8 @@ class GaussianPolicy:
     """N(-gain x + offset, covariance) on the nodes of ``grid``, or at one
     time (grid None, one offset row).  gain is (m, n), or (nodes, m, n) for
     a tabulated Pi; offset is (nodes, m); covariance is lambda R^-1,
-    symmetrized, and chol its ``cholesky_psd`` factor.  ``mean`` is linear
-    in t between nodes."""
+    symmetrized, and chol its ``cholesky_psd`` factor.  ``mean`` reads a
+    constant gain and is linear in t between nodes."""
 
     grid: TimeGrid | None
     gain: np.ndarray
@@ -55,12 +55,9 @@ class GaussianPolicy:
     def __post_init__(self):
         object.__setattr__(self, "chol", cholesky_psd(self.covariance))
 
-    def _node(self, table: np.ndarray, t: float) -> np.ndarray:
-        return table[0] if self.grid is None else Trajectory(self.grid, table).interp(t)
-
     def mean(self, t: float, x: np.ndarray) -> np.ndarray:
-        gain = self.gain if self.gain.ndim == 2 else self._node(self.gain, t)
-        return -(gain @ np.atleast_1d(np.asarray(x, dtype=float))) + self._node(self.offset, t)
+        off = self.offset[0] if self.grid is None else Trajectory(self.grid, self.offset).interp(t)
+        return -(self.gain @ np.atleast_1d(np.asarray(x, dtype=float))) + off
 
     def at(self, t: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.mean(t, x), self.covariance
@@ -96,13 +93,11 @@ def tabulate_policy(spec: PopulationSpec, k: int, Pi: np.ndarray, grid: TimeGrid
                           covariance=exploration_covariance(p))
 
 
-def policy_for(mf: MeanFieldSolution, k: int, grid: TimeGrid | None = None) -> GaussianPolicy:
-    """Type k's optimal policy tabulated on ``grid`` (default: the solve
-    grid), with s and xbar interpolated linearly at its nodes."""
-    grid = grid or mf.grid
-    ts = grid.times()
-    return tabulate_policy(mf.spec, k, mf.Pi[k].Pi, grid, mf.s[k].interp(ts),
-                           mf.xbar.interp(ts))
+def policy_for(mf: MeanFieldSolution, k: int) -> GaussianPolicy:
+    """Type k's optimal policy tabulated on the solve grid.  Its mean
+    interpolates the offset between nodes, where ``classical_control``
+    interpolates s and xbar: the two agree to rounding."""
+    return tabulate_policy(mf.spec, k, mf.Pi[k].Pi, mf.grid, mf.s[k].values, mf.xbar.values)
 
 
 def _policy_at(mf: MeanFieldSolution, k: int, t: float) -> GaussianPolicy:

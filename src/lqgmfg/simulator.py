@@ -853,7 +853,7 @@ def coe_experiment(spec: PopulationSpec, mf: MeanFieldSolution, k: int,
     xbar_t = mf.xbar.interp(ts)
     pol = tabulate_policy(spec, k, mf.Pi[k].Pi, grid, mf.s[k].interp(ts), xbar_t)
     gain, off, Lc = pol.gain, pol.offset, pol.chol
-    field = xbar_t @ spec.Fbar(k).T + mf.mubar.interp(ts) @ spec.Hbar(k).T + p.b(ts)
+    field = _limiting_field(spec, mf, ts)[:, k] + p.b(ts)
     ybar = xbar_t @ spec.psibar(k).T
     L0 = cholesky_psd(spec.x0_cov)
     # Euler step (rows) under the policy mean mu = off - x gain^T:

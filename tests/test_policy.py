@@ -51,6 +51,22 @@ def test_exploratory_mean_matches_classical_bitwise(coupled):
     assert np.allclose(cov, spec.subpops[0].lambda_explore * np.linalg.inv(spec.subpops[0].R))
 
 
+@pytest.mark.parametrize("fixture", ["coupled", "two_type"])
+def test_policy_for_mean_matches_classical_control(fixture, request):
+    # policy_for's mean interpolates the tabulated offset, classical_control
+    # interpolates s and xbar: the same affine map, so equal to rounding
+    spec, mf = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(4)
+    for k in range(spec.K):
+        pol = policy_for(mf, k)
+        for _ in range(200):
+            t = rng.uniform(0.0, mf.grid.t1)
+            x = rng.normal(size=spec.n)
+            u = classical_control(t, x, mf, k)
+            scale = np.abs(pol.gain) @ np.abs(x) + np.abs(u)
+            assert np.all(np.abs(pol.mean(t, x) - u) <= 4 * np.finfo(float).eps * scale)
+
+
 def test_dirac_limit_lambda_zero():
     spec = scalar_decoupled_spec(lambda_explore=0.0, rho=0.5)
     from lqgmfg import solve_consistency
@@ -181,8 +197,8 @@ def test_policy_record_matches_offset_formula_on_random_specs(spec):
         cov = p.lambda_explore * np.linalg.inv(p.R)
         cov = 0.5 * (cov + cov.T)
         pol = policy_for(mf, k)
-        assert np.array_equal(pol.offset, offset_formula(spec, k, mf.s[k].interp(ts),
-                                                         mf.xbar.interp(ts)))
+        assert np.array_equal(pol.offset, offset_formula(spec, k, mf.s[k].values,
+                                                         mf.xbar.values))
         assert np.array_equal(pol.gain, feedback_gain(p, mf.Pi[k].Pi))
         assert np.array_equal(pol.covariance, cov)
         pol = trading_policy(mapping, fh, k)
