@@ -24,7 +24,7 @@ from . import __version__
 from .meanfield import (ConsistencyError, SolverConfig, consistency_residual,
                         solve_consistency, stability_reports)
 from .model import SpecValidationError, load_spec
-from .numerics import RNG_SCHEME, OdeBlowupError, TimeGrid
+from .numerics import RNG_SCHEME, OdeBlowupError, TimeGrid, write_csv
 from .policy import exploration_covariance, policy_entropy, value_gap
 from .riccati import RiccatiError
 from .simulator import (PolicyDeviation, coe_experiment, cost_gap_experiment,
@@ -355,17 +355,12 @@ def _gain_drift(trace) -> float | None:
 
 
 def _write_market_csv(path: Path, paths) -> None:
-    ts = paths.grid.times()
-    cols = ["t", "F", "q_mean", "nu_mean", "cash_mean"]
-    lines = [",".join(cols)]
     nu_mean = paths.nu.mean(axis=0)
-    for i, t in enumerate(ts):
-        nu_i = nu_mean[i] if i < nu_mean.size else 0.0
-        lines.append(",".join(f"{v:.12g}" for v in
-                              (t, paths.F[i], paths.q[:, i].mean(), nu_i,
-                               paths.Z[:, i].mean())))
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, ["t", "F", "q_mean", "nu_mean", "cash_mean"],
+              [{"t": t, "F": paths.F[i], "q_mean": paths.q[:, i].mean(),
+                "nu_mean": nu_mean[i] if i < nu_mean.size else 0.0,
+                "cash_mean": paths.Z[:, i].mean()}
+               for i, t in enumerate(paths.grid.times())])
 
 
 def build_parser() -> argparse.ArgumentParser:

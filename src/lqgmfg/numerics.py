@@ -1,5 +1,6 @@
 """Shared numerical kernels: fixed-step RK4 integration, spectral checks,
-Gaussian sampling, and log-log rate fitting.
+Gaussian sampling, log-log rate fitting, trapezoid weights, and the one
+%.12g CSV writer of the package's tables.
 
 All solvers in this package run on fixed, uniform time grids.  Fixed-step
 RK4 (rather than an adaptive integrator) keeps every run deterministic and
@@ -74,6 +75,29 @@ class TimeGrid:
         return np.linspace(self.t0, self.t1, self.steps + 1)
 
 
+def trapezoid_weights(nodes: int, h: float) -> np.ndarray:
+    """Trapezoid weights of ``nodes`` equally spaced nodes ``h`` apart."""
+    w = np.full(nodes, h)
+    w[[0, -1]] *= 0.5
+    return w
+
+
+def write_csv(path, cols, rows) -> None:
+    """One line per row dict under a header of ``cols``: strings as they
+    are, integers and bools as integers, other numbers as %.12g, a missing
+    key empty; '.' decimal, so reruns write identical bytes."""
+    def fmt(v):
+        if isinstance(v, str):
+            return v
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
+        return f"{float(v):.12g}"
+
+    lines = [",".join(cols)] + [",".join(fmt(row.get(c, "")) for c in cols) for row in rows]
+    with open(path, "w", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 @dataclass
 class Trajectory:
     """Values sampled on a TimeGrid; values.shape[0] == steps + 1.
@@ -92,17 +116,17 @@ class Trajectory:
             )
 
     def interp(self, t: float | np.ndarray) -> np.ndarray:
-        """Linear interpolation between grid nodes; errors outside the grid."""
+        """Linear interpolation between grid nodes; errors outside the grid.
+        The interval is found among the grid's own times, so at a node the
+        node value comes back exactly, not as a blend of its neighbours."""
         g = self.grid
         tarr = np.asarray(t, dtype=float)
         if np.any(tarr < g.t0 - 1e-12) or np.any(tarr > g.t1 + 1e-12):
             raise ValueError(f"t={t} outside solved grid [{g.t0}, {g.t1}]")
-        pos = np.clip((tarr - g.t0) / g.dt, 0.0, g.steps)
-        i0 = np.minimum(pos.astype(int), g.steps - 1)
-        w = pos - i0
-        if tarr.ndim == 0:
-            return (1.0 - w) * self.values[int(i0)] + w * self.values[int(i0) + 1]
-        w = w.reshape((-1,) + (1,) * (self.values.ndim - 1))
+        ts = g.times()
+        i0 = np.clip(np.searchsorted(ts, tarr, side="right") - 1, 0, g.steps - 1)
+        w = np.clip((tarr - ts[i0]) / (ts[i0 + 1] - ts[i0]), 0.0, 1.0)
+        w = w.reshape(w.shape + (1,) * (self.values.ndim - 1))
         return (1.0 - w) * self.values[i0] + w * self.values[i0 + 1]
 
 

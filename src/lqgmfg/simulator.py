@@ -18,18 +18,20 @@ replay the identical noise pack in the finite and limiting systems (common
 random numbers), which is what makes the gap statistics estimable at desk
 scale.
 
-Paths are stepped time-major: node i of every agent is one contiguous
-(N, .) block, and the batch exposes (N, nodes, .) views of those arrays.
-
-The experiments compute only what they read.  The population ones run by
-superposition (the epsilon-Nash argument of Huang, Caines & Malhame, IEEE
-TAC 52(9), 2007): the system is linear, so the untagged agents of a type
-enter only through their sum, which ``_mean_paths`` steps on each pack's
-per-type noise sums, with one tagged agent apart on its own row; a batch
-of (deviations, repetitions) steps at once.  ``empirical_cost`` works
-through agents in blocks, so its memory does not grow with the population.
-``coe_experiment`` draws its normals a chunk of nodes at a time, the same
-stream as one draw per node, and keeps only the current chunk's states.
+One kernel, ``_euler``, steps every population path, time-major: node i of
+a batch of populations is one contiguous block.  A population holds agents
+carried one by one, each with its own deviation, and, by superposition
+(the epsilon-Nash argument of Huang, Caines & Malhame, IEEE TAC 52(9),
+2007), the per-type state sums of the others: the system is linear, so the
+untagged agents of a type enter only through their sum.
+``simulate_population`` carries every agent of one population;
+``simulate_representative`` carries every path under the solved mean
+field; the coupling gap steps sums only, on each pack's per-type noise
+sums; the cost gap and the epsilon-Nash experiment step the sums plus one
+tagged row, for every (deviation, repetition) at once.  The experiments
+compute only what they read.  ``empirical_cost`` works through agents in
+blocks, so its memory does not grow with the population.
+``coe_experiment`` keeps its own fused loop on its own stream (see there).
 """
 
 from __future__ import annotations
@@ -41,9 +43,9 @@ import numpy as np
 
 from .meanfield import MeanFieldSolution
 from .model import PopulationSpec
-from .numerics import TimeGrid, cholesky_psd, fit_rate, rng_stream
-from .policy import (GaussianPolicy, analytic_coe, exploration_covariance, gaussian_entropy,
-                     tabulate_policy)
+from .numerics import (TimeGrid, cholesky_psd, fit_rate, rng_stream, trapezoid_weights,
+                       write_csv)
+from .policy import analytic_coe, exploration_covariance, gaussian_entropy, tabulate_policy
 
 __all__ = [
     "SimConfig",
@@ -66,7 +68,7 @@ __all__ = [
 
 # rows per draw in draw_noise: about 1 MiB of float64 at a time
 _BLOCK_BYTES = 1 << 20
-# nodes per time-major noise copy in _simulate
+# nodes per time-major noise copy in _euler
 _NOISE_CHUNK = 16
 # agents per block in empirical_cost
 _COST_BLOCK = 256
@@ -122,9 +124,14 @@ class PolicyDeviation:
                              f"got {self.cov_scale!r}")
 
     def shift(self, m: int) -> np.ndarray:
+        """The mean shift as an m-vector; zero when none was given."""
         if self.mean_shift is None:
             return np.zeros(m)
-        return np.atleast_1d(np.asarray(self.mean_shift, dtype=float))
+        shift = np.atleast_1d(np.asarray(self.mean_shift, dtype=float))
+        if shift.shape != (m,):
+            raise ValueError(f"mean_shift {self.mean_shift!r} is not a vector of "
+                             f"the control dimension m={m}")
+        return shift
 
 
 @dataclass
@@ -183,7 +190,6 @@ class SimulationBatch:
     states: np.ndarray         # (N, nodes, n)
     actions: np.ndarray        # (N, nodes, m)
     means: np.ndarray          # (N, nodes, m)
-    dW: np.ndarray             # (N, steps, r)
     x_avg: np.ndarray          # (nodes, n)
     mu_avg: np.ndarray         # (nodes, m)
     xref: np.ndarray           # (nodes, n) or (nodes, nK)
@@ -204,16 +210,6 @@ class CostEstimate:
     truncation_bound: float
 
 
-def _policies(spec: PopulationSpec, mf: MeanFieldSolution,
-               grid: TimeGrid) -> list[GaussianPolicy]:
-    """Each type's policy record on the grid: the blocks of ``spec`` with
-    the solved Pi, and s and xbar interpolated at the nodes."""
-    ts = grid.times()
-    xbar = mf.xbar.interp(ts)
-    return [tabulate_policy(spec, k, mf.Pi[k].Pi, grid, mf.s[k].interp(ts), xbar)
-            for k in range(spec.K)]
-
-
 def _limiting_field(spec: PopulationSpec, mf: MeanFieldSolution,
                     ts: np.ndarray) -> np.ndarray:
     """Fbar_k xbar(t) + Hbar_k mubar(t), the limiting coupling of each type,
@@ -231,95 +227,166 @@ def _type_slices(counts) -> list[slice]:
     return out
 
 
-def _deviation_arrays(deviations: dict[int, PolicyDeviation] | None,
-                      N: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-agent mean shifts (N, m) and covariance scales (N,) for a
-    deviation dict keyed by agent index; zero and one for the others."""
-    shifts = np.zeros((N, m))
-    scales = np.ones(N)
+@dataclass
+class _NoiseSums:
+    """Noise packs reduced to what the kernel reads: per-type sums over the
+    untagged agents of the initial-state normals (R, K, n) and of the
+    increments, time-major (steps, R, K, r), and each pack's tagged rows
+    (R, C, .), C being 0 or 1."""
+
+    x0: np.ndarray
+    dW: np.ndarray
+    tag: AgentNoise
+
+
+def _noise_sums(packs, counts, steps: int, tag_type: int | None = None) -> _NoiseSums:
+    """Reduce each pack as it comes, so one pack is held at a time.  With
+    ``tag_type``, the first agent of that type is the tagged agent: its row
+    is kept whole and left out of its type's sums."""
+    slices = _type_slices(counts)
+    tag = slice(0, 0)
+    if tag_type is not None:
+        if counts[tag_type] < 1:
+            raise ValueError(f"no agent of type {tag_type} to tag")
+        t = slices[tag_type].start
+        tag, slices[tag_type] = slice(t, t + 1), slice(t + 1, slices[tag_type].stop)
+    x0, dW, rows = [], [], []
+    for pack in packs:
+        x0.append([pack.x0_z[sl].sum(axis=0) for sl in slices])
+        dW.append([pack.dW[sl, :steps].sum(axis=0) for sl in slices])
+        # copies: a view of the row would keep the whole pack alive
+        rows.append((pack.x0_z[tag].copy(), pack.action_z[tag, :steps + 1].copy(),
+                     pack.dW[tag, :steps].copy()))
+    return _NoiseSums(np.array(x0), np.array(dW).transpose(2, 0, 1, 3).copy(),
+                      AgentNoise(*map(np.array, zip(*rows))))
+
+
+def _lin(x: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """x @ M^T over the last axis, one column product at a time, so equal
+    rows of a batch round alike wherever they sit in it."""
+    out = x[..., None, 0] * M[..., 0]
+    for j in range(1, M.shape[-1]):
+        out += x[..., None, j] * M[..., j]
+    return out
+
+
+def _euler(spec: PopulationSpec, mf: MeanFieldSolution, grid: TimeGrid, counts,
+           rows: AgentNoise, types, sums: _NoiseSums | None = None, shifts=0.0,
+           scales=1.0, exogenous: bool = False, mode: str = "exploratory",
+           steps: int | None = None):
+    """The one Euler-Maruyama loop: every population path of the module.
+
+    Steps a batch of populations of sum(counts) agents, the leading axes of
+    the inputs broadcast together (none for one population).  The carried
+    ``rows`` (..., C, .) of ``types`` (sorted) are agents stepped one by
+    one, each with its own mean shift (..., C, m) and covariance scale
+    (..., C).  The other counts[k] - C_k agents of type k play the same
+    linear feedback, so with ``sums`` their state sum is stepped instead, by
+    the same step with every term weighted by their number and driven by
+    their noise sums: by superposition that is the population (Huang, Caines
+    & Malhame, IEEE TAC 52(9), 2007).  The field couples through the
+    population averages, or with ``exogenous`` is the solved mean field.
+    One population takes its products with ``@``, as a batch does not:
+    ``_lin`` rounds equal rows alike wherever they sit in the batch.
+
+    Returns time-major states and policy means, (nodes, ..., K + C, .) with
+    the per-type sums first when ``sums`` is given, the carried rows'
+    actions (nodes, ..., C, m), and the population averages (nodes, ..., .),
+    over the first ``steps`` steps (default: all) of ``grid``.
+    """
+    steps = grid.steps if steps is None else steps
+    nodes, dt, sqdt = steps + 1, grid.dt, math.sqrt(grid.dt)
+    K, n, m, N = spec.K, spec.n, spec.m, sum(counts)
+    A, B, F, H, D = (np.array([getattr(p, f) for p in spec.subpops]) for f in "ABFHD")
+    # each type's policy record on the grid: the blocks of spec with the solved Pi
+    ts = grid.times()
+    xbar = mf.xbar.interp(ts)
+    pols = [tabulate_policy(spec, k, mf.Pi[k].Pi, grid, mf.s[k].interp(ts), xbar)
+            for k in range(K)]
+    ts = ts[:nodes]
+    offset = np.stack([pol.offset[:nodes] for pol in pols], axis=1)   # (nodes, K, m)
+    b_tab = np.stack([p.b(ts) for p in spec.subpops], axis=1)        # (nodes, K, n)
+    field_t = _limiting_field(spec, mf, ts) if exogenous else None    # (nodes, K, n)
+    batch = np.broadcast_shapes(rows.x0_z.shape[:-2], np.shape(shifts)[:-2],
+                                np.shape(scales)[:-1])
+    C = rows.x0_z.shape[-2]
+    per_type = np.bincount(types, minlength=K)
+    carried = [(k, sl) for k, sl in enumerate(_type_slices(per_type)) if per_type[k]]
+    x0, weights, blocks = rows.x0_z, np.ones(C), []
+    if sums is not None:
+        # the per-type sums come first, as rows weighted by their counts
+        c = np.asarray(counts, dtype=float) - per_type
+        x0, weights = np.concatenate([sums.x0, x0], axis=-2), np.concatenate([c, weights])
+        blocks = [(k, slice(k, k + 1), c[k]) for k in range(K)]
+    own = slice(len(weights) - C, None)                 # the carried rows
+    blocks += [(k, slice(own.start + sl.start, own.start + sl.stop), 1.0) for k, sl in carried]
+    # a block's rows, its weighted offset and b tables, its weight
+    blocks = [(k, sl, w * offset[:, k], w * b_tab[:, k], w) for k, sl, w in blocks]
+    G, chol = (np.array([getattr(pol, f) for pol in pols]) for f in ("gain", "chol"))
+    prod = _lin if batch else (lambda a, M: a @ M.T)
+    sd = np.sqrt(np.broadcast_to(scales, batch + (C,)))[..., None]
+
+    states = np.empty((nodes,) + batch + (len(weights), n))
+    means = np.empty((nodes,) + batch + (len(weights), m))
+    actions = np.empty((nodes,) + batch + (C, m))
+    x_avg = np.empty((nodes,) + batch + (n,))
+    mu_avg = np.empty((nodes,) + batch + (m,))
+    states[0] = weights[:, None] * spec.x0_mean + prod(x0, cholesky_psd(spec.x0_cov))
+    for i in range(nodes):
+        j = i % _NOISE_CHUNK
+        if j == 0:
+            # time-major copies of the next chunk of nodes' noise: node i then
+            # reads contiguous rows, without a time-major copy of the whole pack
+            az, dw = (np.moveaxis(a[..., i:i + _NOISE_CHUNK, :], -2, 0).copy()
+                      for a in (rows.action_z, rows.dW))
+            if sums is not None:
+                dw = np.concatenate([sums.dW[i:i + _NOISE_CHUNK], dw], axis=-2)
+        x, mu, u = states[i], means[i], actions[i]
+        for k, sl, off, _, _ in blocks:
+            mu[..., sl, :] = off[i] - prod(x[..., sl, :], G[k])
+        mu[..., own, :] += shifts
+        u[...] = mu[..., own, :]
+        if mode == "exploratory":
+            for k, sl in carried:
+                u[..., sl, :] += sd[..., sl, :] * prod(az[j][..., sl, :], chol[k])
+        xa = x_avg[i] = x.sum(axis=-2) / N
+        ma = mu_avg[i] = mu.sum(axis=-2) / N
+        if not np.all(np.isfinite(xa)):
+            raise RuntimeError(f"non-finite state at t={ts[i]:.4g}")
+        if i == steps:
+            break
+        field = (field_t[i] if exogenous else
+                 [(prod(xa, F[k]) + prod(ma, H[k]))[..., None, :] for k in range(K)])
+        for k, sl, _, b, w in blocks:
+            drift = prod(x[..., sl, :], A[k]) + prod(mu[..., sl, :], B[k]) + b[i]
+            drift += w * field[k]
+            states[i + 1][..., sl, :] = (x[..., sl, :] + dt * drift
+                                         + sqdt * prod(dw[j][..., sl, :], D[k]))
+    return states, means, actions, x_avg, mu_avg
+
+
+def _agent_batch(spec: PopulationSpec, mf: MeanFieldSolution, grid: TimeGrid,
+                 types: np.ndarray, noise: AgentNoise, mode: str,
+                 deviations: dict[int, PolicyDeviation] | None,
+                 exogenous: bool) -> SimulationBatch:
+    """One population of agents of ``types`` (sorted), every one carried by
+    ``_euler``; ``deviations`` keyed by agent index."""
+    N, m = types.size, spec.m
+    shifts, cov_scales = np.zeros((N, m)), np.ones(N)
     for idx, dev in (deviations or {}).items():
         if not 0 <= idx < N:
             raise ValueError(f"deviation for agent {idx} outside [0, {N})")
-        shifts[idx] = dev.shift(m)
-        scales[idx] = dev.cov_scale
-    return shifts, scales
-
-
-def _simulate(spec: PopulationSpec, mf: MeanFieldSolution, grid: TimeGrid,
-              counts, noise: AgentNoise, mode: str,
-              deviations: dict[int, PolicyDeviation] | None,
-              exogenous_field: bool) -> SimulationBatch:
-    K = spec.K
-    n, m = spec.n, spec.m
-    N = sum(counts)
-    steps, dt = grid.steps, grid.dt
-    nodes = steps + 1
-    sqdt = math.sqrt(dt)
-    ts = grid.times()
-    pols = _policies(spec, mf, grid)
-    gain, offset, chol = ([getattr(pol, f) for pol in pols] for f in ("gain", "offset", "chol"))
-    b_tab = [p.b(ts) for p in spec.subpops]
-    field_t = _limiting_field(spec, mf, ts) if exogenous_field else None
-    slices = _type_slices(counts)
-    types = np.repeat(np.arange(K), counts)
-
-    # time-major: node i of all agents is one contiguous block, written in place
-    states = np.empty((nodes, N, n))
-    means = np.empty((nodes, N, m))
-    actions = np.empty((nodes, N, m))
-    x_avg = np.empty((nodes, n))
-    mu_avg = np.empty((nodes, m))
-
-    L0 = cholesky_psd(spec.x0_cov)
-    states[0] = spec.x0_mean[None, :] + noise.x0_z @ L0.T
-
-    shifts, cov_scales = _deviation_arrays(deviations, N, m)
-    sd_scales = np.sqrt(cov_scales)[:, None]
-
-    x = states[0]
-    for i in range(nodes):
-        c = i % _NOISE_CHUNK
-        if c == 0:
-            # time-major copies of the next chunk of nodes' noise: node i then
-            # reads contiguous rows, without a time-major copy of the whole pack
-            if mode == "exploratory":
-                az = noise.action_z[:, i:i + _NOISE_CHUNK].transpose(1, 0, 2).copy()
-            dw = noise.dW[:, i:i + _NOISE_CHUNK].transpose(1, 0, 2).copy()
-        mu = means[i]
-        for k, sl in enumerate(slices):
-            mu[sl] = -(x[sl] @ gain[k].T) + offset[k][i][None, :]
-        mu += shifts
-        u = actions[i]
-        if mode == "exploratory":
-            for k, sl in enumerate(slices):
-                u[sl] = mu[sl] + sd_scales[sl] * (az[c, sl] @ chol[k].T)
-        else:
-            u[...] = mu
-        x_avg[i] = x.mean(axis=0)
-        mu_avg[i] = mu.mean(axis=0)
-        if i == steps:
-            break
-        x_new = states[i + 1]
-        for k, sl in enumerate(slices):
-            p = spec.subpops[k]
-            drift = x[sl] @ p.A.T + mu[sl] @ p.B.T + b_tab[k][i][None, :]
-            if exogenous_field:
-                drift += field_t[i, k][None, :]
-            else:
-                drift += x_avg[i] @ p.F.T + mu_avg[i] @ p.H.T
-            x_new[sl] = x[sl] + dt * drift + sqdt * (dw[c, sl] @ p.D.T)
-        if not np.all(np.isfinite(x_new)):
-            bad = np.argwhere(~np.isfinite(x_new))[0]
-            raise RuntimeError(f"non-finite state for agent {bad[0]} at t={ts[i + 1]:.4g}")
-        x = x_new
-
-    xref = mf.xbar.interp(ts) if exogenous_field else x_avg
+        shifts[idx], cov_scales[idx] = dev.shift(m), dev.cov_scale
+    states, means, actions, x_avg, mu_avg = _euler(
+        spec, mf, grid, np.bincount(types, minlength=spec.K), noise, types,
+        shifts=shifts, scales=cov_scales, exogenous=exogenous, mode=mode)
+    xref = mf.xbar.interp(grid.times()) if exogenous else x_avg
     return SimulationBatch(grid=grid, mode=mode, types=types,
                            states=states.transpose(1, 0, 2),
                            actions=actions.transpose(1, 0, 2),
-                           means=means.transpose(1, 0, 2), dW=noise.dW,
-                           x_avg=x_avg, mu_avg=mu_avg, xref=xref,
-                           infinite=exogenous_field, cov_scales=cov_scales)
+                           means=means.transpose(1, 0, 2), x_avg=x_avg,
+                           mu_avg=mu_avg, xref=xref, infinite=exogenous,
+                           cov_scales=cov_scales)
 
 
 def simulate_population(spec: PopulationSpec, mf: MeanFieldSolution,
@@ -342,8 +409,8 @@ def simulate_population(spec: PopulationSpec, mf: MeanFieldSolution,
                            spec.n, spec.m, spec.subpops[0].r)
     if noise.N != config.N or noise.dW.shape[1] != config.grid.steps:
         raise ValueError("noise pack does not match config dimensions")
-    return _simulate(spec, mf, config.grid, config.counts, noise, config.mode,
-                     deviations, exogenous_field=False)
+    return _agent_batch(spec, mf, config.grid, np.repeat(np.arange(spec.K), config.counts),
+                        noise, config.mode, deviations, exogenous=False)
 
 
 def simulate_representative(spec: PopulationSpec, mf: MeanFieldSolution,
@@ -361,181 +428,43 @@ def simulate_representative(spec: PopulationSpec, mf: MeanFieldSolution,
     and so drives the drift; its ``cov_scale`` scales the covariance of the
     sampled actions only.
     """
-    if types is None:
-        counts = tuple(n_paths if j == k else 0 for j in range(spec.K))
-    else:
-        types = np.asarray(types, dtype=int)
-        counts = tuple(int(np.sum(types == j)) for j in range(spec.K))
-        if not np.all(np.diff(types) >= 0):
-            raise ValueError("types must be sorted ascending (block layout)")
-        n_paths = types.size
+    types = np.full(n_paths, k) if types is None else np.asarray(types, dtype=int)
+    if not np.all(np.diff(types) >= 0):
+        raise ValueError("types must be sorted ascending (block layout)")
     if noise is None:
-        noise = draw_noise(seed, n_paths, grid.steps, spec.n, spec.m,
+        noise = draw_noise(seed, types.size, grid.steps, spec.n, spec.m,
                            spec.subpops[0].r)
-    return _simulate(spec, mf, grid, counts, noise, mode, deviations,
-                     exogenous_field=True)
-
-
-# ---------------------------------------------------------------------------
-# The population by superposition: per-type mean recurrences
-# ---------------------------------------------------------------------------
-
-@dataclass
-class _NoiseSums:
-    """Noise packs reduced to what the mean recurrence reads: per-type sums
-    over the untagged agents of the initial-state normals (R, K, n) and of
-    the increments, time-major (steps, R, K, r), and each pack's tagged row
-    (R rows, or None)."""
-
-    x0: np.ndarray
-    dW: np.ndarray
-    tag: AgentNoise | None
-
-
-def _noise_sums(packs, counts, steps: int, tag_type: int | None = None) -> _NoiseSums:
-    """Reduce each pack as it comes, so one pack is held at a time.  With
-    ``tag_type``, the first agent of that type is the tagged agent: its row
-    is kept whole and left out of its type's sums."""
-    slices = _type_slices(counts)
-    if tag_type is not None:
-        if counts[tag_type] < 1:
-            raise ValueError(f"no agent of type {tag_type} to tag")
-        t = slices[tag_type].start
-        slices[tag_type] = slice(t + 1, slices[tag_type].stop)
-    x0, dW, tag = [], [], []
-    for pack in packs:
-        x0.append([pack.x0_z[sl].sum(axis=0) for sl in slices])
-        dW.append([pack.dW[sl, :steps].sum(axis=0) for sl in slices])
-        if tag_type is not None:
-            # copies: a view of the row would keep the whole pack alive
-            tag.append((pack.x0_z[t].copy(), pack.action_z[t, :steps + 1].copy(),
-                        pack.dW[t, :steps].copy()))
-    return _NoiseSums(np.array(x0), np.array(dW).transpose(2, 0, 1, 3).copy(),
-                      AgentNoise(*map(np.array, zip(*tag))) if tag else None)
-
-
-def _lin(x: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """x @ M^T over the last axis, M (i, j) or one (i, j) block per type
-    (K, i, j) against x (..., K, j).  One column product at a time, so equal
-    rows of a batch round alike wherever they sit in it."""
-    out = x[..., None, 0] * M[..., 0]
-    for j in range(1, M.shape[-1]):
-        out += x[..., None, j] * M[..., j]
-    return out
-
-
-@dataclass
-class _MeanPaths:
-    """Time-major paths of the mean recurrence over the batch (M, R): the
-    population averages, the tagged agent's states, policy means and actions
-    (or None), and the untagged agents' per-type state sums at the end."""
-
-    sums: np.ndarray      # (M, R, K, n)
-    x_avg: np.ndarray     # (nodes, M, R, n)
-    mu_avg: np.ndarray    # (nodes, M, R, m)
-    states: np.ndarray | None
-    means: np.ndarray | None
-    actions: np.ndarray | None
-
-
-def _mean_paths(spec: PopulationSpec, mf: MeanFieldSolution, grid: TimeGrid,
-                counts, noise: _NoiseSums, steps: int | None = None,
-                exogenous_field: bool = False, tag_type: int = 0,
-                members=(PolicyDeviation(),)) -> _MeanPaths:
-    """The finite population of ``_simulate``, stepped as sums.
-
-    Every untagged agent of a type plays the same linear feedback, so their
-    state sum follows ``_simulate``'s Euler step driven by their noise sum:
-    n K numbers, whatever N.  With a tagged row in ``noise`` the first agent
-    of ``tag_type`` is carried apart on it, playing each of ``members``:
-    n (K + 1).  ``exogenous_field`` drives every agent by the solved mean
-    field instead, as ``simulate_representative`` does.  The first ``steps``
-    steps (default: all) of ``grid`` run for the whole batch at once.
-    """
-    steps = grid.steps if steps is None else steps
-    nodes, dt, sqdt = steps + 1, grid.dt, math.sqrt(grid.dt)
-    ts = grid.times()[:nodes]
-    pols = _policies(spec, mf, grid)
-    K, n, m, N = spec.K, spec.n, spec.m, sum(counts)
-    tagged = noise.tag is not None
-    c = np.array(counts, dtype=float)[:, None] - np.eye(K)[tag_type][:, None] * tagged
-    A, B, F, H, D = (np.array([getattr(p, f) for p in spec.subpops]) for f in "ABFHD")
-    G = np.array([pol.gain for pol in pols])
-    offset = np.stack([pol.offset[:nodes] for pol in pols], axis=1)   # (nodes, K, m)
-    b_tab = np.stack([p.b(ts) for p in spec.subpops], axis=1)        # (nodes, K, n)
-    c_off, c_b = c * offset, c * b_tab
-    field_t = _limiting_field(spec, mf, ts)                           # (nodes, K, n)
-    M, R = len(members) if tagged else 1, noise.x0.shape[0]
-    L0 = cholesky_psd(spec.x0_cov)
-    S = np.broadcast_to(c * spec.x0_mean + _lin(noise.x0, L0), (M, R, K, n)).copy()
-    x_avg = np.empty((nodes, M, R, n))
-    mu_avg = np.empty((nodes, M, R, m))
-    if tagged:
-        k = tag_type
-        shift = np.array([d.shift(m) for d in members])[:, None, :]
-        x = np.broadcast_to(spec.x0_mean + _lin(noise.tag.x0_z, L0), (M, R, n)).copy()
-        states = np.empty((nodes, M, R, n))
-        means = np.empty((nodes, M, R, m))
-        dW_t = noise.tag.dW.transpose(1, 0, 2)                    # (steps, R, r)
-    for i in range(nodes):
-        mu_sum = c_off[i] - _lin(S, G)
-        xs, ms = S.sum(axis=-2), mu_sum.sum(axis=-2)
-        if tagged:
-            mu = offset[i, k] - _lin(x, G[k]) + shift
-            states[i], means[i] = x, mu
-            xs += x
-            ms += mu
-        xa = x_avg[i] = xs / N
-        ma = mu_avg[i] = ms / N
-        if i == steps:
-            break
-        drift = _lin(S, A) + _lin(mu_sum, B) + c_b[i]
-        if exogenous_field:
-            drift += c * field_t[i]
-        else:
-            drift += c * (_lin(xa[..., None, :], F) + _lin(ma[..., None, :], H))
-        S = S + dt * drift + sqdt * _lin(noise.dW[i], D)
-        if tagged:
-            drift = _lin(x, A[k]) + _lin(mu, B[k]) + b_tab[i, k]
-            if exogenous_field:
-                drift += field_t[i, k]
-            else:
-                drift += _lin(xa, F[k]) + _lin(ma, H[k])
-            x = x + dt * drift + sqdt * _lin(dW_t[i], D[k])
-    finite = np.isfinite(x_avg).reshape(nodes, -1).all(axis=1)
-    if not finite.all():
-        raise RuntimeError(f"non-finite mean state at t={ts[np.argmin(finite)]:.4g}")
-    if not tagged:
-        return _MeanPaths(S, x_avg, mu_avg, None, None, None)
-    sd = np.sqrt([d.cov_scale for d in members])[:, None, None]
-    az = noise.tag.action_z.transpose(1, 0, 2)                    # (nodes, R, m)
-    actions = means + sd * _lin(az, pols[k].chol)[:, None]
-    return _MeanPaths(S, x_avg, mu_avg, states, means, actions)
+    return _agent_batch(spec, mf, grid, types, noise, mode, deviations, exogenous=True)
 
 
 def _tagged_costs(spec: PopulationSpec, mf: MeanFieldSolution, grid: TimeGrid,
                   counts, noise: _NoiseSums, members, mode: str,
                   tag_type: int = 0, exogenous_field: bool = False) -> np.ndarray:
-    """Discounted cost of the tagged agent, (members, repetitions): each
-    path of ``_mean_paths`` costed by ``empirical_cost`` as a one-agent
-    batch against its own population average (or the solved mean)."""
-    paths = _mean_paths(spec, mf, grid, counts, noise, exogenous_field=exogenous_field,
-                        tag_type=tag_type, members=members)
+    """Discounted cost of the tagged agent, (members, repetitions): the
+    per-type sums plus the tagged row, stepped by ``_euler`` for every
+    member and repetition at once; each tagged path is costed by
+    ``empirical_cost`` as a one-agent batch against its own population
+    average (or the solved mean).  One path a call: in a block of paths the
+    discount product rounds a path by its position, and equal members must
+    cost alike."""
+    shifts = np.array([d.shift(spec.m) for d in members])[:, None, None, :]
+    scales = np.array([d.cov_scale for d in members])[:, None, None]
+    states, means, actions, x_avg, mu_avg = _euler(
+        spec, mf, grid, counts, noise.tag, [tag_type], sums=noise, shifts=shifts,
+        scales=scales, exogenous=exogenous_field)
     xbar = mf.xbar.interp(grid.times()) if exogenous_field else None
-    costs = np.empty(paths.states.shape[1:3])
-    for j, dev in enumerate(members):
-        for r in range(costs.shape[1]):
-            # (1, nodes, .) views of member j's time-major paths in repetition r
-            states, actions, means = (a[:, j, r, None].transpose(1, 0, 2) for a in
-                                      (paths.states, paths.actions, paths.means))
-            batch = SimulationBatch(
-                grid=grid, mode="exploratory", types=np.array([tag_type]),
-                states=states, actions=actions, means=means, dW=noise.tag.dW[r, None],
-                x_avg=paths.x_avg[:, j, r], mu_avg=paths.mu_avg[:, j, r],
-                xref=xbar if exogenous_field else paths.x_avg[:, j, r].copy(),
-                infinite=exogenous_field, cov_scales=np.array([dev.cov_scale]))
-            costs[j, r] = empirical_cost(batch, spec, tag_type, mode,
-                                         spec.rho).per_agent[0]
+    costs = np.empty(actions.shape[1:3])
+    for j, r in np.ndindex(costs.shape):
+        # (1, nodes, .) views of member j's tagged path in repetition r
+        batch = SimulationBatch(
+            grid=grid, mode="exploratory", types=np.array([tag_type]),
+            states=states[:, j, r, -1:].transpose(1, 0, 2),
+            actions=actions[:, j, r].transpose(1, 0, 2),
+            means=means[:, j, r, -1:].transpose(1, 0, 2),
+            x_avg=x_avg[:, j, r], mu_avg=mu_avg[:, j, r],
+            xref=xbar if exogenous_field else x_avg[:, j, r].copy(),
+            infinite=exogenous_field, cov_scales=scales[j, 0])
+        costs[j, r] = empirical_cost(batch, spec, tag_type, mode, spec.rho).per_agent[0]
     return costs
 
 
@@ -606,11 +535,7 @@ def empirical_cost(batch: SimulationBatch, spec: PopulationSpec, k: int,
             rate = rate - np.array([_entropy_for(p, s) for s in uniq])[inv]
     half_q, half_r = 0.5 * p.Q, 0.5 * p.R
 
-    disc = np.exp(-rho * ts)
-    w = np.full(ts.shape, grid.dt)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    dw = disc * w
+    dw = np.exp(-rho * ts) * trapezoid_weights(ts.size, grid.dt)
     tail = grid.steps // 4 + 1
     per_agent = np.empty(agents.size)
     late = 0.0
@@ -665,6 +590,23 @@ def _experiment_grid(grid: TimeGrid | None, T: float = 4.0, dt: float = 0.01) ->
     return grid if grid is not None else TimeGrid(0.0, T, int(round(T / dt)))
 
 
+def _se(vals: np.ndarray) -> float:
+    """Standard error of the mean of ``vals``; 0 for one value."""
+    return vals.std(ddof=1) / math.sqrt(vals.size) if vals.size > 1 else 0.0
+
+
+def _rep_rows(res: ExperimentResult, N: int, t: float, vals: np.ndarray, value) -> float:
+    """Append a row per repetition's value, then the summary row (rep -1)
+    of ``value`` with the standard error of their mean, which it returns."""
+    se = _se(vals)
+    for rep, v in enumerate(vals):
+        res.rows.append({"experiment": res.name, "N": N, "rep": rep,
+                         "checkpoint_t": t, "value": v, "std_err": ""})
+    res.rows.append({"experiment": res.name, "N": N, "rep": -1,
+                     "checkpoint_t": t, "value": value, "std_err": se})
+    return se
+
+
 def coupling_gap_experiment(spec: PopulationSpec, mf: MeanFieldSolution,
                             Ns, reps: int, seed: int,
                             grid: TimeGrid | None = None,
@@ -680,7 +622,7 @@ def coupling_gap_experiment(spec: PopulationSpec, mf: MeanFieldSolution,
 
     No agent is simulated: under shared noise x_i^N - x_i^infty is one d_k
     for every agent of type k, the difference of the two systems' type
-    means (``_mean_paths`` up to the checkpoint), so the value is
+    means (``_euler`` on the type sums up to the checkpoint), so the value is
     sum_k (N_k / N) |d_k|^2; 'independent' adds each agent's own limiting
     path difference between its two packs.  Each repetition still draws the
     full-grid pack, so the streams do not depend on the checkpoint.
@@ -688,11 +630,8 @@ def coupling_gap_experiment(spec: PopulationSpec, mf: MeanFieldSolution,
     if coupling not in ("independent", "common-random-numbers"):
         raise ValueError(f"unknown coupling {coupling!r}")
     grid = _experiment_grid(grid)
-    ts = grid.times()
     ck = int(round(checkpoint_frac * grid.steps))
-    t_ck = ts[ck]
-    run = max(ck, 1)                    # the 'independent' limiting paths' grid
-    sub = TimeGrid(grid.t0, float(ts[run]), run)
+    t_ck = grid.times()[ck]
     r = spec.subpops[0].r
     res = ExperimentResult("coupling-gap")
     means, ses = [], []
@@ -708,25 +647,18 @@ def coupling_gap_experiment(spec: PopulationSpec, mf: MeanFieldSolution,
                     # packs reps..2*reps-1: no stream shared with the finite run
                     for sign, pk in ((1.0, pack), (-1.0, draw_noise(
                             seed, N, grid.steps, spec.n, spec.m, r, rep=reps + rep))):
-                        own[rep] += sign * simulate_representative(
-                            spec, mf, sub, seed, mode="classical", noise=pk,
-                            types=types).states[:, ck]
+                        own[rep] += sign * _euler(spec, mf, grid, counts, pk, types,
+                                                  exogenous=True, mode="classical",
+                                                  steps=ck)[0][-1]
                 yield pack
 
         sums = _noise_sums(packs(), counts, ck)
-        fin, inf = (_mean_paths(spec, mf, grid, counts, sums, ck, exogenous_field=exo)
-                    for exo in (False, True))
-        d = (fin.sums[0] - inf.sums[0]) / np.maximum(counts, 1)[:, None]
+        fin, inf = (_euler(spec, mf, grid, counts, sums.tag, [], sums=sums, exogenous=exo,
+                           steps=ck)[0][-1] for exo in (False, True))
+        d = (fin - inf) / np.maximum(counts, 1)[:, None]
         vals = np.sum((d[:, types] + own) ** 2, axis=2).mean(axis=1)
-        for rep in range(reps):
-            res.rows.append({"experiment": "coupling-gap", "N": N, "rep": rep,
-                             "checkpoint_t": t_ck, "value": vals[rep],
-                             "std_err": ""})
         means.append(vals.mean())
-        ses.append(vals.std(ddof=1) / math.sqrt(reps) if reps > 1 else 0.0)
-        res.rows.append({"experiment": "coupling-gap", "N": N, "rep": -1,
-                         "checkpoint_t": t_ck, "value": means[-1],
-                         "std_err": ses[-1]})
+        ses.append(_rep_rows(res, N, t_ck, vals, means[-1]))
     slope = _safe_slope(Ns, means)
     res.summary = {"Ns": list(Ns), "gap_means": means, "gap_std_errs": ses,
                    "slope": slope, "checkpoint_t": t_ck, "reps": reps}
@@ -752,8 +684,8 @@ def cost_gap_experiment(spec: PopulationSpec, mf: MeanFieldSolution,
     everyone else plays the equilibrium policy; common random numbers pair
     the finite and limiting runs.
 
-    Both runs are ``_mean_paths`` recurrences on each pack's tagged row and
-    per-type sums (finite population, then solved mean field), costed by
+    Both runs step each pack's per-type sums plus its tagged row with
+    ``_euler`` (finite population, then solved mean field), costed by
     ``empirical_cost``; all repetitions of one N step together.
     """
     grid = _experiment_grid(grid, T=6.0)
@@ -767,15 +699,8 @@ def cost_gap_experiment(spec: PopulationSpec, mf: MeanFieldSolution,
         fin, inf = (_tagged_costs(spec, mf, grid, counts, sums, [deviation], mode,
                                   exogenous_field=exo)[0] for exo in (False, True))
         diffs = fin - inf
-        for rep in range(reps):
-            res.rows.append({"experiment": "cost-gap", "N": N, "rep": rep,
-                             "checkpoint_t": grid.t1, "value": diffs[rep],
-                             "std_err": ""})
         gaps.append(abs(diffs.mean()))
-        ses.append(diffs.std(ddof=1) / math.sqrt(reps) if reps > 1 else 0.0)
-        res.rows.append({"experiment": "cost-gap", "N": N, "rep": -1,
-                         "checkpoint_t": grid.t1, "value": gaps[-1],
-                         "std_err": ses[-1]})
+        ses.append(_rep_rows(res, N, grid.t1, diffs, gaps[-1]))
     slope = _safe_slope(Ns, gaps)
     res.summary = {"Ns": list(Ns), "cost_gaps": gaps, "gap_std_errs": ses,
                    "slope": slope, "reps": reps,
@@ -793,9 +718,9 @@ def nash_deviation_experiment(spec: PopulationSpec, mf: MeanFieldSolution,
 
     A lower bound on the true epsilon (the infimum over all admissible
     policies is not computable); identical seeds across family members keep
-    the comparison paired.  One ``_mean_paths`` recurrence runs every
-    member, the equilibrium as the zero-shift member, on every repetition's
-    tagged row and per-type sums; each path is costed by ``empirical_cost``.
+    the comparison paired.  One ``_euler`` run steps every member, the
+    equilibrium as the zero-shift member, on every repetition's tagged row
+    and per-type sums; each path is costed by ``empirical_cost``.
     """
     grid = _experiment_grid(grid, T=6.0)
     counts = exact_counts(spec.pi, N)
@@ -811,7 +736,7 @@ def nash_deviation_experiment(spec: PopulationSpec, mf: MeanFieldSolution,
         dev_means.append(vals.mean())
         res.rows.append({"experiment": "nash", "N": N, "rep": j,
                          "checkpoint_t": grid.t1, "value": dev_means[-1],
-                         "std_err": vals.std(ddof=1) / math.sqrt(reps) if reps > 1 else 0.0})
+                         "std_err": _se(vals)})
     eps_hat = max(0.0, base_mean - min(dev_means)) if dev_means else 0.0
     res.rows.append({"experiment": "nash", "N": N, "rep": -1,
                      "checkpoint_t": grid.t1, "value": eps_hat, "std_err": ""})
@@ -834,7 +759,10 @@ def coe_experiment(spec: PopulationSpec, mf: MeanFieldSolution, k: int,
     states, then per node the action noise and (before the last node) the
     Brownian increments.  Chunks of about 1 MiB of nodes are drawn in one
     call each, which yields the values of one draw per node; only the
-    states of the current chunk are kept.
+    states of the current chunk are kept.  That stream is why this loop is
+    not ``_euler``: the kernel reads agent-major packs of ``draw_noise``,
+    and running it here would change the stream, and every estimate, of
+    the cost-of-exploration runs.
     """
     rho = spec.rho
     if rho <= 0:
@@ -867,8 +795,7 @@ def coe_experiment(spec: PopulationSpec, mf: MeanFieldSolution, k: int,
     zz = 0.5 * Lc.T @ p.R @ Lc
     xz = (p.S - gain.T @ p.R) @ Lc
     h = (off @ p.R - ybar @ p.S + p.nvec) @ Lc
-    wdisc = dt * np.exp(-rho * ts)            # discounted trapezoid weights
-    wdisc[[0, -1]] *= 0.5
+    wdisc = trapezoid_weights(nodes, dt) * np.exp(-rho * ts)
     sqdt = math.sqrt(dt)
 
     # Node i draws z_i (reps, m) then, before the last node, dW_i (reps, r):
@@ -908,16 +835,4 @@ def coe_experiment(spec: PopulationSpec, mf: MeanFieldSolution, k: int,
 def write_experiment_csv(path, rows) -> None:
     """Fixed schema (experiment, N, rep, checkpoint_t, value, std_err);
     '.' decimal, deterministic %.12g formatting."""
-    def fmt(v):
-        if isinstance(v, str):
-            return v
-        if isinstance(v, (int, np.integer)):
-            return str(int(v))
-        return f"{float(v):.12g}"
-
-    cols = ["experiment", "N", "rep", "checkpoint_t", "value", "std_err"]
-    lines = [",".join(cols)]
-    for row in rows:
-        lines.append(",".join(fmt(row.get(c, "")) for c in cols))
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, ["experiment", "N", "rep", "checkpoint_t", "value", "std_err"], rows)

@@ -38,7 +38,8 @@ import numpy as np
 
 from .meanfield import consistency_blocks, solve_stacked
 from .model import PopulationSpec, SubpopParams, validate_spec
-from .numerics import TimeGrid, Trajectory, rk4_linear_time_varying, rng_stream
+from .numerics import (TimeGrid, Trajectory, rk4_linear_time_varying, rng_stream,
+                       trapezoid_weights, write_csv)
 from .policy import GaussianPolicy, tabulate_policy
 from .riccati import solve_differential_riccati
 
@@ -369,10 +370,7 @@ def estimate_params(dataset: TradingDataset) -> ParamEstimates:
 def realized_cost(paths: MarketPaths, params: MarketParams) -> float:
     """Average realized trading cost across traders:
     phi/2 int q^2 dt - Z_T - q_T (F_T - psi q_T)."""
-    dt = paths.grid.dt
-    w = np.full(paths.grid.steps + 1, dt)
-    w[0] *= 0.5
-    w[-1] *= 0.5
+    w = trapezoid_weights(paths.grid.steps + 1, paths.grid.dt)
     run = 0.5 * params.phi_urgency * (paths.q ** 2 @ w)
     qT = paths.q[:, -1]
     term = -paths.Z[:, -1] - qT * (paths.F[-1] - params.psi_terminal * qT)
@@ -402,19 +400,9 @@ class LearningTrace:
         return self.rows
 
     def write_csv(self, path) -> None:
-        cols = ["iteration", "sigma_hat", "lambda_hat", "a_hat", "se_lambda",
-                "se_a", "gain_q0", "cost", "n_rows", "identifiable", "failed"]
-        def fmt(v):
-            if isinstance(v, (int, np.integer)):        # bools too
-                return str(int(v))
-            if isinstance(v, str):
-                return v
-            return f"{float(v):.12g}"
-        lines = [",".join(cols)]
-        for row in self.rows:
-            lines.append(",".join(fmt(row.get(c, "")) for c in cols))
-        with open(path, "w", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_csv(path, ["iteration", "sigma_hat", "lambda_hat", "a_hat", "se_lambda",
+                         "se_a", "gain_q0", "cost", "n_rows", "identifiable", "failed"],
+                  self.rows)
 
 
 def _plan(params_est: MarketParams, lambda_explore: float,

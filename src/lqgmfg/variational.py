@@ -22,7 +22,7 @@ import numpy as np
 
 from .meanfield import MeanFieldSolution
 from .model import PopulationSpec
-from .numerics import TimeGrid, Trajectory, rk4_linear_tabulated
+from .numerics import TimeGrid, Trajectory, rk4_linear_tabulated, trapezoid_weights
 from .policy import exploration_covariance, tabulate_policy
 
 __all__ = [
@@ -41,14 +41,6 @@ __all__ = [
 
 def _axes(lo: np.ndarray, hi: np.ndarray, nodes: tuple[int, ...]):
     return [np.linspace(lo[d], hi[d], nodes[d]) for d in range(len(nodes))]
-
-
-def _trap_weights(axis: np.ndarray) -> np.ndarray:
-    du = axis[1] - axis[0]
-    w = np.full(axis.shape, du)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return w
 
 
 @dataclass
@@ -74,7 +66,7 @@ class _Box:
         return _axes(self.lo, self.hi, self.nodes)
 
     def weights(self):
-        return [_trap_weights(ax) for ax in self.axes()]
+        return [trapezoid_weights(ax.size, ax[1] - ax[0]) for ax in self.axes()]
 
     def integrate(self, values: np.ndarray) -> np.ndarray:
         """Tensor trapezoid over the trailing box axes (leading axes kept)."""
@@ -332,11 +324,7 @@ def exploratory_cost_quadrature(density_path: DensityPath, state_path: Trajector
                + quadR
                + mean1 @ p.nvec
                + p.lambda_explore * ent)
-    disc = np.exp(-spec.rho * ts)
-    w = np.full(ts.shape, grid.dt)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return float(running @ (disc * w))
+    return float(running @ (np.exp(-spec.rho * ts) * trapezoid_weights(ts.size, grid.dt)))
 
 
 def gateaux_derivative(phi_path: DensityPath, omega_vals: np.ndarray,

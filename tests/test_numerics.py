@@ -323,6 +323,22 @@ def test_fit_rate():
         fit_rate(xs, np.array([1.0, -1.0, 1.0, 1.0]))
 
 
+def test_trajectory_interp_returns_node_values_at_nodes(coupled):
+    _spec, mf = coupled
+    for traj in (mf.s[0], mf.xbar, mf.mubar):
+        assert np.array_equal(traj.interp(mf.grid.times()), traj.values)
+    grid = TimeGrid(0.3, 7.1, 977)
+    traj = Trajectory(grid, np.random.default_rng(0).standard_normal((978, 2, 2)))
+    ts = grid.times()
+    assert np.array_equal(traj.interp(ts), traj.values)
+    for i in (0, 1, 500, 977):
+        assert np.array_equal(traj.interp(ts[i]), traj.values[i])
+    # between nodes it is still the linear blend
+    mid = 0.5 * (ts[10] + ts[11])
+    np.testing.assert_allclose(traj.interp(mid), 0.5 * (traj.values[10] + traj.values[11]),
+                               rtol=1e-12, atol=1e-15)
+
+
 def test_trajectory_interp_bounds():
     grid = TimeGrid(0.0, 1.0, 10)
     traj = Trajectory(grid, np.linspace(0.0, 1.0, 11)[:, None])

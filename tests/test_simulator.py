@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_specs
+from conftest import random_specs, random_subpop
 from lqgmfg import simulator, solve_consistency
 from lqgmfg.meanfield import ConsistencyError
 from lqgmfg.model import PopulationSpec, SubpopParams
@@ -119,7 +119,7 @@ def test_determinism_bitwise(coupled):
     b = simulate_population(spec, mf, cfg_for(32, seed=123))
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.actions, b.actions)
-    assert np.array_equal(a.dW, b.dW)
+    assert np.array_equal(a.means, b.means)
 
 
 def test_empirical_averages_recomputable(coupled):
@@ -302,6 +302,24 @@ def test_nash_family_of_equilibrium_only(coupled):
     assert res.summary["eps_hat"] == 0.0
 
 
+def test_nash_family_of_equilibrium_only_two_dimensional():
+    # n = m = 2, five equal members over nine repetitions: a product over
+    # two columns, or a discount sum over a block of paths, can round a path
+    # by its position in the batch; equal members must still cost alike to
+    # the bit
+    rng = np.random.default_rng(4)
+    spec = PopulationSpec(subpops=tuple(random_subpop(rng, 2, 2, 0.3) for _ in range(2)),
+                          pi=[0.6, 0.4], rho=0.5, x0_mean=[0.5, -0.3],
+                          x0_cov=0.1 * np.eye(2))
+    mf = solve_consistency(spec)
+    res = nash_deviation_experiment(spec, mf, N=7, reps=9, seed=3,
+                                    deviation_family=[PolicyDeviation()] * 5,
+                                    grid=TimeGrid(0.0, 2.0, 200))
+    assert res.summary["eps_hat"] == 0.0
+    assert all(c == res.summary["equilibrium_cost"]
+               for c in res.summary["deviation_costs"])
+
+
 def test_nash_matches_direct_per_repetition_costs(coupled):
     # superposition rounds in another order than the N-agent simulation
     spec, mf = coupled
@@ -376,6 +394,18 @@ def test_deviation_rejects_bad_cov_scale(scale):
         PolicyDeviation(cov_scale=scale)
 
 
+@pytest.mark.parametrize("shift", [[0.5], [0.5, 0.5, 0.5], [[0.5, 0.5]]])
+def test_mis_sized_mean_shift_rejected_on_both_paths(planar, shift):
+    spec, mf = planar
+    dev = PolicyDeviation(mean_shift=shift)
+    grid = TimeGrid(0.0, 1.0, 100)
+    with pytest.raises(ValueError, match="m=2"):
+        simulate_representative(spec, mf, grid, 0, deviations={0: dev})
+    with pytest.raises(ValueError, match="m=2"):
+        nash_deviation_experiment(spec, mf, N=4, deviation_family=[dev], reps=2,
+                                  seed=0, grid=grid)
+
+
 @pytest.mark.parametrize("idx", [-1, 4])
 def test_deviation_rejects_agent_out_of_range(decoupled, idx):
     spec, mf = decoupled
@@ -418,7 +448,8 @@ def test_csv_writer_deterministic(tmp_path, decoupled_noisy):
 def simulate_reference(spec, mf, grid, counts, noise, mode, deviations,
                        exogenous_field):
     """Agent-major Euler-Maruyama loop: paths stored as (N, nodes, .), one
-    strided row per agent per node.  The reference for ``_simulate``."""
+    strided row per agent per node.  The reference for the kernel that
+    ``simulate_population`` and ``simulate_representative`` run."""
     K = spec.K
     n, m = spec.n, spec.m
     N = sum(counts)
@@ -447,7 +478,9 @@ def simulate_reference(spec, mf, grid, counts, noise, mode, deviations,
     L0 = cholesky_psd(spec.x0_cov)
     states[:, 0] = spec.x0_mean[None, :] + noise.x0_z @ L0.T
 
-    shifts, cov_scales = simulator._deviation_arrays(deviations, N, m)
+    shifts, cov_scales = np.zeros((N, m)), np.ones(N)
+    for idx, dev in (deviations or {}).items():
+        shifts[idx], cov_scales[idx] = dev.shift(m), dev.cov_scale
     sd_scales = np.sqrt(cov_scales)[:, None]
 
     if exogenous_field:
@@ -886,7 +919,7 @@ def _random_batch(rng, spec, N, steps, infinite):
 
     return simulator.SimulationBatch(
         grid=grid, mode="exploratory", types=types, states=tm(n),
-        actions=tm(m), means=tm(m), dW=np.zeros((N, steps, 1)),
+        actions=tm(m), means=tm(m),
         x_avg=np.zeros((nodes, n)), mu_avg=np.zeros((nodes, m)), xref=xref,
         infinite=infinite, cov_scales=rng.uniform(0.2, 3.0, N))
 
