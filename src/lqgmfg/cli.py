@@ -204,6 +204,8 @@ def cmd_experiment(args) -> int:
             raise ValueError(f"unknown experiment kind {kind}")
     except _NUMERIC_ERRORS as exc:
         return _fail(out, exc, 2)
+    except ValueError as exc:       # an argument out of range
+        return _fail(out, exc, 1)
     write_experiment_csv(out / "experiment.csv", rows)
     _write_json(out / "summary.json", summary)
     print(f"{args.kind}: wrote {len(rows)} rows to {out / 'experiment.csv'}")

@@ -27,9 +27,12 @@ stream is named by a user seed and a key of small integers (a repetition, an
 episode) and drawn from ``rng_stream(seed, *key)``, NumPy's
 ``SeedSequence(seed, spawn_key=key)`` -- the child that
 ``SeedSequence(seed).spawn`` hands out -- feeding a PCG64 generator.  Streams
-of different (seed, key) pairs are statistically independent; agents are
-rows of one stream, in a fixed order, so coupled experiments (common random
-numbers) still replay the exact same noise per agent.
+of different (seed, key) pairs are statistically independent.  A noise pack
+is keyed (rep,), and its agents are rows of one stream, in a fixed order, so
+coupled experiments (common random numbers) replay the exact same noise per
+agent.  Experiments that read only per-type noise sums draw them as sums
+(sqrt(c) times one normal for c agents), one stream per (N, rep) keyed
+(7, N, rep), so no two population sizes share a draw.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 _SEED_MASK = (1 << 64) - 1
-RNG_SCHEME = "SeedSequence(seed, spawn_key=key)/PCG64"
+RNG_SCHEME = "SeedSequence(seed, spawn_key=key)/PCG64; noise sums drawn as sums"
 _CHUNK = 64                  # RK4 steps composed per scan chunk
 _SPLIT_GROWTH = 8.0          # split mode: log of the largest map product per chunk
 
@@ -117,15 +120,22 @@ class Trajectory:
 
     def interp(self, t: float | np.ndarray) -> np.ndarray:
         """Linear interpolation between grid nodes; errors outside the grid.
-        The interval is found among the grid's own times, so at a node the
-        node value comes back exactly, not as a blend of its neighbours."""
-        g = self.grid
+        The interval is the one ``times()`` would give, so at a node the node
+        value comes back exactly, not as a blend of its neighbours, but no
+        grid is built: (t - t0) / dt guesses the interval, and the nodes
+        beside the guess, computed as ``np.linspace`` computes them (i dt +
+        t0, the last one t1), move it by one where the quotient rounded
+        across a node."""
+        g, dt = self.grid, self.grid.dt
         tarr = np.asarray(t, dtype=float)
         if np.any(tarr < g.t0 - 1e-12) or np.any(tarr > g.t1 + 1e-12):
             raise ValueError(f"t={t} outside solved grid [{g.t0}, {g.t1}]")
-        ts = g.times()
-        i0 = np.clip(np.searchsorted(ts, tarr, side="right") - 1, 0, g.steps - 1)
-        w = np.clip((tarr - ts[i0]) / (ts[i0 + 1] - ts[i0]), 0.0, 1.0)
+        guess = np.minimum(np.maximum(np.floor((tarr - g.t0) / dt), 0.0), g.steps - 1)
+        guess = guess + ((guess + 1.0) * dt + g.t0 <= tarr) - (guess * dt + g.t0 > tarr)
+        i0 = np.minimum(np.maximum(guess, 0.0), g.steps - 1).astype(int)
+        lo = i0 * dt + g.t0
+        hi = np.where(i0 == g.steps - 1, g.t1, (i0 + 1) * dt + g.t0)
+        w = np.clip((tarr - lo) / (hi - lo), 0.0, 1.0)
         w = w.reshape(w.shape + (1,) * (self.values.ndim - 1))
         return (1.0 - w) * self.values[i0] + w * self.values[i0 + 1]
 

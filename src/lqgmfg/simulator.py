@@ -14,9 +14,12 @@ Noise discipline: one stream per noise pack, ``rng_stream(seed, rep)``,
 drawn up-front.  Agent i owns row i of that stream, in a fixed order
 (initial state, then per-node action noise, then Brownian increments), so
 its noise depends on (seed, rep, i) only, not on N.  Coupled experiments
-replay the identical noise pack in the finite and limiting systems (common
+replay the identical noise in the finite and limiting systems (common
 random numbers), which is what makes the gap statistics estimable at desk
-scale.
+scale.  Experiments that read only per-type noise sums and a tagged row
+(the shared-noise coupling gap, the cost gap, epsilon-Nash) draw just
+those, from ``rng_stream(seed, _SUMS_KEY, N, rep)``: the sum of c iid
+standard normal rows has the law of sqrt(c) times one.
 
 One kernel, ``_euler``, steps every population path, time-major: node i of
 a batch of populations is one contiguous block.  A population holds agents
@@ -26,8 +29,8 @@ carried one by one, each with its own deviation, and, by superposition
 untagged agents of a type enter only through their sum.
 ``simulate_population`` carries every agent of one population;
 ``simulate_representative`` carries every path under the solved mean
-field; the coupling gap steps sums only, on each pack's per-type noise
-sums; the cost gap and the epsilon-Nash experiment step the sums plus one
+field; the coupling gap steps sums only, on per-type noise sums; the
+cost gap and the epsilon-Nash experiment step the sums plus one
 tagged row, for every (deviation, repetition) at once.  The experiments
 compute only what they read.  ``empirical_cost`` works through agents in
 blocks, so its memory does not grow with the population.
@@ -72,6 +75,8 @@ _BLOCK_BYTES = 1 << 20
 _NOISE_CHUNK = 16
 # agents per block in empirical_cost
 _COST_BLOCK = 256
+# first spawn-key entry of the drawn noise sums' streams (seed, _SUMS_KEY, N, rep)
+_SUMS_KEY = 7
 
 
 def exact_counts(pi: np.ndarray, N: int) -> tuple[int, ...]:
@@ -155,7 +160,9 @@ def draw_noise(seed: int, N: int, steps: int, n: int, m: int, r: int,
     The values are those of one C-order (N, n + (steps+1)*m + steps*r) draw,
     row i being agent i's initial state, action noise and increments, so row
     i depends only on i, not on N.  The draw is made in blocks of rows, and
-    each array of the pack is allocated on its own.
+    each array of the pack is allocated on its own.  Populations, limiting
+    paths and the independent coupling gap read these packs; experiments
+    that read only noise sums draw those instead (``_draw_sums``).
     """
     nodes = steps + 1
     x0_z = np.empty((N, n))
@@ -229,36 +236,59 @@ def _type_slices(counts) -> list[slice]:
 
 @dataclass
 class _NoiseSums:
-    """Noise packs reduced to what the kernel reads: per-type sums over the
+    """What the kernel reads of R repetitions' noise: per-type sums over the
     untagged agents of the initial-state normals (R, K, n) and of the
-    increments, time-major (steps, R, K, r), and each pack's tagged rows
-    (R, C, .), C being 0 or 1."""
+    increments, time-major (steps, R, K, r), and the tagged rows (R, C, .),
+    C being 0 or 1."""
 
     x0: np.ndarray
     dW: np.ndarray
     tag: AgentNoise
 
 
-def _noise_sums(packs, counts, steps: int, tag_type: int | None = None) -> _NoiseSums:
-    """Reduce each pack as it comes, so one pack is held at a time.  With
-    ``tag_type``, the first agent of that type is the tagged agent: its row
-    is kept whole and left out of its type's sums."""
+def _noise_sums(packs, counts, steps: int) -> _NoiseSums:
+    """Reduce each pack as it comes, so one pack is held at a time; no agent
+    is tagged.  The independent coupling gap's sums: it reads its packs'
+    agents too."""
     slices = _type_slices(counts)
-    tag = slice(0, 0)
-    if tag_type is not None:
-        if counts[tag_type] < 1:
-            raise ValueError(f"no agent of type {tag_type} to tag")
-        t = slices[tag_type].start
-        tag, slices[tag_type] = slice(t, t + 1), slice(t + 1, slices[tag_type].stop)
     x0, dW, rows = [], [], []
     for pack in packs:
         x0.append([pack.x0_z[sl].sum(axis=0) for sl in slices])
         dW.append([pack.dW[sl, :steps].sum(axis=0) for sl in slices])
-        # copies: a view of the row would keep the whole pack alive
-        rows.append((pack.x0_z[tag].copy(), pack.action_z[tag, :steps + 1].copy(),
-                     pack.dW[tag, :steps].copy()))
+        # empty copies: a view would keep the whole pack alive
+        rows.append((pack.x0_z[:0].copy(), pack.action_z[:0, :steps + 1].copy(),
+                     pack.dW[:0, :steps].copy()))
     return _NoiseSums(np.array(x0), np.array(dW).transpose(2, 0, 1, 3).copy(),
                       AgentNoise(*map(np.array, zip(*rows))))
+
+
+def _draw_sums(spec: PopulationSpec, grid: TimeGrid, counts, reps: int, seed: int,
+               tag_type: int | None = None) -> _NoiseSums:
+    """Each repetition's sums drawn as such, not reduced from a pack: the sum
+    of c iid N(0, I) rows has the law of sqrt(c) N(0, I).  With ``tag_type``
+    the tagged agent, left out of its type's c, gets its whole row.
+
+    Repetition ``rep`` is one stream, ``rng_stream(seed, _SUMS_KEY, N, rep)``,
+    read in order: the per-type initial-state sums (K, n), the per-step
+    increment sums (steps, K, r), then the tagged row's initial state, action
+    noise and increments.  The increments span the whole grid, so a run to a
+    checkpoint reads the same values whatever the checkpoint.
+    """
+    K, C, steps, n, m, r = (len(counts), int(tag_type is not None), grid.steps,
+                            spec.n, spec.m, spec.subpops[0].r)
+    c = np.array(counts, dtype=float)
+    if C:
+        if counts[tag_type] < 1:
+            raise ValueError(f"no agent of type {tag_type} to tag")
+        c[tag_type] -= 1
+    shapes = [(K, n), (steps, K, r), (C, n), (C, steps + 1, m), (C, steps, r)]
+    cuts = np.cumsum([math.prod(s) for s in shapes])
+    z = np.array([rng_stream(seed, _SUMS_KEY, sum(counts), rep).standard_normal(cuts[-1])
+                  for rep in range(reps)])
+    x0, dW, *tag = (part.reshape((reps,) + s)
+                    for part, s in zip(np.split(z, cuts[:-1], axis=1), shapes))
+    root = np.sqrt(c)[:, None]
+    return _NoiseSums(root * x0, np.moveaxis(root * dW, 0, 1), AgentNoise(*tag))
 
 
 def _lin(x: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -586,8 +616,21 @@ def _safe_slope(Ns, values):
     return fit_rate(np.asarray(Ns, dtype=float), vals)
 
 
-def _experiment_grid(grid: TimeGrid | None, T: float = 4.0, dt: float = 0.01) -> TimeGrid:
-    return grid if grid is not None else TimeGrid(0.0, T, int(round(T / dt)))
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ValueError(message)
+
+
+def _experiment_grid(mf: MeanFieldSolution, grid: TimeGrid | None, T: float = 4.0,
+                     reps: int = 1, Ns=()) -> TimeGrid:
+    """``grid``, by default [0, T] in steps of 0.01, which must end within
+    the solved grid; the repetitions and population sizes are checked too."""
+    _require(reps >= 1, f"reps must be at least 1, got {reps}")
+    _require(all(N >= 1 for N in Ns), f"every N must be at least 1, got {list(Ns)}")
+    grid = grid if grid is not None else TimeGrid(0.0, T, int(round(T / 0.01)))
+    _require(grid.t1 <= mf.grid.t1 + 1e-12, f"the experiment runs to t={grid.t1:g}, "
+             f"past the solved horizon {mf.grid.t1:g}: solve with a longer horizon")
+    return grid
 
 
 def _se(vals: np.ndarray) -> float:
@@ -624,12 +667,16 @@ def coupling_gap_experiment(spec: PopulationSpec, mf: MeanFieldSolution,
     for every agent of type k, the difference of the two systems' type
     means (``_euler`` on the type sums up to the checkpoint), so the value is
     sum_k (N_k / N) |d_k|^2; 'independent' adds each agent's own limiting
-    path difference between its two packs.  Each repetition still draws the
-    full-grid pack, so the streams do not depend on the checkpoint.
+    path difference between its two packs.  Shared noise needs only the
+    per-type sums, drawn as such (``_draw_sums``); 'independent' draws each
+    repetition's full packs.  Either draw spans the whole grid, so the
+    streams do not depend on the checkpoint.
     """
-    if coupling not in ("independent", "common-random-numbers"):
-        raise ValueError(f"unknown coupling {coupling!r}")
-    grid = _experiment_grid(grid)
+    _require(coupling in ("independent", "common-random-numbers"),
+             f"unknown coupling {coupling!r}")
+    _require(0.0 <= checkpoint_frac <= 1.0,
+             f"checkpoint_frac must lie in [0, 1], got {checkpoint_frac}")
+    grid = _experiment_grid(mf, grid, reps=reps, Ns=Ns)
     ck = int(round(checkpoint_frac * grid.steps))
     t_ck = grid.times()[ck]
     r = spec.subpops[0].r
@@ -642,17 +689,17 @@ def coupling_gap_experiment(spec: PopulationSpec, mf: MeanFieldSolution,
 
         def packs():
             for rep in range(reps):
-                pack = draw_noise(seed, N, grid.steps, spec.n, spec.m, r, rep=rep)
-                if coupling == "independent":
-                    # packs reps..2*reps-1: no stream shared with the finite run
-                    for sign, pk in ((1.0, pack), (-1.0, draw_noise(
-                            seed, N, grid.steps, spec.n, spec.m, r, rep=reps + rep))):
-                        own[rep] += sign * _euler(spec, mf, grid, counts, pk, types,
-                                                  exogenous=True, mode="classical",
-                                                  steps=ck)[0][-1]
-                yield pack
+                # packs reps..2*reps-1: no stream shared with the finite run
+                pks = [draw_noise(seed, N, grid.steps, spec.n, spec.m, r, rep=q)
+                       for q in (rep, reps + rep)]
+                for sign, pk in zip((1.0, -1.0), pks):
+                    own[rep] += sign * _euler(spec, mf, grid, counts, pk, types,
+                                              exogenous=True, mode="classical",
+                                              steps=ck)[0][-1]
+                yield pks[0]
 
-        sums = _noise_sums(packs(), counts, ck)
+        sums = (_noise_sums(packs(), counts, ck) if coupling == "independent"
+                else _draw_sums(spec, grid, counts, reps, seed))
         fin, inf = (_euler(spec, mf, grid, counts, sums.tag, [], sums=sums, exogenous=exo,
                            steps=ck)[0][-1] for exo in (False, True))
         d = (fin - inf) / np.maximum(counts, 1)[:, None]
@@ -665,16 +712,6 @@ def coupling_gap_experiment(spec: PopulationSpec, mf: MeanFieldSolution,
     return res
 
 
-def _tagged_packs(spec: PopulationSpec, grid: TimeGrid, counts, reps: int,
-                  seed: int) -> _NoiseSums:
-    """Packs 0..reps-1 of ``seed``, reduced with agent 0 (the first of type
-    0) tagged."""
-    N = sum(counts)
-    return _noise_sums((draw_noise(seed, N, grid.steps, spec.n, spec.m,
-                                   spec.subpops[0].r, rep=rep) for rep in range(reps)),
-                       counts, grid.steps, tag_type=0)
-
-
 def cost_gap_experiment(spec: PopulationSpec, mf: MeanFieldSolution,
                         Ns, reps: int, seed: int,
                         deviation: PolicyDeviation | None = None,
@@ -684,18 +721,19 @@ def cost_gap_experiment(spec: PopulationSpec, mf: MeanFieldSolution,
     everyone else plays the equilibrium policy; common random numbers pair
     the finite and limiting runs.
 
-    Both runs step each pack's per-type sums plus its tagged row with
-    ``_euler`` (finite population, then solved mean field), costed by
+    Both runs step each repetition's per-type sums plus its tagged row (the
+    first agent of type 0), drawn as such by ``_draw_sums``, with ``_euler``
+    (finite population, then solved mean field), costed by
     ``empirical_cost``; all repetitions of one N step together.
     """
-    grid = _experiment_grid(grid, T=6.0)
+    grid = _experiment_grid(mf, grid, T=6.0, reps=reps, Ns=Ns)
     if deviation is None:
         deviation = PolicyDeviation(mean_shift=np.full(spec.m, 0.5))
     res = ExperimentResult("cost-gap")
     gaps, ses = [], []
     for N in Ns:
         counts = exact_counts(spec.pi, N)
-        sums = _tagged_packs(spec, grid, counts, reps, seed)
+        sums = _draw_sums(spec, grid, counts, reps, seed, tag_type=0)
         fin, inf = (_tagged_costs(spec, mf, grid, counts, sums, [deviation], mode,
                                   exogenous_field=exo)[0] for exo in (False, True))
         diffs = fin - inf
@@ -717,16 +755,18 @@ def nash_deviation_experiment(spec: PopulationSpec, mf: MeanFieldSolution,
     eps-hat = max(0, J^N(equilibrium) - min over family J^N(deviation)).
 
     A lower bound on the true epsilon (the infimum over all admissible
-    policies is not computable); identical seeds across family members keep
-    the comparison paired.  One ``_euler`` run steps every member, the
-    equilibrium as the zero-shift member, on every repetition's tagged row
-    and per-type sums; each path is costed by ``empirical_cost``.
+    policies is not computed here: ROADMAP item 1); the same draws serve
+    every family member, which keeps the comparison paired.  One ``_euler``
+    run steps every member, the equilibrium as the zero-shift member, on
+    every repetition's tagged row (the first agent of type 0) and per-type
+    sums, drawn as such by ``_draw_sums``; each path is costed by
+    ``empirical_cost``.
     """
-    grid = _experiment_grid(grid, T=6.0)
+    grid = _experiment_grid(mf, grid, T=6.0, reps=reps, Ns=[N])
     counts = exact_counts(spec.pi, N)
     res = ExperimentResult("nash")
     family = list(deviation_family)
-    sums = _tagged_packs(spec, grid, counts, reps, seed)
+    sums = _draw_sums(spec, grid, counts, reps, seed, tag_type=0)
     costs = _tagged_costs(spec, mf, grid, counts, sums,      # row 0: equilibrium
                           [PolicyDeviation()] + family, mode)
 
@@ -771,6 +811,7 @@ def coe_experiment(spec: PopulationSpec, mf: MeanFieldSolution, k: int,
         T = math.log(2e5) / rho
         steps = min(int(math.ceil(T / 0.01)), 20000)
         grid = TimeGrid(0.0, T, steps)
+    grid = _experiment_grid(mf, grid, reps=reps)
     p = spec.subpops[k]
     n, m, r = p.n, p.m, p.r
     ts = grid.times()
@@ -822,7 +863,7 @@ def coe_experiment(spec: PopulationSpec, mf: MeanFieldSolution, k: int,
         acc += wdisc[lo:lo + c] @ _rowdot(g, z)
         X[0] = X[c]
     est = float(acc.mean())
-    se = float(acc.std(ddof=1) / math.sqrt(reps))
+    se = float(_se(acc))
     ana = analytic_coe(k, spec)
     res = ExperimentResult("coe")
     res.rows.append({"experiment": "coe", "N": reps, "rep": -1,

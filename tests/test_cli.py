@@ -156,6 +156,23 @@ def test_experiment_nash_identity_family_csv(spec_files, tmp_path):
     assert "eps_hat" in summ
 
 
+@pytest.mark.parametrize("kind, extra, match", [
+    ("coupling-gap", ["--reps", "0"], "reps must be at least 1"),
+    ("coupling-gap", ["--Ns", "0,16"], "every N must be at least 1"),
+    ("cost-gap", ["--horizon", "2", "--steps", "20"], "past the solved horizon"),
+    ("nash", ["--Ns", "8", "--reps", "0"], "reps must be at least 1"),
+    ("coe", ["--reps", "0"], "reps must be at least 1"),
+])
+def test_experiment_argument_error_exit_1(spec_files, tmp_path, capsys, kind, extra, match):
+    out = tmp_path / "bad"
+    rc = main(["experiment", kind, str(spec_files / "coupled.json"),
+               "--out", str(out)] + extra)
+    assert rc == 1
+    err = json.loads((out / "error.json").read_text())
+    assert err["type"] == "ValueError" and match in err["error"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_determinism_byte_identical(spec_files, tmp_path):
     args = ["experiment", "coe", str(spec_files / "decoupled.json"),
             "--reps", "200", "--seed", "11"]

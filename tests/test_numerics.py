@@ -339,6 +339,37 @@ def test_trajectory_interp_returns_node_values_at_nodes(coupled):
                                rtol=1e-12, atol=1e-15)
 
 
+def interp_on_times(traj, t):
+    """Interpolation with the interval searched among ``grid.times()``: the
+    reference for ``Trajectory.interp``, which builds no grid."""
+    g = traj.grid
+    tarr = np.asarray(t, dtype=float)
+    ts = g.times()
+    i0 = np.clip(np.searchsorted(ts, tarr, side="right") - 1, 0, g.steps - 1)
+    w = np.clip((tarr - ts[i0]) / (ts[i0 + 1] - ts[i0]), 0.0, 1.0)
+    w = w.reshape(w.shape + (1,) * (traj.values.ndim - 1))
+    return (1.0 - w) * traj.values[i0] + w * traj.values[i0 + 1]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(t0=st.floats(-50.0, 50.0), span=st.floats(1e-3, 1e3),
+       steps=st.integers(1, 20000), seed=st.integers(0, 2**32 - 1))
+def test_trajectory_interp_matches_search_among_times(t0, span, steps, seed):
+    # bitwise, at random times, at every node and one ulp either side of it,
+    # for scalar and array arguments
+    grid = TimeGrid(t0, t0 + span, steps)
+    rng = np.random.default_rng(seed)
+    traj = Trajectory(grid, rng.standard_normal((steps + 1, 2)))
+    ts = grid.times()
+    probes = np.concatenate([rng.uniform(grid.t0, grid.t1, 64), ts,
+                             np.nextafter(ts, np.inf), np.nextafter(ts, -np.inf)])
+    probes = probes[(probes >= grid.t0 - 1e-12) & (probes <= grid.t1 + 1e-12)]
+    assert np.array_equal(traj.interp(probes), interp_on_times(traj, probes))
+    for t in probes[rng.integers(0, probes.size, 8)]:
+        got, ref = traj.interp(float(t)), interp_on_times(traj, float(t))
+        assert got.shape == ref.shape and np.array_equal(got, ref)
+
+
 def test_trajectory_interp_bounds():
     grid = TimeGrid(0.0, 1.0, 10)
     traj = Trajectory(grid, np.linspace(0.0, 1.0, 11)[:, None])

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import math
 from types import SimpleNamespace
@@ -12,6 +13,7 @@ from lqgmfg import simulator, solve_consistency
 from lqgmfg.meanfield import ConsistencyError
 from lqgmfg.model import PopulationSpec, SubpopParams
 from lqgmfg.numerics import TimeGrid, Trajectory, cholesky_psd, rng_stream
+from lqgmfg.policy import tabulate_policy
 from lqgmfg.presets import scalar_decoupled_spec
 from lqgmfg.riccati import feedback_gain
 from lqgmfg.simulator import (AgentNoise, PolicyDeviation, SimConfig,
@@ -22,6 +24,7 @@ from lqgmfg.simulator import (AgentNoise, PolicyDeviation, SimConfig,
                               simulate_representative, write_experiment_csv)
 
 GRID = TimeGrid(0.0, 4.0, 400)
+DRAW_SUMS = simulator._draw_sums       # the module's, whatever a test patches in
 
 
 def rows(noise, idx):
@@ -31,6 +34,42 @@ def rows(noise, idx):
 
 def cfg_for(N, grid=GRID, seed=0, mode="exploratory"):
     return SimConfig(N=N, counts=(N,), grid=grid, seed=seed, mode=mode)
+
+
+def reduce_packs(packs, counts, steps, tag_type=None):
+    """Each pack's per-type sums over the untagged agents and, with
+    ``tag_type``, the whole row of that type's first agent: the kernel's
+    noise reduced from full packs, one pack held at a time."""
+    slices = simulator._type_slices(counts)
+    tag = slice(0, 0)
+    if tag_type is not None:
+        t = slices[tag_type].start
+        tag, slices[tag_type] = slice(t, t + 1), slice(t + 1, slices[tag_type].stop)
+    x0, dW, tagged = [], [], []
+    for pack in packs:
+        x0.append([pack.x0_z[sl].sum(axis=0) for sl in slices])
+        dW.append([pack.dW[sl, :steps].sum(axis=0) for sl in slices])
+        tagged.append((pack.x0_z[tag].copy(), pack.action_z[tag, :steps + 1].copy(),
+                       pack.dW[tag, :steps].copy()))
+    return simulator._NoiseSums(np.array(x0), np.array(dW).transpose(2, 0, 1, 3).copy(),
+                                AgentNoise(*map(np.array, zip(*tagged))))
+
+
+def pack_sums(spec, grid, counts, reps, seed, tag_type=None):
+    """A stand-in for ``simulator._draw_sums``: the sums reduced from the
+    ``draw_noise`` packs 0..reps-1 of ``seed``, whose agents the
+    agent-by-agent references replay."""
+    return reduce_packs((draw_noise(seed, sum(counts), grid.steps, spec.n, spec.m,
+                                    spec.subpops[0].r, rep=rep) for rep in range(reps)),
+                        counts, grid.steps, tag_type)
+
+
+@contextlib.contextmanager
+def on_packs():
+    """The reduced experiments run on ``pack_sums``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator, "_draw_sums", pack_sums)
+        yield
 
 
 def test_exact_counts():
@@ -326,8 +365,9 @@ def test_nash_matches_direct_per_repetition_costs(coupled):
     grid = TimeGrid(0.0, 2.0, 200)
     N, reps, seed = 6, 3, 11
     family = [PolicyDeviation(mean_shift=[0.3]), PolicyDeviation(cov_scale=1.5)]
-    res = nash_deviation_experiment(spec, mf, N=N, reps=reps, seed=seed,
-                                    deviation_family=family, grid=grid)
+    with on_packs():
+        res = nash_deviation_experiment(spec, mf, N=N, reps=reps, seed=seed,
+                                        deviation_family=family, grid=grid)
     counts = exact_counts(spec.pi, N)
 
     def tagged_costs(dev):
@@ -567,7 +607,7 @@ def _random_game(rng, K, n, m, r, steps):
     def traj(d):
         return Trajectory(grid, rng.standard_normal((nodes, d)))
 
-    mf = SimpleNamespace(xbar=traj(n * K), mubar=traj(m * K),
+    mf = SimpleNamespace(grid=grid, xbar=traj(n * K), mubar=traj(m * K),
                          s=[traj(n) for _ in range(K)],
                          Pi=[SimpleNamespace(Pi=spd(n)) for _ in range(K)])
     return spec, mf, grid
@@ -745,7 +785,8 @@ def test_coupling_gap_matches_full_grid_reference(two_type, coupling, frac):
     grid = TimeGrid(0.0, 3.0, 200)
     kw = dict(reps=3, seed=6, checkpoint_frac=frac, coupling=coupling)
     Ns = [8, 16, 40]
-    res = coupling_gap_experiment(spec, mf, Ns, grid=grid, **kw)
+    with on_packs():
+        res = coupling_gap_experiment(spec, mf, Ns, grid=grid, **kw)
     ref = coupling_gap_reference(spec, mf, Ns, grid=grid, **kw)
     assert_rows_close(res.rows + [res.summary], ref.rows + [ref.summary],
                       rtol=1e-11)
@@ -772,7 +813,8 @@ def test_coupling_gap_matches_reference_on_random_specs(spec, Ns, steps, frac,
     grid = TimeGrid(0.0, 2.0, steps)
     kw = dict(reps=2, seed=seed, grid=grid, checkpoint_frac=frac,
               coupling=coupling)
-    res = coupling_gap_experiment(spec, mf, Ns, **kw)
+    with on_packs():
+        res = coupling_gap_experiment(spec, mf, Ns, **kw)
     ref = coupling_gap_reference(spec, mf, Ns, **kw)
     assert [(row["N"], row["rep"]) for row in res.rows] == \
         [(row["N"], row["rep"]) for row in ref.rows]
@@ -781,6 +823,172 @@ def test_coupling_gap_matches_reference_on_random_specs(spec, Ns, steps, frac,
     # a standard error of two near-equal values cancels: relative to the mean
     np.testing.assert_allclose(res.summary["gap_std_errs"], ref.summary["gap_std_errs"],
                                rtol=0, atol=1e-11 * max(ref.summary["gap_means"]))
+
+
+def coupling_gap_oracle(spec, mf, grid, N, ck):
+    """The exact expectation of the coupling gap at node ``ck`` under the
+    kernel's Euler scheme, with no draws: the mean and covariance of
+    z = (finite type sums, limiting type sums), of dimension 2Kn, stepped
+    by the kernel's step on its own tables.  Both halves start from the
+    same sums, mean c_k x0_mean and covariance c_k Sigma0, and take the
+    same increments, covariance dt c_k D D^T.  With d_k the difference of
+    the type means, E[gap] = sum_k (N_k / N) (|E d_k|^2 + tr Cov d_k)."""
+    K, n, dt = spec.K, spec.n, grid.dt
+    c = np.array(exact_counts(spec.pi, N), dtype=float)
+    ts = grid.times()
+    xbar = mf.xbar.interp(ts)
+    pols = [tabulate_policy(spec, k, mf.Pi[k].Pi, grid, mf.s[k].interp(ts), xbar)
+            for k in range(K)]
+    field = simulator._limiting_field(spec, mf, ts)              # (nodes, K, n)
+
+    def at(half, k):                    # type k's block of the finite / limiting half
+        return slice((half * K + k) * n, (half * K + k + 1) * n)
+
+    M = np.zeros((2 * K * n, 2 * K * n))
+    noise, cov = np.zeros_like(M), np.zeros_like(M)
+    mean = np.zeros(2 * K * n)
+    for k, p in enumerate(spec.subpops):
+        closed = np.eye(n) + dt * (p.A - p.B @ pols[k].gain)
+        for h in (0, 1):
+            M[at(h, k), at(h, k)] = closed
+            mean[at(h, k)] = c[k] * spec.x0_mean
+            for g in (0, 1):
+                noise[at(h, k), at(g, k)] = dt * c[k] * p.D @ p.D.T
+                cov[at(h, k), at(g, k)] = c[k] * spec.x0_cov
+        # the finite field F_k xa + H_k ma, with xa = sum_j S_j / N and
+        # ma = sum_j (c_j offset_j - G_j S_j) / N
+        for j in range(K):
+            M[at(0, k), at(0, j)] += dt * c[k] / N * (p.F - p.H @ pols[j].gain)
+    for i in range(ck):
+        ma = sum(c[j] * pols[j].offset[i] for j in range(K)) / N
+        shift = np.zeros_like(mean)
+        for k, p in enumerate(spec.subpops):
+            own = p.B @ pols[k].offset[i] + p.b(ts[i:i + 1])[0]
+            shift[at(0, k)] = dt * c[k] * (own + p.H @ ma)
+            shift[at(1, k)] = dt * c[k] * (own + field[i, k])
+        mean = M @ mean + shift
+        cov = M @ cov @ M.T + noise
+    gap = 0.0
+    for k in np.flatnonzero(c):
+        d = np.zeros((n, 2 * K * n))
+        d[:, at(0, k)], d[:, at(1, k)] = np.eye(n) / c[k], -np.eye(n) / c[k]
+        gap += c[k] / N * (np.sum((d @ mean) ** 2) + np.trace(d @ cov @ d.T))
+    return gap
+
+
+def scaled_by_c(spec, grid, counts, reps, seed, tag_type=None):
+    """The drawn sums scaled by c, not sqrt(c): a wrong law for the gate
+    below to reject."""
+    sums = DRAW_SUMS(spec, grid, counts, reps, seed, tag_type)
+    root = np.sqrt(np.asarray(counts, dtype=float))[:, None]
+    return simulator._NoiseSums(root * sums.x0, root * sums.dW, sums.tag)
+
+
+@pytest.mark.parametrize("game", ["coupled", "two_type"])
+def test_coupling_gap_matches_exact_expectation(request, game):
+    # the evidence that the drawn sums have the law of the packs' sums: on
+    # either stream the Monte Carlo mean lies within 4 SE of the exact
+    # expectation of the scheme it samples, and sums of the wrong scale fail
+    spec, mf = request.getfixturevalue(game)
+    grid, Ns = TimeGrid(0.0, 2.0, 200), [16, 64, 256, 1024]
+    exact = np.array([coupling_gap_oracle(spec, mf, grid, N, 100) for N in Ns])
+
+    def z_scores():
+        res = coupling_gap_experiment(spec, mf, Ns, reps=400, seed=12, grid=grid)
+        return (np.array(res.summary["gap_means"]) - exact) / res.summary["gap_std_errs"]
+
+    assert np.all(np.abs(z_scores()) <= 4.0), "drawn sums"
+    with on_packs():
+        assert np.all(np.abs(z_scores()) <= 4.0), "sums of full packs"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator, "_draw_sums", scaled_by_c)
+        assert np.max(np.abs(z_scores())) > 4.0, "sums scaled by c"
+
+
+def test_draw_sums_are_scaled_stream_normals():
+    # n = m = 2 and r = 1 over two types: each part of a repetition's
+    # stream, in order, lands in its own array
+    rng = np.random.default_rng(3)
+    spec = PopulationSpec(subpops=tuple(random_subpop(rng, 2, 2, 0.3) for _ in range(2)),
+                          pi=[0.6, 0.4], rho=0.5, x0_mean=[0.5, -0.3],
+                          x0_cov=0.1 * np.eye(2))
+    K, n, m, r = spec.K, spec.n, spec.m, spec.subpops[0].r
+    grid, counts, reps, seed = TimeGrid(0.0, 1.0, 7), (4, 1), 3, 21
+    steps, nodes, N = grid.steps, grid.steps + 1, sum(counts)
+    for tag_type in (None, 0, 1):
+        C = int(tag_type is not None)
+        c = np.array(counts, dtype=float)
+        c[tag_type or 0] -= C
+        sums = simulator._draw_sums(spec, grid, counts, reps, seed, tag_type)
+        for rep in range(reps):
+            z = rng_stream(seed, simulator._SUMS_KEY, N, rep).standard_normal(
+                K * n + steps * K * r + C * (n + nodes * m + steps * r))
+            x0, z = z[:K * n].reshape(K, n), z[K * n:]
+            dW, z = z[:steps * K * r].reshape(steps, K, r), z[steps * K * r:]
+            np.testing.assert_array_equal(sums.x0[rep], np.sqrt(c)[:, None] * x0)
+            np.testing.assert_array_equal(sums.dW[:, rep], np.sqrt(c)[:, None] * dW)
+            np.testing.assert_array_equal(sums.tag.x0_z[rep], z[:C * n].reshape(C, n))
+            np.testing.assert_array_equal(sums.tag.action_z[rep],
+                                          z[C * n:C * (n + nodes * m)].reshape(C, nodes, m))
+            np.testing.assert_array_equal(sums.tag.dW[rep],
+                                          z[C * (n + nodes * m):].reshape(C, steps, r))
+            # the noise pack of the same (seed, rep) is another stream
+            pack = draw_noise(seed, N, steps, n, m, r, rep=rep)
+            assert not np.intersect1d(np.concatenate([x0.ravel(), dW.ravel()]),
+                                      np.concatenate([pack.x0_z.ravel(), pack.dW.ravel()])).size
+        again = simulator._draw_sums(spec, grid, counts, reps, seed, tag_type)
+        for a, b in ((sums.x0, again.x0), (sums.dW, again.dW),
+                     (sums.tag.x0_z, again.tag.x0_z), (sums.tag.action_z, again.tag.action_z),
+                     (sums.tag.dW, again.tag.dW)):
+            assert np.array_equal(a, b)
+    # another N, or another repetition, is another draw, not a rescaled one
+    unit = [simulator._draw_sums(spec, grid, cnt, reps, seed).x0 / np.sqrt(cnt)[:, None]
+            for cnt in ((4, 1), (5, 1))]
+    assert not np.any(np.isclose(unit[0], unit[1], rtol=1e-9, atol=0))
+    assert not np.any(np.isclose(unit[0][0], unit[0][1], rtol=1e-9, atol=0))
+
+
+def test_coupling_gap_draw_does_not_depend_on_checkpoint(coupled):
+    spec, mf = coupled
+    drawn = []
+
+    def spy(*args, **kw):
+        drawn.append(DRAW_SUMS(*args, **kw))
+        return drawn[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator, "_draw_sums", spy)
+        for frac in (0.2, 0.5, 1.0):
+            coupling_gap_experiment(spec, mf, [9], reps=3, seed=8,
+                                    grid=TimeGrid(0.0, 2.0, 50), checkpoint_frac=frac)
+    for sums in drawn[1:]:
+        assert np.array_equal(sums.x0, drawn[0].x0)
+        assert np.array_equal(sums.dW, drawn[0].dW)
+
+
+@pytest.mark.parametrize("kw, match", [
+    (dict(reps=0), "reps must be at least 1"),
+    (dict(Ns=[8, 0]), "every N must be at least 1"),
+    (dict(checkpoint_frac=1.5), "checkpoint_frac"),
+    (dict(checkpoint_frac=-0.1), "checkpoint_frac"),
+    (dict(grid=TimeGrid(0.0, 1e6, 10)), "past the solved horizon"),
+])
+def test_experiments_name_a_bad_argument(coupled, kw, match):
+    spec, mf = coupled
+    args = dict(Ns=[8], reps=2, seed=0, grid=TimeGrid(0.0, 1.0, 10))
+    args.update(kw)
+    with pytest.raises(ValueError, match=match):
+        coupling_gap_experiment(spec, mf, **args)
+    if "checkpoint_frac" in kw:
+        return
+    Ns = args.pop("Ns")
+    with pytest.raises(ValueError, match=match):
+        cost_gap_experiment(spec, mf, Ns, **args)
+    with pytest.raises(ValueError, match=match):
+        nash_deviation_experiment(spec, mf, min(Ns), [PolicyDeviation()], **args)
+    if "Ns" not in kw:
+        with pytest.raises(ValueError, match=match):
+            coe_experiment(spec, mf, 0, **args)
 
 
 def tagged_cost_reference(spec, mf, grid, counts, seed, reps, dev, mode, k=0,
@@ -824,10 +1032,7 @@ def test_tagged_costs_match_direct_simulation(spec, steps, seed, counts):
     for k in range(spec.K):                       # a tagged agent of each type
         cnt = counts[:spec.K]
         cnt[k] = max(cnt[k], 1)
-        N = sum(cnt)
-        sums = simulator._noise_sums(
-            (draw_noise(seed, N, steps, spec.n, spec.m, spec.subpops[0].r, rep=rep)
-             for rep in range(reps)), cnt, steps, tag_type=k)
+        sums = pack_sums(spec, grid, cnt, reps, seed, tag_type=k)
         for mode in ("classical", "exploratory", "exploratory-regularized"):
             for exogenous in (False, True):
                 got = simulator._tagged_costs(
@@ -852,7 +1057,8 @@ def test_cost_gap_matches_direct_simulation(two_type):
     grid = TimeGrid(0.0, 2.0, 200)
     dev = PolicyDeviation(mean_shift=[0.2], cov_scale=1.3)
     kw = dict(reps=4, seed=5, grid=grid, deviation=dev, mode="classical")
-    res = cost_gap_experiment(spec, mf, [5, 12], **kw)
+    with on_packs():
+        res = cost_gap_experiment(spec, mf, [5, 12], **kw)
     for N, row in zip([5, 12], [r for r in res.rows if r["rep"] == -1]):
         counts = exact_counts(spec.pi, N)
         diffs = (tagged_cost_reference(spec, mf, grid, counts, 5, 4, dev, "classical")
