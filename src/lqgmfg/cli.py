@@ -24,7 +24,7 @@ from . import __version__
 from .meanfield import (ConsistencyError, SolverConfig, consistency_residual,
                         solve_consistency, stability_reports)
 from .model import SpecValidationError, load_spec
-from .numerics import RNG_SCHEME, OdeBlowupError, TimeGrid, write_csv
+from .numerics import RNG_SCHEME, OdeBlowupError, TimeGrid, rng_stream, write_csv
 from .policy import exploration_covariance, policy_entropy, value_gap
 from .riccati import RiccatiError
 from .simulator import (PolicyDeviation, coe_experiment, cost_gap_experiment,
@@ -132,8 +132,7 @@ def cmd_solve(args) -> int:
                       "messages": list(r.messages)} for r in reports],
     })
     stable = all(r.ok for r in reports)
-    print(f"converged in {mf.iterations} iterations, residual {mf.residual:.3e}, "
-          f"stable={stable}")
+    print(f"solved directly, residual {mf.residual:.3e}, stable={stable}")
     if stable:
         return 0
     failed = "; ".join(f"type {k}: {msg}" for k, r in enumerate(reports)
@@ -231,7 +230,7 @@ def _lambda_sweep(spec, args):
                      "checkpoint_t": lam, "value": g, "std_err": ""})
     p = _with_lambda(spec, min(lams)).subpops[0]
     cov = exploration_covariance(p)
-    rng = np.random.default_rng(args.seed)
+    rng = rng_stream(args.seed)
     dev = rng.standard_normal((100000, p.m)) @ np.linalg.cholesky(
         cov + 1e-300 * np.eye(p.m)).T
     rms = float(np.sqrt(np.mean(np.sum(dev ** 2, axis=1))))

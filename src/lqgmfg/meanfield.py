@@ -21,9 +21,10 @@ to [0, T] with T chosen so the discount factor and the slowest stable mode
 decay below 1e-8, and s_T is the steady state; an aggregate drift without
 the Assumption-4(ii) margin has no bounded solution and raises "diverged".
 
-``consistency_blocks`` builds the gains and drift blocks from Pi, constant
-here and tabulated in time for the finite-horizon trading solve, which
-calls ``solve_stacked`` too.
+``consistency_blocks`` is the one place that builds the gain J and the
+drift Abar from Pi (per type, ``TypeBlocks.L_row`` gives the offset L);
+Pi is constant here and tabulated in time for the finite-horizon trading
+solve, which calls ``solve_stacked`` too.
 """
 
 from __future__ import annotations
@@ -46,8 +47,6 @@ __all__ = [
     "ConsistencyError",
     "TypeBlocks",
     "consistency_blocks",
-    "feedback_gains",
-    "aggregate_drift",
     "stacked_system",
     "solve_stacked",
     "steady_state",
@@ -157,43 +156,6 @@ def consistency_blocks(spec: PopulationSpec, Pis):
               for k, Pi in enumerate(Pis)]
     J = np.concatenate([b.J_row for b in blocks], axis=-2)
     return blocks, J, _stack_Abar(blocks, J)
-
-
-def _offset_grid(Pis, s_trajs: list[Trajectory], spec: PopulationSpec) -> TimeGrid:
-    if len(Pis) != spec.K or len(s_trajs) != spec.K:
-        raise ValueError(f"need {spec.K} Riccati solutions and offset trajectories")
-    if any(tr.grid != s_trajs[0].grid for tr in s_trajs):
-        raise ValueError("offset trajectories must share a common grid")
-    return s_trajs[0].grid
-
-
-def feedback_gains(Pis: list[RiccatiSolution] | list[np.ndarray],
-                   s_trajs: list[Trajectory], spec: PopulationSpec):
-    """Stack the control gains: J (mK x nK) and the offset trajectory L(t).
-
-    Row block k of J is -R_k^-1 (B_k^T Pi_k + S_k^T) e_k + R_k^-1 S_k^T
-    psibar_k; row block k of L(t) is -R_k^-1 (B_k^T s_k(t) + n_k).
-    """
-    grid = _offset_grid(Pis, s_trajs, spec)
-    blocks, J, _ = consistency_blocks(spec, Pis)
-    L_vals = np.hstack([b.L_row(tr.values) for b, tr in zip(blocks, s_trajs)])
-    return J, Trajectory(grid, L_vals)
-
-
-def aggregate_drift(spec: PopulationSpec, Pis, J: np.ndarray,
-                    s_trajs: list[Trajectory]):
-    """Aggregate mean dynamics: Abar (nK x nK) and the offset mbar(t).
-
-    Abar stacks Abar_k = (A_k - B_k R_k^-1 (B_k^T Pi_k + S_k^T)) e_k
-    + B_k R_k^-1 S_k^T psibar_k + Fbar_k + Hbar_k J; the offset is
-    mbar_k(t) = -B_k R_k^-1 (B_k^T s_k(t) + n_k) + Hbar_k L(t) + b_k(t).
-    """
-    grid = _offset_grid(Pis, s_trajs, spec)
-    blocks, _, _ = consistency_blocks(spec, Pis)
-    Abar = _stack_Abar(blocks, J)
-    A, f = stacked_system(blocks, J, Abar, grid.times())
-    s_vals = np.hstack([tr.values for tr in s_trajs])
-    return Abar, Trajectory(grid, _drift_offset(A, f, s_vals))
 
 
 def stacked_system(blocks: list[TypeBlocks], J: np.ndarray, Abar: np.ndarray,

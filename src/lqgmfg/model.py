@@ -21,8 +21,7 @@ rather than raises.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -33,7 +32,6 @@ __all__ = [
     "TimeTable",
     "SpecValidationError",
     "validate_spec",
-    "mixture_weights",
     "selector_matrix",
     "expand",
     "spec_to_json",
@@ -92,15 +90,6 @@ class TimeTable:
         if self.times is None:
             return self.values.tolist()
         return {"times": self.times.tolist(), "values": self.values.tolist()}
-
-    @staticmethod
-    def from_json(obj, n: int) -> "TimeTable":
-        if obj is None:
-            return TimeTable(np.zeros(n))
-        if isinstance(obj, dict):
-            return TimeTable(np.asarray(obj["values"], dtype=float),
-                             np.asarray(obj["times"], dtype=float))
-        return TimeTable(np.asarray(obj, dtype=float))
 
 
 def _mat(x, shape, name: str) -> np.ndarray:
@@ -168,6 +157,8 @@ class SubpopParams:
         b = self.b
         if b is None:
             b = TimeTable(np.zeros(n))
+        elif isinstance(b, dict):           # TimeTable.to_json's tabulated form
+            b = TimeTable(b["values"], b["times"])
         elif not isinstance(b, TimeTable):
             b = TimeTable(np.asarray(b, dtype=float))
         object.__setattr__(self, "b", b)
@@ -193,14 +184,10 @@ class SubpopParams:
         return self.D.shape[1]
 
     def dims_consistent(self) -> list[str]:
-        """Messages for every dimension mismatch (empty when consistent)."""
+        """Messages for every dimension mismatch (empty when consistent); the
+        matrix blocks other than D are shape-checked at construction."""
         n, m = self.n, self.m
         bad = []
-        for name, mat, shape in (("Q", self.Q, (n, n)), ("R", self.R, (m, m)),
-                                 ("S", self.S, (n, m)), ("F", self.F, (n, n)),
-                                 ("H", self.H, (n, m)), ("psi", self.psi, (n, n))):
-            if mat.shape != shape:
-                bad.append(f"{name} has shape {mat.shape}, expected {shape}")
         if self.D.shape[0] != n:
             bad.append(f"D has {self.D.shape[0]} rows, expected {n}")
         if self.eta.shape != (n,):
@@ -278,17 +265,6 @@ def expand(base: np.ndarray, pi: np.ndarray) -> np.ndarray:
     return np.kron(pi.reshape(1, -1), base)
 
 
-def mixture_weights(counts: Sequence[int]) -> np.ndarray:
-    """Empirical mixture pi^N_k = N_k / N from per-type agent counts."""
-    counts = np.asarray(counts, dtype=float)
-    if np.any(counts < 0):
-        raise ValueError("agent counts must be nonnegative")
-    total = counts.sum()
-    if total <= 0:
-        raise ValueError("empty population")
-    return counts / total
-
-
 def selector_matrix(k: int, n: int, K: int) -> np.ndarray:
     """Block row [0 ... I_n ... 0] with the identity in block k (1-based)."""
     if not 1 <= k <= K:
@@ -329,12 +305,15 @@ def validate_spec(spec: PopulationSpec) -> ValidationReport:
     if not spec.rho > 0:
         v.append(("discount", f"rho must be > 0, got {spec.rho}"))
 
-    n0, m0 = spec.subpops[0].n, spec.subpops[0].m
+    n0, m0, r0 = spec.subpops[0].n, spec.subpops[0].m, spec.subpops[0].r
     for k, p in enumerate(spec.subpops):
         tag = f"subpop {k}"
         if (p.n, p.m) != (n0, m0):
             v.append(("dimensions", f"{tag}: state/control dims {(p.n, p.m)} differ from {(n0, m0)}"))
             continue
+        if p.r != r0:
+            # the simulator draws one noise width for every type
+            v.append(("dimensions", f"{tag}: D has {p.r} columns, type 0's has {r0}"))
         for msg in p.dims_consistent():
             v.append(("dimensions", f"{tag}: {msg}"))
         floor = _EIG_FLOOR * (1.0 + float(np.max(np.abs(p.R), initial=0.0)))
@@ -395,31 +374,14 @@ def spec_to_json(spec: PopulationSpec) -> dict:
 
 
 def spec_from_json(doc: dict) -> PopulationSpec:
-    subpops = []
-    for blk in doc["subpops"]:
-        A = np.asarray(blk["A"], dtype=float)
-        n = np.atleast_2d(A).shape[0]
-        subpops.append(SubpopParams(
-            A=A, B=np.asarray(blk["B"], dtype=float),
-            Q=np.asarray(blk["Q"], dtype=float), R=np.asarray(blk["R"], dtype=float),
-            S=np.asarray(blk["S"], dtype=float) if blk.get("S") is not None else None,
-            F=np.asarray(blk["F"], dtype=float) if blk.get("F") is not None else None,
-            H=np.asarray(blk["H"], dtype=float) if blk.get("H") is not None else None,
-            D=np.asarray(blk["D"], dtype=float) if blk.get("D") is not None else None,
-            b=TimeTable.from_json(blk.get("b"), n),
-            eta=np.asarray(blk["eta"], dtype=float) if blk.get("eta") is not None else None,
-            nvec=np.asarray(blk["nvec"], dtype=float) if blk.get("nvec") is not None else None,
-            psi=np.asarray(blk["psi"], dtype=float) if blk.get("psi") is not None else None,
-            lambda_explore=float(blk.get("lambda_explore", 0.0)),
-            phi_lagrange=float(blk.get("phi_lagrange", 0.0)),
-        ))
+    """The spec of a ``spec_to_json`` document.  Each block needs A, B, Q and
+    R (a missing one raises KeyError); ``SubpopParams`` defaults the rest."""
+    optional = [f.name for f in fields(SubpopParams)][4:]
     return PopulationSpec(
-        subpops=tuple(subpops),
-        pi=np.asarray(doc["pi"], dtype=float),
-        rho=float(doc["rho"]),
-        x0_mean=np.asarray(doc["x0_mean"], dtype=float),
-        x0_cov=np.asarray(doc["x0_cov"], dtype=float),
-    )
+        subpops=tuple(SubpopParams(blk["A"], blk["B"], blk["Q"], blk["R"],
+                                   **{name: blk[name] for name in optional if name in blk})
+                      for blk in doc["subpops"]),
+        pi=doc["pi"], rho=doc["rho"], x0_mean=doc["x0_mean"], x0_cov=doc["x0_cov"])
 
 
 def save_spec(spec: PopulationSpec, path) -> None:

@@ -9,7 +9,7 @@ at the classical control.  ``tabulate_policy`` is the one place that writes
 the offset and the covariance, on the nodes of a grid (Pi constant, or one
 per node for a finite horizon); the simulator, the variational mean paths
 and the trading planner read its record, and the pointwise calls build a
-one-node record at t.
+one-node record at t.  ``GaussianPolicy.sample`` draws one action.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "classical_control",
     "exploratory_policy",
     "policy_for",
-    "sample_action",
     "policy_entropy",
     "analytic_coe",
     "value_gap",
@@ -58,9 +57,6 @@ class GaussianPolicy:
     def mean(self, t: float, x: np.ndarray) -> np.ndarray:
         off = self.offset[0] if self.grid is None else Trajectory(self.grid, self.offset).interp(t)
         return -(self.gain @ np.atleast_1d(np.asarray(x, dtype=float))) + off
-
-    def at(self, t: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.mean(t, x), self.covariance
 
     def sample(self, t: float, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return sample_gaussian(self.mean(t, x), self.covariance, rng)
@@ -117,13 +113,8 @@ def classical_control(t: float, x: np.ndarray, mf: MeanFieldSolution, k: int) ->
 
 def exploratory_policy(t: float, x: np.ndarray, mf: MeanFieldSolution, k: int):
     """The optimal control distribution at (t, x): (mean, covariance)."""
-    return _policy_at(mf, k, t).at(t, x)
-
-
-def sample_action(policy_at_point, rng: np.random.Generator) -> np.ndarray:
-    """Draw one action from (mean, covariance); lambda=0 returns the mean."""
-    mean, cov = policy_at_point
-    return sample_gaussian(mean, cov, rng)
+    pol = _policy_at(mf, k, t)
+    return pol.mean(t, x), pol.covariance
 
 
 def policy_entropy(k: int, spec: PopulationSpec) -> float:

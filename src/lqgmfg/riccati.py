@@ -154,8 +154,8 @@ def solve_differential_riccati(params: SubpopParams, rho: float, Pi_T: np.ndarra
     return Trajectory(grid, out)
 
 
-def verify_stability(solution: RiccatiSolution, Abar: np.ndarray, rho: float,
-                     pi_floor: float = 0.0) -> StabilityReport:
+def verify_stability(solution: RiccatiSolution, Abar: np.ndarray,
+                     rho: float) -> StabilityReport:
     """Check the Assumption-4(ii) conditions and report the margins.
 
     (a) Pi positive definite, (b) spectral abscissa of the aggregate drift
@@ -166,7 +166,7 @@ def verify_stability(solution: RiccatiSolution, Abar: np.ndarray, rho: float,
     msgs = []
     w = np.linalg.eigvalsh(0.5 * (solution.Pi + solution.Pi.T))
     pi_min = float(w[0])
-    if pi_min <= pi_floor:
+    if pi_min <= 0.0:
         msgs.append("Pi not positive definite")
     abar_margin = rho / 2.0 - spectral_abscissa(np.asarray(Abar, dtype=float))
     if abar_margin <= 0:

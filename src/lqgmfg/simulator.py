@@ -795,7 +795,7 @@ def coe_experiment(spec: PopulationSpec, mf: MeanFieldSolution, k: int,
     so the estimate is the discounted integral of the control-cost
     difference along that path.
 
-    Streaming kernel on one stream, ``default_rng(seed)``: the initial
+    Streaming kernel on one stream, ``rng_stream(seed)``: the initial
     states, then per node the action noise and (before the last node) the
     Brownian increments.  Chunks of about 1 MiB of nodes are drawn in one
     call each, which yields the values of one draw per node; only the
@@ -817,7 +817,7 @@ def coe_experiment(spec: PopulationSpec, mf: MeanFieldSolution, k: int,
     ts = grid.times()
     dt, steps = grid.dt, grid.steps
     nodes = steps + 1
-    rng = np.random.default_rng(seed)
+    rng = rng_stream(seed)
 
     xbar_t = mf.xbar.interp(ts)
     pol = tabulate_policy(spec, k, mf.Pi[k].Pi, grid, mf.s[k].interp(ts), xbar_t)

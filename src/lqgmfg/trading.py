@@ -32,7 +32,7 @@ the market simulator samples the traders' rates from it.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -90,16 +90,12 @@ class MarketParams:
 
 
 def params_to_json(p: MarketParams) -> dict:
-    return {"sigma": p.sigma, "lambda_perm": p.lambda_perm, "a_temp": p.a_temp,
-            "phi_urgency": p.phi_urgency, "psi_terminal": p.psi_terminal,
-            "T": p.T, "F0": p.F0, "q0": p.q0}
+    return asdict(p)
 
 
 def params_from_json(doc: dict) -> MarketParams:
-    return MarketParams(sigma=float(doc["sigma"]), lambda_perm=float(doc["lambda_perm"]),
-                        a_temp=float(doc["a_temp"]), phi_urgency=float(doc["phi_urgency"]),
-                        psi_terminal=float(doc["psi_terminal"]), T=float(doc["T"]),
-                        F0=float(doc["F0"]), q0=float(doc["q0"]))
+    """MarketParams from a dict holding every field (other keys ignored)."""
+    return MarketParams(**{f.name: float(doc[f.name]) for f in fields(MarketParams)})
 
 
 @dataclass
@@ -389,7 +385,6 @@ class TradingLoopConfig:
     steps: int = 200
     lambda_explore: float = 0.1
     seed: int = 0
-    solver_steps: int | None = None  # defaults to the episode step count
 
 
 @dataclass
@@ -406,9 +401,9 @@ class LearningTrace:
 
 
 def _plan(params_est: MarketParams, lambda_explore: float,
-          solver_steps: int) -> tuple[GaussianPolicy, float]:
+          steps: int) -> tuple[GaussianPolicy, float]:
     mapping = to_lqg(params_est, lambda_explore=lambda_explore)
-    fh = solve_finite_horizon(mapping, steps=solver_steps)
+    fh = solve_finite_horizon(mapping, steps=steps)
     pol = trading_policy(mapping, fh)
     return pol, float(pol.gain[0, 0, 0])
 
@@ -429,7 +424,6 @@ def rl_loop(true_params: MarketParams, init_params: MarketParams,
     config = config or TradingLoopConfig()
     if config.lambda_explore < 0:
         raise ValueError("lambda_explore must be nonnegative")
-    solver_steps = config.solver_steps or config.steps
     grid = TimeGrid(0.0, true_params.T, config.steps)
     trace = LearningTrace()
     dataset = TradingDataset()
@@ -451,7 +445,7 @@ def rl_loop(true_params: MarketParams, init_params: MarketParams,
             except EstimationError:
                 identifiable = False
         try:
-            policy, gain_q0 = _plan(current, config.lambda_explore, solver_steps)
+            policy, gain_q0 = _plan(current, config.lambda_explore, config.steps)
         except (RuntimeError, ValueError) as exc:
             trace.rows.append({"iteration": it, "failed": True, "error": str(exc),
                                "n_rows": dataset.n_rows, "identifiable": identifiable})

@@ -1,15 +1,20 @@
-"""Quadrature representation of control densities on a bounded action box,
-the entropy-regularized exploratory cost functional, multiplicative density
-perturbations, and a finite-difference directional-derivative check of the
-first-order optimality condition.
+"""Control densities on a bounded action box, the entropy-regularized
+exploratory cost functional, multiplicative density perturbations, and a
+finite-difference directional-derivative check of the first-order
+optimality condition.
 
-Everything here is desk-scale machinery: tensor-product trapezoid rules on
-an action box of +-8 standard deviations (Gaussian tail mass < 1e-15
-outside), restricted to control dimension m <= 2, and evaluated along the
-deterministic mean state path with the mean field frozen at the solved
-equilibrium.  The functional is strictly convex in the density, so the
-derivative at the optimal Gaussian vanishes for every mass-neutral
-direction; the Lagrange weight phi_k prices mass violations of
+One record, ``DensityPath``, holds density values on the box: one density,
+or one per node of a time grid.  Its tensor-product trapezoid rule gives
+every action integral (mass, first moment, the quadratic control cost,
+entropy) for control dimension m <= 2.  A direction omega is an array on
+the same nodes, and ``perturb_density`` forms e^(eps omega) phi.
+
+Everything here is desk-scale machinery: the box reaches +-8 standard
+deviations (Gaussian tail mass < 1e-15 outside), and the functional is
+evaluated along the deterministic mean state path with the mean field
+frozen at the solved equilibrium.  The functional is strictly convex in the
+density, so the derivative at the optimal Gaussian vanishes for every
+mass-neutral direction; the Lagrange weight phi_k prices mass violations of
 unnormalized densities.
 """
 
@@ -26,8 +31,6 @@ from .numerics import TimeGrid, Trajectory, rk4_linear_tabulated, trapezoid_weig
 from .policy import exploration_covariance, tabulate_policy
 
 __all__ = [
-    "GridDensity",
-    "Direction",
     "DensityPath",
     "gaussian_grid_density",
     "solve_mean_state_path",
@@ -39,162 +42,87 @@ __all__ = [
 ]
 
 
-def _axes(lo: np.ndarray, hi: np.ndarray, nodes: tuple[int, ...]):
-    return [np.linspace(lo[d], hi[d], nodes[d]) for d in range(len(nodes))]
+def _axes(lo, hi, nodes) -> list[np.ndarray]:
+    return [np.linspace(a, b, c) for a, b, c in zip(lo, hi, nodes)]
+
+
+def _points(axes: list[np.ndarray]) -> np.ndarray:
+    """The box's quadrature points, shape (*nodes, m)."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+
+
+def _gaussian_pdf(points: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """N(mean, cov) density at points (..., m); mean broadcasts against them."""
+    diff = points - mean
+    q = np.einsum("...i,ij,...j->...", diff, np.linalg.inv(cov), diff)
+    return np.exp(-0.5 * q) / math.sqrt(np.linalg.det(2.0 * math.pi * cov))
 
 
 @dataclass
-class _Box:
+class DensityPath:
+    """Nonnegative density values on the action box [lo, hi] (m <= 2 axes):
+    one density (grid None, values shaped like the box) or one per node of
+    ``grid`` (values (nodes_t, *box nodes)).
+
+    The quadrature is the tensor-product trapezoid rule over the box axes;
+    every integral keeps the leading time axis."""
+
+    grid: TimeGrid | None
     lo: np.ndarray
     hi: np.ndarray
-    nodes: tuple[int, ...]
+    values: np.ndarray
 
     def __post_init__(self):
         self.lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
         self.hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
-        self.nodes = tuple(int(v) for v in np.atleast_1d(self.nodes))
-        if len(self.nodes) != self.lo.size or self.lo.size != self.hi.size:
+        self.values = np.asarray(self.values, dtype=float)
+        if self.hi.size != self.m or self.values.ndim != self.m + (self.grid is not None):
             raise ValueError("box bounds and node counts disagree")
         if self.m > 2:
             raise ValueError("quadrature restricted to m <= 2")
+        if self.grid is not None and self.values.shape[0] != self.grid.steps + 1:
+            raise ValueError("density path length does not match the time grid")
+        if np.any(self.values < 0):
+            raise ValueError("density values must be nonnegative")
 
     @property
     def m(self) -> int:
         return self.lo.size
 
-    def axes(self):
-        return _axes(self.lo, self.hi, self.nodes)
+    def _axes(self) -> list[np.ndarray]:
+        return _axes(self.lo, self.hi, self.values.shape[-self.m:])
 
-    def weights(self):
-        return [trapezoid_weights(ax.size, ax[1] - ax[0]) for ax in self.axes()]
-
-    def integrate(self, values: np.ndarray) -> np.ndarray:
-        """Tensor trapezoid over the trailing box axes (leading axes kept)."""
-        ws = self.weights()
-        out = values
-        for w in reversed(ws):
-            out = out @ w
+    def integrate(self, f=1.0) -> np.ndarray:
+        """integral of f(u) Phi(u) du; f is 1 or an array on the box nodes."""
+        out = self.values * f
+        for ax in reversed(self._axes()):
+            out = out @ trapezoid_weights(ax.size, ax[1] - ax[0])
         return out
 
-    def first_moment(self, values: np.ndarray) -> np.ndarray:
-        """Raw first moment over the box (leading axes kept, output (..., m))."""
-        axes = self.axes()
-        ws = self.weights()
-        if self.m == 1:
-            return (values @ (axes[0] * ws[0]))[..., None]
-        u1, u2 = axes
-        w1, w2 = ws
-        m1 = ((values * u1[:, None]) @ w2) @ w1
-        m2 = (values @ (u2 * w2)) @ w1
-        return np.stack([m1, m2], axis=-1)
+    def first_moment(self) -> np.ndarray:
+        """Raw (unnormalized) first moment, (..., m)."""
+        u = _points(self._axes())
+        return np.stack([self.integrate(u[..., d]) for d in range(self.m)], axis=-1)
 
-    def quad_form(self, values: np.ndarray, R: np.ndarray) -> np.ndarray:
-        """integral of 0.5 u^T R u against the values (leading axes kept)."""
-        axes = self.axes()
-        ws = self.weights()
-        if self.m == 1:
-            g = 0.5 * R[0, 0] * axes[0] ** 2
-            return values @ (g * ws[0])
-        u1, u2 = np.meshgrid(axes[0], axes[1], indexing="ij")
-        g = 0.5 * (R[0, 0] * u1 ** 2 + 2.0 * R[0, 1] * u1 * u2 + R[1, 1] * u2 ** 2)
-        return ((values * g) @ ws[1]) @ ws[0]
+    def quad_form(self, R: np.ndarray) -> np.ndarray:
+        """integral of 0.5 u^T R u Phi(u) du."""
+        u = _points(self._axes())
+        return self.integrate(0.5 * np.einsum("...i,ij,...j->...", u, R, u))
 
-    def xlogx(self, values: np.ndarray) -> np.ndarray:
-        """integral of values * ln(values) with 0 ln 0 = 0."""
-        safe = np.where(values > 0.0, values, 1.0)
-        return self.integrate(values * np.log(safe))
+    def entropy(self) -> np.ndarray:
+        """-integral of Phi ln Phi with 0 ln 0 = 0 (differential entropy at
+        unit mass)."""
+        return -self.integrate(np.log(np.where(self.values > 0.0, self.values, 1.0)))
 
 
-@dataclass
-class GridDensity:
-    """Nonnegative weights on an action box; `normalized` asserts unit mass."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-    values: np.ndarray
-    normalized: bool = False
-
-    def __post_init__(self):
-        self.lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
-        self.hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
-        self.values = np.asarray(self.values, dtype=float)
-        if np.any(self.values < 0):
-            raise ValueError("density values must be nonnegative")
-        if self.normalized and abs(self.integral() - 1.0) > 1e-8:
-            raise ValueError("density marked normalized but its trapezoid "
-                             "integral differs from 1 beyond 1e-8")
-
-    @property
-    def box(self) -> _Box:
-        return _Box(self.lo, self.hi, self.values.shape)
-
-    def integral(self) -> float:
-        return float(self.box.integrate(self.values))
-
-    def mean(self) -> np.ndarray:
-        """Raw (unnormalized) first moment."""
-        return self.box.first_moment(self.values)
-
-    def entropy(self) -> float:
-        """-integral of values ln values (differential entropy if normalized)."""
-        return -float(self.box.xlogx(self.values))
-
-
-@dataclass
-class Direction:
-    """Bounded perturbation direction omega(u) on the same grid."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("direction must have finite values")
-
-
-@dataclass
-class DensityPath:
-    """Density values per time node: values.shape = (nodes_t, *box nodes)."""
-
-    grid: TimeGrid
-    lo: np.ndarray
-    hi: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
-        self.hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape[0] != self.grid.steps + 1:
-            raise ValueError("density path length does not match the time grid")
-
-    @property
-    def box(self) -> _Box:
-        return _Box(self.lo, self.hi, self.values.shape[1:])
-
-    def slice(self, i: int) -> GridDensity:
-        return GridDensity(self.lo, self.hi, self.values[i])
-
-
-def gaussian_grid_density(mean, cov, lo, hi, nodes) -> GridDensity:
-    """Gaussian pdf sampled on the box (m <= 2)."""
-    mean = np.atleast_1d(np.asarray(mean, dtype=float))
+def gaussian_grid_density(mean, cov, lo, hi, nodes) -> DensityPath:
+    """N(mean, cov) sampled on the box (lo, hi and nodes are m-sequences,
+    m <= 2).  Raises unless its trapezoid mass is 1 to 1e-8."""
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    box = _Box(lo, hi, nodes)
-    axes = box.axes()
-    if box.m == 1:
-        var = cov[0, 0]
-        vals = np.exp(-0.5 * (axes[0] - mean[0]) ** 2 / var) / math.sqrt(2 * math.pi * var)
-    else:
-        u1, u2 = np.meshgrid(axes[0], axes[1], indexing="ij")
-        diff = np.stack([u1 - mean[0], u2 - mean[1]], axis=-1)
-        P = np.linalg.inv(cov)
-        q = np.einsum("...i,ij,...j->...", diff, P, diff)
-        det = np.linalg.det(cov)
-        vals = np.exp(-0.5 * q) / (2 * math.pi * math.sqrt(det))
-    return GridDensity(box.lo, box.hi, vals, normalized=True)
+    phi = DensityPath(None, lo, hi, _gaussian_pdf(_points(_axes(lo, hi, nodes)), mean, cov))
+    if abs(phi.integrate() - 1.0) > 1e-8:
+        raise ValueError("Gaussian density's trapezoid mass differs from 1 beyond 1e-8")
+    return phi
 
 
 def solve_mean_state_path(spec: PopulationSpec, mf: MeanFieldSolution, k: int,
@@ -236,9 +164,9 @@ def solve_mean_state_path(spec: PopulationSpec, mf: MeanFieldSolution, k: int,
 
 def equilibrium_density_path(spec: PopulationSpec, mf: MeanFieldSolution, k: int,
                              grid: TimeGrid, nodes: int = 401,
-                             mean_shift: float = 0.0, cov_scale: float = 1.0,
-                             box_sigmas: float = 8.0):
-    """Gaussian density path along the deterministic mean path (m = 1).
+                             mean_shift: float = 0.0, cov_scale: float = 1.0):
+    """Gaussian density path along the deterministic mean path (m = 1), on
+    a box reaching 8 standard deviations past the extreme means.
 
     Supports the mean-shifted / variance-scaled test families; the state
     path is re-solved under the shifted mean so it stays consistent with
@@ -247,35 +175,36 @@ def equilibrium_density_path(spec: PopulationSpec, mf: MeanFieldSolution, k: int
     p = spec.subpops[k]
     if p.m != 1:
         raise ValueError("equilibrium density path implemented for m = 1")
-    var = exploration_covariance(p, cov_scale)[0, 0]
-    if var <= 0:
+    cov = exploration_covariance(p, cov_scale)
+    if cov[0, 0] <= 0:
         raise ValueError("needs lambda_explore > 0")
     xtraj, mu = solve_mean_state_path(spec, mf, k, grid, mean_shift=mean_shift)
-    mus = mu.values[:, 0]
-    sig = math.sqrt(var)
-    lo = np.array([mus.min() - box_sigmas * sig])
-    hi = np.array([mus.max() + box_sigmas * sig])
-    ax = np.linspace(lo[0], hi[0], nodes)
-    vals = np.exp(-0.5 * (ax[None, :] - mus[:, None]) ** 2 / var) / math.sqrt(2 * math.pi * var)
+    reach = 8.0 * math.sqrt(cov[0, 0])
+    lo, hi = mu.values.min(axis=0) - reach, mu.values.max(axis=0) + reach
+    vals = _gaussian_pdf(_points(_axes(lo, hi, (nodes,))), mu.values[:, None, :], cov)
     return DensityPath(grid, lo, hi, vals), xtraj
 
 
-def perturb_density(phi: GridDensity, omega: Direction, eps: float) -> GridDensity:
-    """Multiplicative perturbation e^(eps omega(u)) phi(u); unnormalizes."""
+def perturb_density(phi: DensityPath, omega: np.ndarray, eps: float) -> DensityPath:
+    """Multiplicative perturbation e^(eps omega(u)) phi(u) along a finite
+    direction omega tabulated on phi's nodes; unnormalizes."""
+    omega = np.asarray(omega, dtype=float)
+    if omega.shape != phi.values.shape:
+        raise ValueError("direction values must match the density grid")
+    if not np.all(np.isfinite(omega)):
+        raise ValueError("direction must have finite values")
     with np.errstate(over="ignore"):
-        vals = phi.values * np.exp(eps * omega.values)
+        vals = phi.values * np.exp(eps * omega)
     if not np.all(np.isfinite(vals)):
         raise OverflowError("perturbation overflowed the density values")
-    return GridDensity(phi.lo, phi.hi, vals, normalized=False)
+    return DensityPath(phi.grid, phi.lo, phi.hi, vals)
 
 
 def mass_neutral(omega_vals: np.ndarray, phi_path: DensityPath) -> np.ndarray:
     """Center a direction against the density at each time so the perturbed
     mass is unchanged to first order (tangent to the unit-mass manifold)."""
-    box = phi_path.box
-    mass = box.integrate(phi_path.values)
-    proj = box.integrate(phi_path.values * omega_vals) / mass
-    return omega_vals - proj.reshape(proj.shape + (1,) * (omega_vals.ndim - 1))
+    proj = phi_path.integrate(omega_vals) / phi_path.integrate()
+    return omega_vals - proj[(...,) + (None,) * phi_path.m]
 
 
 def exploratory_cost_quadrature(density_path: DensityPath, state_path: Trajectory,
@@ -292,15 +221,10 @@ def exploratory_cost_quadrature(density_path: DensityPath, state_path: Trajector
     density's raw mean.
     """
     p = spec.subpops[k]
-    box = density_path.box
-    if box.m != p.m:
+    if density_path.m != p.m:
         raise ValueError("density grid dimension does not match the control dimension")
     ts = grid.times()
-    vals = density_path.values
-    mass = box.integrate(vals)
-    mean1 = box.first_moment(vals)           # (nodes, m), raw
-    quadR = box.quad_form(vals, p.R)
-    ent = box.xlogx(vals)
+    mean1 = density_path.first_moment()           # (nodes, m), raw
 
     x = state_path.values
     xbar_t = mf.xbar.interp(ts)
@@ -319,11 +243,11 @@ def exploratory_cost_quadrature(density_path: DensityPath, state_path: Trajector
 
     running = (0.5 * np.einsum("ti,ij,tj->t", e, p.Q, e)
                + e @ p.eta
-               + p.phi_lagrange * (mass - 1.0)
+               + p.phi_lagrange * (density_path.integrate() - 1.0)
                + np.einsum("ti,ij,tj->t", e, p.S, mean1)
-               + quadR
+               + density_path.quad_form(p.R)
                + mean1 @ p.nvec
-               + p.lambda_explore * ent)
+               - p.lambda_explore * density_path.entropy())
     return float(running @ (np.exp(-spec.rho * ts) * trapezoid_weights(ts.size, grid.dt)))
 
 
@@ -338,23 +262,13 @@ def gateaux_derivative(phi_path: DensityPath, omega_vals: np.ndarray,
     perturbed density's raw mean, with the mean field frozen at the solved
     equilibrium; scalar controls only.
     """
-    p = spec.subpops[k]
-    if p.m != 1:
+    if spec.subpops[k].m != 1:
         raise ValueError("directional derivative implemented for m = 1")
-    box = phi_path.box
     grid = phi_path.grid
-    omega_vals = np.asarray(omega_vals, dtype=float)
-    if omega_vals.shape != phi_path.values.shape:
-        raise ValueError("direction values must match the density path grid")
-
     costs = []
     for sign in (+1.0, -1.0):
-        vals = phi_path.values * np.exp(sign * eps * omega_vals)
-        if not np.all(np.isfinite(vals)):
-            raise OverflowError("perturbation overflowed the density values")
-        pert = DensityPath(grid, phi_path.lo, phi_path.hi, vals)
-        mu_eps = box.first_moment(vals)
-        xtraj, _ = solve_mean_state_path(spec, mf, k, grid, mu_path=mu_eps)
+        pert = perturb_density(phi_path, omega_vals, sign * eps)
+        xtraj, _ = solve_mean_state_path(spec, mf, k, grid, mu_path=pert.first_moment())
         costs.append(exploratory_cost_quadrature(pert, xtraj, mf, k, spec, grid,
                                                  check_tol=None))
     return (costs[0] - costs[1]) / (2.0 * eps)

@@ -15,7 +15,8 @@ from conftest import random_specs, unconstrained_specs
 
 from lqgmfg.cli import _sanitize, main
 from lqgmfg.numerics import RNG_SCHEME
-from lqgmfg.model import PopulationSpec, SubpopParams, save_spec, validate_spec
+from lqgmfg.model import (PopulationSpec, SubpopParams, save_spec, spec_to_json,
+                          validate_spec)
 from lqgmfg.presets import (coupled_single_type_spec, scalar_decoupled_spec,
                             unstable_spec)
 from lqgmfg.trading import MarketParams, params_to_json
@@ -55,6 +56,44 @@ def test_solve_success(spec_files, tmp_path):
     assert doc["residual"] < 1e-8
     rep = json.loads((out / "stability_report.json").read_text())
     assert rep["ok"] is True
+
+
+def test_solve_reports_direct_solve(spec_files, tmp_path, capsys):
+    rc = main(["solve", str(spec_files / "decoupled.json"), "--out", str(tmp_path / "sol")])
+    assert rc == 0
+    assert capsys.readouterr().out.startswith("solved directly, residual ")
+
+
+def test_solve_missing_required_key_exit_1(tmp_path):
+    doc = spec_to_json(scalar_decoupled_spec())
+    del doc["subpops"][0]["R"]
+    path = tmp_path / "noR.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", str(path), "--out", str(tmp_path / "o")]) == 1
+
+
+def test_noise_width_mismatch_exit_2(tmp_path):
+    # the simulator draws one noise width for every type: validation refuses
+    # the spec before a draw fails on ragged D blocks
+    base = dict(A=-0.5, B=1.0, Q=1.0, R=1.0, F=0.2, lambda_explore=0.1)
+    spec = PopulationSpec(subpops=(SubpopParams(D=[[0.2]], **base),
+                                   SubpopParams(D=[[0.2, 0.1]], **base)),
+                          pi=[0.5, 0.5], rho=0.5, x0_mean=[1.0], x0_cov=[[0.1]])
+    path = tmp_path / "mixed.json"
+    save_spec(spec, path)
+    out = tmp_path / "gap"
+    rc = main(["experiment", "coupling-gap", str(path), "--out", str(out),
+               "--reps", "2", "--Ns", "4,8,16"])
+    assert rc == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["type"] == "SpecValidationError" and "D has 2 columns" in err["error"]
+
+
+@pytest.mark.parametrize("kind", ["coe", "lambda-sweep"])
+def test_negative_seed_exit_0(spec_files, tmp_path, kind):
+    rc = main(["experiment", kind, str(spec_files / "decoupled.json"),
+               "--out", str(tmp_path / kind), "--reps", "20", "--seed", "-1"])
+    assert rc == 0
 
 
 def test_solve_unstable_exit_2(spec_files, tmp_path):

@@ -1,4 +1,5 @@
-"""Each demo runs to completion in a fresh interpreter."""
+"""Each demo, and the README's quick start, runs to completion in a fresh
+interpreter."""
 
 import os
 import subprocess
@@ -22,3 +23,13 @@ def test_demo_runs(demo, tmp_path):
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
+
+
+def test_readme_quick_start_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr

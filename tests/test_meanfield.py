@@ -4,10 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from lqgmfg.meanfield import (ConsistencyError, SolverConfig, aggregate_drift,
-                              consistency_blocks, consistency_residual, feedback_gains,
-                              solve_consistency, solve_stacked, stability_reports,
-                              stacked_system, steady_state)
+from lqgmfg.meanfield import (ConsistencyError, SolverConfig, consistency_blocks,
+                              consistency_residual, solve_consistency, solve_stacked,
+                              stability_reports, stacked_system, steady_state)
 from lqgmfg.model import PopulationSpec, SpecValidationError, SubpopParams
 from lqgmfg.numerics import OdeBlowupError, TimeGrid, Trajectory, rk4_linear_tabulated
 from lqgmfg.presets import (coupled_single_type_spec, planar_spec, scalar_decoupled_spec,
@@ -15,26 +14,34 @@ from lqgmfg.presets import (coupled_single_type_spec, planar_spec, scalar_decoup
 from lqgmfg.riccati import solve_discounted_are
 
 
-def const_traj(grid, vec):
-    return Trajectory(grid, np.tile(np.atleast_1d(vec), (grid.steps + 1, 1)))
+def L_and_mbar(spec, Pis, grid, s_vec):
+    """L and mbar on the grid for a constant offset s, from the blocks the
+    solver assembles (``TypeBlocks.L_row`` and the xbar rows of
+    ``stacked_system``, as ``solve_stacked`` reads them)."""
+    blocks, J, Abar = consistency_blocks(spec, Pis)
+    s_vals = np.tile(np.atleast_1d(s_vec), (grid.steps + 1, len(blocks)))
+    n, N = spec.n, Abar.shape[-1]
+    L = np.hstack([o.L_row(s_vals[:, k * n:(k + 1) * n]) for k, o in enumerate(blocks)])
+    A, f = stacked_system(blocks, J, Abar, grid.times())
+    return L, s_vals @ A[N:, :N].T + f[:, N:]
 
 
 def test_feedback_gains_scalar():
     spec = scalar_decoupled_spec(rho=0.5, A=0.0)
     grid = TimeGrid(0.0, 1.0, 10)
     Pi = np.array([[1.0]])
-    J, L = feedback_gains([Pi], [const_traj(grid, [0.0])], spec)
+    _, J, _ = consistency_blocks(spec, [Pi])
+    L, _ = L_and_mbar(spec, [Pi], grid, [0.0])
     assert J.shape == (1, 1) and J[0, 0] == pytest.approx(-1.0)
-    assert np.max(np.abs(L.values)) == 0.0
+    assert np.max(np.abs(L)) == 0.0
 
 
 def test_feedback_gains_two_type_symmetry():
     sub = SubpopParams(A=0.0, B=1.0, Q=1.0, R=1.0, F=0.2, psi=0.3)
     spec = PopulationSpec(subpops=(sub, sub), pi=[0.5, 0.5], rho=0.5,
                           x0_mean=[0.0], x0_cov=[[0.0]])
-    grid = TimeGrid(0.0, 1.0, 4)
     Pi = solve_discounted_are(sub, 0.5).Pi
-    J, _L = feedback_gains([Pi, Pi], [const_traj(grid, [0.0])] * 2, spec)
+    _, J, _ = consistency_blocks(spec, [Pi, Pi])
     # identical types: the rows coincide up to block placement
     assert J[0, 0] - J[0, 1] == pytest.approx(J[1, 1] - J[1, 0])
     swapped = np.array([[J[1, 1], J[1, 0]]])
@@ -45,22 +52,21 @@ def test_aggregate_drift_scalar_decoupled():
     spec = scalar_decoupled_spec(rho=0.0, A=0.0)
     grid = TimeGrid(0.0, 1.0, 10)
     Pi = np.array([[1.0]])
-    J, _ = feedback_gains([Pi], [const_traj(grid, [0.0])], spec)
-    Abar, mbar = aggregate_drift(spec, [Pi], J, [const_traj(grid, [0.0])])
+    _, _, Abar = consistency_blocks(spec, [Pi])
+    _, mbar = L_and_mbar(spec, [Pi], grid, [0.0])
     assert Abar[0, 0] == pytest.approx(-1.0)
-    assert np.max(np.abs(mbar.values)) == 0.0
+    assert np.max(np.abs(mbar)) == 0.0
 
 
 def test_aggregate_drift_mbar_decoupled_from_L_when_H_zero():
     spec = scalar_decoupled_spec(rho=0.5)
     grid = TimeGrid(0.0, 1.0, 10)
     Pi = solve_discounted_are(spec.subpops[0], 0.5).Pi
-    J, _ = feedback_gains([Pi], [const_traj(grid, [0.0])], spec)
-    _, mb0 = aggregate_drift(spec, [Pi], J, [const_traj(grid, [0.0])])
-    _, mb1 = aggregate_drift(spec, [Pi], J, [const_traj(grid, [2.0])])
+    _, mb0 = L_and_mbar(spec, [Pi], grid, [0.0])
+    _, mb1 = L_and_mbar(spec, [Pi], grid, [2.0])
     # H = 0: mbar changes only through B R^-1 B^T s, not through Hbar L
     expected = -spec.subpops[0].B[0, 0] ** 2 * 2.0
-    assert np.allclose(mb1.values - mb0.values, expected)
+    assert np.allclose(mb1 - mb0, expected)
 
 
 def test_decoupled_converges_in_one_iteration(decoupled):

@@ -1,11 +1,13 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from conftest import random_specs, unconstrained_specs
 from lqgmfg.model import (PopulationSpec, SubpopParams, TimeTable, expand,
-                          mixture_weights, selector_matrix, spec_from_json,
-                          spec_to_json, validate_spec)
+                          selector_matrix, spec_from_json, spec_to_json, validate_spec)
 from lqgmfg.presets import two_type_spec
 
 
@@ -54,13 +56,6 @@ def test_validate_rho_and_cov():
 def test_validate_idempotent_pure():
     spec = two_type_spec()
     assert validate_spec(spec) == validate_spec(spec)
-
-
-def test_mixture_weights():
-    assert np.allclose(mixture_weights([3, 1]), [0.75, 0.25])
-    assert np.allclose(mixture_weights([5]), [1.0])
-    with pytest.raises(ValueError, match="empty population"):
-        mixture_weights([0, 0])
 
 
 def test_selector_matrix():
@@ -124,3 +119,65 @@ def test_dims_inconsistency_reported():
                           x0_mean=np.zeros(2), x0_cov=np.zeros((2, 2)))
     report = validate_spec(spec)
     assert any(a == "dimensions" for a, _m in report.violations)
+
+
+def mixed_noise_spec():
+    """Two valid types whose D have 1 and 2 columns."""
+    base = dict(A=-0.5, B=1.0, Q=1.0, R=1.0, F=0.2, lambda_explore=0.1)
+    return PopulationSpec(subpops=(SubpopParams(D=[[0.2]], **base),
+                                   SubpopParams(D=[[0.2, 0.1]], **base)),
+                          pi=[0.5, 0.5], rho=0.5, x0_mean=[1.0], x0_cov=[[0.1]])
+
+
+def test_noise_width_mismatch_reported():
+    report = validate_spec(mixed_noise_spec())
+    assert not report.ok
+    assert any(a == "dimensions" and "D has 2 columns" in m for a, m in report.violations)
+
+
+def assert_specs_equal(a, b):
+    """Every array of two specs equal bitwise, b's table times included."""
+    assert (a.rho, a.K) == (b.rho, b.K)
+    for name in ("pi", "x0_mean", "x0_cov"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+    for p, q in zip(a.subpops, b.subpops):
+        for f in dataclasses.fields(SubpopParams):
+            u, v = getattr(p, f.name), getattr(q, f.name)
+            if isinstance(u, TimeTable):
+                assert (u.times is None) == (v.times is None)
+                assert u.times is None or np.array_equal(u.times, v.times)
+                u, v = u.values, v.values
+            assert np.array_equal(u, v) and np.asarray(u).dtype == np.asarray(v).dtype
+
+
+def json_round_trip(spec):
+    return spec_from_json(json.loads(json.dumps(spec_to_json(spec))))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(spec=random_specs())
+def test_json_round_trip_bitwise_on_random_specs(spec):
+    assert_specs_equal(json_round_trip(spec), spec)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(spec=unconstrained_specs())
+def test_json_round_trip_bitwise_on_unconstrained_specs(spec):
+    assert_specs_equal(json_round_trip(spec), spec)
+
+
+def test_json_round_trip_tabulated_offset():
+    spec = two_type_spec()
+    table = TimeTable(np.array([[0.1], [-0.3], [0.7]]), times=np.array([0.0, 1.5, 4.0]))
+    sub = dataclasses.replace(spec.subpops[1], b=table)
+    spec = dataclasses.replace(spec, subpops=(spec.subpops[0], sub))
+    back = json_round_trip(spec)
+    assert_specs_equal(back, spec)
+    assert back.subpops[1].b.times is not None
+
+
+def test_json_missing_required_key():
+    doc = spec_to_json(two_type_spec())
+    del doc["subpops"][1]["Q"]
+    with pytest.raises(KeyError):
+        spec_from_json(doc)

@@ -9,9 +9,9 @@ from conftest import random_specs
 from lqgmfg import solve_consistency
 from lqgmfg.meanfield import ConsistencyError
 from lqgmfg.model import PopulationSpec, SubpopParams
-from lqgmfg.numerics import Trajectory
+from lqgmfg.numerics import Trajectory, sample_gaussian
 from lqgmfg.policy import (analytic_coe, classical_control, exploratory_policy,
-                           policy_entropy, policy_for, sample_action, value_gap)
+                           policy_entropy, policy_for, value_gap)
 from lqgmfg.presets import planar_spec, scalar_decoupled_spec
 from lqgmfg.riccati import feedback_gain
 from lqgmfg.trading import FiniteHorizonSolution, LqgMapping, trading_policy
@@ -74,7 +74,7 @@ def test_dirac_limit_lambda_zero():
     mean, cov = exploratory_policy(0.5, np.array([1.0]), mf, 0)
     assert np.array_equal(cov, np.zeros((1, 1)))
     rng = np.random.default_rng(0)
-    assert np.array_equal(sample_action((mean, cov), rng), mean)
+    assert np.array_equal(sample_gaussian(mean, cov, rng), mean)
 
 
 def test_planar_identity_covariance(planar):
@@ -101,8 +101,8 @@ def test_sample_action_moments(decoupled):
     pol = policy_for(mf, 0)
     rng = np.random.default_rng(31)
     t, x = 1.0, np.array([0.7])
-    mean, cov = pol.at(t, x)
-    draws = np.array([sample_action((mean, cov), rng)[0] for _ in range(200_000)])
+    mean, cov = pol.mean(t, x), pol.covariance
+    draws = np.array([sample_gaussian(mean, cov, rng)[0] for _ in range(200_000)])
     se = math.sqrt(cov[0, 0] / draws.size)
     assert abs(draws.mean() - mean[0]) < 4 * se
     assert abs(draws.var(ddof=1) - cov[0, 0]) < 0.01 * cov[0, 0]
@@ -166,10 +166,10 @@ def test_density_normalization_quadrature():
     for lam, R in ((0.2, 1.0), (1.0, 2.0)):
         sig = math.sqrt(lam / R)
         gd = gaussian_grid_density([0.3], [[lam / R]], [0.3 - 8 * sig], [0.3 + 8 * sig], (801,))
-        assert gd.integral() == pytest.approx(1.0, abs=1e-6)
+        assert gd.integrate() == pytest.approx(1.0, abs=1e-6)
     gd2 = gaussian_grid_density([0.0, 0.0], [[1.0, 0.3], [0.3, 1.0]],
                                 [-8.0, -8.0], [8.0, 8.0], (201, 201))
-    assert gd2.integral() == pytest.approx(1.0, abs=1e-6)
+    assert gd2.integrate() == pytest.approx(1.0, abs=1e-6)
 
 
 def offset_formula(spec, k, s, xbar):

@@ -469,6 +469,15 @@ def test_coe_matches_analytic(decoupled_coe):
     assert abs(est - 1.0) < 4 * se + 1e-3
 
 
+def test_coe_negative_seed_wraps_modulo_2_64(decoupled_noisy):
+    # rng_stream takes a seed modulo 2**64, as every other experiment does
+    spec, mf = decoupled_noisy
+    grid = TimeGrid(0.0, 10.0, 200)
+    a = coe_experiment(spec, mf, 0, reps=20, seed=-1, grid=grid)
+    b = coe_experiment(spec, mf, 0, reps=20, seed=2**64 - 1, grid=grid)
+    assert a.rows == b.rows and a.summary == b.summary
+
+
 def test_csv_writer_deterministic(tmp_path, decoupled_noisy):
     spec, mf = decoupled_noisy
     res = coe_experiment(spec, mf, 0, reps=50, seed=9,

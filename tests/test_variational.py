@@ -8,7 +8,7 @@ from scipy.interpolate import CubicSpline
 
 from lqgmfg.numerics import TimeGrid
 from lqgmfg.riccati import feedback_gain
-from lqgmfg.variational import (DensityPath, Direction,
+from lqgmfg.variational import (DensityPath,
                                 equilibrium_density_path,
                                 exploratory_cost_quadrature, gateaux_derivative,
                                 gaussian_grid_density, mass_neutral,
@@ -75,8 +75,7 @@ def test_doubling_lambda_changes_only_entropy_term(star):
     spec2 = dataclasses.replace(spec, subpops=(sub2,))
     J1 = exploratory_cost_quadrature(phi, xtraj, mf, 0, spec, GRID)
     J2 = exploratory_cost_quadrature(phi, xtraj, mf, 0, spec2, GRID)
-    box = phi.box
-    ent = box.xlogx(phi.values)
+    ent = -phi.entropy()
     disc = np.exp(-spec.rho * GRID.times())
     w = np.full(GRID.steps + 1, GRID.dt)
     w[0] *= 0.5
@@ -99,12 +98,11 @@ def test_quadrature_rejects_high_dimensions():
 
 def test_perturb_density_identity_and_scaling():
     gd = gaussian_grid_density([0.0], [[0.5]], [-6.0], [6.0], (201,))
-    omega = Direction(gd.lo, gd.hi, np.ones_like(gd.values))
+    omega = np.ones_like(gd.values)
     same = perturb_density(gd, omega, 0.0)
     assert np.array_equal(same.values, gd.values)
-    assert not same.normalized
     scaled = perturb_density(gd, omega, 0.3)
-    assert scaled.integral() == pytest.approx(math.exp(0.3) * gd.integral(), rel=1e-12)
+    assert scaled.integrate() == pytest.approx(math.exp(0.3) * gd.integrate(), rel=1e-12)
 
 
 def test_perturb_density_gaussian_conjugacy():
@@ -112,12 +110,12 @@ def test_perturb_density_gaussian_conjugacy():
     var = 0.5
     gd = gaussian_grid_density([0.2], [[var]], [0.2 - 7.0], [0.2 + 7.0], (801,))
     ax = np.linspace(gd.lo[0], gd.hi[0], 801)
-    omega = Direction(gd.lo, gd.hi, -(ax - 0.2) ** 2)
+    omega = -(ax - 0.2) ** 2
     eps = 0.4
     pert = perturb_density(gd, omega, eps)
-    mass = pert.integral()
-    mean = pert.mean()[0] / mass
-    second = pert.box.integrate(pert.values * (ax - mean) ** 2) / mass
+    mass = pert.integrate()
+    mean = pert.first_moment()[0] / mass
+    second = pert.integrate((ax - mean) ** 2) / mass
     expected_var = 1.0 / (1.0 / var + 2.0 * eps)
     assert second == pytest.approx(expected_var, rel=1e-8)
     assert second < var
@@ -126,7 +124,7 @@ def test_perturb_density_gaussian_conjugacy():
 def test_perturb_density_linear_in_eps():
     gd = gaussian_grid_density([0.0], [[1.0]], [-8.0], [8.0], (401,))
     ax = np.linspace(-8.0, 8.0, 401)
-    omega = Direction(gd.lo, gd.hi, np.sin(ax))
+    omega = np.sin(ax)
     diffs = []
     for eps in (1e-2, 5e-3, 2.5e-3):
         pert = perturb_density(gd, omega, eps)
@@ -136,9 +134,40 @@ def test_perturb_density_linear_in_eps():
 
 def test_perturb_density_overflow():
     gd = gaussian_grid_density([0.0], [[1.0]], [-8.0], [8.0], (101,))
-    omega = Direction(gd.lo, gd.hi, np.full(101, 1e6))
     with pytest.raises(OverflowError):
-        perturb_density(gd, omega, 1.0)
+        perturb_density(gd, np.full(101, 1e6), 1.0)
+
+
+def test_perturb_density_rejects_bad_directions():
+    gd = gaussian_grid_density([0.0], [[1.0]], [-8.0], [8.0], (101,))
+    with pytest.raises(ValueError, match="finite"):
+        perturb_density(gd, np.full(101, np.nan), 1.0)
+    with pytest.raises(ValueError, match="must match"):
+        perturb_density(gd, np.zeros(100), 1.0)
+
+
+def test_density_path_checks():
+    with pytest.raises(ValueError, match="nonnegative"):
+        DensityPath(None, [-1.0], [1.0], [0.5, -0.1, 0.5])
+    with pytest.raises(ValueError, match="disagree"):
+        DensityPath(None, [-1.0], [1.0], np.ones((3, 3)))
+    with pytest.raises(ValueError, match="time grid"):
+        DensityPath(GRID, [-1.0], [1.0], np.ones((5, 3)))
+    # a box too narrow for the Gaussian fails the unit-mass check
+    with pytest.raises(ValueError, match="mass"):
+        gaussian_grid_density([0.0], [[1.0]], [-2.0], [2.0], (401,))
+
+
+def test_planar_quadrature_moments():
+    # m = 2 runs the same tensor path: mass, mean and 0.5 E[u^T R u]
+    mean, cov = np.array([0.3, -0.2]), np.array([[1.0, 0.3], [0.3, 0.5]])
+    gd = gaussian_grid_density(mean, cov, mean - 9.0, mean + 9.0, (241, 241))
+    R = np.array([[2.0, 0.5], [0.5, 1.0]])
+    assert gd.integrate() == pytest.approx(1.0, abs=1e-10)
+    assert np.allclose(gd.first_moment(), mean, atol=1e-10)
+    assert gd.quad_form(R) == pytest.approx(0.5 * (np.trace(R @ cov) + mean @ R @ mean), abs=1e-9)
+    assert gd.entropy() == pytest.approx(0.5 * math.log(np.linalg.det(2 * math.pi * math.e * cov)),
+                                         abs=1e-8)
 
 
 def test_gateaux_vanishes_at_optimum(star):
