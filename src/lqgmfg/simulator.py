@@ -17,9 +17,9 @@ its noise depends on (seed, rep, i) only, not on N.  Coupled experiments
 replay the identical noise in the finite and limiting systems (common
 random numbers), which is what makes the gap statistics estimable at desk
 scale.  Experiments that read only per-type noise sums and a tagged row
-(the shared-noise coupling gap, the cost gap, epsilon-Nash) draw just
-those, from ``rng_stream(seed, _SUMS_KEY, N, rep)``: the sum of c iid
-standard normal rows has the law of sqrt(c) times one.
+(the coupling gap, the cost gap, epsilon-Nash) draw just those, from
+``rng_stream(seed, _SUMS_KEY, N, rep)``: the sum of c iid standard normal
+rows has the law of sqrt(c) times one.
 
 One kernel, ``_euler``, steps every population path, time-major: node i of
 a batch of populations is one contiguous block.  A population holds agents
@@ -30,10 +30,11 @@ untagged agents of a type enter only through their sum.
 ``simulate_population`` carries every agent of one population;
 ``simulate_representative`` carries every path under the solved mean
 field; the coupling gap steps sums only, on per-type noise sums; the
-cost gap and the epsilon-Nash experiment step the sums plus one
-tagged row, for every (deviation, repetition) at once.  The experiments
-compute only what they read.  ``empirical_cost`` works through agents in
-blocks, so its memory does not grow with the population.
+cost gap and the epsilon-Nash experiments step the sums plus one
+tagged row, for every (deviation, repetition) at once, and cost every
+tagged path in one call of the one cost kernel, ``_path_costs``.  The
+experiments compute only what they read.  ``empirical_cost`` runs that
+kernel on blocks of agents, so its memory does not grow with the population.
 ``coe_experiment`` keeps its own fused loop on its own stream (see there).
 """
 
@@ -79,6 +80,11 @@ _COST_BLOCK = 256
 _SUMS_KEY = 7
 
 
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ValueError(message)
+
+
 def exact_counts(pi: np.ndarray, N: int) -> tuple[int, ...]:
     """Per-type counts matching the mixture as closely as N allows.
 
@@ -90,9 +96,7 @@ def exact_counts(pi: np.ndarray, N: int) -> tuple[int, ...]:
     counts = np.floor(raw).astype(int)
     rem = N - counts.sum()
     if rem > 0:
-        order = np.argsort(-(raw - counts), kind="stable")
-        for idx in order[:rem]:
-            counts[idx] += 1
+        counts[np.argsort(-(raw - counts), kind="stable")[:rem]] += 1
     return tuple(int(c) for c in counts)
 
 
@@ -109,8 +113,6 @@ class SimConfig:
     def __post_init__(self):
         if sum(self.counts) != self.N:
             raise ValueError(f"counts {self.counts} do not sum to N={self.N}")
-        if self.mode not in ("classical", "exploratory"):
-            raise ValueError(f"unknown mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -160,9 +162,9 @@ def draw_noise(seed: int, N: int, steps: int, n: int, m: int, r: int,
     The values are those of one C-order (N, n + (steps+1)*m + steps*r) draw,
     row i being agent i's initial state, action noise and increments, so row
     i depends only on i, not on N.  The draw is made in blocks of rows, and
-    each array of the pack is allocated on its own.  Populations, limiting
-    paths and the independent coupling gap read these packs; experiments
-    that read only noise sums draw those instead (``_draw_sums``).
+    each array of the pack is allocated on its own.  Populations and limiting
+    paths read these packs; experiments that read only noise sums draw
+    those instead (``_draw_sums``).
     """
     nodes = steps + 1
     x0_z = np.empty((N, n))
@@ -187,19 +189,19 @@ class SimulationBatch:
 
     xref carries the tracking reference: the empirical average state for a
     finite population (y = psi_k x^(N)), or the solved stacked mean state
-    for representative paths (y = psibar_k xbar).  states, actions and means
-    are (N, nodes, .) views of time-major (nodes, N, .) arrays.
+    for representative paths (y = psibar_k xbar); shared by every path, or
+    one per path (N, nodes, .).  states, actions and means are (N, nodes, .)
+    views of time-major (nodes, N, .) arrays.
     """
 
     grid: TimeGrid
-    mode: str
     types: np.ndarray          # (N,)
     states: np.ndarray         # (N, nodes, n)
     actions: np.ndarray        # (N, nodes, m)
     means: np.ndarray          # (N, nodes, m)
     x_avg: np.ndarray          # (nodes, n)
     mu_avg: np.ndarray         # (nodes, m)
-    xref: np.ndarray           # (nodes, n) or (nodes, nK)
+    xref: np.ndarray           # (nodes, n) or (nodes, nK), or (N, nodes, .)
     infinite: bool
     cov_scales: np.ndarray     # (N,) covariance scale per agent (deviations)
 
@@ -227,11 +229,7 @@ def _limiting_field(spec: PopulationSpec, mf: MeanFieldSolution,
 
 
 def _type_slices(counts) -> list[slice]:
-    out, start = [], 0
-    for c in counts:
-        out.append(slice(start, start + c))
-        start += c
-    return out
+    return [slice(end - c, end) for c, end in zip(counts, np.cumsum(counts, dtype=int))]
 
 
 @dataclass
@@ -244,22 +242,6 @@ class _NoiseSums:
     x0: np.ndarray
     dW: np.ndarray
     tag: AgentNoise
-
-
-def _noise_sums(packs, counts, steps: int) -> _NoiseSums:
-    """Reduce each pack as it comes, so one pack is held at a time; no agent
-    is tagged.  The independent coupling gap's sums: it reads its packs'
-    agents too."""
-    slices = _type_slices(counts)
-    x0, dW, rows = [], [], []
-    for pack in packs:
-        x0.append([pack.x0_z[sl].sum(axis=0) for sl in slices])
-        dW.append([pack.dW[sl, :steps].sum(axis=0) for sl in slices])
-        # empty copies: a view would keep the whole pack alive
-        rows.append((pack.x0_z[:0].copy(), pack.action_z[:0, :steps + 1].copy(),
-                     pack.dW[:0, :steps].copy()))
-    return _NoiseSums(np.array(x0), np.array(dW).transpose(2, 0, 1, 3).copy(),
-                      AgentNoise(*map(np.array, zip(*rows))))
 
 
 def _draw_sums(spec: PopulationSpec, grid: TimeGrid, counts, reps: int, seed: int,
@@ -278,8 +260,7 @@ def _draw_sums(spec: PopulationSpec, grid: TimeGrid, counts, reps: int, seed: in
                             spec.n, spec.m, spec.subpops[0].r)
     c = np.array(counts, dtype=float)
     if C:
-        if counts[tag_type] < 1:
-            raise ValueError(f"no agent of type {tag_type} to tag")
+        _require(counts[tag_type] >= 1, f"no agent of type {tag_type} to tag")
         c[tag_type] -= 1
     shapes = [(K, n), (steps, K, r), (C, n), (C, steps + 1, m), (C, steps, r)]
     cuts = np.cumsum([math.prod(s) for s in shapes])
@@ -289,15 +270,6 @@ def _draw_sums(spec: PopulationSpec, grid: TimeGrid, counts, reps: int, seed: in
                     for part, s in zip(np.split(z, cuts[:-1], axis=1), shapes))
     root = np.sqrt(c)[:, None]
     return _NoiseSums(root * x0, np.moveaxis(root * dW, 0, 1), AgentNoise(*tag))
-
-
-def _lin(x: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """x @ M^T over the last axis, one column product at a time, so equal
-    rows of a batch round alike wherever they sit in it."""
-    out = x[..., None, 0] * M[..., 0]
-    for j in range(1, M.shape[-1]):
-        out += x[..., None, j] * M[..., j]
-    return out
 
 
 def _euler(spec: PopulationSpec, mf: MeanFieldSolution, grid: TimeGrid, counts,
@@ -316,8 +288,6 @@ def _euler(spec: PopulationSpec, mf: MeanFieldSolution, grid: TimeGrid, counts,
     their noise sums: by superposition that is the population (Huang, Caines
     & Malhame, IEEE TAC 52(9), 2007).  The field couples through the
     population averages, or with ``exogenous`` is the solved mean field.
-    One population takes its products with ``@``, as a batch does not:
-    ``_lin`` rounds equal rows alike wherever they sit in the batch.
 
     Returns time-major states and policy means, (nodes, ..., K + C, .) with
     the per-type sums first when ``sums`` is given, the carried rows'
@@ -353,7 +323,6 @@ def _euler(spec: PopulationSpec, mf: MeanFieldSolution, grid: TimeGrid, counts,
     # a block's rows, its weighted offset and b tables, its weight
     blocks = [(k, sl, w * offset[:, k], w * b_tab[:, k], w) for k, sl, w in blocks]
     G, chol = (np.array([getattr(pol, f) for pol in pols]) for f in ("gain", "chol"))
-    prod = _lin if batch else (lambda a, M: a @ M.T)
     sd = np.sqrt(np.broadcast_to(scales, batch + (C,)))[..., None]
 
     states = np.empty((nodes,) + batch + (len(weights), n))
@@ -361,7 +330,7 @@ def _euler(spec: PopulationSpec, mf: MeanFieldSolution, grid: TimeGrid, counts,
     actions = np.empty((nodes,) + batch + (C, m))
     x_avg = np.empty((nodes,) + batch + (n,))
     mu_avg = np.empty((nodes,) + batch + (m,))
-    states[0] = weights[:, None] * spec.x0_mean + prod(x0, cholesky_psd(spec.x0_cov))
+    states[0] = weights[:, None] * spec.x0_mean + x0 @ cholesky_psd(spec.x0_cov).T
     for i in range(nodes):
         j = i % _NOISE_CHUNK
         if j == 0:
@@ -373,12 +342,12 @@ def _euler(spec: PopulationSpec, mf: MeanFieldSolution, grid: TimeGrid, counts,
                 dw = np.concatenate([sums.dW[i:i + _NOISE_CHUNK], dw], axis=-2)
         x, mu, u = states[i], means[i], actions[i]
         for k, sl, off, _, _ in blocks:
-            mu[..., sl, :] = off[i] - prod(x[..., sl, :], G[k])
+            mu[..., sl, :] = off[i] - x[..., sl, :] @ G[k].T
         mu[..., own, :] += shifts
         u[...] = mu[..., own, :]
         if mode == "exploratory":
             for k, sl in carried:
-                u[..., sl, :] += sd[..., sl, :] * prod(az[j][..., sl, :], chol[k])
+                u[..., sl, :] += sd[..., sl, :] * (az[j][..., sl, :] @ chol[k].T)
         xa = x_avg[i] = x.sum(axis=-2) / N
         ma = mu_avg[i] = mu.sum(axis=-2) / N
         if not np.all(np.isfinite(xa)):
@@ -386,12 +355,12 @@ def _euler(spec: PopulationSpec, mf: MeanFieldSolution, grid: TimeGrid, counts,
         if i == steps:
             break
         field = (field_t[i] if exogenous else
-                 [(prod(xa, F[k]) + prod(ma, H[k]))[..., None, :] for k in range(K)])
+                 [(xa @ F[k].T + ma @ H[k].T)[..., None, :] for k in range(K)])
         for k, sl, _, b, w in blocks:
-            drift = prod(x[..., sl, :], A[k]) + prod(mu[..., sl, :], B[k]) + b[i]
+            drift = x[..., sl, :] @ A[k].T + mu[..., sl, :] @ B[k].T + b[i]
             drift += w * field[k]
             states[i + 1][..., sl, :] = (x[..., sl, :] + dt * drift
-                                         + sqdt * prod(dw[j][..., sl, :], D[k]))
+                                         + sqdt * (dw[j][..., sl, :] @ D[k].T))
     return states, means, actions, x_avg, mu_avg
 
 
@@ -401,6 +370,7 @@ def _agent_batch(spec: PopulationSpec, mf: MeanFieldSolution, grid: TimeGrid,
                  exogenous: bool) -> SimulationBatch:
     """One population of agents of ``types`` (sorted), every one carried by
     ``_euler``; ``deviations`` keyed by agent index."""
+    _require(mode in ("classical", "exploratory"), f"unknown simulation mode {mode!r}")
     N, m = types.size, spec.m
     shifts, cov_scales = np.zeros((N, m)), np.ones(N)
     for idx, dev in (deviations or {}).items():
@@ -411,7 +381,7 @@ def _agent_batch(spec: PopulationSpec, mf: MeanFieldSolution, grid: TimeGrid,
         spec, mf, grid, np.bincount(types, minlength=spec.K), noise, types,
         shifts=shifts, scales=cov_scales, exogenous=exogenous, mode=mode)
     xref = mf.xbar.interp(grid.times()) if exogenous else x_avg
-    return SimulationBatch(grid=grid, mode=mode, types=types,
+    return SimulationBatch(grid=grid, types=types,
                            states=states.transpose(1, 0, 2),
                            actions=actions.transpose(1, 0, 2),
                            means=means.transpose(1, 0, 2), x_avg=x_avg,
@@ -434,6 +404,8 @@ def simulate_population(spec: PopulationSpec, mf: MeanFieldSolution,
     to the policy mean, and so drives the drift; its ``cov_scale`` scales
     the covariance of the sampled actions only.
     """
+    _require(len(config.counts) == spec.K,
+             f"counts {config.counts} name {len(config.counts)} types, the spec K={spec.K}")
     if noise is None:
         noise = draw_noise(config.seed, config.N, config.grid.steps,
                            spec.n, spec.m, spec.subpops[0].r)
@@ -458,9 +430,12 @@ def simulate_representative(spec: PopulationSpec, mf: MeanFieldSolution,
     and so drives the drift; its ``cov_scale`` scales the covariance of the
     sampled actions only.
     """
-    types = np.full(n_paths, k) if types is None else np.asarray(types, dtype=int)
-    if not np.all(np.diff(types) >= 0):
-        raise ValueError("types must be sorted ascending (block layout)")
+    if types is None:
+        _require(0 <= k < spec.K, f"type k={k} outside [0, K={spec.K})")
+        types = np.full(n_paths, k)
+    types = np.asarray(types, dtype=int)
+    _require(np.all(np.diff(types) >= 0), "types must be sorted ascending (block layout)")
+    _require(np.all((types >= 0) & (types < spec.K)), f"types outside [0, K={spec.K})")
     if noise is None:
         noise = draw_noise(seed, types.size, grid.steps, spec.n, spec.m,
                            spec.subpops[0].r)
@@ -472,30 +447,25 @@ def _tagged_costs(spec: PopulationSpec, mf: MeanFieldSolution, grid: TimeGrid,
                   tag_type: int = 0, exogenous_field: bool = False) -> np.ndarray:
     """Discounted cost of the tagged agent, (members, repetitions): the
     per-type sums plus the tagged row, stepped by ``_euler`` for every
-    member and repetition at once; each tagged path is costed by
-    ``empirical_cost`` as a one-agent batch against its own population
-    average (or the solved mean).  One path a call: in a block of paths the
-    discount product rounds a path by its position, and equal members must
-    cost alike."""
+    member and repetition at once, then every tagged path costed by one
+    ``_path_costs`` call against its own population average (or the solved
+    mean)."""
     shifts = np.array([d.shift(spec.m) for d in members])[:, None, None, :]
     scales = np.array([d.cov_scale for d in members])[:, None, None]
-    states, means, actions, x_avg, mu_avg = _euler(
+    states, means, actions, x_avg, _ = _euler(
         spec, mf, grid, counts, noise.tag, [tag_type], sums=noise, shifts=shifts,
         scales=scales, exogenous=exogenous_field)
-    xbar = mf.xbar.interp(grid.times()) if exogenous_field else None
-    costs = np.empty(actions.shape[1:3])
-    for j, r in np.ndindex(costs.shape):
-        # (1, nodes, .) views of member j's tagged path in repetition r
-        batch = SimulationBatch(
-            grid=grid, mode="exploratory", types=np.array([tag_type]),
-            states=states[:, j, r, -1:].transpose(1, 0, 2),
-            actions=actions[:, j, r].transpose(1, 0, 2),
-            means=means[:, j, r, -1:].transpose(1, 0, 2),
-            x_avg=x_avg[:, j, r], mu_avg=mu_avg[:, j, r],
-            xref=xbar if exogenous_field else x_avg[:, j, r].copy(),
-            infinite=exogenous_field, cov_scales=scales[j, 0])
-        costs[j, r] = empirical_cost(batch, spec, tag_type, mode, spec.rho).per_agent[0]
-    return costs
+    nodes, M, R = actions.shape[:3]
+    # every (member, repetition)'s last row, the tagged one, as (nodes, M R, .)
+    x, u = (a[:, :, :, -1].reshape(nodes, M * R, -1)
+            for a in (states, actions if mode == "classical" else means))
+    p = spec.subpops[tag_type]
+    if exogenous_field:
+        y = (mf.xbar.interp(grid.times()) @ spec.psibar(tag_type).T)[:, None, :]
+    else:
+        y = x_avg.reshape(nodes, M * R, -1) @ p.psi.T
+    rates = _cost_rates(p, mode, np.repeat(scales.ravel(), R))
+    return _path_costs(p, grid, spec.rho, x, y, u, rates)[0].reshape(M, R)
 
 
 # ---------------------------------------------------------------------------
@@ -519,6 +489,49 @@ def _entropy_for(p, cov_scale: float) -> float:
     return p.lambda_explore * gaussian_entropy(exploration_covariance(p, cov_scale))
 
 
+def _cost_rates(p, mode: str, scales: np.ndarray) -> np.ndarray:
+    """The running cost's constant per path: 0 in 'classical' mode, else
+    tr(R cov) / 2 at each path's covariance scale, the mean of
+    (u - mu)^T R (u - mu) / 2, less lambda * H(Phi) in
+    'exploratory-regularized' mode."""
+    _require(mode in ("classical", "exploratory", "exploratory-regularized"),
+             f"unknown cost mode {mode!r}")
+    if mode == "classical":
+        return np.zeros(scales.shape)
+    rate = 0.5 * np.trace(p.R @ exploration_covariance(p)) * scales
+    if mode == "exploratory-regularized":
+        # one slogdet per distinct scale, not per path
+        uniq, inv = np.unique(scales, return_inverse=True)
+        rate = rate - np.array([_entropy_for(p, s) for s in uniq])[inv]
+    return rate
+
+
+def _path_costs(p, grid: TimeGrid, rho: float, x: np.ndarray, y: np.ndarray,
+                u: np.ndarray, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one discount reduction of agent costs: the discounted trapezoid
+    cost of each time-major path, (P,), and its running cost, (nodes, P).
+
+    x (nodes, P, n) tracks the reference y, shared (nodes, 1, n) or one per
+    path (nodes, P, n); u (nodes, P, m) is the applied action (classical) or
+    the policy mean, and ``rates`` (P,) the constant of ``_cost_rates``.
+    The discount sum is an einsum, which rounds a path alike wherever it
+    sits among the P; the product ``dw @ running`` does not.
+    """
+    ts = grid.times()
+    dw = np.exp(-rho * ts) * trapezoid_weights(ts.size, grid.dt)
+    # running cost (e Q/2 + u S^T + eta) . e + (u R/2 + n) . u, with e = x - y
+    e = x - y
+    g = e @ (0.5 * p.Q)
+    g += u @ p.S.T
+    g += p.eta
+    running = _rowdot(g, e)
+    g = u @ (0.5 * p.R)
+    g += p.nvec
+    running += _rowdot(g, u)
+    running += rates
+    return np.einsum("i,ij->j", dw, running), running
+
+
 def empirical_cost(batch: SimulationBatch, spec: PopulationSpec, k: int,
                    mode: str, rho: float, agents=None,
                    tail_tol: float | None = None) -> CostEstimate:
@@ -534,66 +547,40 @@ def empirical_cost(batch: SimulationBatch, spec: PopulationSpec, k: int,
     exceed tail_tol * (1 + |mean|); otherwise the horizon is too short for
     the requested discount.
 
-    Agents are costed in blocks of ``_COST_BLOCK``, read time-major, so the
-    temporaries stay a few (nodes, block) arrays whatever the population.
+    Agents are costed by ``_path_costs`` in blocks of ``_COST_BLOCK``, read
+    time-major, so the temporaries stay a few (nodes, block) arrays whatever
+    the population.
     """
-    if mode not in ("classical", "exploratory", "exploratory-regularized"):
-        raise ValueError(f"unknown cost mode {mode!r}")
-    if rho <= 0:
-        raise ValueError("empirical_cost needs rho > 0")
+    _require(rho > 0, "empirical_cost needs rho > 0")
     p = spec.subpops[k]
     if agents is None:
         agents = np.flatnonzero(batch.types == k)
     agents = np.asarray(agents, dtype=int)
+    _require(agents.size > 0, f"no paths of type {k} to cost")
+    rates = _cost_rates(p, mode, batch.cov_scales[agents])
     grid = batch.grid
-    ts = grid.times()
-    psib = spec.psibar(k) if batch.infinite else p.psi
-    y = batch.xref @ psib.T                               # (nodes, n)
-
+    y = batch.xref @ (spec.psibar(k) if batch.infinite else p.psi).T
     # time-major (nodes, N, .): a block of agents is one gather per node
+    y = y[:, None, :] if y.ndim == 2 else y.transpose(1, 0, 2)
     states = batch.states.transpose(1, 0, 2)
-    if mode == "classical":
-        controls, rate = batch.actions.transpose(1, 0, 2), None
-    else:
-        controls = batch.means.transpose(1, 0, 2)
-        # tr(R cov) / 2, the mean of (u - mu)^T R (u - mu) / 2, per agent
-        scales = batch.cov_scales[agents]
-        rate = 0.5 * np.trace(p.R @ exploration_covariance(p)) * scales
-        if mode == "exploratory-regularized":
-            # one slogdet per distinct scale, not per agent
-            uniq, inv = np.unique(scales, return_inverse=True)
-            rate = rate - np.array([_entropy_for(p, s) for s in uniq])[inv]
-    half_q, half_r = 0.5 * p.Q, 0.5 * p.R
+    controls = (batch.actions if mode == "classical" else batch.means).transpose(1, 0, 2)
 
-    dw = np.exp(-rho * ts) * trapezoid_weights(ts.size, grid.dt)
     tail = grid.steps // 4 + 1
     per_agent = np.empty(agents.size)
     late = 0.0
     for lo in range(0, agents.size, _COST_BLOCK):
         blk = slice(lo, lo + _COST_BLOCK)
-        # running cost (e Q/2 + u S^T + eta) . e + (u R/2 + n) . u, with
-        # e = x - y and u the applied action (classical) or the policy mean
-        e = np.take(states, agents[blk], axis=1)
-        e -= y[:, None, :]
-        u = np.take(controls, agents[blk], axis=1)
-        g = e @ half_q
-        g += u @ p.S.T
-        g += p.eta
-        running = _rowdot(g, e)                           # (nodes, block)
-        g = u @ half_r
-        g += p.nvec
-        running += _rowdot(g, u)
-        if rate is not None:
-            running += rate[blk]
-        per_agent[blk] = dw @ running
+        yb = y if y.shape[1] == 1 else np.take(y, agents[blk], axis=1)
+        per_agent[blk], running = _path_costs(
+            p, grid, rho, np.take(states, agents[blk], axis=1), yb,
+            np.take(controls, agents[blk], axis=1), rates[blk])
         late = max(late, float(np.max(np.abs(running[-tail:]))))
 
     bound = 1.5 * late * math.exp(-rho * grid.t1) / rho
     mean = float(per_agent.mean())
     if tail_tol is not None and bound > tail_tol * (1.0 + abs(mean)):
         raise ValueError(f"horizon too short for rho (truncation bound {bound:.3g})")
-    se = float(per_agent.std(ddof=1) / math.sqrt(per_agent.size)) if per_agent.size > 1 else 0.0
-    return CostEstimate(mean=mean, std_err=se, per_agent=per_agent, mode=mode,
+    return CostEstimate(mean=mean, std_err=float(_se(per_agent)), per_agent=per_agent, mode=mode,
                         truncation_bound=bound)
 
 
@@ -614,11 +601,6 @@ def _safe_slope(Ns, values):
     if len(Ns) < 3 or np.any(vals <= 0):
         return None
     return fit_rate(np.asarray(Ns, dtype=float), vals)
-
-
-def _require(ok: bool, message: str) -> None:
-    if not ok:
-        raise ValueError(message)
 
 
 def _experiment_grid(mf: MeanFieldSolution, grid: TimeGrid | None, T: float = 4.0,
@@ -653,57 +635,35 @@ def _rep_rows(res: ExperimentResult, N: int, t: float, vals: np.ndarray, value) 
 def coupling_gap_experiment(spec: PopulationSpec, mf: MeanFieldSolution,
                             Ns, reps: int, seed: int,
                             grid: TimeGrid | None = None,
-                            checkpoint_frac: float = 0.5,
-                            coupling: str = "common-random-numbers") -> ExperimentResult:
+                            checkpoint_frac: float = 0.5) -> ExperimentResult:
     """Mean squared gap between each agent's finite-N path and its limiting
-    path, per N, with the fitted log-log rate.
-
-    The default replays each agent's noise in both systems, the same-noise
-    coupling that makes the O(1/N) decay measurable; 'independent' draws
-    fresh noise for the limiting run, which buries that decay under an O(1)
-    variance offset and is provided for comparison only.
+    path, per N, with the fitted log-log rate.  Each agent's noise is
+    replayed in both systems (common random numbers), which makes the
+    O(1/N) decay measurable.
 
     No agent is simulated: under shared noise x_i^N - x_i^infty is one d_k
     for every agent of type k, the difference of the two systems' type
     means (``_euler`` on the type sums up to the checkpoint), so the value is
-    sum_k (N_k / N) |d_k|^2; 'independent' adds each agent's own limiting
-    path difference between its two packs.  Shared noise needs only the
-    per-type sums, drawn as such (``_draw_sums``); 'independent' draws each
-    repetition's full packs.  Either draw spans the whole grid, so the
-    streams do not depend on the checkpoint.
+    sum_k (N_k / N) |d_k|^2.  That needs only the per-type noise sums, drawn
+    as such (``_draw_sums``) over the whole grid, so the stream does not
+    depend on the checkpoint.
     """
-    _require(coupling in ("independent", "common-random-numbers"),
-             f"unknown coupling {coupling!r}")
     _require(0.0 <= checkpoint_frac <= 1.0,
              f"checkpoint_frac must lie in [0, 1], got {checkpoint_frac}")
     grid = _experiment_grid(mf, grid, reps=reps, Ns=Ns)
     ck = int(round(checkpoint_frac * grid.steps))
     t_ck = grid.times()[ck]
-    r = spec.subpops[0].r
     res = ExperimentResult("coupling-gap")
     means, ses = [], []
     for N in Ns:
         counts = exact_counts(spec.pi, N)
-        types = np.repeat(np.arange(spec.K), counts)
-        own = np.zeros((reps, N, spec.n))
-
-        def packs():
-            for rep in range(reps):
-                # packs reps..2*reps-1: no stream shared with the finite run
-                pks = [draw_noise(seed, N, grid.steps, spec.n, spec.m, r, rep=q)
-                       for q in (rep, reps + rep)]
-                for sign, pk in zip((1.0, -1.0), pks):
-                    own[rep] += sign * _euler(spec, mf, grid, counts, pk, types,
-                                              exogenous=True, mode="classical",
-                                              steps=ck)[0][-1]
-                yield pks[0]
-
-        sums = (_noise_sums(packs(), counts, ck) if coupling == "independent"
-                else _draw_sums(spec, grid, counts, reps, seed))
+        sums = _draw_sums(spec, grid, counts, reps, seed)
         fin, inf = (_euler(spec, mf, grid, counts, sums.tag, [], sums=sums, exogenous=exo,
                            steps=ck)[0][-1] for exo in (False, True))
         d = (fin - inf) / np.maximum(counts, 1)[:, None]
-        vals = np.sum((d[:, types] + own) ** 2, axis=2).mean(axis=1)
+        # take, not d[:, types]: a C-order gather, which the mean sums pairwise
+        agents = np.take(d, np.repeat(np.arange(spec.K), counts), axis=1)
+        vals = np.sum(agents ** 2, axis=2).mean(axis=1)
         means.append(vals.mean())
         ses.append(_rep_rows(res, N, t_ck, vals, means[-1]))
     slope = _safe_slope(Ns, means)
@@ -723,8 +683,8 @@ def cost_gap_experiment(spec: PopulationSpec, mf: MeanFieldSolution,
 
     Both runs step each repetition's per-type sums plus its tagged row (the
     first agent of type 0), drawn as such by ``_draw_sums``, with ``_euler``
-    (finite population, then solved mean field), costed by
-    ``empirical_cost``; all repetitions of one N step together.
+    (finite population, then solved mean field), costed by ``_path_costs``;
+    all repetitions of one N step together.
     """
     grid = _experiment_grid(mf, grid, T=6.0, reps=reps, Ns=Ns)
     if deviation is None:
@@ -759,8 +719,8 @@ def nash_deviation_experiment(spec: PopulationSpec, mf: MeanFieldSolution,
     every family member, which keeps the comparison paired.  One ``_euler``
     run steps every member, the equilibrium as the zero-shift member, on
     every repetition's tagged row (the first agent of type 0) and per-type
-    sums, drawn as such by ``_draw_sums``; each path is costed by
-    ``empirical_cost``.
+    sums, drawn as such by ``_draw_sums``; ``_path_costs`` costs every path
+    in one call.
     """
     grid = _experiment_grid(mf, grid, T=6.0, reps=reps, Ns=[N])
     counts = exact_counts(spec.pi, N)

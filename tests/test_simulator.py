@@ -309,22 +309,6 @@ def test_coupling_gap_monotone_and_rate(coupled):
     assert -1.4 < res.summary["slope"] < -0.5
 
 
-def test_coupling_independent_mode_loses_the_rate(coupled):
-    spec, mf = coupled
-    grid = TimeGrid(0.0, 2.0, 200)
-    crn = coupling_gap_experiment(spec, mf, [64, 256], reps=4, seed=5, grid=grid)
-    ind = coupling_gap_experiment(spec, mf, [64, 256], reps=4, seed=5, grid=grid,
-                                  coupling="independent")
-    # without shared noise the gap is dominated by an O(1) variance offset
-    assert min(ind.summary["gap_means"]) > 10 * max(crn.summary["gap_means"])
-
-
-def test_coupling_gap_rejects_unknown_coupling(decoupled):
-    spec, mf = decoupled
-    with pytest.raises(ValueError, match="unknown coupling"):
-        coupling_gap_experiment(spec, mf, [4], reps=2, seed=0, coupling="shared")
-
-
 def test_cost_gap_zero_when_uncoupled(decoupled_noisy):
     spec, mf = decoupled_noisy
     res = cost_gap_experiment(spec, mf, [8, 16], reps=3, seed=2,
@@ -731,8 +715,7 @@ def test_coe_matches_per_step_reference(request, game):
     assert res.summary["std_err"] == pytest.approx(se, rel=1e-12, abs=0)
 
 
-def coupling_gap_reference(spec, mf, Ns, reps, seed, grid, checkpoint_frac,
-                           coupling):
+def coupling_gap_reference(spec, mf, Ns, reps, seed, grid, checkpoint_frac):
     """Both systems simulated on the full grid in exploratory mode, the
     checkpoint read afterwards.  The reference for
     ``coupling_gap_experiment``."""
@@ -749,13 +732,7 @@ def coupling_gap_reference(spec, mf, Ns, reps, seed, grid, checkpoint_frac,
                               spec.subpops[0].r, rep=rep)
             cfg = SimConfig(N=N, counts=counts, grid=grid, seed=seed)
             fin = simulate_population(spec, mf, cfg, noise=pack)
-            if coupling == "common-random-numbers":
-                pack_inf = pack
-            else:
-                pack_inf = draw_noise(seed, N, grid.steps, spec.n, spec.m,
-                                      spec.subpops[0].r, rep=reps + rep)
-            inf = simulate_representative(spec, mf, grid, seed, noise=pack_inf,
-                                          types=types)
+            inf = simulate_representative(spec, mf, grid, seed, noise=pack, types=types)
             gap = np.sum((fin.states[:, ck] - inf.states[:, ck]) ** 2, axis=1)
             vals[rep] = gap.mean()
             res.rows.append({"experiment": "coupling-gap", "N": N, "rep": rep,
@@ -785,14 +762,15 @@ def assert_rows_close(rows, ref_rows, rtol):
                 np.testing.assert_allclose(row[key], v, rtol=rtol, atol=0)
 
 
-@pytest.mark.parametrize("coupling", ["common-random-numbers", "independent"])
-@pytest.mark.parametrize("frac", [0.5, 1.0, 0.37])
-def test_coupling_gap_matches_full_grid_reference(two_type, coupling, frac):
+# the ids name the coupling the gap runs on, common random numbers
+@pytest.mark.parametrize("frac", [0.5, 1.0, 0.37],
+                         ids=lambda frac: f"{frac}-common-random-numbers")
+def test_coupling_gap_matches_full_grid_reference(two_type, frac):
     # the gap is now a difference of type means, not of agent paths: it
     # matches the agent-by-agent reference to rounding, not bitwise
     spec, mf = two_type
     grid = TimeGrid(0.0, 3.0, 200)
-    kw = dict(reps=3, seed=6, checkpoint_frac=frac, coupling=coupling)
+    kw = dict(reps=3, seed=6, checkpoint_frac=frac)
     Ns = [8, 16, 40]
     with on_packs():
         res = coupling_gap_experiment(spec, mf, Ns, grid=grid, **kw)
@@ -814,14 +792,11 @@ def solved(spec):
 @given(spec=random_specs(coupling=st.sampled_from([0.1, 0.3])),
        Ns=st.lists(st.integers(1, 30), min_size=1, max_size=3),
        steps=st.integers(2, 40), frac=st.sampled_from([0.5, 1.0]),
-       coupling=st.sampled_from(["common-random-numbers", "independent"]),
        seed=st.integers(0, 2**32 - 1))
-def test_coupling_gap_matches_reference_on_random_specs(spec, Ns, steps, frac,
-                                                        coupling, seed):
+def test_coupling_gap_matches_reference_on_random_specs(spec, Ns, steps, frac, seed):
     mf = solved(spec)
     grid = TimeGrid(0.0, 2.0, steps)
-    kw = dict(reps=2, seed=seed, grid=grid, checkpoint_frac=frac,
-              coupling=coupling)
+    kw = dict(reps=2, seed=seed, grid=grid, checkpoint_frac=frac)
     with on_packs():
         res = coupling_gap_experiment(spec, mf, Ns, **kw)
     ref = coupling_gap_reference(spec, mf, Ns, **kw)
@@ -1080,7 +1055,8 @@ def test_cost_gap_matches_direct_simulation(two_type):
 
 def empirical_cost_reference(batch, spec, k, mode, rho, agents=None):
     """All agents at once with 3-operand einsums over (agents, nodes, .)
-    gathers.  The reference for ``empirical_cost``'s blocked kernel."""
+    gathers, against a shared or a per-agent reference.  The reference for
+    ``empirical_cost``'s blocked kernel."""
     p = spec.subpops[k]
     if agents is None:
         agents = np.flatnonzero(batch.types == k)
@@ -1089,7 +1065,7 @@ def empirical_cost_reference(batch, spec, k, mode, rho, agents=None):
     ts = grid.times()
     psib = spec.psibar(k) if batch.infinite else p.psi
     y = batch.xref @ psib.T
-    E = batch.states[agents] - y[None, :, :]
+    E = batch.states[agents] - (y[agents] if y.ndim == 3 else y[None, :, :])
     MU = batch.means[agents]
     lam_rinv = p.lambda_explore * np.linalg.inv(p.R)
     quad_e = 0.5 * np.einsum("ati,ij,atj->at", E, p.Q, E)
@@ -1120,21 +1096,22 @@ def empirical_cost_reference(batch, spec, k, mode, rho, agents=None):
                            truncation_bound=bound)
 
 
-def _random_batch(rng, spec, N, steps, infinite):
+def _random_batch(rng, spec, N, steps, infinite, per_path=False):
     """A batch of random time-major paths: the cost reads only these arrays,
-    not how they were simulated."""
+    not how they were simulated.  With ``per_path`` each path tracks its
+    own reference."""
     n, m, K = spec.n, spec.m, spec.K
     nodes = steps + 1
     grid = TimeGrid(0.0, rng.uniform(0.5, 3.0), steps)
     types = np.sort(rng.integers(0, K, N))
-    xref = rng.standard_normal((nodes, n * K if infinite else n))
 
     def tm(d):
         return rng.standard_normal((nodes, N, d)).transpose(1, 0, 2)
 
+    d_ref = n * K if infinite else n
+    xref = tm(d_ref) if per_path else rng.standard_normal((nodes, d_ref))
     return simulator.SimulationBatch(
-        grid=grid, mode="exploratory", types=types, states=tm(n),
-        actions=tm(m), means=tm(m),
+        grid=grid, types=types, states=tm(n), actions=tm(m), means=tm(m),
         x_avg=np.zeros((nodes, n)), mu_avg=np.zeros((nodes, m)), xref=xref,
         infinite=infinite, cov_scales=rng.uniform(0.2, 3.0, N))
 
@@ -1142,12 +1119,12 @@ def _random_batch(rng, spec, N, steps, infinite):
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(spec=random_specs(), steps=st.integers(1, 12),
        extra=st.integers(1, 300), infinite=st.booleans(),
-       subset=st.booleans(), seed=st.integers(0, 2**32 - 1))
+       subset=st.booleans(), per_path=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_empirical_cost_matches_einsum_reference(spec, steps, extra, infinite,
-                                                 subset, seed):
+                                                 subset, per_path, seed):
     rng = np.random.default_rng(seed)
     block = simulator._COST_BLOCK
-    batch = _random_batch(rng, spec, block + extra, steps, infinite)
+    batch = _random_batch(rng, spec, block + extra, steps, infinite, per_path)
     k = int(rng.integers(0, spec.K))
     # an unsorted subset across a block boundary, or all agents of type k
     agents = (rng.choice(batch.N, size=block + (extra + 1) // 2, replace=False)
@@ -1178,3 +1155,51 @@ def test_empirical_cost_memory_stays_below_the_paths(planar):
     finally:
         tracemalloc.stop()
     assert peak < paths
+
+
+@pytest.mark.parametrize("per_path", [False, True])
+def test_empirical_cost_rounds_equal_paths_alike(planar, per_path):
+    # one path tiled across a block boundary, into a last block of odd
+    # width: the discount sum must not round a path by its position
+    spec, _mf = planar
+    one = _random_batch(np.random.default_rng(5), spec, 1, 400, False, per_path)
+    N = simulator._COST_BLOCK + 45
+
+    def tile(a):
+        return np.repeat(a, N, axis=0)
+
+    batch = dataclasses.replace(
+        one, types=np.zeros(N, dtype=int), states=tile(one.states),
+        actions=tile(one.actions), means=tile(one.means),
+        xref=tile(one.xref) if per_path else one.xref, cov_scales=tile(one.cov_scales))
+    for mode in ("classical", "exploratory", "exploratory-regularized"):
+        costs = empirical_cost(batch, spec, 0, mode, spec.rho).per_agent
+        assert np.all(costs == costs[0]), mode
+
+
+def test_empirical_cost_rejects_no_paths(two_type):
+    spec, mf = two_type
+    batch = simulate_population(spec, mf, SimConfig(N=3, counts=(3, 0), grid=GRID, seed=0))
+    with pytest.raises(ValueError, match="no paths of type 1"):
+        empirical_cost(batch, spec, 1, "exploratory", spec.rho)
+    with pytest.raises(ValueError, match="no paths of type 0"):
+        empirical_cost(batch, spec, 0, "exploratory", spec.rho, agents=[])
+
+
+@pytest.mark.parametrize("mode", ["exploratory-regularized", "Exploratory"])
+def test_unknown_simulation_mode_raises(decoupled, mode):
+    spec, mf = decoupled
+    with pytest.raises(ValueError, match=f"unknown simulation mode '{mode}'"):
+        simulate_representative(spec, mf, GRID, 0, mode=mode)
+    with pytest.raises(ValueError, match=f"unknown simulation mode '{mode}'"):
+        simulate_population(spec, mf, cfg_for(2, mode=mode))
+
+
+def test_types_checked_against_K(two_type):
+    spec, mf = two_type
+    with pytest.raises(ValueError, match=r"counts \(3,\)"):
+        simulate_population(spec, mf, SimConfig(N=3, counts=(3,), grid=GRID, seed=0))
+    with pytest.raises(ValueError, match="type k=5"):
+        simulate_representative(spec, mf, GRID, 0, k=5)
+    with pytest.raises(ValueError, match="types outside"):
+        simulate_representative(spec, mf, GRID, 0, types=[0, 2])
