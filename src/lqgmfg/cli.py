@@ -3,9 +3,9 @@ equilibrium experiments, and emit CSV/JSON tables.
 
 Every run writes a manifest (command, inputs, seed, version, timestamp) and
 a copy of the input spec into the output directory; reruns with the same
-command, spec, and seed produce byte-identical CSVs.  Exit codes: 0 on
-success, 1 on usage or I/O errors, 2 on numerical failures (divergence,
-instability).
+command, spec, and seed write every other file byte for byte the same.
+Exit codes: 0 on success, 1 on usage or I/O errors, 2 on numerical failures
+(divergence, instability).
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from . import __version__
 from .meanfield import (ConsistencyError, SolverConfig, consistency_residual,
                         solve_consistency, stability_reports)
 from .model import SpecValidationError, load_spec
-from .numerics import RNG_SCHEME, OdeBlowupError, TimeGrid, rng_stream, write_csv
+from .numerics import (RNG_SCHEME, OdeBlowupError, TimeGrid, rng_stream, write_csv,
+                       write_json)
 from .policy import exploration_covariance, policy_entropy, value_gap
 from .riccati import RiccatiError
 from .simulator import (PolicyDeviation, coe_experiment, cost_gap_experiment,
@@ -40,34 +41,6 @@ _NUMERIC_ERRORS = (ConsistencyError, RiccatiError, OdeBlowupError,
 
 EXPERIMENT_KINDS = ("coupling-gap", "cost-gap", "nash", "coe", "lambda-sweep",
                     "entropy-audit")
-
-
-def _sanitize(obj):
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        f = float(obj)
-        return None if math.isnan(f) else f
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        # a float array without NaN needs no walk: tolist() is already JSON
-        if obj.dtype.kind == "f" and not np.isnan(obj).any():
-            return obj.tolist()
-        return _sanitize(obj.tolist())
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
-
-
-def _write_json(path: Path, obj) -> None:
-    # Only json.dumps without indent takes the C encoder; json.dump and any
-    # indent fall back to the pure-Python one, slow on a long solution.
-    text = json.dumps(_sanitize(obj), sort_keys=True)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
 
 
 def _manifest(args, command: str, spec_path: str, overrides: dict) -> dict:
@@ -86,7 +59,7 @@ def _manifest(args, command: str, spec_path: str, overrides: dict) -> dict:
 def _prepare_out(args, command: str, spec_path: str, overrides: dict) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "manifest.json", _manifest(args, command, spec_path, overrides))
+    write_json(out / "manifest.json", _manifest(args, command, spec_path, overrides))
     src = Path(spec_path)
     if src.exists():
         shutil.copy(src, out / src.name)
@@ -97,7 +70,7 @@ def _fail(out: Path | None, exc: Exception, code: int) -> int:
     doc = {"error": str(exc), "type": type(exc).__name__}
     if out is not None:
         try:
-            _write_json(out / "error.json", doc)
+            write_json(out / "error.json", doc)
         except OSError:
             pass
     print(f"error: {exc}", file=sys.stderr)
@@ -123,8 +96,8 @@ def cmd_solve(args) -> int:
     reports = stability_reports(mf, spec)
     doc = mf.to_json_dict()
     doc["independent_residual"] = consistency_residual(mf, spec)
-    _write_json(out / "meanfield_solution.json", doc)
-    _write_json(out / "stability_report.json", {
+    write_json(out / "meanfield_solution.json", doc)
+    write_json(out / "stability_report.json", {
         "ok": all(r.ok for r in reports),
         "per_type": [{"ok": r.ok, "pi_min_eig": r.pi_min_eig,
                       "abar_margin": r.abar_margin,
@@ -206,7 +179,7 @@ def cmd_experiment(args) -> int:
     except ValueError as exc:       # an argument out of range
         return _fail(out, exc, 1)
     write_experiment_csv(out / "experiment.csv", rows)
-    _write_json(out / "summary.json", summary)
+    write_json(out / "summary.json", summary)
     print(f"{args.kind}: wrote {len(rows)} rows to {out / 'experiment.csv'}")
     return 0
 
@@ -323,7 +296,7 @@ def cmd_trade(args) -> int:
                 "martingale_check_4se": bool(abs(drifts.mean()) <= 4 * se)
                 if params.lambda_perm == 0 else None,
             }
-            _write_json(out / "summary.json", summary)
+            write_json(out / "summary.json", summary)
         else:
             init = params_from_json(doc.get("init", doc))
             cfg = TradingLoopConfig(
@@ -333,9 +306,9 @@ def cmd_trade(args) -> int:
                 lambda_explore=lam_explore, seed=args.seed)
             trace = rl_loop(params, init, cfg)
             trace.write_csv(out / "trace.csv")
-            _write_json(out / "trace.json", trace.to_json())
+            write_json(out / "trace.json", trace.to_json())
             last = trace.rows[-1]
-            _write_json(out / "summary.json", {
+            write_json(out / "summary.json", {
                 "iterations": len(trace.rows),
                 "final": last,
                 "gain_drift": _gain_drift(trace),

@@ -89,8 +89,8 @@ class MeanFieldSolution:
     spec: PopulationSpec
 
     def to_json_dict(self) -> dict:
-        """The solution as a dict for ``cli._write_json``; matrices and
-        trajectories stay arrays, which it writes as nested lists."""
+        """The solution as a dict for ``numerics.write_json``; matrices and
+        trajectories stay the solution's own arrays, not Python lists."""
         g = self.grid
         return {
             "grid": {"t0": g.t0, "t1": g.t1, "steps": g.steps},

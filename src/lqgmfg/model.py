@@ -25,6 +25,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .numerics import write_json
+
 __all__ = [
     "SubpopParams",
     "PopulationSpec",
@@ -385,8 +387,7 @@ def spec_from_json(doc: dict) -> PopulationSpec:
 
 
 def save_spec(spec: PopulationSpec, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(spec_to_json(spec), fh, indent=2)
+    write_json(path, spec_to_json(spec))
 
 
 def load_spec(path) -> PopulationSpec:

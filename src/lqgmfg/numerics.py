@@ -1,6 +1,6 @@
 """Shared numerical kernels: fixed-step RK4 integration, spectral checks,
 Gaussian sampling, log-log rate fitting, trapezoid weights, and the one
-%.12g CSV writer of the package's tables.
+%.12g CSV writer and the one JSON writer of the package's files.
 
 All solvers in this package run on fixed, uniform time grids.  Fixed-step
 RK4 (rather than an adaptive integrator) keeps every run deterministic and
@@ -40,12 +40,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import orjson
 from scipy.linalg import solve_banded
 
 _SEED_MASK = (1 << 64) - 1
 RNG_SCHEME = "SeedSequence(seed, spawn_key=key)/PCG64; noise sums drawn as sums"
 _CHUNK = 64                  # RK4 steps composed per scan chunk
 _SPLIT_GROWTH = 8.0          # split mode: log of the largest map product per chunk
+_JSON_OPTIONS = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE
 
 
 class OdeBlowupError(RuntimeError):
@@ -99,6 +101,24 @@ def write_csv(path, cols, rows) -> None:
     lines = [",".join(cols)] + [",".join(fmt(row.get(c, "")) for c in cols) for row in rows]
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _json_default(obj):
+    # orjson hands over the arrays it does not write itself: strided views
+    # and 0-d arrays (which ``ascontiguousarray`` would widen to 1-d)
+    if isinstance(obj, np.ndarray):
+        return obj.item() if obj.ndim == 0 else np.ascontiguousarray(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def write_json(path, obj) -> None:
+    """``obj`` as compact JSON with sorted keys and a trailing newline.
+    NumPy arrays and scalars are written in C, float64 in its shortest
+    round-trip spelling (``json.load`` gives back every bit), NaN and +-inf
+    as null; reruns write identical bytes."""
+    data = orjson.dumps(obj, option=_JSON_OPTIONS, default=_json_default)
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 @dataclass

@@ -552,11 +552,13 @@ def empirical_cost(batch: SimulationBatch, spec: PopulationSpec, k: int,
     the population.
     """
     _require(rho > 0, "empirical_cost needs rho > 0")
+    _require(0 <= k < spec.K, f"type k={k} outside [0, K={spec.K})")
     p = spec.subpops[k]
-    if agents is None:
-        agents = np.flatnonzero(batch.types == k)
-    agents = np.asarray(agents, dtype=int)
+    of_k = np.flatnonzero(batch.types == k)
+    agents = of_k if agents is None else np.asarray(agents, dtype=int)
     _require(agents.size > 0, f"no paths of type {k} to cost")
+    wrong = agents[~np.isin(agents, of_k)]
+    _require(wrong.size == 0, f"agents {wrong.tolist()} are not paths of type k={k}")
     rates = _cost_rates(p, mode, batch.cov_scales[agents])
     grid = batch.grid
     y = batch.xref @ (spec.psibar(k) if batch.infinite else p.psi).T
@@ -767,6 +769,7 @@ def coe_experiment(spec: PopulationSpec, mf: MeanFieldSolution, k: int,
     rho = spec.rho
     if rho <= 0:
         raise ValueError("cost of exploration needs rho > 0")
+    _require(0 <= k < spec.K, f"type k={k} outside [0, K={spec.K})")
     if grid is None:
         T = math.log(2e5) / rho
         steps = min(int(math.ceil(T / 0.01)), 20000)

@@ -13,10 +13,11 @@ from hypothesis import event, given, settings
 
 from conftest import random_specs, unconstrained_specs
 
-from lqgmfg.cli import _sanitize, main
+from lqgmfg.cli import main
+from lqgmfg.meanfield import consistency_residual, solve_consistency
 from lqgmfg.numerics import RNG_SCHEME
-from lqgmfg.model import (PopulationSpec, SubpopParams, save_spec, spec_to_json,
-                          validate_spec)
+from lqgmfg.model import (PopulationSpec, SubpopParams, load_spec, save_spec,
+                          spec_to_json, validate_spec)
 from lqgmfg.presets import (coupled_single_type_spec, scalar_decoupled_spec,
                             unstable_spec)
 from lqgmfg.trading import MarketParams, params_to_json
@@ -253,18 +254,27 @@ def test_trade_malformed_params(tmp_path):
     assert rc == 1
 
 
-def test_sanitize_arrays():
-    clean = np.array([[0.1, -2.5e-300], [np.inf, 3.0]])
-    assert _sanitize(clean) == [[0.1, -2.5e-300], [np.inf, 3.0]]
-    assert _sanitize({"a": np.array([1.0, np.nan])}) == {"a": [1.0, None]}
-    assert _sanitize(np.array([1, 2])) == [1, 2]
-    assert json.dumps(_sanitize(clean)) == json.dumps(clean.tolist())
+def _assert_solution_round_trips(spec_path, doc):
+    """Every array of the written solution loads back bitwise equal to the
+    same solve in memory (s and xbar are strided views of the solver's
+    arrays)."""
+    spec = load_spec(spec_path)
+    mf = solve_consistency(spec)
+    pairs = [("Pi", [sol.Pi for sol in mf.Pi]), ("s", [traj.values for traj in mf.s]),
+             ("riccati_residuals", [sol.residual for sol in mf.Pi]), ("J", mf.J),
+             ("L", mf.L.values), ("Abar", mf.Abar), ("mbar", mf.mbar.values),
+             ("xbar", mf.xbar.values), ("mubar", mf.mubar.values),
+             ("residual", mf.residual), ("independent_residual", consistency_residual(mf, spec))]
+    for key, value in pairs:
+        assert np.array_equal(np.asarray(doc[key]), np.asarray(value)), key
+    assert doc["grid"] == {"t0": mf.grid.t0, "t1": mf.grid.t1, "steps": mf.grid.steps}
 
 
 def _solve_exit_contract(spec):
     """`lqgmfg solve` exits 0, or 2 with error.json; never 1, never a
     traceback.  A rerun exits alike and writes every file byte for byte the
-    same, except manifest.json (a timestamp and the output path)."""
+    same, except manifest.json (a timestamp and the output path).  A written
+    solution loads back bitwise equal to the solve in memory."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "spec.json"
         save_spec(spec, path)
@@ -285,6 +295,8 @@ def _solve_exit_contract(spec):
             event(doc["type"])
         else:
             assert "meanfield_solution.json" in files
+        if "meanfield_solution.json" in files:
+            _assert_solution_round_trips(path, json.loads(files["meanfield_solution.json"]))
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)

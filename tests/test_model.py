@@ -1,13 +1,16 @@
 import dataclasses
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from conftest import random_specs, unconstrained_specs
-from lqgmfg.model import (PopulationSpec, SubpopParams, TimeTable, expand,
-                          selector_matrix, spec_from_json, spec_to_json, validate_spec)
+from lqgmfg.model import (PopulationSpec, SubpopParams, TimeTable, expand, load_spec,
+                          save_spec, selector_matrix, spec_from_json, spec_to_json,
+                          validate_spec)
 from lqgmfg.presets import two_type_spec
 
 
@@ -151,7 +154,10 @@ def assert_specs_equal(a, b):
 
 
 def json_round_trip(spec):
-    return spec_from_json(json.loads(json.dumps(spec_to_json(spec))))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "spec.json"
+        save_spec(spec, path)
+        return load_spec(path)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -174,6 +180,18 @@ def test_json_round_trip_tabulated_offset():
     back = json_round_trip(spec)
     assert_specs_equal(back, spec)
     assert back.subpops[1].b.times is not None
+
+
+def test_spec_file_compact_and_indented_still_read(tmp_path):
+    spec = two_type_spec()
+    path = tmp_path / "spec.json"
+    save_spec(spec, path)
+    text = path.read_text()
+    assert text.count("\n") == 1 and text.endswith("\n") and ": " not in text
+    # files written with json.dump(..., indent=2) load as before
+    old = tmp_path / "indented.json"
+    old.write_text(json.dumps(spec_to_json(spec), indent=2))
+    assert_specs_equal(load_spec(old), spec)
 
 
 def test_json_missing_required_key():

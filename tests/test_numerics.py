@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 
 from lqgmfg.numerics import (OdeBlowupError, TimeGrid, Trajectory, rng_stream,
                              cholesky_psd, fit_rate, rk4_linear_tabulated,
-                             rk4_linear_time_varying, sample_gaussian, spectral_abscissa)
+                             rk4_linear_time_varying, sample_gaussian, spectral_abscissa,
+                             write_json)
 from ode_reference import integrate_ode
 
 
@@ -376,3 +378,27 @@ def test_trajectory_interp_bounds():
     assert traj.interp(0.55) == pytest.approx(0.55)
     with pytest.raises(ValueError):
         traj.interp(1.5)
+
+
+def test_write_json(tmp_path):
+    path = tmp_path / "doc.json"
+    strided = np.arange(6.0).reshape(2, 3).T          # a transposed view
+    assert not strided.flags.c_contiguous
+    write_json(path, {
+        "z": {"nan": np.array([1.0, np.nan]), "inf": [np.inf, -np.inf, float("nan")]},
+        "scalars": [np.float64(0.1), np.int64(-3), np.bool_(True), np.array(2.5)],
+        "strided": strided, "tuple": (1, 2.0, None), "empty": np.zeros((2, 0)),
+    })
+    assert path.read_bytes() == (
+        b'{"empty":[[],[]],"scalars":[0.1,-3,true,2.5],'
+        b'"strided":[[0.0,3.0],[1.0,4.0],[2.0,5.0]],"tuple":[1,2.0,null],'
+        b'"z":{"inf":[null,null,null],"nan":[1.0,null]}}\n')
+    # shortest round-trip spelling: json.load gives back every bit
+    x = np.random.default_rng(3).standard_normal(1000) * 10.0 ** np.arange(-300, 300, 0.6)
+    x = np.concatenate([x, [5e-324, -0.0, np.finfo(float).max, 0.1 + 0.2]])
+    write_json(path, [x, x[::-3]])
+    back = json.loads(path.read_text())
+    assert np.array_equal(back[0], x) and np.array_equal(back[1], x[::-3])
+    assert np.array_equal(np.signbit(back[0]), np.signbit(x))
+    with pytest.raises(TypeError):
+        write_json(path, {"x": object()})

@@ -199,6 +199,27 @@ def test_empirical_cost_zero_paths():
     assert est.mean == pytest.approx(0.0, abs=1e-20)
 
 
+def test_type_index_checked(two_type):
+    # k = -1 once ran the last type, k = K raised a bare IndexError, and an
+    # agent of another type was costed with type k's weights
+    spec, mf = two_type
+    grid = TimeGrid(0.0, 1.0, 20)
+    batch = simulate_population(spec, mf, SimConfig(N=4, counts=(2, 2), grid=grid, seed=0))
+    cases = [
+        (lambda: coe_experiment(spec, mf, -1, reps=4, seed=0, grid=grid), "type k=-1 outside"),
+        (lambda: coe_experiment(spec, mf, 2, reps=4, seed=0, grid=grid), "type k=2 outside"),
+        (lambda: empirical_cost(batch, spec, -1, "classical", spec.rho, agents=[0]),
+         "type k=-1 outside"),
+        (lambda: empirical_cost(batch, spec, 2, "classical", spec.rho), "type k=2 outside"),
+        (lambda: empirical_cost(batch, spec, 0, "classical", spec.rho, agents=[2]),
+         r"agents \[2\] are not paths of type k=0"),
+    ]
+    for call, match in cases:
+        with pytest.raises(ValueError, match=match):
+            call()
+    assert empirical_cost(batch, spec, 1, "classical", spec.rho, agents=[2, 3]).per_agent.size == 2
+
+
 def dp_value_oracle(A, B, Q, R, rho, x0, dt=0.01, iters=3000):
     """Value iteration for the deterministic discounted scalar LQR on a grid;
     independent of the Riccati machinery."""
@@ -1126,11 +1147,13 @@ def test_empirical_cost_matches_einsum_reference(spec, steps, extra, infinite,
     block = simulator._COST_BLOCK
     batch = _random_batch(rng, spec, block + extra, steps, infinite, per_path)
     k = int(rng.integers(0, spec.K))
-    # an unsorted subset across a block boundary, or all agents of type k
+    # an unsorted subset across a block boundary, or all agents of type k;
+    # only paths of type k are costed with its weights, so a subset (or too
+    # few paths of type k) makes every path type k
+    if subset or np.sum(batch.types == k) < 2:
+        batch.types[:] = k
     agents = (rng.choice(batch.N, size=block + (extra + 1) // 2, replace=False)
               if subset else None)
-    if agents is None and np.sum(batch.types == k) < 2:
-        agents = np.arange(batch.N)
     for mode in ("classical", "exploratory", "exploratory-regularized"):
         got = empirical_cost(batch, spec, k, mode, spec.rho, agents=agents)
         ref = empirical_cost_reference(batch, spec, k, mode, spec.rho, agents)
