@@ -1,11 +1,15 @@
-"""Command-line front end: load a game spec, run the solvers and the
-equilibrium experiments, and emit CSV/JSON tables.
+"""Command-line front end: load a game spec or a market doc, run the
+solvers and the equilibrium experiments, and emit CSV/JSON tables.
+
+`main` is the one error boundary: the commands raise, and only `main`
+turns an exception into an exit code.  0 on success; 1 on a usage, input
+or I/O error (OSError, KeyError, TypeError, the other ValueErrors); 2 on a
+numerical failure (RuntimeError, SpecValidationError, LinAlgError).  Once
+the output directory exists, a failure writes error.json there.
 
 Every run writes a manifest (command, inputs, seed, version, timestamp) and
-a copy of the input spec into the output directory; reruns with the same
-command, spec, and seed write every other file byte for byte the same.
-Exit codes: 0 on success, 1 on usage or I/O errors, 2 on numerical failures
-(divergence, instability).
+a copy of the input into the output directory; reruns with the same
+command, input and seed write every other file byte for byte the same.
 """
 
 from __future__ import annotations
@@ -16,18 +20,17 @@ import json
 import math
 import shutil
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .meanfield import (ConsistencyError, SolverConfig, consistency_residual,
-                        solve_consistency, stability_reports)
+from .meanfield import (SolverConfig, consistency_residual, solve_consistency,
+                        stability_reports)
 from .model import SpecValidationError, load_spec
-from .numerics import (RNG_SCHEME, OdeBlowupError, TimeGrid, rng_stream, write_csv,
-                       write_json)
+from .numerics import RNG_SCHEME, TimeGrid, rng_stream, write_csv, write_json
 from .policy import exploration_covariance, policy_entropy, value_gap
-from .riccati import RiccatiError
 from .simulator import (PolicyDeviation, coe_experiment, cost_gap_experiment,
                         coupling_gap_experiment, nash_deviation_experiment,
                         write_experiment_csv)
@@ -36,31 +39,25 @@ from .trading import (TradingLoopConfig, params_from_json, rl_loop,
                       trading_policy)
 from .variational import gaussian_grid_density
 
-_NUMERIC_ERRORS = (ConsistencyError, RiccatiError, OdeBlowupError,
-                   SpecValidationError, np.linalg.LinAlgError)
-
-EXPERIMENT_KINDS = ("coupling-gap", "cost-gap", "nash", "coe", "lambda-sweep",
-                    "entropy-audit")
+# exit 2 is caught first: SpecValidationError and LinAlgError are ValueErrors
+_EXIT_2 = (RuntimeError, SpecValidationError, np.linalg.LinAlgError)
+_EXIT_1 = (OSError, KeyError, TypeError, ValueError)
 
 
-def _manifest(args, command: str, spec_path: str, overrides: dict) -> dict:
-    return {
-        "command": command,
-        "spec": spec_path,
-        "overrides": overrides,
+def _prepare_out(args) -> Path:
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    write_json(out / "manifest.json", {
+        "command": args.command + (f":{args.kind}" if "kind" in args else ""),
+        "spec": args.path,
+        "overrides": {name: getattr(args, name) for name in args.overrides},
         "seed": args.seed,
         "rng_scheme": RNG_SCHEME,
         "out": str(args.out),
         "tool_version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-    }
-
-
-def _prepare_out(args, command: str, spec_path: str, overrides: dict) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_json(out / "manifest.json", _manifest(args, command, spec_path, overrides))
-    src = Path(spec_path)
+    })
+    src = Path(args.path)
     if src.exists():
         shutil.copy(src, out / src.name)
     return out
@@ -77,48 +74,47 @@ def _fail(out: Path | None, exc: Exception, code: int) -> int:
     return code
 
 
-def _solver_config(args) -> SolverConfig:
-    return SolverConfig(horizon=args.horizon, steps=args.steps)
+def _load_doc(path) -> dict:
+    with open(path) as fh:
+        return json.load(fh)
 
 
-def cmd_solve(args) -> int:
-    out = None
-    try:
-        spec = load_spec(args.spec)
-        out = _prepare_out(args, "solve", args.spec,
-                           {"horizon": args.horizon, "steps": args.steps})
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        return _fail(out, exc, 1)
-    try:
-        mf = solve_consistency(spec, _solver_config(args))
-    except _NUMERIC_ERRORS as exc:
-        return _fail(out, exc, 2)
+def _solve(spec, args):
+    """The consistency solve on the grid that --horizon and --steps set."""
+    if args.steps is not None and args.steps < 4:
+        # the independent residual's fourth-order difference needs 5 nodes
+        raise ValueError(f"--steps must be at least 4, got {args.steps}")
+    if args.horizon is not None and not 0 < args.horizon < math.inf:
+        raise ValueError(f"--horizon must be positive and finite, got {args.horizon}")
+    return solve_consistency(spec, SolverConfig(horizon=args.horizon, steps=args.steps))
+
+
+def cmd_solve(args, spec, out: Path) -> None:
+    mf = _solve(spec, args)
     reports = stability_reports(mf, spec)
     doc = mf.to_json_dict()
     doc["independent_residual"] = consistency_residual(mf, spec)
     write_json(out / "meanfield_solution.json", doc)
+    stable = all(r.ok for r in reports)
     write_json(out / "stability_report.json", {
-        "ok": all(r.ok for r in reports),
+        "ok": stable,
         "per_type": [{"ok": r.ok, "pi_min_eig": r.pi_min_eig,
                       "abar_margin": r.abar_margin,
                       "closed_loop_margin": r.closed_loop_margin,
                       "messages": list(r.messages)} for r in reports],
     })
-    stable = all(r.ok for r in reports)
     print(f"solved directly, residual {mf.residual:.3e}, stable={stable}")
-    if stable:
-        return 0
-    failed = "; ".join(f"type {k}: {msg}" for k, r in enumerate(reports)
-                       for msg in r.messages)
-    return _fail(out, RuntimeError(f"stability margins fail: {failed}"), 2)
+    if not stable:
+        failed = "; ".join(f"type {k}: {msg}" for k, r in enumerate(reports)
+                           for msg in r.messages)
+        raise RuntimeError(f"stability margins fail: {failed}")
 
 
-def _parse_ns(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip()]
-
-
-def _parse_lambdas(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
+def _parse_list(text: str, flag: str, cast=float) -> list:
+    values = [cast(v) for v in text.split(",") if v.strip()]
+    if not values or not all(map(math.isfinite, values)):
+        raise ValueError(f"{flag} needs one or more finite values, got {text!r}")
+    return values
 
 
 def _default_family(m: int) -> list[PolicyDeviation]:
@@ -130,62 +126,33 @@ def _default_family(m: int) -> list[PolicyDeviation]:
     return fam
 
 
-def cmd_experiment(args) -> int:
-    out = None
-    try:
-        spec = load_spec(args.spec)
-        out = _prepare_out(args, f"experiment:{args.kind}", args.spec,
-                           {"reps": args.reps, "Ns": args.Ns,
-                            "lambda_list": args.lambda_list,
-                            "horizon": args.horizon, "steps": args.steps})
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        return _fail(out, exc, 1)
-    try:
-        rows: list[dict] = []
-        summary: dict = {}
-        kind = args.kind
-        if kind == "coupling-gap":
-            mf = solve_consistency(spec, _solver_config(args))
-            res = coupling_gap_experiment(spec, mf, _parse_ns(args.Ns),
-                                          reps=args.reps, seed=args.seed)
-            rows, summary = res.rows, res.summary
-        elif kind == "cost-gap":
-            mf = solve_consistency(spec, _solver_config(args))
-            res = cost_gap_experiment(spec, mf, _parse_ns(args.Ns),
-                                      reps=args.reps, seed=args.seed)
-            rows, summary = res.rows, res.summary
-        elif kind == "nash":
-            mf = solve_consistency(spec, _solver_config(args))
-            summary = {"eps_hat": {}}
-            for N in _parse_ns(args.Ns):
-                res = nash_deviation_experiment(spec, mf, N,
-                                                _default_family(spec.m),
-                                                reps=args.reps, seed=args.seed)
-                rows.extend(res.rows)
-                summary["eps_hat"][str(N)] = res.summary["eps_hat"]
-                summary[f"N{N}"] = res.summary
-        elif kind == "coe":
-            mf = solve_consistency(spec, _solver_config(args))
-            res = coe_experiment(spec, mf, 0, reps=args.reps, seed=args.seed)
-            rows, summary = res.rows, res.summary
-        elif kind == "lambda-sweep":
-            rows, summary = _lambda_sweep(spec, args)
-        elif kind == "entropy-audit":
-            rows, summary = _entropy_audit(spec, args)
-        else:  # pragma: no cover - argparse restricts choices
-            raise ValueError(f"unknown experiment kind {kind}")
-    except _NUMERIC_ERRORS as exc:
-        return _fail(out, exc, 2)
-    except ValueError as exc:       # an argument out of range
-        return _fail(out, exc, 1)
-    write_experiment_csv(out / "experiment.csv", rows)
-    write_json(out / "summary.json", summary)
-    print(f"{args.kind}: wrote {len(rows)} rows to {out / 'experiment.csv'}")
-    return 0
+def _gap(experiment):
+    def run(spec, args):
+        Ns = _parse_list(args.Ns, "--Ns", int)
+        res = experiment(spec, _solve(spec, args), Ns, reps=args.reps, seed=args.seed)
+        return res.rows, res.summary
+    return run
+
+
+def _nash(spec, args):
+    Ns = _parse_list(args.Ns, "--Ns", int)
+    mf = _solve(spec, args)
+    rows, summary = [], {"eps_hat": {}}
+    for N in Ns:
+        res = nash_deviation_experiment(spec, mf, N, _default_family(spec.m),
+                                        reps=args.reps, seed=args.seed)
+        rows.extend(res.rows)
+        summary["eps_hat"][str(N)] = res.summary["eps_hat"]
+        summary[f"N{N}"] = res.summary
+    return rows, summary
+
+
+def _coe(spec, args):
+    res = coe_experiment(spec, _solve(spec, args), 0, reps=args.reps, seed=args.seed)
+    return res.rows, res.summary
 
 
 def _with_lambda(spec, lam: float):
-    from dataclasses import replace
     subs = tuple(replace(p, lambda_explore=lam) for p in spec.subpops)
     return replace(spec, subpops=subs)
 
@@ -193,7 +160,7 @@ def _with_lambda(spec, lam: float):
 def _lambda_sweep(spec, args):
     """Value-gap formula across exploration weights, plus a sampled
     action-vs-mean RMS at the smallest weight."""
-    lams = _parse_lambdas(args.lambda_list)
+    lams = _parse_list(args.lambda_list, "--lambda-list")
     rows, gaps = [], []
     for i, lam in enumerate(lams):
         s = _with_lambda(spec, lam)
@@ -220,10 +187,8 @@ def _entropy_audit(spec, args):
     The entropy of the optimal policy is state- and time-independent, so a
     single well-resolved +-8 sigma box per exploration weight suffices.
     """
-    lams = _parse_lambdas(args.lambda_list) if args.lambda_list else None
-    lams = lams or [spec.subpops[0].lambda_explore]
     rows, audit = [], []
-    for i, lam in enumerate(lams):
+    for i, lam in enumerate(_parse_list(args.lambda_list, "--lambda-list")):
         s = _with_lambda(spec, lam)
         p = s.subpops[0]
         closed = policy_entropy(0, s)
@@ -260,65 +225,71 @@ def _entropy_audit(spec, args):
     return rows, summary
 
 
-def cmd_trade(args) -> int:
-    out = None
-    try:
-        with open(args.params) as fh:
-            doc = json.load(fh)
-        params = params_from_json(doc)
-        out = _prepare_out(args, f"trade:{args.kind}", args.params,
-                           {"reps": args.reps, "steps": args.steps})
-    except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
-        return _fail(out, exc, 1)
+# kind -> runner(spec, args) -> (rows, summary)
+_EXPERIMENTS = {"coupling-gap": _gap(coupling_gap_experiment),
+                "cost-gap": _gap(cost_gap_experiment),
+                "nash": _nash, "coe": _coe, "lambda-sweep": _lambda_sweep,
+                "entropy-audit": _entropy_audit}
+EXPERIMENT_KINDS = tuple(_EXPERIMENTS)
+
+
+def cmd_experiment(args, spec, out: Path) -> None:
+    rows, summary = _EXPERIMENTS[args.kind](spec, args)
+    write_experiment_csv(out / "experiment.csv", rows)
+    write_json(out / "summary.json", summary)
+    print(f"{args.kind}: wrote {len(rows)} rows to {out / 'experiment.csv'}")
+
+
+def cmd_trade(args, doc: dict, out: Path) -> None:
+    params = params_from_json(doc)
     lam_explore = float(doc.get("lambda_explore", 0.1))
     n_traders = int(doc.get("n_traders", 8))
-    steps = args.steps or int(doc.get("steps", 200))
-    try:
-        if args.kind == "simulate":
-            mapping = to_lqg(params, lambda_explore=lam_explore)
-            fh_sol = solve_finite_horizon(mapping, steps=steps)
-            pol = trading_policy(mapping, fh_sol)
-            grid = TimeGrid(0.0, params.T, steps)
-            paths = simulate_market(params, pol, n_traders, grid, args.seed)
-            _write_market_csv(out / "market.csv", paths)
-            reps = args.reps or 64
-            drifts = []
-            for rep in range(reps):
-                pr = simulate_market(params, pol, n_traders, grid, args.seed,
-                                     rep=1 + rep)
-                drifts.append(pr.F[-1] - pr.F[0])
-            drifts = np.asarray(drifts)
-            se = drifts.std(ddof=1) / math.sqrt(reps)
-            summary = {
-                "terminal_inventory_mean": float(paths.q[:, -1].mean()),
-                "midprice_drift_mean": float(drifts.mean()),
-                "midprice_drift_se": float(se),
-                "martingale_check_4se": bool(abs(drifts.mean()) <= 4 * se)
-                if params.lambda_perm == 0 else None,
-            }
-            write_json(out / "summary.json", summary)
-        else:
-            init = params_from_json(doc.get("init", doc))
-            cfg = TradingLoopConfig(
-                iterations=int(doc.get("iterations", 5)),
-                inner_repeats=int(doc.get("episodes", 5)),
-                n_traders=n_traders, steps=steps,
-                lambda_explore=lam_explore, seed=args.seed)
-            trace = rl_loop(params, init, cfg)
-            trace.write_csv(out / "trace.csv")
-            write_json(out / "trace.json", trace.to_json())
-            last = trace.rows[-1]
-            write_json(out / "summary.json", {
-                "iterations": len(trace.rows),
-                "final": last,
-                "gain_drift": _gain_drift(trace),
-            })
-            if last.get("failed"):
-                return 2
-        print(f"trade:{args.kind} outputs in {out}")
-        return 0
-    except _NUMERIC_ERRORS + (RuntimeError,) as exc:
-        return _fail(out, exc, 2)
+    steps = int(doc.get("steps", 200))
+    if args.kind == "simulate":
+        reps = args.reps
+        if reps < 2:
+            raise ValueError(f"--reps must be at least 2 for a standard error, got {reps}")
+        mapping = to_lqg(params, lambda_explore=lam_explore)
+        fh_sol = solve_finite_horizon(mapping, steps=steps)
+        pol = trading_policy(mapping, fh_sol)
+        grid = TimeGrid(0.0, params.T, steps)
+        paths = simulate_market(params, pol, n_traders, grid, args.seed)
+        _write_market_csv(out / "market.csv", paths)
+        drifts = []
+        for rep in range(reps):
+            pr = simulate_market(params, pol, n_traders, grid, args.seed,
+                                 rep=1 + rep)
+            drifts.append(pr.F[-1] - pr.F[0])
+        drifts = np.asarray(drifts)
+        se = drifts.std(ddof=1) / math.sqrt(reps)
+        summary = {
+            "terminal_inventory_mean": float(paths.q[:, -1].mean()),
+            "midprice_drift_mean": float(drifts.mean()),
+            "midprice_drift_se": float(se),
+            "martingale_check_4se": bool(abs(drifts.mean()) <= 4 * se)
+            if params.lambda_perm == 0 else None,
+        }
+        write_json(out / "summary.json", summary)
+    else:
+        init = params_from_json(doc.get("init", doc))
+        cfg = TradingLoopConfig(
+            iterations=int(doc.get("iterations", 5)),
+            inner_repeats=int(doc.get("episodes", 5)),
+            n_traders=n_traders, steps=steps,
+            lambda_explore=lam_explore, seed=args.seed)
+        trace = rl_loop(params, init, cfg)
+        trace.write_csv(out / "trace.csv")
+        write_json(out / "trace.json", trace.to_json())
+        last = trace.rows[-1]
+        write_json(out / "summary.json", {
+            "iterations": len(trace.rows),
+            "final": last,
+            "gain_drift": _gain_drift(trace),
+        })
+        if last["failed"]:
+            raise RuntimeError(f"plan failed at iteration {last['iteration']}: "
+                               f"{last['error']}")
+    print(f"trade:{args.kind} outputs in {out}")
 
 
 def _gain_drift(trace) -> float | None:
@@ -337,47 +308,60 @@ def _write_market_csv(path: Path, paths) -> None:
                for i, t in enumerate(paths.grid.times())])
 
 
+_FLAGS = {
+    "--steps": dict(type=int, help="grid steps, at least 4 (default: automatic)"),
+    "--horizon": dict(type=float, help="solve horizon (default: automatic)"),
+    "--reps": dict(type=int, default=64, help="repetitions"),
+    "--Ns": dict(default="16,64,256,1024", help="comma list of population sizes"),
+    "--lambda-list": dict(dest="lambda_list",
+                          default="1,0.1,0.01,0.001,0.0001,0.00001,0.000001",
+                          help="comma list of exploration weights"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="lqgmfg",
                                  description="Exploratory LQG mean-field-game solver and experiments")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, help, kinds, path, load, func, flags):
+        p = sub.add_parser(name, help=help)
+        if kinds:
+            p.add_argument("kind", choices=kinds)
+        p.add_argument("path", metavar=path[0], help=path[1])
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--steps", type=int, default=None)
-        p.add_argument("--horizon", type=float, default=None)
-        p.add_argument("--reps", type=int, default=64)
-        p.add_argument("--Ns", default="16,64,256,1024", help="comma list of population sizes")
-        p.add_argument("--lambda-list", dest="lambda_list",
-                       default="1,0.1,0.01,0.001,0.0001,0.00001,0.000001")
+        dests = [p.add_argument(flag, **_FLAGS[flag]).dest for flag in flags]
+        # the flags besides --seed and --out go into the manifest's overrides
+        p.set_defaults(load=load, func=func, overrides=dests)
 
-    ps = sub.add_parser("solve", help="solve the consistency fixed point")
-    ps.add_argument("spec", help="population spec JSON")
-    common(ps)
-    ps.set_defaults(func=cmd_solve)
-
-    pe = sub.add_parser("experiment", help="run an equilibrium experiment")
-    pe.add_argument("kind", choices=EXPERIMENT_KINDS)
-    pe.add_argument("spec", help="population spec JSON")
-    common(pe)
-    pe.set_defaults(func=cmd_experiment)
-
-    pt = sub.add_parser("trade", help="trading application (simulate | learn)")
-    pt.add_argument("kind", choices=("simulate", "learn"))
-    pt.add_argument("params", help="market params JSON")
-    common(pt)
-    pt.set_defaults(func=cmd_trade)
+    spec = ("spec", "population spec JSON")
+    command("solve", "solve the consistency fixed point", None, spec, load_spec,
+            cmd_solve, ("--steps", "--horizon"))
+    command("experiment", "run an equilibrium experiment", EXPERIMENT_KINDS, spec,
+            load_spec, cmd_experiment, tuple(_FLAGS))
+    command("trade", "trading application (simulate | learn)", ("simulate", "learn"),
+            ("params", "market params JSON"), _load_doc, cmd_trade, ("--reps",))
     return ap
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command.  The one place where an exception becomes an exit
+    code; see the module docstring for the rule."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:       # --help, or a usage error argparse printed
         return 0 if exc.code == 0 else 1
-    return args.func(args)
+    out = None
+    try:
+        source = args.load(args.path)
+        out = _prepare_out(args)
+        args.func(args, source, out)
+    except _EXIT_2 as exc:
+        return _fail(out, exc, 2)
+    except _EXIT_1 as exc:
+        return _fail(out, exc, 1)
+    return 0
 
 
 if __name__ == "__main__":

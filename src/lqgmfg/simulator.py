@@ -272,6 +272,8 @@ def _draw_sums(spec: PopulationSpec, grid: TimeGrid, counts, reps: int, seed: in
     return _NoiseSums(root * x0, np.moveaxis(root * dW, 0, 1), AgentNoise(*tag))
 
 
+# a blow-up is reported as the first non-finite state, not as a warning
+@np.errstate(over="ignore", invalid="ignore")
 def _euler(spec: PopulationSpec, mf: MeanFieldSolution, grid: TimeGrid, counts,
            rows: AgentNoise, types, sums: _NoiseSums | None = None, shifts=0.0,
            scales=1.0, exogenous: bool = False, mode: str = "exploratory",
@@ -818,9 +820,13 @@ def coe_experiment(spec: PopulationSpec, mf: MeanFieldSolution, k: int,
         z = zw[:, :reps * m].reshape(c, reps, m)
         kick = sqdt * (zw[:cw, reps * m:].reshape(cw, reps, r) @ p.D.T)
         kick += step_off[lo:lo + cw, None, :]
-        for j in range(cw):
-            np.matmul(X[j], step_mat, out=X[j + 1])
-            X[j + 1] += kick[j]
+        with np.errstate(over="ignore", invalid="ignore"):   # checked below
+            for j in range(cw):
+                np.matmul(X[j], step_mat, out=X[j + 1])
+                X[j + 1] += kick[j]
+        finite = np.isfinite(X[:c]).all(axis=(1, 2))
+        if not finite.all():
+            raise RuntimeError(f"non-finite state at t={ts[lo + finite.argmin()]:.4g}")
         g = z @ zz + X[:c] @ xz
         g += h[lo:lo + c, None, :]
         acc += wdisc[lo:lo + c] @ _rowdot(g, z)

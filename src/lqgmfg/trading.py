@@ -256,6 +256,8 @@ def simulate_market(params: MarketParams, policy: GaussianPolicy, N: int,
     sqdt = math.sqrt(dt)
     if policy.grid.steps != steps or abs(policy.grid.t1 - grid.t1) > 1e-12:
         raise ValueError("policy grid does not match the simulation grid")
+    if N < 1:
+        raise ValueError(f"need at least one trader, got N={N}")
     noise = rng_stream(seed, rep).standard_normal((N + 1, steps))
     dF_noise = (params.sigma * sqdt * noise[0]).tolist()
     L = float(policy.chol[0, 0])
@@ -386,6 +388,13 @@ class TradingLoopConfig:
     lambda_explore: float = 0.1
     seed: int = 0
 
+    def __post_init__(self):
+        if self.lambda_explore < 0:
+            raise ValueError("lambda_explore must be nonnegative")
+        if self.iterations < 0 or self.inner_repeats < 1:
+            raise ValueError(f"need iterations >= 0 and inner_repeats >= 1, got "
+                             f"{self.iterations} and {self.inner_repeats}")
+
 
 @dataclass
 class LearningTrace:
@@ -422,8 +431,6 @@ def rl_loop(true_params: MarketParams, init_params: MarketParams,
     recorded and halts the loop.
     """
     config = config or TradingLoopConfig()
-    if config.lambda_explore < 0:
-        raise ValueError("lambda_explore must be nonnegative")
     grid = TimeGrid(0.0, true_params.T, config.steps)
     trace = LearningTrace()
     dataset = TradingDataset()

@@ -1,7 +1,9 @@
+import argparse
 import contextlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -13,7 +15,7 @@ from hypothesis import event, given, settings
 
 from conftest import random_specs, unconstrained_specs
 
-from lqgmfg.cli import main
+from lqgmfg.cli import build_parser, main
 from lqgmfg.meanfield import consistency_residual, solve_consistency
 from lqgmfg.numerics import RNG_SCHEME
 from lqgmfg.model import (PopulationSpec, SubpopParams, load_spec, save_spec,
@@ -40,6 +42,13 @@ def spec_files(tmp_path_factory):
     doc["init"] = dict(sigma=0.2, lambda_perm=0.0, a_temp=0.02, phi_urgency=0.1,
                        psi_terminal=1.0, T=1.0, F0=10.0, q0=5.0)
     market.write_text(json.dumps(doc))
+    (root / "market_steps.json").write_text(json.dumps(dict(doc, steps=-5)))
+    (root / "market_no_traders.json").write_text(json.dumps(dict(doc, n_traders=0)))
+    (root / "market_no_episodes.json").write_text(json.dumps(dict(doc, episodes=0)))
+    (root / "market_a0.json").write_text(json.dumps(
+        dict(doc, init=dict(doc["init"], a_temp=0.0))))      # R = 0 in the first plan
+    # explicit Euler on the default experiment grids blows up at A = -450
+    save_spec(scalar_decoupled_spec(A=-450.0, D=0.1, x0_var=0.1), root / "stiff.json")
     return root
 
 
@@ -196,21 +205,96 @@ def test_experiment_nash_identity_family_csv(spec_files, tmp_path):
     assert "eps_hat" in summ
 
 
-@pytest.mark.parametrize("kind, extra, match", [
-    ("coupling-gap", ["--reps", "0"], "reps must be at least 1"),
-    ("coupling-gap", ["--Ns", "0,16"], "every N must be at least 1"),
-    ("cost-gap", ["--horizon", "2", "--steps", "20"], "past the solved horizon"),
-    ("nash", ["--Ns", "8", "--reps", "0"], "reps must be at least 1"),
-    ("coe", ["--reps", "0"], "reps must be at least 1"),
+def _case(id, argv, code, err_type=None, match=None):
+    return pytest.param(argv, code, err_type, match, id=id)
+
+
+@pytest.mark.parametrize("argv, code, err_type, match", [
+    _case("coupling-gap-extra0-reps must be at least 1",
+          ["experiment", "coupling-gap", "coupled", "--reps", "0"], 1, "ValueError",
+          "reps must be at least 1"),
+    _case("coupling-gap-extra1-every N must be at least 1",
+          ["experiment", "coupling-gap", "coupled", "--Ns", "0,16"], 1, "ValueError",
+          "every N must be at least 1"),
+    _case("cost-gap-extra2-past the solved horizon",
+          ["experiment", "cost-gap", "coupled", "--horizon", "2", "--steps", "20"], 1,
+          "ValueError", "past the solved horizon"),
+    _case("nash-extra3-reps must be at least 1",
+          ["experiment", "nash", "coupled", "--Ns", "8", "--reps", "0"], 1, "ValueError",
+          "reps must be at least 1"),
+    _case("coe-extra4-reps must be at least 1",
+          ["experiment", "coe", "coupled", "--reps", "0"], 1, "ValueError",
+          "reps must be at least 1"),
+    _case("solve-steps-0", ["solve", "coupled", "--steps", "0"], 1, "ValueError",
+          "--steps must be at least 4"),
+    _case("solve-horizon-negative", ["solve", "coupled", "--horizon", "-1"], 1,
+          "ValueError", "--horizon must be positive"),
+    _case("solve-steps-3", ["solve", "coupled", "--horizon", "0.5", "--steps", "3"], 1,
+          "ValueError", "--steps must be at least 4"),
+    _case("simulate-reps-negative", ["trade", "simulate", "market", "--reps", "-3"], 1,
+          "ValueError", "--reps must be at least 2"),
+    _case("simulate-reps-1", ["trade", "simulate", "market", "--reps", "1"], 1,
+          "ValueError", "--reps must be at least 2"),
+    _case("learn-doc-steps-negative", ["trade", "learn", "market_steps"], 1,
+          "ValueError", "at least one step"),
+    _case("simulate-doc-no-traders", ["trade", "simulate", "market_no_traders"], 1,
+          "ValueError", "at least one trader"),
+    _case("learn-doc-no-episodes", ["trade", "learn", "market_no_episodes"], 1,
+          "ValueError", "inner_repeats >= 1"),
+    _case("nash-empty-Ns", ["experiment", "nash", "coupled", "--Ns", ""], 1,
+          "ValueError", "--Ns needs"),
+    _case("lambda-sweep-empty-list",
+          ["experiment", "lambda-sweep", "coupled", "--lambda-list", ""], 1,
+          "ValueError", "--lambda-list needs"),
+    _case("cost-gap-blow-up", ["experiment", "cost-gap", "stiff", "--reps", "2", "--Ns", "4"],
+          2, "RuntimeError", "non-finite state"),
+    _case("nash-blow-up", ["experiment", "nash", "stiff", "--reps", "2", "--Ns", "4"], 2,
+          "RuntimeError", "non-finite state"),
+    _case("coe-blow-up", ["experiment", "coe", "stiff", "--reps", "2"], 2, "RuntimeError",
+          "non-finite state"),
+    _case("learn-failed-plan", ["trade", "learn", "market_a0"], 2, "RuntimeError",
+          "R not positive definite"),
+    # a flag the command does not read is a usage error: no output directory
+    _case("solve-reps-usage", ["solve", "coupled", "--reps", "5"], 1),
+    _case("learn-Ns-usage", ["trade", "learn", "market", "--Ns", "4"], 1),
 ])
-def test_experiment_argument_error_exit_1(spec_files, tmp_path, capsys, kind, extra, match):
+def test_experiment_argument_error_exit_1(spec_files, tmp_path, capsys, argv, code, err_type, match):
+    """Bad input exits 1 (usage, input) or 2 (numerical) with error.json once
+    the output directory exists, never with a traceback."""
     out = tmp_path / "bad"
-    rc = main(["experiment", kind, str(spec_files / "coupled.json"),
-               "--out", str(out)] + extra)
-    assert rc == 1
-    err = json.loads((out / "error.json").read_text())
-    assert err["type"] == "ValueError" and match in err["error"]
+    argv = [str(spec_files / f"{a}.json") if (spec_files / f"{a}.json").exists() else a
+            for a in argv]
+    assert main(argv + ["--out", str(out)]) == code
+    if err_type is None:
+        assert not out.exists()
+    else:
+        err = json.loads((out / "error.json").read_text())
+        assert err["type"] == err_type and match in err["error"]
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_each_command_registers_only_the_flags_it_reads():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+             for name, p in sub.choices.items()}
+    assert flags == {
+        "solve": {"--seed", "--out", "--steps", "--horizon"},
+        "experiment": {"--seed", "--out", "--steps", "--horizon", "--reps", "--Ns",
+                       "--lambda-list"},
+        "trade": {"--seed", "--out", "--reps"},
+    }
+
+
+def test_readme_cli_lines_parse():
+    """Every `lqgmfg` line of the README's CLI block parses: the documented
+    commands and flags are the parser's."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    lines = [ln for ln in block.splitlines() if ln.startswith("lqgmfg ")]
+    assert len(lines) >= 6
+    for line in lines:
+        build_parser().parse_args(shlex.split(line, comments=True)[1:])
 
 
 def test_determinism_byte_identical(spec_files, tmp_path):
