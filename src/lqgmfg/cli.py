@@ -240,11 +240,20 @@ def cmd_experiment(args, spec, out: Path) -> None:
     print(f"{args.kind}: wrote {len(rows)} rows to {out / 'experiment.csv'}")
 
 
+def _doc_int(doc: dict, key: str, default: int) -> int:
+    """An integer field of the market doc: a fraction, a bool or a string
+    is refused, not truncated."""
+    value = doc.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def cmd_trade(args, doc: dict, out: Path) -> None:
     params = params_from_json(doc)
     lam_explore = float(doc.get("lambda_explore", 0.1))
-    n_traders = int(doc.get("n_traders", 8))
-    steps = int(doc.get("steps", 200))
+    n_traders = _doc_int(doc, "n_traders", 8)
+    steps = _doc_int(doc, "steps", 200)
     if args.kind == "simulate":
         reps = args.reps
         if reps < 2:
@@ -273,8 +282,8 @@ def cmd_trade(args, doc: dict, out: Path) -> None:
     else:
         init = params_from_json(doc.get("init", doc))
         cfg = TradingLoopConfig(
-            iterations=int(doc.get("iterations", 5)),
-            inner_repeats=int(doc.get("episodes", 5)),
+            iterations=_doc_int(doc, "iterations", 5),
+            inner_repeats=_doc_int(doc, "episodes", 5),
             n_traders=n_traders, steps=steps,
             lambda_explore=lam_explore, seed=args.seed)
         trace = rl_loop(params, init, cfg)

@@ -27,12 +27,15 @@ stream is named by a user seed and a key of small integers (a repetition, an
 episode) and drawn from ``rng_stream(seed, *key)``, NumPy's
 ``SeedSequence(seed, spawn_key=key)`` -- the child that
 ``SeedSequence(seed).spawn`` hands out -- feeding a PCG64 generator.  Streams
-of different (seed, key) pairs are statistically independent.  A noise pack
-is keyed (rep,), and its agents are rows of one stream, in a fixed order, so
-coupled experiments (common random numbers) replay the exact same noise per
-agent.  Experiments that read only per-type noise sums draw them as sums
-(sqrt(c) times one normal for c agents), one stream per (N, rep) keyed
-(7, N, rep), so no two population sizes share a draw.
+of different (seed, key) pairs are statistically independent.  A batch of
+paths (a population, or representative paths) is keyed (rep,) and read
+time-major from its stream: every path's initial state, then per node every
+path's action noise and, before the last node, its increments.  Coupled
+experiments (common random numbers) replay the same noise by passing one
+pack of those values to both systems.  Experiments that read only per-type
+noise sums draw them as sums (sqrt(c) times one normal for c agents), one
+stream per (N, rep) keyed (7, N, rep), so no two population sizes share a
+draw.
 """
 
 from __future__ import annotations
@@ -44,7 +47,8 @@ import orjson
 from scipy.linalg import solve_banded
 
 _SEED_MASK = (1 << 64) - 1
-RNG_SCHEME = "SeedSequence(seed, spawn_key=key)/PCG64; noise sums drawn as sums"
+RNG_SCHEME = ("SeedSequence(seed, spawn_key=key)/PCG64; paths drawn time-major "
+              "by node; noise sums drawn as sums")
 _CHUNK = 64                  # RK4 steps composed per scan chunk
 _SPLIT_GROWTH = 8.0          # split mode: log of the largest map product per chunk
 _JSON_OPTIONS = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE

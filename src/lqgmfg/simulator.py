@@ -10,16 +10,18 @@ and covariance checks only.  A deterministic classical feedback applies the
 same numbers (its control equals the policy mean), so the two modes share
 one kernel and, for a shared seed, one state path.
 
-Noise discipline: one stream per noise pack, ``rng_stream(seed, rep)``,
-drawn up-front.  Agent i owns row i of that stream, in a fixed order
-(initial state, then per-node action noise, then Brownian increments), so
-its noise depends on (seed, rep, i) only, not on N.  Coupled experiments
-replay the identical noise in the finite and limiting systems (common
-random numbers), which is what makes the gap statistics estimable at desk
-scale.  Experiments that read only per-type noise sums and a tagged row
-(the coupling gap, the cost gap, epsilon-Nash) draw just those, from
-``rng_stream(seed, _SUMS_KEY, N, rep)``: the sum of c iid standard normal
-rows has the law of sqrt(c) times one.
+Noise discipline: one draw rule, ``_noise_chunks``, for every path's noise.
+A batch of paths reads its stream time-major: every path's initial state,
+then per node every path's action noise and, before the last node, its
+increments, a chunk of nodes per ``standard_normal`` fill, so the values do
+not depend on the chunk.  ``_euler`` draws each chunk as it steps, in both
+modes alike, from ``rng_stream(seed, 0)`` for populations and representative
+paths (``rng_stream(seed)`` for the cost of exploration): no (N, nodes, .)
+noise array exists.  Common random numbers pass one ``draw_noise`` pack, the
+same values laid out agent-major, to both systems.  Experiments that read
+only per-type noise sums and a tagged row (the coupling gap, the cost gap,
+epsilon-Nash) draw just those, from ``rng_stream(seed, _SUMS_KEY, N, rep)``:
+the sum of c iid standard normal rows has the law of sqrt(c) times one.
 
 One kernel, ``_euler``, steps every population path, time-major: node i of
 a batch of populations is one contiguous block.  A population holds agents
@@ -35,7 +37,7 @@ tagged row, for every (deviation, repetition) at once, and cost every
 tagged path in one call of the one cost kernel, ``_path_costs``.  The
 experiments compute only what they read.  ``empirical_cost`` runs that
 kernel on blocks of agents, so its memory does not grow with the population.
-``coe_experiment`` keeps its own fused loop on its own stream (see there).
+``coe_experiment`` keeps its own fused loop (see there).
 """
 
 from __future__ import annotations
@@ -70,9 +72,9 @@ __all__ = [
     "write_experiment_csv",
 ]
 
-# rows per draw in draw_noise: about 1 MiB of float64 at a time
+# bytes per noise fill in coe_experiment: about 1 MiB of float64
 _BLOCK_BYTES = 1 << 20
-# nodes per time-major noise copy in _euler
+# nodes per noise chunk of a population or a batch of paths
 _NOISE_CHUNK = 16
 # agents per block in empirical_cost
 _COST_BLOCK = 256
@@ -143,8 +145,11 @@ class PolicyDeviation:
 
 @dataclass
 class AgentNoise:
-    """Pre-drawn per-agent noise: initial state, per-node action noise,
-    per-step Brownian increments (standard normal, unscaled)."""
+    """An agent-major noise pack (standard normal, unscaled): each agent's
+    initial state, per-node action noise and per-step Brownian increments.
+    ``_euler`` reads a pack a chunk of nodes at a time, time-major, as
+    ``_noise_chunks`` would have drawn it; leading batch axes are allowed
+    (the tagged rows of ``_draw_sums``)."""
 
     x0_z: np.ndarray      # (N, n)
     action_z: np.ndarray  # (N, nodes, m)
@@ -155,31 +160,58 @@ class AgentNoise:
         return self.x0_z.shape[0]
 
 
+def _noise_chunks(rng: np.random.Generator, P: int, n: int, m: int, r: int,
+                  steps: int, chunk: int):
+    """The one draw rule of P paths' noise over ``steps`` Euler steps.
+
+    Reads ``rng`` in order: the initial-state normals (P, n), then for each
+    node the action noise (P, m) and, before the last node, the increments
+    (P, r).  Yields the initial-state normals, then for each chunk of up to
+    ``chunk`` nodes the time-major action noise (c, P, m) and increments
+    (c', P, r), c' = c except on the last node's chunk.  A chunk is one
+    ``standard_normal`` fill, so the values do not depend on ``chunk``; the
+    chunks are views of one buffer, valid until the next is drawn.
+    """
+    yield rng.standard_normal((P, n))
+    nodes, per_node = steps + 1, P * (m + r)
+    chunk = min(chunk, nodes)
+    buf = np.empty(chunk * per_node)
+    for lo in range(0, nodes, chunk):
+        c = min(chunk, nodes - lo)
+        cw = min(c, steps - lo)                 # nodes with increments
+        rng.standard_normal(out=buf[:c * per_node - (c - cw) * P * r])
+        z = buf[:c * per_node].reshape(c, per_node)
+        yield z[:, :P * m].reshape(c, P, m), z[:cw, P * m:].reshape(cw, P, r)
+
+
+def _pack_chunks(pack: AgentNoise):
+    """A pack read as ``_noise_chunks`` yields a draw: its initial-state
+    normals, then time-major copies (c, ..., C, .) of each chunk of
+    ``_NOISE_CHUNK`` nodes' action noise and increments."""
+    yield pack.x0_z
+    for lo in range(0, pack.action_z.shape[-2], _NOISE_CHUNK):
+        yield tuple(np.moveaxis(a[..., lo:lo + _NOISE_CHUNK, :], -2, 0).copy()
+                    for a in (pack.action_z, pack.dW))
+
+
 def draw_noise(seed: int, N: int, steps: int, n: int, m: int, r: int,
                rep: int = 0) -> AgentNoise:
-    """Noise pack ``rep`` of ``seed``: one stream, ``rng_stream(seed, rep)``.
+    """Noise pack ``rep`` of ``seed``: the values ``_noise_chunks`` draws
+    from ``rng_stream(seed, rep)`` for N paths, laid out agent-major.
 
-    The values are those of one C-order (N, n + (steps+1)*m + steps*r) draw,
-    row i being agent i's initial state, action noise and increments, so row
-    i depends only on i, not on N.  The draw is made in blocks of rows, and
-    each array of the pack is allocated on its own.  Populations and limiting
-    paths read these packs; experiments that read only noise sums draw
-    those instead (``_draw_sums``).
+    Passed as ``noise=``, pack 0 gives the paths of the default draw of the
+    same seed, bit for bit; one pack passed to two systems replays the same
+    noise in both (common random numbers).  Agent i's values depend on N:
+    every node draws all N paths at once.
     """
-    nodes = steps + 1
-    x0_z = np.empty((N, n))
-    action_z = np.empty((N, nodes, m))
-    dW = np.empty((N, steps, r))
-    a = n + nodes * m
-    w = a + steps * r
-    rng = rng_stream(seed, rep)
-    block = max(1, _BLOCK_BYTES // (8 * w))
-    for lo in range(0, N, block):
-        hi = min(N, lo + block)
-        z = rng.standard_normal((hi - lo, w))
-        x0_z[lo:hi] = z[:, :n]
-        action_z[lo:hi] = z[:, n:a].reshape(hi - lo, nodes, m)
-        dW[lo:hi] = z[:, a:].reshape(hi - lo, steps, r)
+    chunks = _noise_chunks(rng_stream(seed, rep), N, n, m, r, steps, _NOISE_CHUNK)
+    x0_z = next(chunks)
+    action_z, dW = np.empty((N, steps + 1, m)), np.empty((N, steps, r))
+    lo = 0
+    for az, dw in chunks:
+        action_z[:, lo:lo + len(az)] = az.transpose(1, 0, 2)
+        dW[:, lo:lo + len(dw)] = dw.transpose(1, 0, 2)
+        lo += len(az)
     return AgentNoise(x0_z, action_z, dW)
 
 
@@ -275,21 +307,26 @@ def _draw_sums(spec: PopulationSpec, grid: TimeGrid, counts, reps: int, seed: in
 # a blow-up is reported as the first non-finite state, not as a warning
 @np.errstate(over="ignore", invalid="ignore")
 def _euler(spec: PopulationSpec, mf: MeanFieldSolution, grid: TimeGrid, counts,
-           rows: AgentNoise, types, sums: _NoiseSums | None = None, shifts=0.0,
+           noise, types, sums: _NoiseSums | None = None, shifts=0.0,
            scales=1.0, exogenous: bool = False, mode: str = "exploratory",
            steps: int | None = None):
     """The one Euler-Maruyama loop: every population path of the module.
 
     Steps a batch of populations of sum(counts) agents, the leading axes of
     the inputs broadcast together (none for one population).  The carried
-    ``rows`` (..., C, .) of ``types`` (sorted) are agents stepped one by
-    one, each with its own mean shift (..., C, m) and covariance scale
-    (..., C).  The other counts[k] - C_k agents of type k play the same
-    linear feedback, so with ``sums`` their state sum is stepped instead, by
-    the same step with every term weighted by their number and driven by
-    their noise sums: by superposition that is the population (Huang, Caines
-    & Malhame, IEEE TAC 52(9), 2007).  The field couples through the
+    rows (..., C, .) of ``types`` (sorted) are agents stepped one by one,
+    each with its own mean shift (..., C, m) and covariance scale (..., C).
+    The other counts[k] - C_k agents of type k play the same linear
+    feedback, so with ``sums`` their state sum is stepped instead, by the
+    same step with every term weighted by their number and driven by their
+    noise sums: by superposition that is the population (Huang, Caines &
+    Malhame, IEEE TAC 52(9), 2007).  The field couples through the
     population averages, or with ``exogenous`` is the solved mean field.
+
+    ``noise`` yields the carried rows' initial-state normals (..., C, n),
+    then time-major chunks of their action noise and increments, as
+    ``_noise_chunks`` draws them or ``_pack_chunks`` reads a pack; each
+    chunk is fetched when the loop reaches it.
 
     Returns time-major states and policy means, (nodes, ..., K + C, .) with
     the per-type sums first when ``sums`` is given, the carried rows'
@@ -299,22 +336,25 @@ def _euler(spec: PopulationSpec, mf: MeanFieldSolution, grid: TimeGrid, counts,
     steps = grid.steps if steps is None else steps
     nodes, dt, sqdt = steps + 1, grid.dt, math.sqrt(grid.dt)
     K, n, m, N = spec.K, spec.n, spec.m, sum(counts)
-    A, B, F, H, D = (np.array([getattr(p, f) for p in spec.subpops]) for f in "ABFHD")
+    # every matrix a per-node product takes on its right, transposed once into
+    # C order: matmul takes its slow loop on a transposed (strided) operand
+    A, B, F, H, D = (np.array([getattr(p, f).T for p in spec.subpops]) for f in "ABFHD")
     # each type's policy record on the grid: the blocks of spec with the solved Pi
     ts = grid.times()
     xbar = mf.xbar.interp(ts)
     pols = [tabulate_policy(spec, k, mf.Pi[k].Pi, grid, mf.s[k].interp(ts), xbar)
             for k in range(K)]
+    G, chol = (np.array([getattr(pol, f).T for pol in pols]) for f in ("gain", "chol"))
     ts = ts[:nodes]
     offset = np.stack([pol.offset[:nodes] for pol in pols], axis=1)   # (nodes, K, m)
     b_tab = np.stack([p.b(ts) for p in spec.subpops], axis=1)        # (nodes, K, n)
     field_t = _limiting_field(spec, mf, ts) if exogenous else None    # (nodes, K, n)
-    batch = np.broadcast_shapes(rows.x0_z.shape[:-2], np.shape(shifts)[:-2],
-                                np.shape(scales)[:-1])
-    C = rows.x0_z.shape[-2]
+    x0 = next(noise)
+    batch = np.broadcast_shapes(x0.shape[:-2], np.shape(shifts)[:-2], np.shape(scales)[:-1])
+    C = x0.shape[-2]
     per_type = np.bincount(types, minlength=K)
     carried = [(k, sl) for k, sl in enumerate(_type_slices(per_type)) if per_type[k]]
-    x0, weights, blocks = rows.x0_z, np.ones(C), []
+    weights, blocks = np.ones(C), []
     if sums is not None:
         # the per-type sums come first, as rows weighted by their counts
         c = np.asarray(counts, dtype=float) - per_type
@@ -324,7 +364,6 @@ def _euler(spec: PopulationSpec, mf: MeanFieldSolution, grid: TimeGrid, counts,
     blocks += [(k, slice(own.start + sl.start, own.start + sl.stop), 1.0) for k, sl in carried]
     # a block's rows, its weighted offset and b tables, its weight
     blocks = [(k, sl, w * offset[:, k], w * b_tab[:, k], w) for k, sl, w in blocks]
-    G, chol = (np.array([getattr(pol, f) for pol in pols]) for f in ("gain", "chol"))
     sd = np.sqrt(np.broadcast_to(scales, batch + (C,)))[..., None]
 
     states = np.empty((nodes,) + batch + (len(weights), n))
@@ -332,24 +371,24 @@ def _euler(spec: PopulationSpec, mf: MeanFieldSolution, grid: TimeGrid, counts,
     actions = np.empty((nodes,) + batch + (C, m))
     x_avg = np.empty((nodes,) + batch + (n,))
     mu_avg = np.empty((nodes,) + batch + (m,))
-    states[0] = weights[:, None] * spec.x0_mean + x0 @ cholesky_psd(spec.x0_cov).T
+    L0 = np.ascontiguousarray(cholesky_psd(spec.x0_cov).T)
+    states[0] = weights[:, None] * spec.x0_mean + x0 @ L0
+    end = 0
     for i in range(nodes):
-        j = i % _NOISE_CHUNK
-        if j == 0:
-            # time-major copies of the next chunk of nodes' noise: node i then
-            # reads contiguous rows, without a time-major copy of the whole pack
-            az, dw = (np.moveaxis(a[..., i:i + _NOISE_CHUNK, :], -2, 0).copy()
-                      for a in (rows.action_z, rows.dW))
+        if i == end:
+            az, dw = next(noise)
+            start, end = i, i + len(az)
             if sums is not None:
-                dw = np.concatenate([sums.dW[i:i + _NOISE_CHUNK], dw], axis=-2)
+                dw = np.concatenate([sums.dW[i:i + len(dw)], dw], axis=-2)
+        j = i - start
         x, mu, u = states[i], means[i], actions[i]
         for k, sl, off, _, _ in blocks:
-            mu[..., sl, :] = off[i] - x[..., sl, :] @ G[k].T
+            mu[..., sl, :] = off[i] - x[..., sl, :] @ G[k]
         mu[..., own, :] += shifts
         u[...] = mu[..., own, :]
         if mode == "exploratory":
             for k, sl in carried:
-                u[..., sl, :] += sd[..., sl, :] * (az[j][..., sl, :] @ chol[k].T)
+                u[..., sl, :] += sd[..., sl, :] * (az[j][..., sl, :] @ chol[k])
         xa = x_avg[i] = x.sum(axis=-2) / N
         ma = mu_avg[i] = mu.sum(axis=-2) / N
         if not np.all(np.isfinite(xa)):
@@ -357,30 +396,39 @@ def _euler(spec: PopulationSpec, mf: MeanFieldSolution, grid: TimeGrid, counts,
         if i == steps:
             break
         field = (field_t[i] if exogenous else
-                 [(xa @ F[k].T + ma @ H[k].T)[..., None, :] for k in range(K)])
+                 [(xa @ F[k] + ma @ H[k])[..., None, :] for k in range(K)])
         for k, sl, _, b, w in blocks:
-            drift = x[..., sl, :] @ A[k].T + mu[..., sl, :] @ B[k].T + b[i]
+            drift = x[..., sl, :] @ A[k] + mu[..., sl, :] @ B[k] + b[i]
             drift += w * field[k]
             states[i + 1][..., sl, :] = (x[..., sl, :] + dt * drift
-                                         + sqdt * (dw[j][..., sl, :] @ D[k].T))
+                                         + sqdt * (dw[j][..., sl, :] @ D[k]))
     return states, means, actions, x_avg, mu_avg
 
 
 def _agent_batch(spec: PopulationSpec, mf: MeanFieldSolution, grid: TimeGrid,
-                 types: np.ndarray, noise: AgentNoise, mode: str,
+                 types: np.ndarray, seed: int, noise: AgentNoise | None, mode: str,
                  deviations: dict[int, PolicyDeviation] | None,
                  exogenous: bool) -> SimulationBatch:
     """One population of agents of ``types`` (sorted), every one carried by
-    ``_euler``; ``deviations`` keyed by agent index."""
+    ``_euler``; ``deviations`` keyed by agent index.  The noise is drawn
+    from ``rng_stream(seed, 0)`` chunk by chunk as the kernel steps, or read
+    from the pack ``noise``."""
     _require(mode in ("classical", "exploratory"), f"unknown simulation mode {mode!r}")
-    N, m = types.size, spec.m
+    N, n, m, r, steps = types.size, spec.n, spec.m, spec.subpops[0].r, grid.steps
+    if noise is None:
+        chunks = _noise_chunks(rng_stream(seed, 0), N, n, m, r, steps, _NOISE_CHUNK)
+    else:
+        _require((noise.x0_z.shape, noise.action_z.shape, noise.dW.shape)
+                 == ((N, n), (N, steps + 1, m), (N, steps, r)),
+                 "noise pack does not match the paths and the grid")
+        chunks = _pack_chunks(noise)
     shifts, cov_scales = np.zeros((N, m)), np.ones(N)
     for idx, dev in (deviations or {}).items():
         if not 0 <= idx < N:
             raise ValueError(f"deviation for agent {idx} outside [0, {N})")
         shifts[idx], cov_scales[idx] = dev.shift(m), dev.cov_scale
     states, means, actions, x_avg, mu_avg = _euler(
-        spec, mf, grid, np.bincount(types, minlength=spec.K), noise, types,
+        spec, mf, grid, np.bincount(types, minlength=spec.K), chunks, types,
         shifts=shifts, scales=cov_scales, exogenous=exogenous, mode=mode)
     xref = mf.xbar.interp(grid.times()) if exogenous else x_avg
     return SimulationBatch(grid=grid, types=types,
@@ -404,17 +452,13 @@ def simulate_population(spec: PopulationSpec, mf: MeanFieldSolution,
     ``deviations`` maps agent indices, in the block (type-sorted) layout of
     ``config.counts``, to a ``PolicyDeviation``: its ``mean_shift`` is added
     to the policy mean, and so drives the drift; its ``cov_scale`` scales
-    the covariance of the sampled actions only.
+    the covariance of the sampled actions only.  ``noise``, a pack of
+    ``draw_noise``, replaces the draw from ``config.seed``.
     """
     _require(len(config.counts) == spec.K,
              f"counts {config.counts} name {len(config.counts)} types, the spec K={spec.K}")
-    if noise is None:
-        noise = draw_noise(config.seed, config.N, config.grid.steps,
-                           spec.n, spec.m, spec.subpops[0].r)
-    if noise.N != config.N or noise.dW.shape[1] != config.grid.steps:
-        raise ValueError("noise pack does not match config dimensions")
     return _agent_batch(spec, mf, config.grid, np.repeat(np.arange(spec.K), config.counts),
-                        noise, config.mode, deviations, exogenous=False)
+                        config.seed, noise, config.mode, deviations, exogenous=False)
 
 
 def simulate_representative(spec: PopulationSpec, mf: MeanFieldSolution,
@@ -430,7 +474,8 @@ def simulate_representative(spec: PopulationSpec, mf: MeanFieldSolution,
     ``deviations`` maps path indices, in that block (type-sorted) layout, to
     a ``PolicyDeviation``: its ``mean_shift`` is added to the policy mean,
     and so drives the drift; its ``cov_scale`` scales the covariance of the
-    sampled actions only.
+    sampled actions only.  ``noise``, a pack of ``draw_noise``, replaces
+    the draw from ``seed``.
     """
     if types is None:
         _require(0 <= k < spec.K, f"type k={k} outside [0, K={spec.K})")
@@ -438,10 +483,7 @@ def simulate_representative(spec: PopulationSpec, mf: MeanFieldSolution,
     types = np.asarray(types, dtype=int)
     _require(np.all(np.diff(types) >= 0), "types must be sorted ascending (block layout)")
     _require(np.all((types >= 0) & (types < spec.K)), f"types outside [0, K={spec.K})")
-    if noise is None:
-        noise = draw_noise(seed, types.size, grid.steps, spec.n, spec.m,
-                           spec.subpops[0].r)
-    return _agent_batch(spec, mf, grid, types, noise, mode, deviations, exogenous=True)
+    return _agent_batch(spec, mf, grid, types, seed, noise, mode, deviations, exogenous=True)
 
 
 def _tagged_costs(spec: PopulationSpec, mf: MeanFieldSolution, grid: TimeGrid,
@@ -455,8 +497,8 @@ def _tagged_costs(spec: PopulationSpec, mf: MeanFieldSolution, grid: TimeGrid,
     shifts = np.array([d.shift(spec.m) for d in members])[:, None, None, :]
     scales = np.array([d.cov_scale for d in members])[:, None, None]
     states, means, actions, x_avg, _ = _euler(
-        spec, mf, grid, counts, noise.tag, [tag_type], sums=noise, shifts=shifts,
-        scales=scales, exogenous=exogenous_field)
+        spec, mf, grid, counts, _pack_chunks(noise.tag), [tag_type],
+        sums=noise, shifts=shifts, scales=scales, exogenous=exogenous_field)
     nodes, M, R = actions.shape[:3]
     # every (member, repetition)'s last row, the tagged one, as (nodes, M R, .)
     x, u = (a[:, :, :, -1].reshape(nodes, M * R, -1)
@@ -662,8 +704,8 @@ def coupling_gap_experiment(spec: PopulationSpec, mf: MeanFieldSolution,
     for N in Ns:
         counts = exact_counts(spec.pi, N)
         sums = _draw_sums(spec, grid, counts, reps, seed)
-        fin, inf = (_euler(spec, mf, grid, counts, sums.tag, [], sums=sums, exogenous=exo,
-                           steps=ck)[0][-1] for exo in (False, True))
+        fin, inf = (_euler(spec, mf, grid, counts, _pack_chunks(sums.tag), [], sums=sums,
+                           exogenous=exo, steps=ck)[0][-1] for exo in (False, True))
         d = (fin - inf) / np.maximum(counts, 1)[:, None]
         # take, not d[:, types]: a C-order gather, which the mean sums pairwise
         agents = np.take(d, np.repeat(np.arange(spec.K), counts), axis=1)
@@ -759,14 +801,13 @@ def coe_experiment(spec: PopulationSpec, mf: MeanFieldSolution, k: int,
     so the estimate is the discounted integral of the control-cost
     difference along that path.
 
-    Streaming kernel on one stream, ``rng_stream(seed)``: the initial
-    states, then per node the action noise and (before the last node) the
-    Brownian increments.  Chunks of about 1 MiB of nodes are drawn in one
-    call each, which yields the values of one draw per node; only the
-    states of the current chunk are kept.  That stream is why this loop is
-    not ``_euler``: the kernel reads agent-major packs of ``draw_noise``,
-    and running it here would change the stream, and every estimate, of
-    the cost-of-exploration runs.
+    Streaming kernel on one stream, ``rng_stream(seed)``, drawn by the rule
+    of every path (``_noise_chunks``) in chunks of about 1 MiB of nodes;
+    only the states of the current chunk are kept.  It is not ``_euler``
+    for speed: on the planar preset, 500 paths over 12,207 steps took
+    1.9-2.0 s through ``_euler`` (the paths alone, before any cost) against
+    0.73-0.83 s for this whole experiment, which folds the policy mean into
+    one Euler matrix and keeps no (nodes, paths) arrays.
     """
     rho = spec.rho
     if rho <= 0:
@@ -782,7 +823,6 @@ def coe_experiment(spec: PopulationSpec, mf: MeanFieldSolution, k: int,
     ts = grid.times()
     dt, steps = grid.dt, grid.steps
     nodes = steps + 1
-    rng = rng_stream(seed)
 
     xbar_t = mf.xbar.interp(ts)
     pol = tabulate_policy(spec, k, mf.Pi[k].Pi, grid, mf.s[k].interp(ts), xbar_t)
@@ -791,8 +831,10 @@ def coe_experiment(spec: PopulationSpec, mf: MeanFieldSolution, k: int,
     ybar = xbar_t @ spec.psibar(k).T
     L0 = cholesky_psd(spec.x0_cov)
     # Euler step (rows) under the policy mean mu = off - x gain^T:
-    # x' = x step_mat + step_off[i] + sqrt(dt) dW D^T
-    step_mat = (np.eye(n) + dt * (p.A - p.B @ gain)).T
+    # x' = x step_mat + step_off[i] + sqrt(dt) dW D^T, the right operands in
+    # C order (matmul's fast loop)
+    step_mat = np.ascontiguousarray((np.eye(n) + dt * (p.A - p.B @ gain)).T)
+    Dt = np.ascontiguousarray(p.D.T)
     step_off = dt * (off @ p.B.T + field)
     # The control-cost difference of u = mu + du against mu is
     # ((du/2 + mu)^T R + e^T S + n^T) du, e = x - ybar.  With du = Lc z and
@@ -804,21 +846,15 @@ def coe_experiment(spec: PopulationSpec, mf: MeanFieldSolution, k: int,
     wdisc = trapezoid_weights(nodes, dt) * np.exp(-rho * ts)
     sqdt = math.sqrt(dt)
 
-    # Node i draws z_i (reps, m) then, before the last node, dW_i (reps, r):
-    # a chunk of nodes is one standard_normal fill of the same values.
-    per_node = reps * (m + r)
-    chunk = min(nodes, max(1, _BLOCK_BYTES // (8 * per_node)))
-    buf = np.empty(chunk * per_node)
+    chunk = min(nodes, max(1, _BLOCK_BYTES // (8 * reps * (m + r))))
+    noise = _noise_chunks(rng_stream(seed), reps, n, m, r, steps, chunk)
     X = np.empty((chunk + 1, reps, n))
-    X[0] = spec.x0_mean[None, :] + rng.standard_normal((reps, n)) @ L0.T
+    X[0] = spec.x0_mean[None, :] + next(noise) @ L0.T
     acc = np.zeros(reps)
-    for lo in range(0, nodes, chunk):
-        c = min(chunk, nodes - lo)
-        cw = min(c, steps - lo)                 # Euler steps in this chunk
-        rng.standard_normal(out=buf[:c * per_node - (c - cw) * reps * r])
-        zw = buf[:c * per_node].reshape(c, per_node)
-        z = zw[:, :reps * m].reshape(c, reps, m)
-        kick = sqdt * (zw[:cw, reps * m:].reshape(cw, reps, r) @ p.D.T)
+    lo = 0
+    for z, dw in noise:
+        c, cw = len(z), len(dw)                 # nodes, Euler steps in this chunk
+        kick = sqdt * (dw @ Dt)
         kick += step_off[lo:lo + cw, None, :]
         with np.errstate(over="ignore", invalid="ignore"):   # checked below
             for j in range(cw):
@@ -831,6 +867,7 @@ def coe_experiment(spec: PopulationSpec, mf: MeanFieldSolution, k: int,
         g += h[lo:lo + c, None, :]
         acc += wdisc[lo:lo + c] @ _rowdot(g, z)
         X[0] = X[c]
+        lo += c
     est = float(acc.mean())
     se = float(_se(acc))
     ana = analytic_coe(k, spec)

@@ -80,6 +80,9 @@ class MarketParams:
     q0: float
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         if not self.sigma > 0:
             raise ValueError("sigma must be positive")
         if not self.T > 0:
@@ -87,6 +90,12 @@ class MarketParams:
         for name in ("lambda_perm", "a_temp", "phi_urgency", "psi_terminal"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
+
+
+def _check_explore(lambda_explore: float) -> None:
+    if not (math.isfinite(lambda_explore) and lambda_explore >= 0):
+        raise ValueError(f"lambda_explore must be finite and nonnegative, "
+                         f"got {lambda_explore!r}")
 
 
 def params_to_json(p: MarketParams) -> dict:
@@ -120,6 +129,7 @@ def to_lqg(params: MarketParams, N_types: int = 1,
     and liquidation penalty give Pi(T) = [[2 psi, -1], [-1, 0]] and
     s(T) = (-F0, 0).  rho = 0 (finite horizon).
     """
+    _check_explore(lambda_explore)
     lam, a = params.lambda_perm, params.a_temp
     sub = SubpopParams(
         A=np.zeros((2, 2)),
@@ -389,8 +399,7 @@ class TradingLoopConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lambda_explore < 0:
-            raise ValueError("lambda_explore must be nonnegative")
+        _check_explore(self.lambda_explore)
         if self.iterations < 0 or self.inner_repeats < 1:
             raise ValueError(f"need iterations >= 0 and inner_repeats >= 1, got "
                              f"{self.iterations} and {self.inner_repeats}")

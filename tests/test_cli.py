@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -45,6 +46,12 @@ def spec_files(tmp_path_factory):
     (root / "market_steps.json").write_text(json.dumps(dict(doc, steps=-5)))
     (root / "market_no_traders.json").write_text(json.dumps(dict(doc, n_traders=0)))
     (root / "market_no_episodes.json").write_text(json.dumps(dict(doc, episodes=0)))
+    # a non-finite number, or a fraction where a count belongs, is an input error
+    for name, bad in (("q0_inf", dict(q0=math.inf)), ("lambda_nan", dict(lambda_explore="nan")),
+                      ("steps_frac", dict(steps=1.5)), ("traders_frac", dict(n_traders=2.5)),
+                      ("iterations_frac", dict(iterations=1.5)),
+                      ("episodes_frac", dict(episodes=1.5))):
+        (root / f"market_{name}.json").write_text(json.dumps(dict(doc, **bad)))
     (root / "market_a0.json").write_text(json.dumps(
         dict(doc, init=dict(doc["init"], a_temp=0.0))))      # R = 0 in the first plan
     # explicit Euler on the default experiment grids blows up at A = -450
@@ -241,6 +248,22 @@ def _case(id, argv, code, err_type=None, match=None):
           "ValueError", "at least one trader"),
     _case("learn-doc-no-episodes", ["trade", "learn", "market_no_episodes"], 1,
           "ValueError", "inner_repeats >= 1"),
+    _case("simulate-doc-q0-inf", ["trade", "simulate", "market_q0_inf"], 1, "ValueError",
+          "q0 must be finite"),
+    _case("learn-doc-q0-inf", ["trade", "learn", "market_q0_inf"], 1, "ValueError",
+          "q0 must be finite"),
+    _case("simulate-doc-lambda-nan", ["trade", "simulate", "market_lambda_nan"], 1,
+          "ValueError", "lambda_explore must be finite"),
+    _case("learn-doc-lambda-nan", ["trade", "learn", "market_lambda_nan"], 1, "ValueError",
+          "lambda_explore must be finite"),
+    _case("simulate-doc-steps-fraction", ["trade", "simulate", "market_steps_frac"], 1,
+          "ValueError", "steps must be an integer, got 1.5"),
+    _case("simulate-doc-traders-fraction", ["trade", "simulate", "market_traders_frac"], 1,
+          "ValueError", "n_traders must be an integer, got 2.5"),
+    _case("learn-doc-iterations-fraction", ["trade", "learn", "market_iterations_frac"], 1,
+          "ValueError", "iterations must be an integer, got 1.5"),
+    _case("learn-doc-episodes-fraction", ["trade", "learn", "market_episodes_frac"], 1,
+          "ValueError", "episodes must be an integer, got 1.5"),
     _case("nash-empty-Ns", ["experiment", "nash", "coupled", "--Ns", ""], 1,
           "ValueError", "--Ns needs"),
     _case("lambda-sweep-empty-list",

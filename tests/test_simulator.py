@@ -89,25 +89,6 @@ def test_noise_seeds_share_no_row():
     assert not rows_a & {tuple(z) for z in c.dW[:, :, 0]}
 
 
-def test_noise_row_independent_of_population_size():
-    small = draw_noise(5, 3, 40, 2, 2, 1, rep=2)
-    large = draw_noise(5, 50, 40, 2, 2, 1, rep=2)
-    assert np.array_equal(small.x0_z, large.x0_z[:3])
-    assert np.array_equal(small.action_z, large.action_z[:3])
-    assert np.array_equal(small.dW, large.dW[:3])
-
-
-def test_noise_blocks_equal_one_draw():
-    # 4002 values a row: a 1 MiB block holds 32 rows, so 70 rows span three
-    N, steps, n, m, r = 70, 2000, 1, 1, 1
-    nodes = steps + 1
-    pack = draw_noise(9, N, steps, n, m, r, rep=4)
-    z = rng_stream(9, 4).standard_normal((N, n + nodes * m + steps * r))
-    assert np.array_equal(pack.x0_z, z[:, :n])
-    assert np.array_equal(pack.action_z, z[:, n:n + nodes * m].reshape(N, nodes, m))
-    assert np.array_equal(pack.dW, z[:, n + nodes * m:].reshape(N, steps, r))
-
-
 def test_identical_agents_deterministic(decoupled):
     spec, mf = decoupled
     # no diffusion, no initial spread, no exploration: all agents coincide
@@ -499,11 +480,16 @@ def test_csv_writer_deterministic(tmp_path, decoupled_noisy):
 # The time-major kernel against the agent-major loop it replaced
 # ---------------------------------------------------------------------------
 
+c_order = np.ascontiguousarray
+
+
 def simulate_reference(spec, mf, grid, counts, noise, mode, deviations,
                        exogenous_field):
     """Agent-major Euler-Maruyama loop: paths stored as (N, nodes, .), one
     strided row per agent per node.  The reference for the kernel that
-    ``simulate_population`` and ``simulate_representative`` run."""
+    ``simulate_population`` and ``simulate_representative`` run.  Every
+    matrix a product takes on its right is transposed into C order, as the
+    kernel holds it: matmul rounds a strided right operand in another loop."""
     K = spec.K
     n, m = spec.n, spec.m
     N = sum(counts)
@@ -530,7 +516,7 @@ def simulate_reference(spec, mf, grid, counts, noise, mode, deviations,
     mu_avg = np.empty((nodes, m))
 
     L0 = cholesky_psd(spec.x0_cov)
-    states[:, 0] = spec.x0_mean[None, :] + noise.x0_z @ L0.T
+    states[:, 0] = spec.x0_mean[None, :] + noise.x0_z @ c_order(L0.T)
 
     shifts, cov_scales = np.zeros((N, m)), np.ones(N)
     for idx, dev in (deviations or {}).items():
@@ -546,12 +532,12 @@ def simulate_reference(spec, mf, grid, counts, noise, mode, deviations,
     for i in range(nodes):
         mu = np.empty((N, m))
         for k, sl in enumerate(slices):
-            mu[sl] = -(x[sl] @ gains[k].T) + offsets[k][i][None, :]
+            mu[sl] = -(x[sl] @ c_order(gains[k].T)) + offsets[k][i][None, :]
         mu += shifts
         if mode == "exploratory":
             u = np.empty((N, m))
             for k, sl in enumerate(slices):
-                u[sl] = mu[sl] + sd_scales[sl] * (noise.action_z[sl, i] @ chols[k].T)
+                u[sl] = mu[sl] + sd_scales[sl] * (noise.action_z[sl, i] @ c_order(chols[k].T))
         else:
             u = mu.copy()
         means[:, i] = mu
@@ -563,12 +549,12 @@ def simulate_reference(spec, mf, grid, counts, noise, mode, deviations,
         x_new = np.empty_like(x)
         for k, sl in enumerate(slices):
             p = spec.subpops[k]
-            drift = x[sl] @ p.A.T + mu[sl] @ p.B.T + b_tabs[k][i][None, :]
+            drift = x[sl] @ c_order(p.A.T) + mu[sl] @ c_order(p.B.T) + b_tabs[k][i][None, :]
             if exogenous_field:
                 drift += field_drift[k][i][None, :]
             else:
-                drift += x_avg[i] @ p.F.T + mu_avg[i] @ p.H.T
-            x_new[sl] = x[sl] + dt * drift + sqdt * (noise.dW[sl, i] @ p.D.T)
+                drift += x_avg[i] @ c_order(p.F.T) + mu_avg[i] @ c_order(p.H.T)
+            x_new[sl] = x[sl] + dt * drift + sqdt * (noise.dW[sl, i] @ c_order(p.D.T))
         states[:, i + 1] = x_new
         x = x_new
     return {"states": states, "actions": actions, "means": means,
@@ -663,6 +649,84 @@ def test_kernel_matches_reference_on_solved_games(request, game, mode):
                   39: PolicyDeviation(mean_shift=[-0.2])}
     _assert_kernel_matches_reference(spec, mf, grid, counts, noise, mode,
                                      deviations)
+
+
+def test_noise_pack_is_the_time_major_stream():
+    # the initial states of every agent, then per node every agent's action
+    # noise and, before the last node, every agent's increments
+    N, steps, n, m, r = 5, 40, 2, 3, 1
+    pack = draw_noise(9, N, steps, n, m, r, rep=4)
+    rng = rng_stream(9, 4)
+    assert np.array_equal(pack.x0_z, rng.standard_normal((N, n)))
+    for i in range(steps + 1):
+        assert np.array_equal(pack.action_z[:, i], rng.standard_normal((N, m)))
+        if i < steps:
+            assert np.array_equal(pack.dW[:, i], rng.standard_normal((N, r)))
+
+
+DRAW_GRID = TimeGrid(0.0, 2.0, 50)
+
+
+def draw_cases(spec, mf, mode):
+    """A population and typed representative paths of 13 agents, both with
+    deviations, as functions of the noise pack (None: the default draw)."""
+    counts = exact_counts(spec.pi, 13)
+    types = np.repeat(np.arange(spec.K), counts)
+    devs = {0: PolicyDeviation(mean_shift=[0.3], cov_scale=1.7),
+            7: PolicyDeviation(cov_scale=0.4), 12: PolicyDeviation(mean_shift=[-0.2])}
+    cfg = SimConfig(N=13, counts=counts, grid=DRAW_GRID, seed=6, mode=mode)
+    return {"population": lambda noise: simulate_population(spec, mf, cfg, devs, noise),
+            "representative": lambda noise: simulate_representative(
+                spec, mf, DRAW_GRID, 6, mode=mode, noise=noise, deviations=devs,
+                types=types)}
+
+
+def assert_batches_equal(a, b):
+    for f in _BATCH_FIELDS:
+        assert np.array_equal(getattr(a, f), getattr(b, f)), f
+
+
+@pytest.mark.parametrize("mode", ["exploratory", "classical"])
+def test_default_draw_equals_injected_pack(two_type, mode):
+    spec, mf = two_type
+    pack = draw_noise(6, 13, DRAW_GRID.steps, spec.n, spec.m, spec.subpops[0].r)
+    for run in draw_cases(spec, mf, mode).values():
+        assert_batches_equal(run(None), run(pack))
+
+
+# 51 nodes: chunks of 1 and 7 end on a partial chunk, 51 and 500 hold them all
+@pytest.mark.parametrize("chunk", [1, 7, 51, 500])
+@pytest.mark.parametrize("mode", ["exploratory", "classical"])
+def test_draw_does_not_depend_on_chunk(two_type, mode, chunk):
+    spec, mf = two_type
+    runs = draw_cases(spec, mf, mode)
+    default = {name: run(None) for name, run in runs.items()}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator, "_NOISE_CHUNK", chunk)
+        pack = draw_noise(6, 13, DRAW_GRID.steps, spec.n, spec.m, spec.subpops[0].r)
+        for name, run in runs.items():
+            assert_batches_equal(run(None), default[name])
+            assert_batches_equal(run(pack), default[name])
+
+
+def test_population_memory_holds_no_noise_pack(planar):
+    # n = m = r = 2: the paths and a tenth of one (N, nodes, .) noise pack
+    import tracemalloc
+    spec, mf = planar
+    spec = dataclasses.replace(
+        spec, subpops=(dataclasses.replace(spec.subpops[0], D=0.2 * np.eye(2)),))
+    N, grid = 2000, TimeGrid(0.0, 4.0, 400)
+    n, m, r, nodes = 2, 2, 2, grid.steps + 1
+    own = 8 * N * nodes * (n + 2 * m)               # states, means, actions
+    pack = 8 * N * (n + nodes * m + grid.steps * r)
+    tracemalloc.start()
+    try:
+        batch = simulate_population(spec, mf, cfg_for(N, grid=grid, seed=2))
+        _now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert batch.states.nbytes + batch.means.nbytes + batch.actions.nbytes == own
+    assert peak < own + pack / 10
 
 
 # ---------------------------------------------------------------------------
