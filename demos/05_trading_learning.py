@@ -16,9 +16,12 @@ init = MarketParams(sigma=0.2, lambda_perm=0.0, a_temp=0.02,
                     phi_urgency=0.1, psi_terminal=1.0, T=1.0, F0=10.0, q0=5.0)
 
 mapping = to_lqg(true, lambda_explore=0.1)
-print("state-space blocks of the planner (state (q, F - F0), control nu):")
-for key in ("Q", "R", "S", "n", "H", "Pi_T", "s_T"):
-    print(f"  {key:5s} = {mapping.blocks[key]}")
+sub = mapping.population.subpops[0]
+print(f"state-space blocks of the planner (state (q, F - F0), control nu), "
+      f"horizon T={mapping.T}:")
+for key, block in (("Q", sub.Q), ("R", sub.R), ("S", sub.S), ("n", sub.nvec), ("H", sub.H),
+                   ("Pi_T", mapping.terminal_weight), ("s_T", mapping.terminal_offset)):
+    print(f"  {key:5s} = {block.tolist()}")
 
 fh = solve_finite_horizon(mapping, steps=200)
 print(f"\nequilibrium liquidation: mean inventory {true.q0} -> "

@@ -225,16 +225,20 @@ def _entropy_audit(spec, args):
     return rows, summary
 
 
-# kind -> runner(spec, args) -> (rows, summary)
-_EXPERIMENTS = {"coupling-gap": _gap(coupling_gap_experiment),
-                "cost-gap": _gap(cost_gap_experiment),
-                "nash": _nash, "coe": _coe, "lambda-sweep": _lambda_sweep,
-                "entropy-audit": _entropy_audit}
+_SOLVE_FLAGS = ("--steps", "--horizon")
+_GAP_FLAGS = _SOLVE_FLAGS + ("--reps", "--Ns")
+# kind -> (runner(spec, args) -> (rows, summary), the flags it reads)
+_EXPERIMENTS = {"coupling-gap": (_gap(coupling_gap_experiment), _GAP_FLAGS),
+                "cost-gap": (_gap(cost_gap_experiment), _GAP_FLAGS),
+                "nash": (_nash, _GAP_FLAGS),
+                "coe": (_coe, _SOLVE_FLAGS + ("--reps",)),
+                "lambda-sweep": (_lambda_sweep, ("--lambda-list",)),
+                "entropy-audit": (_entropy_audit, ("--lambda-list",))}
 EXPERIMENT_KINDS = tuple(_EXPERIMENTS)
 
 
 def cmd_experiment(args, spec, out: Path) -> None:
-    rows, summary = _EXPERIMENTS[args.kind](spec, args)
+    rows, summary = _EXPERIMENTS[args.kind][0](spec, args)
     write_experiment_csv(out / "experiment.csv", rows)
     write_json(out / "summary.json", summary)
     print(f"{args.kind}: wrote {len(rows)} rows to {out / 'experiment.csv'}")
@@ -333,10 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="Exploratory LQG mean-field-game solver and experiments")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def command(name, help, kinds, path, load, func, flags):
-        p = sub.add_parser(name, help=help)
-        if kinds:
-            p.add_argument("kind", choices=kinds)
+    def command(p, path, load, func, flags):
         p.add_argument("path", metavar=path[0], help=path[1])
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default="out", help="output directory")
@@ -344,13 +345,19 @@ def build_parser() -> argparse.ArgumentParser:
         # the flags besides --seed and --out go into the manifest's overrides
         p.set_defaults(load=load, func=func, overrides=dests)
 
+    def kinds(name, help):
+        return sub.add_parser(name, help=help).add_subparsers(dest="kind", required=True)
+
     spec = ("spec", "population spec JSON")
-    command("solve", "solve the consistency fixed point", None, spec, load_spec,
-            cmd_solve, ("--steps", "--horizon"))
-    command("experiment", "run an equilibrium experiment", EXPERIMENT_KINDS, spec,
-            load_spec, cmd_experiment, tuple(_FLAGS))
-    command("trade", "trading application (simulate | learn)", ("simulate", "learn"),
-            ("params", "market params JSON"), _load_doc, cmd_trade, ("--reps",))
+    command(sub.add_parser("solve", help="solve the consistency fixed point"), spec,
+            load_spec, cmd_solve, _SOLVE_FLAGS)
+    experiment = kinds("experiment", "run an equilibrium experiment")
+    for kind, (_, flags) in _EXPERIMENTS.items():
+        command(experiment.add_parser(kind), spec, load_spec, cmd_experiment, flags)
+    trade = kinds("trade", "trading application (simulate | learn)")
+    for kind, flags in (("simulate", ("--reps",)), ("learn", ())):
+        command(trade.add_parser(kind), ("params", "market params JSON"), _load_doc,
+                cmd_trade, flags)
     return ap
 
 

@@ -21,7 +21,7 @@ rather than raises.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -247,12 +247,13 @@ class PopulationSpec:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    ok: bool
-    violations: tuple[tuple[str, str], ...] = field(default_factory=tuple)
+    """The (aspect, message) violations ``validate_spec`` found."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "violations", tuple(self.violations))
-        object.__setattr__(self, "ok", len(self.violations) == 0)
+    violations: tuple[tuple[str, str], ...] = ()
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
 
 def expand(base: np.ndarray, pi: np.ndarray) -> np.ndarray:
@@ -288,15 +289,16 @@ def validate_spec(spec: PopulationSpec) -> ValidationReport:
     """Check every statically checkable model assumption.
 
     Covered: initial-state covariance PSD, mixture normalization, positive
-    discount, convexity (R > 0 and Q - S R^-1 S^T >= 0), nonnegative
-    exploration weights, and dimension consistency.  Solution existence and
+    discount, convexity (R > 0) and state-convexity (Q - S R^-1 S^T >= 0),
+    nonnegative exploration weights, and dimension consistency; each
+    violation is tagged with its aspect.  Solution existence and
     the stability margins (Assumption 4) are checked downstream by the
     riccati and meanfield modules, not here.
     """
     v: list[tuple[str, str]] = []
     K = spec.K
     if K == 0:
-        return ValidationReport(False, ((u"dimensions", "no sub-populations"),))
+        return ValidationReport((("dimensions", "no sub-populations"),))
     if spec.pi.shape != (K,):
         v.append(("mixture", f"pi has length {spec.pi.shape[0]}, expected {K}"))
     else:
@@ -329,9 +331,10 @@ def validate_spec(spec: PopulationSpec) -> ValidationReport:
             qfloor = _EIG_FLOOR * (1.0 + float(np.max(np.abs(Qeff))))
             qmin, qasym = _sym_min_eig(Qeff)
             if qasym > qfloor:
-                v.append(("convexity", f"{tag}: Q - S R^-1 S^T not symmetric"))
+                v.append(("state-convexity", f"{tag}: Q - S R^-1 S^T not symmetric"))
             if qmin < -qfloor:
-                v.append(("convexity", f"{tag}: Q - S R^-1 S^T not positive semidefinite"))
+                v.append(("state-convexity",
+                          f"{tag}: Q - S R^-1 S^T not positive semidefinite"))
         if p.lambda_explore < 0:
             v.append(("exploration", f"{tag}: lambda_explore must be >= 0"))
 
@@ -346,7 +349,7 @@ def validate_spec(spec: PopulationSpec) -> ValidationReport:
             v.append(("initial-state", "x0_cov not symmetric"))
         if cmin < -cfloor:
             v.append(("initial-state", "x0_cov not positive semidefinite"))
-    return ValidationReport(not v, tuple(v))
+    return ValidationReport(tuple(v))
 
 
 # ---------------------------------------------------------------------------

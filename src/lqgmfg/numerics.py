@@ -1,5 +1,5 @@
 """Shared numerical kernels: fixed-step RK4 integration, spectral checks,
-Gaussian sampling, log-log rate fitting, trapezoid weights, and the one
+Cholesky factors, log-log rate fitting, trapezoid weights, and the one
 %.12g CSV writer and the one JSON writer of the package's files.
 
 All solvers in this package run on fixed, uniform time grids.  Fixed-step
@@ -14,9 +14,9 @@ each RK4 step is an affine map y -> P_i y + c_i, with P_i the RK4 polynomial
 in hM and c_i set by the step's three tabulated g values; all step maps are
 built at once with batched matmuls and composed, in chunks of up to 64
 steps, by a log-depth prefix scan (Hillis-Steele; Blelloch, "Prefix sums and
-their applications", 1990).  Besides the forward and backward initial value
-problems, the kernels solve the split two-point boundary problem of the
-consistency system (some components pinned at each end): the chunk-start
+their applications", 1990).  Besides the initial value problem, the
+kernels solve the split two-point boundary problem of the consistency
+system (some components pinned at each end): the chunk-start
 states come from one banded linear solve, multiple shooting with chunks
 short enough that none grows by more than e^8.  The result is the same
 fixed-step RK4 as a sequential loop up to the order of rounding, and still
@@ -174,25 +174,23 @@ def scan_chunk(steps: int, norm: float) -> int:
 
 
 def rk4_linear_tabulated(M: np.ndarray, g_half: np.ndarray, y0: np.ndarray,
-                         grid: TimeGrid, direction: str = "forward",
-                         n_far: int = 0) -> Trajectory:
+                         grid: TimeGrid, n_far: int = 0) -> Trajectory:
     """RK4 for the linear system dy/dt = M y + g(t) with constant M and g
     tabulated on the doubled grid (2*steps+1 nodes, so midpoint values are
     exact inputs).
 
     Every step shares one RK4 matrix P (the RK4 polynomial in hM); only the
-    step offsets c_i are tabulated.  See ``_rk4_linear`` for ``direction``,
-    ``n_far`` and how the steps are combined.
+    step offsets c_i are tabulated.  See ``_rk4_linear`` for ``n_far`` and
+    how the steps are combined.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise ValueError("M must be a constant square matrix")
-    return _rk4_linear(M, g_half, y0, grid, direction, n_far)
+    return _rk4_linear(M, g_half, y0, grid, n_far)
 
 
 def rk4_linear_time_varying(M_half: np.ndarray, g_half: np.ndarray, y0: np.ndarray,
-                            grid: TimeGrid, direction: str = "forward",
-                            n_far: int = 0) -> Trajectory:
+                            grid: TimeGrid, n_far: int = 0) -> Trajectory:
     """RK4 for dy/dt = M(t) y + g(t) with both M and g tabulated on the
     doubled grid (2*steps+1 nodes).  Same step maps, scan and boundary
     problems as ``rk4_linear_tabulated``, with M read at each step's three
@@ -200,11 +198,11 @@ def rk4_linear_time_varying(M_half: np.ndarray, g_half: np.ndarray, y0: np.ndarr
     M_half = np.asarray(M_half, dtype=float)
     if M_half.shape[0] != 2 * grid.steps + 1:
         raise ValueError("M_half must be tabulated on the doubled grid")
-    return _rk4_linear(M_half, g_half, y0, grid, direction, n_far)
+    return _rk4_linear(M_half, g_half, y0, grid, n_far)
 
 
 def _rk4_linear(M: np.ndarray, g_half: np.ndarray, y0: np.ndarray,
-                grid: TimeGrid, direction: str, n_far: int) -> Trajectory:
+                grid: TimeGrid, n_far: int) -> Trajectory:
     """Classical RK4 for dy/dt = M(t) y + g(t), all steps at once.
 
     One RK4 step is the affine map y -> P_i y + c_i, built for every step
@@ -213,24 +211,20 @@ def _rk4_linear(M: np.ndarray, g_half: np.ndarray, y0: np.ndarray,
     maps in ceil(log2 chunk) batched passes, so every node is its chunk's
     prefix map applied to the chunk-start state.
 
-    ``direction`` ('forward' from t0, 'backward' from t1, where the doubled
-    grid runs reversed with h = -dt) says where ``y0`` holds.  With
-    ``n_far`` = 0 it is an initial value problem and the chunk starts follow
-    one another.  With ``n_far`` > 0 it is a split two-point boundary
-    problem: the first ``n_far`` components of ``y0`` are pinned at the far
-    end instead (t1 going forward), the rest at the start.  The chunk starts
-    then come from one banded solve (``_split_starts``, multiple shooting),
-    and chunks are cut so that the step-map product within one stays below
-    e^_SPLIT_GROWTH in the infinity norm: a node computed from its chunk
-    start loses at most that factor to cancellation, however fast the modes
-    pinned at the far end grow.
+    With ``n_far`` = 0 it is the initial value problem from y(t0) = ``y0``
+    and the chunk starts follow one another; a problem pinned at t1 is that
+    one in reversed time, -M and -g read from t1 down.  With ``n_far`` > 0
+    it is a split two-point boundary problem: the first ``n_far``
+    components of ``y0`` are pinned at t1 instead, the rest at t0.  The
+    chunk starts then come from one banded solve (``_split_starts``,
+    multiple shooting), and chunks are cut so that the step-map product
+    within one stays below e^_SPLIT_GROWTH in the infinity norm: a node
+    computed from its chunk start loses at most that factor to
+    cancellation, however fast the modes pinned at the far end grow.
 
-    Raises OdeBlowupError at the first node, in integration order, that is
-    not finite (any node of a split problem), and LinAlgError when the split
-    system is singular.
+    Raises OdeBlowupError at the first node that is not finite (any node of
+    a split problem), and LinAlgError when the split system is singular.
     """
-    if direction not in ("forward", "backward"):
-        raise ValueError(f"unknown direction {direction!r}")
     steps = grid.steps
     g_half = np.asarray(g_half, dtype=float)
     if g_half.shape[0] != 2 * steps + 1:
@@ -240,9 +234,6 @@ def _rk4_linear(M: np.ndarray, g_half: np.ndarray, y0: np.ndarray,
     if not 0 <= n_far <= d:
         raise ValueError(f"n_far={n_far} must lie in [0, {d}]")
     h = grid.dt
-    if direction == "backward":
-        h, g_half, M = -h, g_half[::-1], (M[::-1] if M.ndim == 3 else M)
-
     Ma, Mm, Mb = (M, M, M) if M.ndim == 2 else (M[0:-1:2], M[1::2], M[2::2])
     eye = np.eye(d)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -296,13 +287,9 @@ def _rk4_linear(M: np.ndarray, g_half: np.ndarray, y0: np.ndarray,
 
     finite = np.isfinite(y).all(axis=1)
     if not finite.all():
-        i = int(np.argmin(finite)) + 1              # steps to the first bad node
-        node = steps - i if direction == "backward" else i
-        raise OdeBlowupError(float(grid.times()[node]))
+        raise OdeBlowupError(float(grid.times()[int(np.argmin(finite)) + 1]))
     out = np.concatenate([starts[:1], y])
     out[-1, :n_far] = y0[:n_far]
-    if direction == "backward":
-        out = np.ascontiguousarray(out[::-1])
     return Trajectory(grid, out)
 
 
@@ -370,25 +357,6 @@ def cholesky_psd(cov: np.ndarray) -> np.ndarray:
         except np.linalg.LinAlgError:
             continue
     raise ValueError("covariance not positive semidefinite")
-
-
-def sample_gaussian(mean, cov, rng: np.random.Generator, size: int | None = None):
-    """Draw mean + L z with L the (jittered) Cholesky factor of cov.
-
-    cov == 0 returns the mean exactly (degenerate Gaussian).  With `size`,
-    returns an array of shape (size, d).
-    """
-    mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    d = mean.shape[0]
-    if cov.shape != (d, d):
-        raise ValueError(f"cov shape {cov.shape} incompatible with mean dim {d}")
-    L = cholesky_psd(cov)
-    if size is None:
-        z = rng.standard_normal(d)
-        return mean + L @ z
-    z = rng.standard_normal((size, d))
-    return mean[None, :] + z @ L.T
 
 
 def rng_stream(seed: int, *key: int) -> np.random.Generator:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .meanfield import MeanFieldSolution
 from .model import PopulationSpec, SubpopParams
-from .numerics import TimeGrid, Trajectory, cholesky_psd, sample_gaussian
+from .numerics import TimeGrid, Trajectory, cholesky_psd
 from .riccati import feedback_gain
 
 __all__ = [
@@ -59,7 +59,9 @@ class GaussianPolicy:
         return -(self.gain @ np.atleast_1d(np.asarray(x, dtype=float))) + off
 
     def sample(self, t: float, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return sample_gaussian(self.mean(t, x), self.covariance, rng)
+        """One action, mean + chol z with z standard normal: the mean
+        exactly when the covariance is zero."""
+        return self.mean(t, x) + self.chol @ rng.standard_normal(self.chol.shape[0])
 
 
 def exploration_covariance(p: SubpopParams, scale: float = 1.0) -> np.ndarray:

@@ -18,10 +18,11 @@ not depend on the chunk.  ``_euler`` draws each chunk as it steps, in both
 modes alike, from ``rng_stream(seed, 0)`` for populations and representative
 paths (``rng_stream(seed)`` for the cost of exploration): no (N, nodes, .)
 noise array exists.  Common random numbers pass one ``draw_noise`` pack, the
-same values laid out agent-major, to both systems.  Experiments that read
-only per-type noise sums and a tagged row (the coupling gap, the cost gap,
-epsilon-Nash) draw just those, from ``rng_stream(seed, _SUMS_KEY, N, rep)``:
-the sum of c iid standard normal rows has the law of sqrt(c) times one.
+same values in the same time-major order, to both systems.  Experiments that
+read only per-type noise sums and a tagged row (the coupling gap, the cost
+gap, epsilon-Nash) draw just those, from ``rng_stream(seed, _SUMS_KEY, N,
+rep)``, as one pack: the sum of c iid standard normal rows has the law of
+sqrt(c) times one.
 
 One kernel, ``_euler``, steps every population path, time-major: node i of
 a batch of populations is one contiguous block.  A population holds agents
@@ -145,19 +146,15 @@ class PolicyDeviation:
 
 @dataclass
 class AgentNoise:
-    """An agent-major noise pack (standard normal, unscaled): each agent's
-    initial state, per-node action noise and per-step Brownian increments.
-    ``_euler`` reads a pack a chunk of nodes at a time, time-major, as
-    ``_noise_chunks`` would have drawn it; leading batch axes are allowed
-    (the tagged rows of ``_draw_sums``)."""
+    """A noise pack (standard normal, unscaled) in the time-major order of
+    ``_noise_chunks``: P paths' initial states, the per-node action noise of
+    the C carried ones and the P paths' per-step Brownian increments; C = P
+    but in the packs of ``_draw_sums``, whose first K paths are noise sums.
+    Leading batch axes (...) are allowed."""
 
-    x0_z: np.ndarray      # (N, n)
-    action_z: np.ndarray  # (N, nodes, m)
-    dW: np.ndarray        # (N, steps, r)
-
-    @property
-    def N(self) -> int:
-        return self.x0_z.shape[0]
+    x0_z: np.ndarray      # (..., P, n)
+    action_z: np.ndarray  # (nodes, ..., C, m)
+    dW: np.ndarray        # (steps, ..., P, r)
 
 
 def _noise_chunks(rng: np.random.Generator, P: int, n: int, m: int, r: int,
@@ -186,18 +183,17 @@ def _noise_chunks(rng: np.random.Generator, P: int, n: int, m: int, r: int,
 
 def _pack_chunks(pack: AgentNoise):
     """A pack read as ``_noise_chunks`` yields a draw: its initial-state
-    normals, then time-major copies (c, ..., C, .) of each chunk of
-    ``_NOISE_CHUNK`` nodes' action noise and increments."""
+    normals, then its slices of ``_NOISE_CHUNK`` nodes' action noise and
+    increments."""
     yield pack.x0_z
-    for lo in range(0, pack.action_z.shape[-2], _NOISE_CHUNK):
-        yield tuple(np.moveaxis(a[..., lo:lo + _NOISE_CHUNK, :], -2, 0).copy()
-                    for a in (pack.action_z, pack.dW))
+    for lo in range(0, len(pack.action_z), _NOISE_CHUNK):
+        yield pack.action_z[lo:lo + _NOISE_CHUNK], pack.dW[lo:lo + _NOISE_CHUNK]
 
 
 def draw_noise(seed: int, N: int, steps: int, n: int, m: int, r: int,
                rep: int = 0) -> AgentNoise:
-    """Noise pack ``rep`` of ``seed``: the values ``_noise_chunks`` draws
-    from ``rng_stream(seed, rep)`` for N paths, laid out agent-major.
+    """Noise pack ``rep`` of ``seed``: the chunks ``_noise_chunks`` draws
+    from ``rng_stream(seed, rep)`` for N paths, concatenated.
 
     Passed as ``noise=``, pack 0 gives the paths of the default draw of the
     same seed, bit for bit; one pack passed to two systems replays the same
@@ -206,12 +202,9 @@ def draw_noise(seed: int, N: int, steps: int, n: int, m: int, r: int,
     """
     chunks = _noise_chunks(rng_stream(seed, rep), N, n, m, r, steps, _NOISE_CHUNK)
     x0_z = next(chunks)
-    action_z, dW = np.empty((N, steps + 1, m)), np.empty((N, steps, r))
-    lo = 0
-    for az, dw in chunks:
-        action_z[:, lo:lo + len(az)] = az.transpose(1, 0, 2)
-        dW[:, lo:lo + len(dw)] = dw.transpose(1, 0, 2)
-        lo += len(az)
+    action_z, dW = np.empty((steps + 1, N, m)), np.empty((steps, N, r))
+    for lo, (az, dw) in zip(range(0, steps + 1, _NOISE_CHUNK), chunks):
+        action_z[lo:lo + len(az)], dW[lo:lo + len(dw)] = az, dw
     return AgentNoise(x0_z, action_z, dW)
 
 
@@ -221,9 +214,9 @@ class SimulationBatch:
 
     xref carries the tracking reference: the empirical average state for a
     finite population (y = psi_k x^(N)), or the solved stacked mean state
-    for representative paths (y = psibar_k xbar); shared by every path, or
-    one per path (N, nodes, .).  states, actions and means are (N, nodes, .)
-    views of time-major (nodes, N, .) arrays.
+    for representative paths (y = psibar_k xbar), shared by every path.
+    states, actions and means are (N, nodes, .) views of time-major
+    (nodes, N, .) arrays.
     """
 
     grid: TimeGrid
@@ -233,7 +226,7 @@ class SimulationBatch:
     means: np.ndarray          # (N, nodes, m)
     x_avg: np.ndarray          # (nodes, n)
     mu_avg: np.ndarray         # (nodes, m)
-    xref: np.ndarray           # (nodes, n) or (nodes, nK), or (N, nodes, .)
+    xref: np.ndarray           # (nodes, n) or (nodes, nK)
     infinite: bool
     cov_scales: np.ndarray     # (N,) covariance scale per agent (deviations)
 
@@ -264,23 +257,13 @@ def _type_slices(counts) -> list[slice]:
     return [slice(end - c, end) for c, end in zip(counts, np.cumsum(counts, dtype=int))]
 
 
-@dataclass
-class _NoiseSums:
-    """What the kernel reads of R repetitions' noise: per-type sums over the
-    untagged agents of the initial-state normals (R, K, n) and of the
-    increments, time-major (steps, R, K, r), and the tagged rows (R, C, .),
-    C being 0 or 1."""
-
-    x0: np.ndarray
-    dW: np.ndarray
-    tag: AgentNoise
-
-
 def _draw_sums(spec: PopulationSpec, grid: TimeGrid, counts, reps: int, seed: int,
-               tag_type: int | None = None) -> _NoiseSums:
-    """Each repetition's sums drawn as such, not reduced from a pack: the sum
-    of c iid N(0, I) rows has the law of sqrt(c) N(0, I).  With ``tag_type``
-    the tagged agent, left out of its type's c, gets its whole row.
+               tag_type: int | None = None) -> AgentNoise:
+    """The noise ``_euler(sums=True)`` reads, one pack with batch axis
+    ``reps``: the K per-type sums over the untagged agents, drawn as such
+    (the sum of c iid N(0, I) rows has the law of sqrt(c) N(0, I)), then,
+    with ``tag_type``, the tagged agent's whole row (it is left out of its
+    type's c).
 
     Repetition ``rep`` is one stream, ``rng_stream(seed, _SUMS_KEY, N, rep)``,
     read in order: the per-type initial-state sums (K, n), the per-step
@@ -298,16 +281,19 @@ def _draw_sums(spec: PopulationSpec, grid: TimeGrid, counts, reps: int, seed: in
     cuts = np.cumsum([math.prod(s) for s in shapes])
     z = np.array([rng_stream(seed, _SUMS_KEY, sum(counts), rep).standard_normal(cuts[-1])
                   for rep in range(reps)])
-    x0, dW, *tag = (part.reshape((reps,) + s)
-                    for part, s in zip(np.split(z, cuts[:-1], axis=1), shapes))
+    x0, dW, tag_x0, tag_az, tag_dW = (part.reshape((reps,) + s) for part, s
+                                      in zip(np.split(z, cuts[:-1], axis=1), shapes))
     root = np.sqrt(c)[:, None]
-    return _NoiseSums(root * x0, np.moveaxis(root * dW, 0, 1), AgentNoise(*tag))
+    return AgentNoise(np.concatenate([root * x0, tag_x0], axis=-2),
+                      np.ascontiguousarray(np.moveaxis(tag_az, 2, 0)),
+                      np.concatenate([np.moveaxis(root * dW, 0, 1),
+                                      np.moveaxis(tag_dW, 2, 0)], axis=-2))
 
 
 # a blow-up is reported as the first non-finite state, not as a warning
 @np.errstate(over="ignore", invalid="ignore")
 def _euler(spec: PopulationSpec, mf: MeanFieldSolution, grid: TimeGrid, counts,
-           noise, types, sums: _NoiseSums | None = None, shifts=0.0,
+           noise, types, sums: bool = False, shifts=0.0,
            scales=1.0, exogenous: bool = False, mode: str = "exploratory",
            steps: int | None = None):
     """The one Euler-Maruyama loop: every population path of the module.
@@ -323,15 +309,17 @@ def _euler(spec: PopulationSpec, mf: MeanFieldSolution, grid: TimeGrid, counts,
     Malhame, IEEE TAC 52(9), 2007).  The field couples through the
     population averages, or with ``exogenous`` is the solved mean field.
 
-    ``noise`` yields the carried rows' initial-state normals (..., C, n),
-    then time-major chunks of their action noise and increments, as
-    ``_noise_chunks`` draws them or ``_pack_chunks`` reads a pack; each
-    chunk is fetched when the loop reaches it.
+    ``noise`` yields the rows' initial-state normals (..., P, n), then
+    time-major chunks of the carried rows' action noise (c, ..., C, m) and
+    the rows' increments (c', ..., P, r), as ``_noise_chunks`` draws them or
+    ``_pack_chunks`` reads a pack; each chunk is fetched when the loop
+    reaches it.  The rows are the carried ones, P = C, or with ``sums`` the
+    K per-type noise sums (sqrt(c)-scaled) first, P = K + C.
 
-    Returns time-major states and policy means, (nodes, ..., K + C, .) with
-    the per-type sums first when ``sums`` is given, the carried rows'
-    actions (nodes, ..., C, m), and the population averages (nodes, ..., .),
-    over the first ``steps`` steps (default: all) of ``grid``.
+    Returns time-major states and policy means, (nodes, ..., P, .), the
+    carried rows' actions (nodes, ..., C, m), and the population averages
+    (nodes, ..., .), over the first ``steps`` steps (default: all) of
+    ``grid``.
     """
     steps = grid.steps if steps is None else steps
     nodes, dt, sqdt = steps + 1, grid.dt, math.sqrt(grid.dt)
@@ -351,14 +339,14 @@ def _euler(spec: PopulationSpec, mf: MeanFieldSolution, grid: TimeGrid, counts,
     field_t = _limiting_field(spec, mf, ts) if exogenous else None    # (nodes, K, n)
     x0 = next(noise)
     batch = np.broadcast_shapes(x0.shape[:-2], np.shape(shifts)[:-2], np.shape(scales)[:-1])
-    C = x0.shape[-2]
+    C = len(types)
     per_type = np.bincount(types, minlength=K)
     carried = [(k, sl) for k, sl in enumerate(_type_slices(per_type)) if per_type[k]]
     weights, blocks = np.ones(C), []
-    if sums is not None:
+    if sums:
         # the per-type sums come first, as rows weighted by their counts
         c = np.asarray(counts, dtype=float) - per_type
-        x0, weights = np.concatenate([sums.x0, x0], axis=-2), np.concatenate([c, weights])
+        weights = np.concatenate([c, weights])
         blocks = [(k, slice(k, k + 1), c[k]) for k in range(K)]
     own = slice(len(weights) - C, None)                 # the carried rows
     blocks += [(k, slice(own.start + sl.start, own.start + sl.stop), 1.0) for k, sl in carried]
@@ -378,8 +366,6 @@ def _euler(spec: PopulationSpec, mf: MeanFieldSolution, grid: TimeGrid, counts,
         if i == end:
             az, dw = next(noise)
             start, end = i, i + len(az)
-            if sums is not None:
-                dw = np.concatenate([sums.dW[i:i + len(dw)], dw], axis=-2)
         j = i - start
         x, mu, u = states[i], means[i], actions[i]
         for k, sl, off, _, _ in blocks:
@@ -419,7 +405,7 @@ def _agent_batch(spec: PopulationSpec, mf: MeanFieldSolution, grid: TimeGrid,
         chunks = _noise_chunks(rng_stream(seed, 0), N, n, m, r, steps, _NOISE_CHUNK)
     else:
         _require((noise.x0_z.shape, noise.action_z.shape, noise.dW.shape)
-                 == ((N, n), (N, steps + 1, m), (N, steps, r)),
+                 == ((N, n), (steps + 1, N, m), (steps, N, r)),
                  "noise pack does not match the paths and the grid")
         chunks = _pack_chunks(noise)
     shifts, cov_scales = np.zeros((N, m)), np.ones(N)
@@ -487,7 +473,7 @@ def simulate_representative(spec: PopulationSpec, mf: MeanFieldSolution,
 
 
 def _tagged_costs(spec: PopulationSpec, mf: MeanFieldSolution, grid: TimeGrid,
-                  counts, noise: _NoiseSums, members, mode: str,
+                  counts, noise: AgentNoise, members, mode: str,
                   tag_type: int = 0, exogenous_field: bool = False) -> np.ndarray:
     """Discounted cost of the tagged agent, (members, repetitions): the
     per-type sums plus the tagged row, stepped by ``_euler`` for every
@@ -497,8 +483,8 @@ def _tagged_costs(spec: PopulationSpec, mf: MeanFieldSolution, grid: TimeGrid,
     shifts = np.array([d.shift(spec.m) for d in members])[:, None, None, :]
     scales = np.array([d.cov_scale for d in members])[:, None, None]
     states, means, actions, x_avg, _ = _euler(
-        spec, mf, grid, counts, _pack_chunks(noise.tag), [tag_type],
-        sums=noise, shifts=shifts, scales=scales, exogenous=exogenous_field)
+        spec, mf, grid, counts, _pack_chunks(noise), [tag_type],
+        sums=True, shifts=shifts, scales=scales, exogenous=exogenous_field)
     nodes, M, R = actions.shape[:3]
     # every (member, repetition)'s last row, the tagged one, as (nodes, M R, .)
     x, u = (a[:, :, :, -1].reshape(nodes, M * R, -1)
@@ -605,9 +591,8 @@ def empirical_cost(batch: SimulationBatch, spec: PopulationSpec, k: int,
     _require(wrong.size == 0, f"agents {wrong.tolist()} are not paths of type k={k}")
     rates = _cost_rates(p, mode, batch.cov_scales[agents])
     grid = batch.grid
-    y = batch.xref @ (spec.psibar(k) if batch.infinite else p.psi).T
+    y = (batch.xref @ (spec.psibar(k) if batch.infinite else p.psi).T)[:, None, :]
     # time-major (nodes, N, .): a block of agents is one gather per node
-    y = y[:, None, :] if y.ndim == 2 else y.transpose(1, 0, 2)
     states = batch.states.transpose(1, 0, 2)
     controls = (batch.actions if mode == "classical" else batch.means).transpose(1, 0, 2)
 
@@ -616,9 +601,8 @@ def empirical_cost(batch: SimulationBatch, spec: PopulationSpec, k: int,
     late = 0.0
     for lo in range(0, agents.size, _COST_BLOCK):
         blk = slice(lo, lo + _COST_BLOCK)
-        yb = y if y.shape[1] == 1 else np.take(y, agents[blk], axis=1)
         per_agent[blk], running = _path_costs(
-            p, grid, rho, np.take(states, agents[blk], axis=1), yb,
+            p, grid, rho, np.take(states, agents[blk], axis=1), y,
             np.take(controls, agents[blk], axis=1), rates[blk])
         late = max(late, float(np.max(np.abs(running[-tail:]))))
 
@@ -704,7 +688,7 @@ def coupling_gap_experiment(spec: PopulationSpec, mf: MeanFieldSolution,
     for N in Ns:
         counts = exact_counts(spec.pi, N)
         sums = _draw_sums(spec, grid, counts, reps, seed)
-        fin, inf = (_euler(spec, mf, grid, counts, _pack_chunks(sums.tag), [], sums=sums,
+        fin, inf = (_euler(spec, mf, grid, counts, _pack_chunks(sums), [], sums=True,
                            exogenous=exo, steps=ck)[0][-1] for exo in (False, True))
         d = (fin - inf) / np.maximum(counts, 1)[:, None]
         # take, not d[:, types]: a C-order gather, which the mean sums pairwise

@@ -23,8 +23,8 @@ price F + a nu), the standard optimal-execution expansion: expanding the
 cash process gives the control cost a nu^2, the cross term F nu, and the
 terminal -q_T F_T; a cumulative-impact charge would leave the rate
 unpenalized (a singular control problem with R = 0), which the quadratic
-framework cannot represent.  The blocks produced are recorded in the
-mapping for auditability.  The plan is the library's one policy record
+framework cannot represent.  The mapping carries the population spec
+those blocks make, the terminal weight and offset, and the horizon T.  The plan is the library's one policy record
 (``policy.GaussianPolicy``), its gain tabulated from the Riccati table, and
 the market simulator samples the traders' rates from it.
 """
@@ -109,12 +109,13 @@ def params_from_json(doc: dict) -> MarketParams:
 
 @dataclass
 class LqgMapping:
-    """State-space form of the trading game: state (q, F - F0), control nu."""
+    """State-space form of the trading game on [0, T]: state (q, F - F0),
+    control nu."""
 
     population: PopulationSpec
     terminal_weight: np.ndarray    # Pi(T)
     terminal_offset: np.ndarray    # s(T)
-    blocks: dict
+    T: float
 
 
 def to_lqg(params: MarketParams, N_types: int = 1,
@@ -148,15 +149,8 @@ def to_lqg(params: MarketParams, N_types: int = 1,
                          x0_cov=np.zeros((2, 2)))
     Pi_T = np.array([[2.0 * params.psi_terminal, -1.0], [-1.0, 0.0]])
     s_T = np.array([-params.F0, 0.0])
-    blocks = {
-        "state": "(inventory q, midprice deviation F - F0)",
-        "A": sub.A.tolist(), "B": sub.B.tolist(), "H": sub.H.tolist(),
-        "D": sub.D.tolist(), "Q": sub.Q.tolist(), "R": sub.R.tolist(),
-        "S": sub.S.tolist(), "n": sub.nvec.tolist(),
-        "Pi_T": Pi_T.tolist(), "s_T": s_T.tolist(), "rho": 0.0, "T": params.T,
-    }
     return LqgMapping(population=pop, terminal_weight=Pi_T, terminal_offset=s_T,
-                      blocks=blocks)
+                      T=params.T)
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +175,9 @@ def solve_finite_horizon(mapping: LqgMapping, steps: int = 200) -> FiniteHorizon
     backward differential solution from the terminal matrix, so the gains
     and blocks are tabulated on the doubled grid, and s(T) is the mapping's
     terminal offset.  Pi_k is exact at every node, with no refinement
-    however stiff.  Two validate_spec checks are waived here: the positive
-    discount (rho = 0 is the finite-horizon setting) and Q - S R^-1 S^T >= 0,
+    however stiff.  Two validate_spec aspects are waived here: the positive
+    discount (rho = 0 is the finite-horizon setting) and the state-convexity
+    Q - S R^-1 S^T >= 0,
     which only guarantees the infinite-horizon flow stays in the PSD cone --
     the trading terminal weight is itself indefinite (the -q_T F_T book
     value), so a finite escape of Pi on [0, T] (det X <= 0 on the
@@ -191,12 +186,11 @@ def solve_finite_horizon(mapping: LqgMapping, steps: int = 200) -> FiniteHorizon
     ConsistencyError; both errors are RuntimeErrors.
     """
     spec = mapping.population
-    report = validate_spec(spec)
-    hard = [v for v in report.violations
-            if v[0] != "discount" and "Q - S R^-1 S^T" not in v[1]]
+    hard = [v for v in validate_spec(spec).violations
+            if v[0] not in ("discount", "state-convexity")]
     if hard:
         raise ValueError(f"trading spec violates model assumptions: {hard}")
-    grid = TimeGrid(0.0, _horizon_of(mapping), steps)
+    grid = TimeGrid(0.0, mapping.T, steps)
 
     # exact Pi on the doubled grid: its midpoints are the RK4 stage inputs;
     # one table per distinct sub-population (to_lqg repeats one object K times)
@@ -212,13 +206,6 @@ def solve_finite_horizon(mapping: LqgMapping, steps: int = 200) -> FiniteHorizon
                                                rk4_linear_time_varying)
     return FiniteHorizonSolution(grid=grid, Pi=Pi_trajs, s=s_trajs, xbar=xbar,
                                  mubar=mubar, iterations=1)
-
-
-def _horizon_of(mapping: LqgMapping) -> float:
-    T = float(mapping.blocks.get("T", 0.0))
-    if T <= 0:
-        raise ValueError("mapping carries no positive horizon T")
-    return T
 
 
 def trading_policy(mapping: LqgMapping, fh: FiniteHorizonSolution,

@@ -1,6 +1,7 @@
 """Reference integrators kept for the tests: the generic fixed-step RK4
-loop and the Riccati table the finite-horizon solve used before the exact
-Hamiltonian one.  Neither is used by the package."""
+loop, the package's linear kernels run backward in time, and the Riccati
+table the finite-horizon solve used before the exact Hamiltonian one.  None
+is used by the package."""
 
 from __future__ import annotations
 
@@ -38,6 +39,16 @@ def integrate_ode(rhs, y0, grid: TimeGrid, direction: str = "forward") -> Trajec
             j = i + 1 if direction == "forward" else i - 1
             out[j] = y
     return Trajectory(grid, out)
+
+
+def backward(kernel, M, g_half, y_pin, grid: TimeGrid, n_far: int = 0) -> np.ndarray:
+    """A linear RK4 kernel of ``lqgmfg.numerics`` run from t1 down to t0: the
+    forward problem in reversed time, -M and -g read from t1 down, its
+    values reversed into ascending time.  ``y_pin`` holds at t1, but for its
+    first ``n_far`` components, pinned at t0."""
+    M = np.asarray(M, dtype=float)
+    M = M[::-1] if M.ndim == 3 else M
+    return kernel(-M, -np.asarray(g_half)[::-1], y_pin, grid, n_far=n_far).values[::-1]
 
 
 def rk4_riccati(params, rho: float, Pi_T: np.ndarray, grid: TimeGrid) -> Trajectory:

@@ -108,8 +108,9 @@ def test_noise_width_mismatch_exit_2(tmp_path):
 
 @pytest.mark.parametrize("kind", ["coe", "lambda-sweep"])
 def test_negative_seed_exit_0(spec_files, tmp_path, kind):
+    reps = ["--reps", "20"] if kind == "coe" else []      # lambda-sweep reads no --reps
     rc = main(["experiment", kind, str(spec_files / "decoupled.json"),
-               "--out", str(tmp_path / kind), "--reps", "20", "--seed", "-1"])
+               "--out", str(tmp_path / kind), "--seed", "-1", *reps])
     assert rc == 0
 
 
@@ -175,6 +176,10 @@ def test_experiment_coe(spec_files, tmp_path):
     assert abs(summ["estimate"] - 1.0) < 0.05
     csv = (out / "experiment.csv").read_text().splitlines()
     assert csv[0] == "experiment,N,rep,checkpoint_t,value,std_err"
+    # the manifest's overrides are the flags coe reads
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == "experiment:coe"
+    assert manifest["overrides"] == {"horizon": None, "reps": 500, "steps": None}
 
 
 def test_experiment_lambda_sweep(spec_files, tmp_path):
@@ -280,6 +285,11 @@ def _case(id, argv, code, err_type=None, match=None):
     # a flag the command does not read is a usage error: no output directory
     _case("solve-reps-usage", ["solve", "coupled", "--reps", "5"], 1),
     _case("learn-Ns-usage", ["trade", "learn", "market", "--Ns", "4"], 1),
+    _case("lambda-sweep-solve-flags-usage",
+          ["experiment", "lambda-sweep", "coupled", "--reps", "-1", "--steps", "-1",
+           "--horizon", "nan"], 1),
+    _case("coe-Ns-usage", ["experiment", "coe", "coupled", "--Ns", "abc"], 1),
+    _case("learn-reps-usage", ["trade", "learn", "market", "--reps", "3"], 1),
 ])
 def test_experiment_argument_error_exit_1(spec_files, tmp_path, capsys, argv, code, err_type, match):
     """Bad input exits 1 (usage, input) or 2 (numerical) with error.json once
@@ -296,17 +306,48 @@ def test_experiment_argument_error_exit_1(spec_files, tmp_path, capsys, argv, co
     assert "Traceback" not in capsys.readouterr().err
 
 
+_GRID_FLAGS = {"--steps", "--horizon"}
+# each command, and kind, with the flags it reads besides --seed and --out
+_READS = {
+    ("solve",): _GRID_FLAGS,
+    ("experiment", "coupling-gap"): _GRID_FLAGS | {"--reps", "--Ns"},
+    ("experiment", "cost-gap"): _GRID_FLAGS | {"--reps", "--Ns"},
+    ("experiment", "nash"): _GRID_FLAGS | {"--reps", "--Ns"},
+    ("experiment", "coe"): _GRID_FLAGS | {"--reps"},
+    ("experiment", "lambda-sweep"): {"--lambda-list"},
+    ("experiment", "entropy-audit"): {"--lambda-list"},
+    ("trade", "simulate"): {"--reps"},
+    ("trade", "learn"): set(),
+}
+# a value each flag would parse, so only its being foreign can fail
+_VALUES = {"--steps": "40", "--horizon": "2.0", "--reps": "4", "--Ns": "8,16",
+           "--lambda-list": "0.1"}
+
+
+def _sub_parsers(parser):
+    action = next((a for a in parser._actions if isinstance(a, argparse._SubParsersAction)),
+                  None)
+    return {} if action is None else action.choices
+
+
 def test_each_command_registers_only_the_flags_it_reads():
-    sub = next(a for a in build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    flags = {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
-             for name, p in sub.choices.items()}
-    assert flags == {
-        "solve": {"--seed", "--out", "--steps", "--horizon"},
-        "experiment": {"--seed", "--out", "--steps", "--horizon", "--reps", "--Ns",
-                       "--lambda-list"},
-        "trade": {"--seed", "--out", "--reps"},
-    }
+    flags = {}
+    for name, p in _sub_parsers(build_parser()).items():
+        for path, q in ({(name, kind): q for kind, q in _sub_parsers(p).items()}
+                        or {(name,): p}).items():
+            flags[path] = {o for a in q._actions for o in a.option_strings} - {"-h", "--help"}
+    assert flags == {path: reads | {"--seed", "--out"} for path, reads in _READS.items()}
+
+
+@pytest.mark.parametrize("command, flag", [
+    pytest.param(command, flag, id=f"{'-'.join(command)}{flag}")
+    for command, reads in _READS.items() for flag in sorted(set(_VALUES) - reads)])
+def test_foreign_flag_is_a_usage_error(spec_files, tmp_path, capsys, command, flag):
+    path = spec_files / ("market.json" if command[0] == "trade" else "coupled.json")
+    out = tmp_path / "out"
+    assert main([*command, str(path), flag, _VALUES[flag], "--out", str(out)]) == 1
+    assert not out.exists()
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_readme_cli_lines_parse():

@@ -42,9 +42,11 @@ def test_validate_mixture_sum():
 
 
 def test_validate_convexity_cross_term():
-    # Q - S R^-1 S^T = 1 - 4 < 0
+    # Q - S R^-1 S^T = 1 - 4 < 0, tagged with an aspect of its own
     report = validate_spec(scalar_spec(S=2.0))
-    assert any("not positive semidefinite" in msg for _a, msg in report.violations)
+    assert report.violations == (
+        ("state-convexity", "subpop 0: Q - S R^-1 S^T not positive semidefinite"),)
+    assert not report.ok
 
 
 def test_validate_rho_and_cov():

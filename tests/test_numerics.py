@@ -8,9 +8,16 @@ from hypothesis import strategies as st
 
 from lqgmfg.numerics import (OdeBlowupError, TimeGrid, Trajectory, rng_stream,
                              cholesky_psd, fit_rate, rk4_linear_tabulated,
-                             rk4_linear_time_varying, sample_gaussian, spectral_abscissa,
-                             write_json)
-from ode_reference import integrate_ode
+                             rk4_linear_time_varying, spectral_abscissa, write_json)
+from lqgmfg.policy import GaussianPolicy
+from ode_reference import backward, integrate_ode
+
+
+def run(kernel, M, g_half, y0, grid, direction, n_far=0):
+    """The kernel's values from t0, or from t1 in reversed time."""
+    if direction == "backward":
+        return backward(kernel, M, g_half, y0, grid, n_far)
+    return kernel(M, g_half, y0, grid, n_far=n_far).values
 
 
 def rk4_reference(M_half, g_half, y0, grid, direction="forward"):
@@ -98,14 +105,14 @@ def test_rk4_linear_kernels_match_sequential_loop(d, steps, T, scale, time_varyi
     y0 = rng.uniform(-1.0, 1.0, d)
     if time_varying:
         M_half = scale * rng.uniform(-1.0, 1.0, (2 * steps + 1, d, d))
-        got = rk4_linear_time_varying(M_half, g_half, y0, grid, direction)
+        got = run(rk4_linear_time_varying, M_half, g_half, y0, grid, direction)
     else:
         M = scale * rng.uniform(-1.0, 1.0, (d, d))
         M_half = np.broadcast_to(M, (2 * steps + 1, d, d))
-        got = rk4_linear_tabulated(M, g_half, y0, grid, direction)
+        got = run(rk4_linear_tabulated, M, g_half, y0, grid, direction)
     ref = rk4_reference(M_half, g_half, y0, grid, direction)
-    assert got.values.shape == ref.shape
-    assert np.max(np.abs(got.values - ref)) <= 1e-10 * np.max(np.abs(ref))
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("direction", ["forward", "backward"])
@@ -122,30 +129,28 @@ def test_rk4_linear_time_varying_matches_generic(direction):
     M_half = np.stack([M(t) for t in ts_half])
     g_half = np.stack([g(t) for t in ts_half])
     y0 = np.array([1.0, -0.5])
-    tab = rk4_linear_time_varying(M_half, g_half, y0, grid, direction)
+    tab = run(rk4_linear_time_varying, M_half, g_half, y0, grid, direction)
     gen = integrate_ode(lambda t, y: M(t) @ y + g(t), y0, grid, direction)
-    assert np.allclose(tab.values, gen.values, rtol=0.0, atol=1e-12)
+    assert np.allclose(tab, gen.values, rtol=0.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("direction, rate", [("forward", 50.0), ("backward", -50.0)])
-def test_rk4_linear_blowup_at_first_nonfinite_node(direction, rate):
-    # y' = rate y from y = 1: after k steps y = P^k with P the RK4 factor
+def test_rk4_linear_blowup_at_first_nonfinite_node():
+    # y' = 50 y from y = 1: after k steps y = P^k with P the RK4 factor
     # 1 + z + z^2/2 + z^3/6 + z^4/24 (z = 5 here), which first exceeds the
     # float range at k = 170 (log margins 3.4 below and 0.8 above)
     grid = TimeGrid(0.0, 20.0, 200)
-    z = abs(rate) * grid.dt
+    z = 50.0 * grid.dt
     P = 1.0 + z + z ** 2 / 2.0 + z ** 3 / 6.0 + z ** 4 / 24.0
     k = math.ceil(math.log(np.finfo(float).max) / math.log(P))
-    node = k if direction == "forward" else grid.steps - k
-    M = np.array([[rate]])
+    M = np.array([[50.0]])
     g_half = np.zeros((2 * grid.steps + 1, 1))
     M_half = np.broadcast_to(M, (2 * grid.steps + 1, 1, 1))
     with pytest.raises(OdeBlowupError) as exc:
-        rk4_linear_tabulated(M, g_half, np.ones(1), grid, direction)
-    assert exc.value.t == grid.times()[node]
+        rk4_linear_tabulated(M, g_half, np.ones(1), grid)
+    assert exc.value.t == grid.times()[k]
     with pytest.raises(OdeBlowupError) as exc:
-        rk4_linear_time_varying(M_half, g_half, np.ones(1), grid, direction)
-    assert exc.value.t == grid.times()[node]
+        rk4_linear_time_varying(M_half, g_half, np.ones(1), grid)
+    assert exc.value.t == grid.times()[k]
 
 
 def test_rk4_linear_rejects_bad_inputs():
@@ -154,8 +159,6 @@ def test_rk4_linear_rejects_bad_inputs():
     g_half = np.zeros((2 * grid.steps + 1, 2))
     with pytest.raises(ValueError):
         rk4_linear_tabulated(M, g_half[:-1], np.ones(2), grid)
-    with pytest.raises(ValueError):
-        rk4_linear_tabulated(M, g_half, np.ones(2), grid, direction="sideways")
     M_half = np.broadcast_to(M, (2 * grid.steps + 1, 2, 2))
     with pytest.raises(ValueError):
         rk4_linear_time_varying(M_half[:-1], g_half, np.ones(2), grid)
@@ -221,7 +224,7 @@ def test_rk4_split_matches_dense_solve(steps, time_varying, direction):
     y_pin = rng.uniform(-1.0, 1.0, d)
     start, far = (0, -1) if direction == "forward" else (-1, 0)
     for n_far in range(d + 1):
-        got = kernel(Ms, g_half, y_pin, grid, direction, n_far).values
+        got = run(kernel, Ms, g_half, y_pin, grid, direction, n_far)
         ref = split_reference(M_half, g_half, y_pin, grid, n_far, direction)
         assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
         assert np.array_equal(got[start, n_far:], y_pin[n_far:])
@@ -237,7 +240,7 @@ def test_rk4_split_on_stiff_growth_matches_dense_solve(time_varying):
     grid, M_half, g_half, kernel, Ms = _split_case(rng, 2, 500, 20.0, [50.0, -50.0],
                                                    time_varying)
     y_pin = np.array([0.3, 1.0])
-    got = kernel(Ms, g_half, y_pin, grid, "forward", 1).values
+    got = kernel(Ms, g_half, y_pin, grid, n_far=1).values
     ref = split_reference(M_half, g_half, y_pin, grid, 1)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -263,36 +266,47 @@ def test_spectral_abscissa_orthogonal_invariance():
     assert abs(spectral_abscissa(M) - spectral_abscissa(Q.T @ M @ Q)) < 1e-9
 
 
+def sample_gaussian(mean, cov, seed, size):
+    """``size`` draws of N(mean, cov) by ``GaussianPolicy.sample``: the
+    policy at one time with a zero gain and offset ``mean``."""
+    mean = np.asarray(mean, dtype=float)
+    pol = GaussianPolicy(None, np.zeros((mean.size, 1)), mean[None], np.asarray(cov))
+    rng = np.random.default_rng(seed)
+    return np.array([pol.sample(0.0, [0.0], rng) for _ in range(size)])
+
+
 def test_sample_gaussian_degenerate():
-    rng = np.random.default_rng(0)
-    out = sample_gaussian(np.array([2.0, -1.0]), np.zeros((2, 2)), rng)
-    assert np.array_equal(out, [2.0, -1.0])
+    out = sample_gaussian([2.0, -1.0], np.zeros((2, 2)), 0, 1)
+    assert np.array_equal(out, [[2.0, -1.0]])
 
 
 def test_sample_gaussian_mean_clt():
-    rng = np.random.default_rng(7)
-    draws = sample_gaussian(np.zeros(2), np.eye(2), rng, size=1_000_000)
-    # CLT bound 2.58/sqrt(N) per coordinate at 99%; assert the looser 4e-3
-    assert np.all(np.abs(draws.mean(axis=0)) < 4e-3)
+    draws = sample_gaussian(np.zeros(2), np.eye(2), 7, 100_000)
+    # 4 standard errors, 4/sqrt(N), per coordinate
+    assert np.all(np.abs(draws.mean(axis=0)) < 4 / math.sqrt(100_000))
 
 
 def test_sample_gaussian_covariance():
-    rng = np.random.default_rng(11)
     cov = np.array([[1.0, 0.5], [0.5, 1.0]])
-    draws = sample_gaussian(np.zeros(2), cov, rng, size=1_000_000)
-    emp = np.cov(draws.T)
-    assert np.max(np.abs(emp - cov)) < 0.01
+    emp = np.cov(sample_gaussian(np.zeros(2), cov, 11, 100_000).T)
+    # the variances' standard error is sqrt(2/N) = 0.0045
+    assert np.max(np.abs(emp - cov)) < 0.02
 
 
 def test_sample_gaussian_reproducible():
-    a = sample_gaussian(np.zeros(3), np.eye(3), np.random.default_rng(42), size=10)
-    b = sample_gaussian(np.zeros(3), np.eye(3), np.random.default_rng(42), size=10)
+    a = sample_gaussian(np.zeros(3), np.eye(3), 42, 10)
+    b = sample_gaussian(np.zeros(3), np.eye(3), 42, 10)
     assert np.array_equal(a, b)
+    # mean + chol z, one standard normal per coordinate in stream order
+    assert np.array_equal(a, np.random.default_rng(42).standard_normal((10, 3)))
 
 
 def test_sample_gaussian_rejects_indefinite():
+    indefinite = np.array([[1.0, 0.0], [0.0, -1.0]])
     with pytest.raises(ValueError):
-        cholesky_psd(np.array([[1.0, 0.0], [0.0, -1.0]]))
+        cholesky_psd(indefinite)
+    with pytest.raises(ValueError):
+        GaussianPolicy(None, np.zeros((2, 1)), np.zeros((1, 2)), indefinite)
 
 
 def test_agent_rng_streams_differ():

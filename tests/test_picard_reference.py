@@ -22,7 +22,7 @@ from hypothesis import HealthCheck, event, given, settings
 from scipy.interpolate import CubicSpline
 
 from conftest import random_specs
-from ode_reference import rk4_riccati
+from ode_reference import backward, rk4_riccati
 from lqgmfg.meanfield import (ConsistencyError, SolverConfig, consistency_blocks,
                               consistency_residual, solve_consistency, steady_state)
 from lqgmfg.numerics import (TimeGrid, rk4_linear_tabulated, rk4_linear_time_varying,
@@ -57,14 +57,14 @@ def picard_stationary(spec, grid):
     for _ in range(MAX_ITERS):
         Xh = CubicSpline(ts, xbar, axis=0)(ts_half)
         Uh = CubicSpline(ts, mubar, axis=0)(ts_half)
-        s = [rk4_linear_tabulated(o.M, -(Xh @ o.Cx.T + Uh @ o.Cu.T + c0_half[k]),
-                                  s_inf[k], grid, "backward").values
+        s = [backward(rk4_linear_tabulated, o.M, -(Xh @ o.Cx.T + Uh @ o.Cu.T + c0_half[k]),
+                      s_inf[k], grid)
              for k, o in enumerate(ops)]
         L = np.hstack([o.L_row(s_k) for o, s_k in zip(ops, s)])
         L_half = CubicSpline(ts, L, axis=0)(ts_half)
         mbar_half = _mbar(ops, [CubicSpline(ts, s_k, axis=0)(ts_half) for s_k in s],
                           L_half, ts_half)
-        x_new = rk4_linear_tabulated(Abar, mbar_half, xi, grid, "forward").values
+        x_new = rk4_linear_tabulated(Abar, mbar_half, xi, grid).values
         u_new = x_new @ J.T + L
         dx, du = x_new - xbar, u_new - mubar
         defect = max(float(np.max(np.abs(dx @ o.Cx.T + du @ o.Cu.T))) for o in ops)
@@ -82,7 +82,7 @@ def picard_finite_horizon(mapping, steps):
     """Damped Picard on the finite-horizon trading system, with the same
     refined differential Riccati table.  Returns (xbar, mubar, [s_k])."""
     spec = mapping.population
-    grid = TimeGrid(0.0, float(mapping.blocks["T"]), steps)
+    grid = TimeGrid(0.0, mapping.T, steps)
     ts = grid.times()
     ts_half = np.linspace(grid.t0, grid.t1, 2 * steps + 1)
     Pi_half = []
@@ -104,14 +104,15 @@ def picard_finite_horizon(mapping, steps):
     for _ in range(MAX_ITERS):
         Xh = CubicSpline(ts, xbar, axis=0)(ts_half)[..., None]
         Uh = CubicSpline(ts, mubar, axis=0)(ts_half)[..., None]
-        s = [rk4_linear_time_varying(o.M, -((o.Cx @ Xh + o.Cu @ Uh)[..., 0] + c0_half[k]),
-                                     mapping.terminal_offset, grid, "backward").values
+        s = [backward(rk4_linear_time_varying, o.M,
+                      -((o.Cx @ Xh + o.Cu @ Uh)[..., 0] + c0_half[k]),
+                      mapping.terminal_offset, grid)
              for k, o in enumerate(ops)]
         L = np.hstack([o.L_row(s_k) for o, s_k in zip(ops, s)])
         L_half = CubicSpline(ts, L, axis=0)(ts_half)
         mbar_half = _mbar(ops, [CubicSpline(ts, s_k, axis=0)(ts_half) for s_k in s],
                           L_half, ts_half)
-        x_new = rk4_linear_time_varying(Abar_half, mbar_half, xi, grid, "forward").values
+        x_new = rk4_linear_time_varying(Abar_half, mbar_half, xi, grid).values
         u_new = (J @ x_new[..., None])[..., 0] + L
         change = max(float(np.max(np.abs(x_new - xbar))), float(np.max(np.abs(u_new - mubar))))
         if change < TOL:

@@ -9,8 +9,8 @@ from conftest import random_specs
 from lqgmfg import solve_consistency
 from lqgmfg.meanfield import ConsistencyError
 from lqgmfg.model import PopulationSpec, SubpopParams
-from lqgmfg.numerics import Trajectory, sample_gaussian
-from lqgmfg.policy import (analytic_coe, classical_control, exploratory_policy,
+from lqgmfg.numerics import Trajectory
+from lqgmfg.policy import (_policy_at, analytic_coe, classical_control, exploratory_policy,
                            policy_entropy, policy_for, value_gap)
 from lqgmfg.presets import planar_spec, scalar_decoupled_spec
 from lqgmfg.riccati import feedback_gain
@@ -74,7 +74,7 @@ def test_dirac_limit_lambda_zero():
     mean, cov = exploratory_policy(0.5, np.array([1.0]), mf, 0)
     assert np.array_equal(cov, np.zeros((1, 1)))
     rng = np.random.default_rng(0)
-    assert np.array_equal(sample_gaussian(mean, cov, rng), mean)
+    assert np.array_equal(_policy_at(mf, 0, 0.5).sample(0.5, np.array([1.0]), rng), mean)
 
 
 def test_planar_identity_covariance(planar):
@@ -98,11 +98,11 @@ def test_covariance_linear_in_lambda():
 
 def test_sample_action_moments(decoupled):
     spec, mf = decoupled
-    pol = policy_for(mf, 0)
-    rng = np.random.default_rng(31)
     t, x = 1.0, np.array([0.7])
+    pol = _policy_at(mf, 0, t)              # the one-node record: a cheap mean
+    rng = np.random.default_rng(31)
     mean, cov = pol.mean(t, x), pol.covariance
-    draws = np.array([sample_gaussian(mean, cov, rng)[0] for _ in range(200_000)])
+    draws = np.array([pol.sample(t, x, rng)[0] for _ in range(200_000)])
     se = math.sqrt(cov[0, 0] / draws.size)
     assert abs(draws.mean() - mean[0]) < 4 * se
     assert abs(draws.var(ddof=1) - cov[0, 0]) < 0.01 * cov[0, 0]
@@ -192,7 +192,7 @@ def test_policy_record_matches_offset_formula_on_random_specs(spec):
     fh = FiniteHorizonSolution(grid=mf.grid, Pi=[Trajectory(mf.grid, P) for P in Pi_tab],
                                s=mf.s, xbar=mf.xbar, mubar=mf.mubar, iterations=1)
     mapping = LqgMapping(population=spec, terminal_weight=None, terminal_offset=None,
-                         blocks={})
+                         T=mf.grid.t1)
     for k, p in enumerate(spec.subpops):
         cov = p.lambda_explore * np.linalg.inv(p.R)
         cov = 0.5 * (cov + cov.T)

@@ -29,39 +29,34 @@ DRAW_SUMS = simulator._draw_sums       # the module's, whatever a test patches i
 
 def rows(noise, idx):
     """The noise of agents ``idx`` of a pack."""
-    return AgentNoise(noise.x0_z[idx], noise.action_z[idx], noise.dW[idx])
+    return AgentNoise(noise.x0_z[idx], noise.action_z[:, idx], noise.dW[:, idx])
 
 
 def cfg_for(N, grid=GRID, seed=0, mode="exploratory"):
     return SimConfig(N=N, counts=(N,), grid=grid, seed=seed, mode=mode)
 
 
-def reduce_packs(packs, counts, steps, tag_type=None):
-    """Each pack's per-type sums over the untagged agents and, with
-    ``tag_type``, the whole row of that type's first agent: the kernel's
-    noise reduced from full packs, one pack held at a time."""
+def pack_sums(spec, grid, counts, reps, seed, tag_type=None):
+    """A stand-in for ``simulator._draw_sums``: the pack of per-type sums
+    over the untagged agents and, with ``tag_type``, the whole row of that
+    type's first agent, reduced from the ``draw_noise`` packs 0..reps-1 of
+    ``seed`` (one held at a time), whose agents the agent-by-agent
+    references replay."""
     slices = simulator._type_slices(counts)
     tag = slice(0, 0)
     if tag_type is not None:
         t = slices[tag_type].start
         tag, slices[tag_type] = slice(t, t + 1), slice(t + 1, slices[tag_type].stop)
-    x0, dW, tagged = [], [], []
-    for pack in packs:
-        x0.append([pack.x0_z[sl].sum(axis=0) for sl in slices])
-        dW.append([pack.dW[sl, :steps].sum(axis=0) for sl in slices])
-        tagged.append((pack.x0_z[tag].copy(), pack.action_z[tag, :steps + 1].copy(),
-                       pack.dW[tag, :steps].copy()))
-    return simulator._NoiseSums(np.array(x0), np.array(dW).transpose(2, 0, 1, 3).copy(),
-                                AgentNoise(*map(np.array, zip(*tagged))))
-
-
-def pack_sums(spec, grid, counts, reps, seed, tag_type=None):
-    """A stand-in for ``simulator._draw_sums``: the sums reduced from the
-    ``draw_noise`` packs 0..reps-1 of ``seed``, whose agents the
-    agent-by-agent references replay."""
-    return reduce_packs((draw_noise(seed, sum(counts), grid.steps, spec.n, spec.m,
-                                    spec.subpops[0].r, rep=rep) for rep in range(reps)),
-                        counts, grid.steps, tag_type)
+    x0, az, dW = [], [], []
+    for rep in range(reps):
+        pack = draw_noise(seed, sum(counts), grid.steps, spec.n, spec.m,
+                          spec.subpops[0].r, rep=rep)
+        x0.append([pack.x0_z[sl].sum(axis=0) for sl in slices] + [*pack.x0_z[tag]])
+        dW.append([pack.dW[:, sl].sum(axis=1) for sl in slices]
+                  + [*pack.dW[:, tag].transpose(1, 0, 2)])
+        az.append(pack.action_z[:, tag])
+    return AgentNoise(np.array(x0), np.stack(az, axis=1),
+                      np.array(dW).transpose(2, 0, 1, 3).copy())
 
 
 @contextlib.contextmanager
@@ -82,11 +77,11 @@ def test_exact_counts():
 def test_noise_seeds_share_no_row():
     a = draw_noise(0, 16, 50, 1, 1, 1)
     b = draw_noise(1, 16, 50, 1, 1, 1)
-    rows_a = {tuple(z) for z in a.dW[:, :, 0]}
-    assert not rows_a & {tuple(z) for z in b.dW[:, :, 0]}
+    rows_a = {tuple(z) for z in a.dW[:, :, 0].T}
+    assert not rows_a & {tuple(z) for z in b.dW[:, :, 0].T}
     # nor do two packs of one seed
     c = draw_noise(0, 16, 50, 1, 1, 1, rep=1)
-    assert not rows_a & {tuple(z) for z in c.dW[:, :, 0]}
+    assert not rows_a & {tuple(z) for z in c.dW[:, :, 0].T}
 
 
 def test_identical_agents_deterministic(decoupled):
@@ -277,8 +272,8 @@ def test_truncation_bound_covers_tail(decoupled_noisy):
     grid1 = TimeGrid(0.0, 8.0, 800)
     grid2 = TimeGrid(0.0, 16.0, 1600)
     pack2 = draw_noise(5, 8, grid2.steps, spec.n, spec.m, 1)
-    pack1 = type(pack2)(pack2.x0_z, pack2.action_z[:, :grid1.steps + 1],
-                        pack2.dW[:, :grid1.steps])
+    pack1 = type(pack2)(pack2.x0_z, pack2.action_z[:grid1.steps + 1],
+                        pack2.dW[:grid1.steps])
     b1 = simulate_population(spec, mf, cfg_for(8, grid=grid1, seed=5), noise=pack1)
     b2 = simulate_population(spec, mf, cfg_for(8, grid=grid2, seed=5), noise=pack2)
     c1 = empirical_cost(b1, spec, 0, "classical", spec.rho)
@@ -537,7 +532,7 @@ def simulate_reference(spec, mf, grid, counts, noise, mode, deviations,
         if mode == "exploratory":
             u = np.empty((N, m))
             for k, sl in enumerate(slices):
-                u[sl] = mu[sl] + sd_scales[sl] * (noise.action_z[sl, i] @ c_order(chols[k].T))
+                u[sl] = mu[sl] + sd_scales[sl] * (noise.action_z[i, sl] @ c_order(chols[k].T))
         else:
             u = mu.copy()
         means[:, i] = mu
@@ -554,7 +549,7 @@ def simulate_reference(spec, mf, grid, counts, noise, mode, deviations,
                 drift += field_drift[k][i][None, :]
             else:
                 drift += x_avg[i] @ c_order(p.F.T) + mu_avg[i] @ c_order(p.H.T)
-            x_new[sl] = x[sl] + dt * drift + sqdt * (noise.dW[sl, i] @ c_order(p.D.T))
+            x_new[sl] = x[sl] + dt * drift + sqdt * (noise.dW[i, sl] @ c_order(p.D.T))
         states[:, i + 1] = x_new
         x = x_new
     return {"states": states, "actions": actions, "means": means,
@@ -627,8 +622,8 @@ def test_kernel_matches_agent_major_reference(K, n, m, r, steps, counts, mode,
     counts[0] = max(counts[0], 1)
     N = sum(counts)
     noise = AgentNoise(rng.standard_normal((N, n)),
-                       rng.standard_normal((N, steps + 1, m)),
-                       rng.standard_normal((N, steps, r)))
+                       rng.standard_normal((steps + 1, N, m)),
+                       rng.standard_normal((steps, N, r)))
     deviations = {int(i): PolicyDeviation(mean_shift=rng.standard_normal(m)
                                           if rng.random() < 0.7 else None,
                                           cov_scale=float(rng.uniform(0.2, 3.0)))
@@ -659,9 +654,15 @@ def test_noise_pack_is_the_time_major_stream():
     rng = rng_stream(9, 4)
     assert np.array_equal(pack.x0_z, rng.standard_normal((N, n)))
     for i in range(steps + 1):
-        assert np.array_equal(pack.action_z[:, i], rng.standard_normal((N, m)))
+        assert np.array_equal(pack.action_z[i], rng.standard_normal((N, m)))
         if i < steps:
-            assert np.array_equal(pack.dW[:, i], rng.standard_normal((N, r)))
+            assert np.array_equal(pack.dW[i], rng.standard_normal((N, r)))
+    # the same values as the chunks of the draw rule, concatenated
+    chunks = simulator._noise_chunks(rng_stream(9, 4), N, n, m, r, steps, 7)
+    assert np.array_equal(pack.x0_z, next(chunks))
+    az, dw = zip(*((a.copy(), w.copy()) for a, w in chunks))
+    assert np.array_equal(pack.action_z, np.concatenate(az))
+    assert np.array_equal(pack.dW, np.concatenate(dw))
 
 
 DRAW_GRID = TimeGrid(0.0, 2.0, 50)
@@ -948,9 +949,11 @@ def coupling_gap_oracle(spec, mf, grid, N, ck):
 def scaled_by_c(spec, grid, counts, reps, seed, tag_type=None):
     """The drawn sums scaled by c, not sqrt(c): a wrong law for the gate
     below to reject."""
-    sums = DRAW_SUMS(spec, grid, counts, reps, seed, tag_type)
+    sums, K = DRAW_SUMS(spec, grid, counts, reps, seed, tag_type), len(counts)
     root = np.sqrt(np.asarray(counts, dtype=float))[:, None]
-    return simulator._NoiseSums(root * sums.x0, root * sums.dW, sums.tag)
+    sums.x0_z[..., :K, :] *= root
+    sums.dW[..., :K, :] *= root
+    return sums
 
 
 @pytest.mark.parametrize("game", ["coupled", "two_type"])
@@ -994,24 +997,25 @@ def test_draw_sums_are_scaled_stream_normals():
                 K * n + steps * K * r + C * (n + nodes * m + steps * r))
             x0, z = z[:K * n].reshape(K, n), z[K * n:]
             dW, z = z[:steps * K * r].reshape(steps, K, r), z[steps * K * r:]
-            np.testing.assert_array_equal(sums.x0[rep], np.sqrt(c)[:, None] * x0)
-            np.testing.assert_array_equal(sums.dW[:, rep], np.sqrt(c)[:, None] * dW)
-            np.testing.assert_array_equal(sums.tag.x0_z[rep], z[:C * n].reshape(C, n))
-            np.testing.assert_array_equal(sums.tag.action_z[rep],
-                                          z[C * n:C * (n + nodes * m)].reshape(C, nodes, m))
-            np.testing.assert_array_equal(sums.tag.dW[rep],
-                                          z[C * (n + nodes * m):].reshape(C, steps, r))
+            # one pack: the K per-type sums, then the tagged row, time-major
+            np.testing.assert_array_equal(sums.x0_z[rep, :K], np.sqrt(c)[:, None] * x0)
+            np.testing.assert_array_equal(sums.dW[:, rep, :K], np.sqrt(c)[:, None] * dW)
+            np.testing.assert_array_equal(sums.x0_z[rep, K:], z[:C * n].reshape(C, n))
+            np.testing.assert_array_equal(
+                sums.action_z[:, rep],
+                z[C * n:C * (n + nodes * m)].reshape(C, nodes, m).transpose(1, 0, 2))
+            np.testing.assert_array_equal(
+                sums.dW[:, rep, K:],
+                z[C * (n + nodes * m):].reshape(C, steps, r).transpose(1, 0, 2))
             # the noise pack of the same (seed, rep) is another stream
             pack = draw_noise(seed, N, steps, n, m, r, rep=rep)
             assert not np.intersect1d(np.concatenate([x0.ravel(), dW.ravel()]),
                                       np.concatenate([pack.x0_z.ravel(), pack.dW.ravel()])).size
         again = simulator._draw_sums(spec, grid, counts, reps, seed, tag_type)
-        for a, b in ((sums.x0, again.x0), (sums.dW, again.dW),
-                     (sums.tag.x0_z, again.tag.x0_z), (sums.tag.action_z, again.tag.action_z),
-                     (sums.tag.dW, again.tag.dW)):
-            assert np.array_equal(a, b)
+        for f in ("x0_z", "action_z", "dW"):
+            assert np.array_equal(getattr(sums, f), getattr(again, f))
     # another N, or another repetition, is another draw, not a rescaled one
-    unit = [simulator._draw_sums(spec, grid, cnt, reps, seed).x0 / np.sqrt(cnt)[:, None]
+    unit = [simulator._draw_sums(spec, grid, cnt, reps, seed).x0_z / np.sqrt(cnt)[:, None]
             for cnt in ((4, 1), (5, 1))]
     assert not np.any(np.isclose(unit[0], unit[1], rtol=1e-9, atol=0))
     assert not np.any(np.isclose(unit[0][0], unit[0][1], rtol=1e-9, atol=0))
@@ -1031,7 +1035,7 @@ def test_coupling_gap_draw_does_not_depend_on_checkpoint(coupled):
             coupling_gap_experiment(spec, mf, [9], reps=3, seed=8,
                                     grid=TimeGrid(0.0, 2.0, 50), checkpoint_frac=frac)
     for sums in drawn[1:]:
-        assert np.array_equal(sums.x0, drawn[0].x0)
+        assert np.array_equal(sums.x0_z, drawn[0].x0_z)
         assert np.array_equal(sums.dW, drawn[0].dW)
 
 
@@ -1140,8 +1144,7 @@ def test_cost_gap_matches_direct_simulation(two_type):
 
 def empirical_cost_reference(batch, spec, k, mode, rho, agents=None):
     """All agents at once with 3-operand einsums over (agents, nodes, .)
-    gathers, against a shared or a per-agent reference.  The reference for
-    ``empirical_cost``'s blocked kernel."""
+    gathers.  The reference for ``empirical_cost``'s blocked kernel."""
     p = spec.subpops[k]
     if agents is None:
         agents = np.flatnonzero(batch.types == k)
@@ -1150,7 +1153,7 @@ def empirical_cost_reference(batch, spec, k, mode, rho, agents=None):
     ts = grid.times()
     psib = spec.psibar(k) if batch.infinite else p.psi
     y = batch.xref @ psib.T
-    E = batch.states[agents] - (y[agents] if y.ndim == 3 else y[None, :, :])
+    E = batch.states[agents] - y[None, :, :]
     MU = batch.means[agents]
     lam_rinv = p.lambda_explore * np.linalg.inv(p.R)
     quad_e = 0.5 * np.einsum("ati,ij,atj->at", E, p.Q, E)
@@ -1181,10 +1184,9 @@ def empirical_cost_reference(batch, spec, k, mode, rho, agents=None):
                            truncation_bound=bound)
 
 
-def _random_batch(rng, spec, N, steps, infinite, per_path=False):
+def _random_batch(rng, spec, N, steps, infinite):
     """A batch of random time-major paths: the cost reads only these arrays,
-    not how they were simulated.  With ``per_path`` each path tracks its
-    own reference."""
+    not how they were simulated."""
     n, m, K = spec.n, spec.m, spec.K
     nodes = steps + 1
     grid = TimeGrid(0.0, rng.uniform(0.5, 3.0), steps)
@@ -1193,8 +1195,7 @@ def _random_batch(rng, spec, N, steps, infinite, per_path=False):
     def tm(d):
         return rng.standard_normal((nodes, N, d)).transpose(1, 0, 2)
 
-    d_ref = n * K if infinite else n
-    xref = tm(d_ref) if per_path else rng.standard_normal((nodes, d_ref))
+    xref = rng.standard_normal((nodes, n * K if infinite else n))
     return simulator.SimulationBatch(
         grid=grid, types=types, states=tm(n), actions=tm(m), means=tm(m),
         x_avg=np.zeros((nodes, n)), mu_avg=np.zeros((nodes, m)), xref=xref,
@@ -1204,12 +1205,12 @@ def _random_batch(rng, spec, N, steps, infinite, per_path=False):
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(spec=random_specs(), steps=st.integers(1, 12),
        extra=st.integers(1, 300), infinite=st.booleans(),
-       subset=st.booleans(), per_path=st.booleans(), seed=st.integers(0, 2**32 - 1))
+       subset=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_empirical_cost_matches_einsum_reference(spec, steps, extra, infinite,
-                                                 subset, per_path, seed):
+                                                 subset, seed):
     rng = np.random.default_rng(seed)
     block = simulator._COST_BLOCK
-    batch = _random_batch(rng, spec, block + extra, steps, infinite, per_path)
+    batch = _random_batch(rng, spec, block + extra, steps, infinite)
     k = int(rng.integers(0, spec.K))
     # an unsorted subset across a block boundary, or all agents of type k;
     # only paths of type k are costed with its weights, so a subset (or too
@@ -1244,12 +1245,11 @@ def test_empirical_cost_memory_stays_below_the_paths(planar):
     assert peak < paths
 
 
-@pytest.mark.parametrize("per_path", [False, True])
-def test_empirical_cost_rounds_equal_paths_alike(planar, per_path):
+def test_empirical_cost_rounds_equal_paths_alike(planar):
     # one path tiled across a block boundary, into a last block of odd
     # width: the discount sum must not round a path by its position
     spec, _mf = planar
-    one = _random_batch(np.random.default_rng(5), spec, 1, 400, False, per_path)
+    one = _random_batch(np.random.default_rng(5), spec, 1, 400, False)
     N = simulator._COST_BLOCK + 45
 
     def tile(a):
@@ -1258,7 +1258,7 @@ def test_empirical_cost_rounds_equal_paths_alike(planar, per_path):
     batch = dataclasses.replace(
         one, types=np.zeros(N, dtype=int), states=tile(one.states),
         actions=tile(one.actions), means=tile(one.means),
-        xref=tile(one.xref) if per_path else one.xref, cov_scales=tile(one.cov_scales))
+        cov_scales=tile(one.cov_scales))
     for mode in ("classical", "exploratory", "exploratory-regularized"):
         costs = empirical_cost(batch, spec, 0, mode, spec.rho).per_agent
         assert np.all(costs == costs[0]), mode

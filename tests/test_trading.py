@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lqgmfg.model import validate_spec
 from lqgmfg.numerics import TimeGrid, rng_stream
 from lqgmfg.policy import GaussianPolicy
 from lqgmfg.trading import (EstimationError, MarketParams, MarketPaths, TradingDataset,
@@ -140,6 +141,23 @@ def test_to_lqg_structure():
     assert mapping.population.rho == 0.0
     assert np.allclose(mapping.terminal_weight, [[2.0, -1.0], [-1.0, 0.0]])
     assert np.allclose(mapping.terminal_offset, [-10.0, 0.0])
+    assert mapping.T == TRUE.T
+
+
+def test_finite_horizon_waives_only_discount_and_state_convexity():
+    # the trading spec has rho = 0 and Q - S R^-1 S^T indefinite, both
+    # waived by aspect, and solves; R <= 0 stays a hard error
+    mapping = to_lqg(TRUE, lambda_explore=0.1)
+    report = validate_spec(mapping.population)
+    assert {a for a, _ in report.violations} == {"discount", "state-convexity"}
+    assert np.all(np.isfinite(solve_finite_horizon(mapping, steps=50).xbar.values))
+    no_impact = to_lqg(dataclasses.replace(TRUE, a_temp=0.0))          # R = 2 a = 0
+    sub = dataclasses.replace(mapping.population.subpops[0], R=-np.eye(1))
+    negative = dataclasses.replace(mapping, population=dataclasses.replace(
+        mapping.population, subpops=(sub,)))
+    for bad in (no_impact, negative):
+        with pytest.raises(ValueError, match="R not positive definite"):
+            solve_finite_horizon(bad, steps=50)
 
 
 def test_to_lqg_zero_impacts():
