@@ -343,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="out", help="output directory")
         dests = [p.add_argument(flag, **_FLAGS[flag]).dest for flag in flags]
         # the flags besides --seed and --out go into the manifest's overrides
-        p.set_defaults(load=load, func=func, overrides=dests)
+        p.set_defaults(load=load, func=func, overrides=dests, parser=p)
 
     def kinds(name, help):
         return sub.add_parser(name, help=help).add_subparsers(dest="kind", required=True)
@@ -365,7 +365,9 @@ def main(argv=None) -> int:
     """Run one command.  The one place where an exception becomes an exit
     code; see the module docstring for the rule."""
     try:
-        args = build_parser().parse_args(argv)
+        args, foreign = build_parser().parse_known_args(argv)
+        if foreign:     # from the command's own parser: its usage lists its flags
+            args.parser.error(f"unrecognized arguments: {' '.join(foreign)}")
     except SystemExit as exc:       # --help, or a usage error argparse printed
         return 0 if exc.code == 0 else 1
     out = None

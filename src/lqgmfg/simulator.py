@@ -14,8 +14,11 @@ Noise discipline: one draw rule, ``_noise_chunks``, for every path's noise.
 A batch of paths reads its stream time-major: every path's initial state,
 then per node every path's action noise and, before the last node, its
 increments, a chunk of nodes per ``standard_normal`` fill, so the values do
-not depend on the chunk.  ``_euler`` draws each chunk as it steps, in both
-modes alike, from ``rng_stream(seed, 0)`` for populations and representative
+not depend on the chunk.  Each fill runs one chunk ahead on a worker thread,
+into the other of two chunk buffers while the consumer reads the chunk
+before; one fill is outstanding at a time, so the values are those of a
+serial draw.  ``_euler`` draws each chunk as it steps, in both modes
+alike, from ``rng_stream(seed, 0)`` for populations and representative
 paths (``rng_stream(seed)`` for the cost of exploration): no (N, nodes, .)
 noise array exists.  Common random numbers pass one ``draw_noise`` pack, the
 same values in the same time-major order, to both systems.  Experiments that
@@ -44,6 +47,7 @@ kernel on blocks of agents, so its memory does not grow with the population.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -166,19 +170,35 @@ def _noise_chunks(rng: np.random.Generator, P: int, n: int, m: int, r: int,
     (P, r).  Yields the initial-state normals, then for each chunk of up to
     ``chunk`` nodes the time-major action noise (c, P, m) and increments
     (c', P, r), c' = c except on the last node's chunk.  A chunk is one
-    ``standard_normal`` fill, so the values do not depend on ``chunk``; the
-    chunks are views of one buffer, valid until the next is drawn.
+    ``standard_normal`` fill, so the values do not depend on ``chunk``.
+
+    The fills run one chunk ahead on a worker thread (the fill releases the
+    GIL), into two buffers in turn: while the consumer reads chunk i, chunk
+    i + 1 is drawn into the other.  One fill is outstanding at a time, on
+    the one ``rng`` in the same order, so the values are those of a serial
+    draw.  A chunk is a view of its buffer, valid until the consumer asks
+    for the next one.  Closing the generator joins the worker.
     """
-    yield rng.standard_normal((P, n))
+    x0 = rng.standard_normal((P, n))
     nodes, per_node = steps + 1, P * (m + r)
     chunk = min(chunk, nodes)
-    buf = np.empty(chunk * per_node)
-    for lo in range(0, nodes, chunk):
-        c = min(chunk, nodes - lo)
-        cw = min(c, steps - lo)                 # nodes with increments
-        rng.standard_normal(out=buf[:c * per_node - (c - cw) * P * r])
-        z = buf[:c * per_node].reshape(c, per_node)
-        yield z[:, :P * m].reshape(c, P, m), z[:cw, P * m:].reshape(cw, P, r)
+    bufs = np.empty((2, chunk * per_node))
+    # per chunk: its nodes, and its nodes with increments
+    sizes = [(min(chunk, nodes - lo), min(chunk, steps - lo)) for lo in range(0, nodes, chunk)]
+
+    def fill(i: int) -> None:
+        c, cw = sizes[i]
+        rng.standard_normal(out=bufs[i % 2, :c * per_node - (c - cw) * P * r])
+
+    with ThreadPoolExecutor(1) as worker:
+        pending = worker.submit(fill, 0)
+        yield x0
+        for i, (c, cw) in enumerate(sizes):
+            pending.result()
+            if i + 1 < len(sizes):
+                pending = worker.submit(fill, i + 1)
+            z = bufs[i % 2, :c * per_node].reshape(c, per_node)
+            yield z[:, :P * m].reshape(c, P, m), z[:cw, P * m:].reshape(cw, P, r)
 
 
 def _pack_chunks(pack: AgentNoise):
@@ -200,9 +220,9 @@ def draw_noise(seed: int, N: int, steps: int, n: int, m: int, r: int,
     noise in both (common random numbers).  Agent i's values depend on N:
     every node draws all N paths at once.
     """
+    action_z, dW = np.empty((steps + 1, N, m)), np.empty((steps, N, r))
     chunks = _noise_chunks(rng_stream(seed, rep), N, n, m, r, steps, _NOISE_CHUNK)
     x0_z = next(chunks)
-    action_z, dW = np.empty((steps + 1, N, m)), np.empty((steps, N, r))
     for lo, (az, dw) in zip(range(0, steps + 1, _NOISE_CHUNK), chunks):
         action_z[lo:lo + len(az)], dW[lo:lo + len(dw)] = az, dw
     return AgentNoise(x0_z, action_z, dW)
@@ -337,57 +357,60 @@ def _euler(spec: PopulationSpec, mf: MeanFieldSolution, grid: TimeGrid, counts,
     offset = np.stack([pol.offset[:nodes] for pol in pols], axis=1)   # (nodes, K, m)
     b_tab = np.stack([p.b(ts) for p in spec.subpops], axis=1)        # (nodes, K, n)
     field_t = _limiting_field(spec, mf, ts) if exogenous else None    # (nodes, K, n)
-    x0 = next(noise)
-    batch = np.broadcast_shapes(x0.shape[:-2], np.shape(shifts)[:-2], np.shape(scales)[:-1])
-    C = len(types)
-    per_type = np.bincount(types, minlength=K)
-    carried = [(k, sl) for k, sl in enumerate(_type_slices(per_type)) if per_type[k]]
-    weights, blocks = np.ones(C), []
-    if sums:
-        # the per-type sums come first, as rows weighted by their counts
-        c = np.asarray(counts, dtype=float) - per_type
-        weights = np.concatenate([c, weights])
-        blocks = [(k, slice(k, k + 1), c[k]) for k in range(K)]
-    own = slice(len(weights) - C, None)                 # the carried rows
-    blocks += [(k, slice(own.start + sl.start, own.start + sl.stop), 1.0) for k, sl in carried]
-    # a block's rows, its weighted offset and b tables, its weight
-    blocks = [(k, sl, w * offset[:, k], w * b_tab[:, k], w) for k, sl, w in blocks]
-    sd = np.sqrt(np.broadcast_to(scales, batch + (C,)))[..., None]
+    try:
+        x0 = next(noise)
+        batch = np.broadcast_shapes(x0.shape[:-2], np.shape(shifts)[:-2], np.shape(scales)[:-1])
+        C = len(types)
+        per_type = np.bincount(types, minlength=K)
+        carried = [(k, sl) for k, sl in enumerate(_type_slices(per_type)) if per_type[k]]
+        weights, blocks = np.ones(C), []
+        if sums:
+            # the per-type sums come first, as rows weighted by their counts
+            c = np.asarray(counts, dtype=float) - per_type
+            weights = np.concatenate([c, weights])
+            blocks = [(k, slice(k, k + 1), c[k]) for k in range(K)]
+        own = slice(len(weights) - C, None)                 # the carried rows
+        blocks += [(k, slice(own.start + sl.start, own.start + sl.stop), 1.0) for k, sl in carried]
+        # a block's rows, its weighted offset and b tables, its weight
+        blocks = [(k, sl, w * offset[:, k], w * b_tab[:, k], w) for k, sl, w in blocks]
+        sd = np.sqrt(np.broadcast_to(scales, batch + (C,)))[..., None]
 
-    states = np.empty((nodes,) + batch + (len(weights), n))
-    means = np.empty((nodes,) + batch + (len(weights), m))
-    actions = np.empty((nodes,) + batch + (C, m))
-    x_avg = np.empty((nodes,) + batch + (n,))
-    mu_avg = np.empty((nodes,) + batch + (m,))
-    L0 = np.ascontiguousarray(cholesky_psd(spec.x0_cov).T)
-    states[0] = weights[:, None] * spec.x0_mean + x0 @ L0
-    end = 0
-    for i in range(nodes):
-        if i == end:
-            az, dw = next(noise)
-            start, end = i, i + len(az)
-        j = i - start
-        x, mu, u = states[i], means[i], actions[i]
-        for k, sl, off, _, _ in blocks:
-            mu[..., sl, :] = off[i] - x[..., sl, :] @ G[k]
-        mu[..., own, :] += shifts
-        u[...] = mu[..., own, :]
-        if mode == "exploratory":
-            for k, sl in carried:
-                u[..., sl, :] += sd[..., sl, :] * (az[j][..., sl, :] @ chol[k])
-        xa = x_avg[i] = x.sum(axis=-2) / N
-        ma = mu_avg[i] = mu.sum(axis=-2) / N
-        if not np.all(np.isfinite(xa)):
-            raise RuntimeError(f"non-finite state at t={ts[i]:.4g}")
-        if i == steps:
-            break
-        field = (field_t[i] if exogenous else
-                 [(xa @ F[k] + ma @ H[k])[..., None, :] for k in range(K)])
-        for k, sl, _, b, w in blocks:
-            drift = x[..., sl, :] @ A[k] + mu[..., sl, :] @ B[k] + b[i]
-            drift += w * field[k]
-            states[i + 1][..., sl, :] = (x[..., sl, :] + dt * drift
-                                         + sqdt * (dw[j][..., sl, :] @ D[k]))
+        states = np.empty((nodes,) + batch + (len(weights), n))
+        means = np.empty((nodes,) + batch + (len(weights), m))
+        actions = np.empty((nodes,) + batch + (C, m))
+        x_avg = np.empty((nodes,) + batch + (n,))
+        mu_avg = np.empty((nodes,) + batch + (m,))
+        L0 = np.ascontiguousarray(cholesky_psd(spec.x0_cov).T)
+        states[0] = weights[:, None] * spec.x0_mean + x0 @ L0
+        end = 0
+        for i in range(nodes):
+            if i == end:
+                az, dw = next(noise)
+                start, end = i, i + len(az)
+            j = i - start
+            x, mu, u = states[i], means[i], actions[i]
+            for k, sl, off, _, _ in blocks:
+                mu[..., sl, :] = off[i] - x[..., sl, :] @ G[k]
+            mu[..., own, :] += shifts
+            u[...] = mu[..., own, :]
+            if mode == "exploratory":
+                for k, sl in carried:
+                    u[..., sl, :] += sd[..., sl, :] * (az[j][..., sl, :] @ chol[k])
+            xa = x_avg[i] = x.sum(axis=-2) / N
+            ma = mu_avg[i] = mu.sum(axis=-2) / N
+            if not np.all(np.isfinite(xa)):
+                raise RuntimeError(f"non-finite state at t={ts[i]:.4g}")
+            if i == steps:
+                break
+            field = (field_t[i] if exogenous else
+                     [(xa @ F[k] + ma @ H[k])[..., None, :] for k in range(K)])
+            for k, sl, _, b, w in blocks:
+                drift = x[..., sl, :] @ A[k] + mu[..., sl, :] @ B[k] + b[i]
+                drift += w * field[k]
+                states[i + 1][..., sl, :] = (x[..., sl, :] + dt * drift
+                                             + sqdt * (dw[j][..., sl, :] @ D[k]))
+    finally:
+        noise.close()       # joins the draw's worker, also on an early stop
     return states, means, actions, x_avg, mu_avg
 
 
@@ -744,9 +767,9 @@ def nash_deviation_experiment(spec: PopulationSpec, mf: MeanFieldSolution,
     """Best gain a tagged agent can extract from a finite deviation family:
     eps-hat = max(0, J^N(equilibrium) - min over family J^N(deviation)).
 
-    A lower bound on the true epsilon (the infimum over all admissible
-    policies is not computed here: ROADMAP item 1); the same draws serve
-    every family member, which keeps the comparison paired.  One ``_euler``
+    A lower bound on the true epsilon: the infimum over all admissible
+    policies, the exact epsilon, is not computed in this package.  The same
+    draws serve every family member, which keeps the comparison paired.  One ``_euler``
     run steps every member, the equilibrium as the zero-shift member, on
     every repetition's tagged row (the first agent of type 0) and per-type
     sums, drawn as such by ``_draw_sums``; ``_path_costs`` costs every path
@@ -789,9 +812,10 @@ def coe_experiment(spec: PopulationSpec, mf: MeanFieldSolution, k: int,
     of every path (``_noise_chunks``) in chunks of about 1 MiB of nodes;
     only the states of the current chunk are kept.  It is not ``_euler``
     for speed: on the planar preset, 500 paths over 12,207 steps took
-    1.9-2.0 s through ``_euler`` (the paths alone, before any cost) against
-    0.73-0.83 s for this whole experiment, which folds the policy mean into
-    one Euler matrix and keeps no (nodes, paths) arrays.
+    1.2-1.5 s through ``_euler`` (the paths alone, before any cost) against
+    0.44-0.54 s for this whole experiment, run in turn on a 2-core machine
+    with one BLAS thread; it folds the policy mean into one Euler matrix and
+    keeps no (nodes, paths) arrays.
     """
     rho = spec.rho
     if rho <= 0:
@@ -833,25 +857,28 @@ def coe_experiment(spec: PopulationSpec, mf: MeanFieldSolution, k: int,
     chunk = min(nodes, max(1, _BLOCK_BYTES // (8 * reps * (m + r))))
     noise = _noise_chunks(rng_stream(seed), reps, n, m, r, steps, chunk)
     X = np.empty((chunk + 1, reps, n))
-    X[0] = spec.x0_mean[None, :] + next(noise) @ L0.T
-    acc = np.zeros(reps)
-    lo = 0
-    for z, dw in noise:
-        c, cw = len(z), len(dw)                 # nodes, Euler steps in this chunk
-        kick = sqdt * (dw @ Dt)
-        kick += step_off[lo:lo + cw, None, :]
-        with np.errstate(over="ignore", invalid="ignore"):   # checked below
-            for j in range(cw):
-                np.matmul(X[j], step_mat, out=X[j + 1])
-                X[j + 1] += kick[j]
-        finite = np.isfinite(X[:c]).all(axis=(1, 2))
-        if not finite.all():
-            raise RuntimeError(f"non-finite state at t={ts[lo + finite.argmin()]:.4g}")
-        g = z @ zz + X[:c] @ xz
-        g += h[lo:lo + c, None, :]
-        acc += wdisc[lo:lo + c] @ _rowdot(g, z)
-        X[0] = X[c]
-        lo += c
+    try:
+        X[0] = spec.x0_mean[None, :] + next(noise) @ L0.T
+        acc = np.zeros(reps)
+        lo = 0
+        for z, dw in noise:
+            c, cw = len(z), len(dw)                 # nodes, Euler steps in this chunk
+            kick = sqdt * (dw @ Dt)
+            kick += step_off[lo:lo + cw, None, :]
+            with np.errstate(over="ignore", invalid="ignore"):   # checked below
+                for j in range(cw):
+                    np.matmul(X[j], step_mat, out=X[j + 1])
+                    X[j + 1] += kick[j]
+            finite = np.isfinite(X[:c]).all(axis=(1, 2))
+            if not finite.all():
+                raise RuntimeError(f"non-finite state at t={ts[lo + finite.argmin()]:.4g}")
+            g = z @ zz + X[:c] @ xz
+            g += h[lo:lo + c, None, :]
+            acc += wdisc[lo:lo + c] @ _rowdot(g, z)
+            X[0] = X[c]
+            lo += c
+    finally:
+        noise.close()
     est = float(acc.mean())
     se = float(_se(acc))
     ana = analytic_coe(k, spec)

@@ -5,6 +5,7 @@ modules."""
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -24,6 +25,16 @@ def scalar_are_root(A, B, Q, R, S, rho):
     a0 = S * S / R - Q
     disc = a1 * a1 - 4.0 * a2 * a0
     return (-a1 + math.sqrt(disc)) / (2.0 * a2)
+
+
+@pytest.fixture(autouse=True)
+def no_stray_threads():
+    """Fail a test that ends with a live thread it did not start with, such
+    as a noise draw's worker that outlived its draw."""
+    before = set(threading.enumerate())
+    yield
+    stray = set(threading.enumerate()) - before
+    assert not stray, f"threads left running: {sorted(t.name for t in stray)}"
 
 
 @pytest.fixture(scope="session")

@@ -347,7 +347,12 @@ def test_foreign_flag_is_a_usage_error(spec_files, tmp_path, capsys, command, fl
     out = tmp_path / "out"
     assert main([*command, str(path), flag, _VALUES[flag], "--out", str(out)]) == 1
     assert not out.exists()
-    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {flag}" in err
+    # the usage line is the command's own, and lists the flags it does take
+    usage = err.split(": error:")[0]
+    assert usage.startswith(f"usage: lqgmfg {' '.join(command)} [-h]")
+    assert all(f"{own} " in usage for own in _READS[command] | {"--seed", "--out"})
 
 
 def test_readme_cli_lines_parse():

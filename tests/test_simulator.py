@@ -1,6 +1,9 @@
 import contextlib
 import dataclasses
 import math
+import sys
+import threading
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -663,6 +666,108 @@ def test_noise_pack_is_the_time_major_stream():
     az, dw = zip(*((a.copy(), w.copy()) for a, w in chunks))
     assert np.array_equal(pack.action_z, np.concatenate(az))
     assert np.array_equal(pack.dW, np.concatenate(dw))
+
+
+def serial_stream(seed, P, n, m, r, steps):
+    """One ``standard_normal`` call for the whole stream, cut by the draw
+    rule: the initial states (P, n), then per node the action noise
+    (nodes, P, m) and, before the last node, the increments (steps, P, r)."""
+    per_node = P * (m + r)
+    z = rng_stream(seed, 0).standard_normal(P * n + (steps + 1) * per_node - P * r)
+    nodes = np.append(z[P * n:], np.empty(P * r)).reshape(steps + 1, per_node)
+    return (z[:P * n].reshape(P, n), nodes[:, :P * m].reshape(-1, P, m),
+            nodes[:steps, P * m:].reshape(-1, P, r))
+
+
+# steps + 1 divisible by the chunk, a partial last chunk, a chunk larger than
+# the nodes, one node, one path
+@pytest.mark.parametrize("P, steps, chunk", [(3, 15, 4), (5, 40, 7), (2, 9, 50),
+                                             (4, 0, 16), (1, 30, 1), (6, 16, 17)])
+def test_noise_chunks_are_one_serial_stream(P, steps, chunk):
+    n, m, r = 2, 3, 1
+    x0, az, dw = serial_stream(8, P, n, m, r, steps)
+    chunks = simulator._noise_chunks(rng_stream(8, 0), P, n, m, r, steps, chunk)
+    assert np.array_equal(next(chunks), x0)
+    got = [(a.copy(), w.copy()) for a, w in chunks]
+    assert len(got) == -(-(steps + 1) // chunk)
+    assert all(len(a) == min(chunk, steps + 1 - lo)
+               for lo, (a, _) in zip(range(0, steps + 1, chunk), got))
+    assert np.array_equal(np.concatenate([a for a, _ in got]), az)
+    assert np.array_equal(np.concatenate([w for _, w in got]), dw)
+
+
+def test_held_chunk_is_not_overwritten_until_the_next_is_asked():
+    # the worker fills the next chunk while the consumer holds this one;
+    # wait long enough for that fill to end, then read the held chunk
+    P, n, m, r, steps, chunk = 2000, 1, 2, 2, 63, 4
+    x0, az, dw = serial_stream(5, P, n, m, r, steps)
+    chunks = simulator._noise_chunks(rng_stream(5, 0), P, n, m, r, steps, chunk)
+    next(chunks)
+    previous = None
+    for lo, (a, w) in zip(range(0, steps + 1, chunk), chunks):
+        time.sleep(0.005)
+        assert np.array_equal(a, az[lo:lo + chunk])
+        assert np.array_equal(w, dw[lo:lo + chunk])
+        assert previous is None or not np.shares_memory(a, previous)
+        previous = a
+
+
+def test_concurrent_draws_keep_their_streams():
+    # four consumers, each with its own draw and worker, on two cores, with
+    # the interpreter switching threads every 10 us
+    P, n, m, r, steps, chunk = 300, 1, 2, 1, 99, 8
+    got = {}
+
+    def consume(seed):
+        chunks = simulator._noise_chunks(rng_stream(seed, 0), P, n, m, r, steps, chunk)
+        x0 = next(chunks)
+        parts = [(a.copy(), w.copy()) for a, w in chunks]
+        got[seed] = (x0, np.concatenate([a for a, _ in parts]),
+                     np.concatenate([w for _, w in parts]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=consume, args=(seed,)) for seed in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for seed in range(4):
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(got[seed], serial_stream(seed, P, n, m, r, steps)))
+
+
+def test_closing_the_draw_joins_its_worker():
+    before = set(threading.enumerate())
+    chunks = simulator._noise_chunks(rng_stream(1, 0), 50, 1, 1, 1, 100, 4)
+    for _ in range(3):
+        next(chunks)
+    assert set(threading.enumerate()) > before          # the worker runs
+    chunks.close()
+    assert set(threading.enumerate()) == before
+
+
+STIFF_GRID = TimeGrid(0.0, 180.0, 400)
+
+
+@pytest.mark.parametrize("run", [
+    lambda spec, mf: simulate_population(spec, mf, cfg_for(50, grid=STIFF_GRID)),
+    lambda spec, mf: simulate_representative(spec, mf, STIFF_GRID, 0, n_paths=50),
+    lambda spec, mf: coe_experiment(spec, mf, 0, reps=50, seed=0, grid=STIFF_GRID),
+], ids=["population", "representative", "coe"])
+def test_blow_up_joins_the_worker(run):
+    # explicit Euler at dt = 0.45 blows up at A = -45; the raised error's
+    # traceback keeps the kernel's frame, and so its draw, alive
+    spec = scalar_decoupled_spec(A=-45.0, D=0.1, x0_var=0.1)
+    mf = solve_consistency(spec)
+    before = set(threading.enumerate())
+    with pytest.raises(RuntimeError, match="non-finite state") as info:
+        run(spec, mf)
+    assert info.traceback and set(threading.enumerate()) == before
 
 
 DRAW_GRID = TimeGrid(0.0, 2.0, 50)
