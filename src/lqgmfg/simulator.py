@@ -39,8 +39,11 @@ field; the coupling gap steps sums only, on per-type noise sums; the
 cost gap and the epsilon-Nash experiments step the sums plus one
 tagged row, for every (deviation, repetition) at once, and cost every
 tagged path in one call of the one cost kernel, ``_path_costs``.  The
-experiments compute only what they read.  ``empirical_cost`` runs that
-kernel on blocks of agents, so its memory does not grow with the population.
+experiments compute only what they read.  A node's population averages are
+pairwise sums per component, over a component-major copy of its rows.
+``empirical_cost`` runs the cost kernel on blocks of agents, the even blocks
+on the calling thread and the odd ones on one worker, so its memory does not
+grow with the population and the second core shares the work.
 ``coe_experiment`` keeps its own fused loop (see there).
 """
 
@@ -81,8 +84,8 @@ __all__ = [
 _BLOCK_BYTES = 1 << 20
 # nodes per noise chunk of a population or a batch of paths
 _NOISE_CHUNK = 16
-# agents per block in empirical_cost
-_COST_BLOCK = 256
+# agents per block in empirical_cost: two blocks are costed at once, one per thread
+_COST_BLOCK = 64
 # first spawn-key entry of the drawn noise sums' streams (seed, _SUMS_KEY, N, rep)
 _SUMS_KEY = 7
 
@@ -339,7 +342,10 @@ def _euler(spec: PopulationSpec, mf: MeanFieldSolution, grid: TimeGrid, counts,
     Returns time-major states and policy means, (nodes, ..., P, .), the
     carried rows' actions (nodes, ..., C, m), and the population averages
     (nodes, ..., .), over the first ``steps`` steps (default: all) of
-    ``grid``.
+    ``grid``.  An average is the pairwise sum of each component over a
+    component-major copy of the rows, over N: numpy's order for n = 1, and
+    for n >= 2 about ten times faster on large populations than a sum over
+    the rows, which adds them one row at a time.
     """
     steps = grid.steps if steps is None else steps
     nodes, dt, sqdt = steps + 1, grid.dt, math.sqrt(grid.dt)
@@ -396,8 +402,8 @@ def _euler(spec: PopulationSpec, mf: MeanFieldSolution, grid: TimeGrid, counts,
             if mode == "exploratory":
                 for k, sl in carried:
                     u[..., sl, :] += sd[..., sl, :] * (az[j][..., sl, :] @ chol[k])
-            xa = x_avg[i] = x.sum(axis=-2) / N
-            ma = mu_avg[i] = mu.sum(axis=-2) / N
+            xa = x_avg[i] = np.ascontiguousarray(np.swapaxes(x, -1, -2)).sum(axis=-1) / N
+            ma = mu_avg[i] = np.ascontiguousarray(np.swapaxes(mu, -1, -2)).sum(axis=-1) / N
             if not np.all(np.isfinite(xa)):
                 raise RuntimeError(f"non-finite state at t={ts[i]:.4g}")
             if i == steps:
@@ -573,9 +579,13 @@ def _path_costs(p, grid: TimeGrid, rho: float, x: np.ndarray, y: np.ndarray,
     ts = grid.times()
     dw = np.exp(-rho * ts) * trapezoid_weights(ts.size, grid.dt)
     # running cost (e Q/2 + u S^T + eta) . e + (u R/2 + n) . u, with e = x - y
-    e = x - y
+    # formed per component: a broadcast over the short last axis runs numpy's
+    # inner loop two elements at a time
+    e = np.empty(np.broadcast_shapes(x.shape, y.shape))
+    for j in range(e.shape[-1]):
+        np.subtract(x[..., j], y[..., j], out=e[..., j])
     g = e @ (0.5 * p.Q)
-    g += u @ p.S.T
+    g += u @ np.ascontiguousarray(p.S.T)     # C order: matmul's fast loop
     g += p.eta
     running = _rowdot(g, e)
     g = u @ (0.5 * p.R)
@@ -602,7 +612,10 @@ def empirical_cost(batch: SimulationBatch, spec: PopulationSpec, k: int,
 
     Agents are costed by ``_path_costs`` in blocks of ``_COST_BLOCK``, read
     time-major, so the temporaries stay a few (nodes, block) arrays whatever
-    the population.
+    the population.  The even blocks run on the calling thread and the odd
+    ones on one worker (none starts for one block); each block writes its
+    own entries and the bound takes the maximum over the blocks, so the
+    values are those of a serial run.
     """
     _require(rho > 0, "empirical_cost needs rho > 0")
     _require(0 <= k < spec.K, f"type k={k} outside [0, K={spec.K})")
@@ -621,13 +634,24 @@ def empirical_cost(batch: SimulationBatch, spec: PopulationSpec, k: int,
 
     tail = grid.steps // 4 + 1
     per_agent = np.empty(agents.size)
-    late = 0.0
-    for lo in range(0, agents.size, _COST_BLOCK):
-        blk = slice(lo, lo + _COST_BLOCK)
-        per_agent[blk], running = _path_costs(
-            p, grid, rho, np.take(states, agents[blk], axis=1), y,
-            np.take(controls, agents[blk], axis=1), rates[blk])
-        late = max(late, float(np.max(np.abs(running[-tail:]))))
+
+    def cost(starts) -> float:
+        # each block writes its own slice; returns the blocks' largest late cost
+        late = 0.0
+        for lo in starts:
+            blk = slice(lo, lo + _COST_BLOCK)
+            per_agent[blk], running = _path_costs(
+                p, grid, rho, np.take(states, agents[blk], axis=1), y,
+                np.take(controls, agents[blk], axis=1), rates[blk])
+            late = max(late, float(np.max(np.abs(running[-tail:]))))
+        return late
+
+    starts = range(0, agents.size, _COST_BLOCK)
+    with ThreadPoolExecutor(1) as worker:
+        odd = worker.submit(cost, starts[1::2]) if len(starts) > 1 else None
+        late = cost(starts[::2])
+        if odd is not None:
+            late = max(late, odd.result())
 
     bound = 1.5 * late * math.exp(-rho * grid.t1) / rho
     mean = float(per_agent.mean())

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import itertools
 import math
 import sys
 import threading
@@ -487,7 +488,9 @@ def simulate_reference(spec, mf, grid, counts, noise, mode, deviations,
     strided row per agent per node.  The reference for the kernel that
     ``simulate_population`` and ``simulate_representative`` run.  Every
     matrix a product takes on its right is transposed into C order, as the
-    kernel holds it: matmul rounds a strided right operand in another loop."""
+    kernel holds it: matmul rounds a strided right operand in another loop.
+    The population averages sum each component pairwise, as the kernel
+    does."""
     K = spec.K
     n, m = spec.n, spec.m
     N = sum(counts)
@@ -540,8 +543,8 @@ def simulate_reference(spec, mf, grid, counts, noise, mode, deviations,
             u = mu.copy()
         means[:, i] = mu
         actions[:, i] = u
-        x_avg[i] = x.mean(axis=0)
-        mu_avg[i] = mu.mean(axis=0)
+        x_avg[i] = c_order(x.T).sum(axis=1) / N
+        mu_avg[i] = c_order(mu.T).sum(axis=1) / N
         if i == steps:
             break
         x_new = np.empty_like(x)
@@ -636,15 +639,16 @@ def test_kernel_matches_agent_major_reference(K, n, m, r, steps, counts, mode,
 
 
 @pytest.mark.parametrize("mode", ["exploratory", "classical"])
-@pytest.mark.parametrize("game", ["coupled", "two_type"])
+# planar (n = m = 2): 40 rows per component, so the averages' order shows
+@pytest.mark.parametrize("game", ["coupled", "two_type", "planar"])
 def test_kernel_matches_reference_on_solved_games(request, game, mode):
     spec, mf = request.getfixturevalue(game)
     grid = TimeGrid(0.0, 2.0, 200)
     counts = list(exact_counts(spec.pi, 40))
     noise = draw_noise(3, 40, grid.steps, spec.n, spec.m, spec.subpops[0].r)
-    deviations = {0: PolicyDeviation(mean_shift=[0.3], cov_scale=1.7),
+    deviations = {0: PolicyDeviation(mean_shift=np.full(spec.m, 0.3), cov_scale=1.7),
                   7: PolicyDeviation(cov_scale=0.4),
-                  39: PolicyDeviation(mean_shift=[-0.2])}
+                  39: PolicyDeviation(mean_shift=np.full(spec.m, -0.2))}
     _assert_kernel_matches_reference(spec, mf, grid, counts, noise, mode,
                                      deviations)
 
@@ -1367,6 +1371,41 @@ def test_empirical_cost_rounds_equal_paths_alike(planar):
     for mode in ("classical", "exploratory", "exploratory-regularized"):
         costs = empirical_cost(batch, spec, 0, mode, spec.rho).per_agent
         assert np.all(costs == costs[0]), mode
+
+
+def test_threaded_cost_matches_serial_costing():
+    # the blocks run on the caller (even) and one worker (odd), with the
+    # interpreter switching threads every 10 us; every entry and the
+    # truncation bound must be those of one serial ``_path_costs`` call on
+    # all of a type's agents
+    rng = np.random.default_rng(21)
+    spec, _mf, _grid = _random_game(rng, 2, 2, 2, 1, 1)
+    block = simulator._COST_BLOCK
+    batch = _random_batch(rng, spec, 5 * block + 45, 60, False)
+    batch.types = np.repeat([0, 1], [3 * block + 10, 2 * block + 35])
+    grid, tail = batch.grid, batch.grid.steps // 4 + 1
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for mode, k in itertools.product(
+                ("classical", "exploratory", "exploratory-regularized"), range(spec.K)):
+            p, of_k = spec.subpops[k], np.flatnonzero(batch.types == k)
+            x, u = (np.take(a.transpose(1, 0, 2), of_k, axis=1)
+                    for a in (batch.states, batch.actions if mode == "classical"
+                              else batch.means))
+            y = (batch.xref @ p.psi.T)[:, None, :]
+            rates = simulator._cost_rates(p, mode, batch.cov_scales[of_k])
+            serial, running = simulator._path_costs(p, grid, spec.rho, x, y, u, rates)
+            got = empirical_cost(batch, spec, k, mode, spec.rho)
+            assert np.array_equal(got.per_agent, serial), (mode, k)
+            assert got.truncation_bound == (1.5 * np.max(np.abs(running[-tail:]))
+                                            * math.exp(-spec.rho * grid.t1) / spec.rho)
+            # a shuffled subset across both threads' blocks
+            agents = rng.permutation(of_k)[:block + block // 2 + 7]
+            sub = empirical_cost(batch, spec, k, mode, spec.rho, agents=agents)
+            assert np.array_equal(sub.per_agent, serial[np.searchsorted(of_k, agents)])
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_empirical_cost_rejects_no_paths(two_type):
