@@ -8,8 +8,8 @@ weights, and checks the analytic cost of exploration against Monte Carlo.
 
 import numpy as np
 
-from lqgmfg import (analytic_coe, classical_control, exploratory_policy,
-                    policy_entropy, policy_for, solve_consistency, value_gap)
+from lqgmfg import (analytic_coe, policy_entropy, policy_for, solve_consistency,
+                    value_gap)
 from lqgmfg.presets import scalar_decoupled_spec
 from lqgmfg.simulator import coe_experiment
 
@@ -18,12 +18,11 @@ mf = solve_consistency(spec)
 
 x = np.array([1.5])
 t = 2.0
-mean, cov = exploratory_policy(t, x, mf, 0)
-print(f"at (t={t}, x={x[0]}): classical control {classical_control(t, x, mf, 0)[0]:+.5f}")
-print(f"policy mean {mean[0]:+.5f} (identical), covariance {cov[0, 0]:.5f} "
-      f"(= lambda/R = {spec.subpops[0].lambda_explore})")
+pol = policy_for(mf, 0).at(t)       # the one-node record at t: cheap repeated draws
+mean, cov = pol.mean(t, x), pol.covariance
+print(f"at (t={t}, x={x[0]}): policy mean {mean[0]:+.5f} (the classical control), "
+      f"covariance {cov[0, 0]:.5f} (= lambda/R = {spec.subpops[0].lambda_explore})")
 
-pol = policy_for(mf, 0)
 rng = np.random.default_rng(0)
 draws = np.array([pol.sample(t, x, rng)[0] for _ in range(20000)])
 print(f"sampled 20k actions: mean {draws.mean():+.4f}, var {draws.var():.4f}")

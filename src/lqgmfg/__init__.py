@@ -11,9 +11,8 @@ from .model import (PopulationSpec, SubpopParams, TimeTable, ValidationReport,
 from .numerics import TimeGrid, Trajectory, fit_rate, spectral_abscissa
 from .riccati import (RiccatiSolution, StabilityReport, solve_differential_riccati,
                       solve_discounted_are, verify_stability)
-from .meanfield import (MeanFieldSolution, SolverConfig, consistency_residual,
-                        solve_consistency, stability_reports, steady_state)
-from .policy import (GaussianPolicy, analytic_coe, classical_control,
-                     exploratory_policy, policy_entropy, policy_for, value_gap)
+from .meanfield import (MeanFieldSolution, consistency_residual, solve_consistency,
+                        stability_reports, steady_state)
+from .policy import GaussianPolicy, analytic_coe, policy_entropy, policy_for, value_gap
 
 __version__ = "0.1.0"

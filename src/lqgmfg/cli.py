@@ -26,15 +26,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .meanfield import (SolverConfig, consistency_residual, solve_consistency,
-                        stability_reports)
+from .meanfield import consistency_residual, solve_consistency, stability_reports
 from .model import SpecValidationError, load_spec
-from .numerics import RNG_SCHEME, TimeGrid, rng_stream, write_csv, write_json
+from .numerics import (RNG_SCHEME, TimeGrid, cholesky_psd, rng_stream, write_csv,
+                       write_json)
 from .policy import exploration_covariance, policy_entropy, value_gap
 from .simulator import (PolicyDeviation, coe_experiment, cost_gap_experiment,
                         coupling_gap_experiment, nash_deviation_experiment,
                         write_experiment_csv)
-from .trading import (TradingLoopConfig, params_from_json, rl_loop,
+from .trading import (TradingLoopConfig, doc_float, params_from_json, rl_loop,
                       simulate_market, solve_finite_horizon, to_lqg,
                       trading_policy)
 from .variational import gaussian_grid_density
@@ -86,7 +86,7 @@ def _solve(spec, args):
         raise ValueError(f"--steps must be at least 4, got {args.steps}")
     if args.horizon is not None and not 0 < args.horizon < math.inf:
         raise ValueError(f"--horizon must be positive and finite, got {args.horizon}")
-    return solve_consistency(spec, SolverConfig(horizon=args.horizon, steps=args.steps))
+    return solve_consistency(spec, horizon=args.horizon, steps=args.steps)
 
 
 def cmd_solve(args, spec, out: Path) -> None:
@@ -171,8 +171,7 @@ def _lambda_sweep(spec, args):
     p = _with_lambda(spec, min(lams)).subpops[0]
     cov = exploration_covariance(p)
     rng = rng_stream(args.seed)
-    dev = rng.standard_normal((100000, p.m)) @ np.linalg.cholesky(
-        cov + 1e-300 * np.eye(p.m)).T
+    dev = rng.standard_normal((100000, p.m)) @ cholesky_psd(cov).T
     rms = float(np.sqrt(np.mean(np.sum(dev ** 2, axis=1))))
     summary = {"lambdas": lams, "value_gaps": gaps,
                "abs_monotone_to_zero": bool(np.all(np.diff(np.abs(gaps)) < 0)),
@@ -255,7 +254,7 @@ def _doc_int(doc: dict, key: str, default: int) -> int:
 
 def cmd_trade(args, doc: dict, out: Path) -> None:
     params = params_from_json(doc)
-    lam_explore = float(doc.get("lambda_explore", 0.1))
+    lam_explore = doc_float(doc, "lambda_explore", 0.1)
     n_traders = _doc_int(doc, "n_traders", 8)
     steps = _doc_int(doc, "steps", 200)
     if args.kind == "simulate":
@@ -292,7 +291,7 @@ def cmd_trade(args, doc: dict, out: Path) -> None:
             lambda_explore=lam_explore, seed=args.seed)
         trace = rl_loop(params, init, cfg)
         trace.write_csv(out / "trace.csv")
-        write_json(out / "trace.json", trace.to_json())
+        write_json(out / "trace.json", trace.rows)
         last = trace.rows[-1]
         write_json(out / "summary.json", {
             "iterations": len(trace.rows),

@@ -42,7 +42,6 @@ from .riccati import (RiccatiSolution, StabilityReport, feedback_gain,
                       solve_discounted_are, verify_stability)
 
 __all__ = [
-    "SolverConfig",
     "MeanFieldSolution",
     "ConsistencyError",
     "TypeBlocks",
@@ -61,14 +60,6 @@ _RK4_STEP = 2.785 / 64.0    # auto grid: h * fastest rate <= 1/64 of RK4's real 
 
 class ConsistencyError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Solver grid.  horizon/steps None means auto-selected."""
-
-    horizon: float | None = None
-    steps: int | None = None
 
 
 @dataclass
@@ -242,12 +233,14 @@ def steady_state(spec: PopulationSpec, Pis=None):
     return [z[k * n:(k + 1) * n] for k in range(spec.K)], z[N:]
 
 
-def _auto_grid(spec: PopulationSpec, ops, Abar, config: SolverConfig) -> TimeGrid:
-    """[0, T] with T set by the slowest decay; h = 0.01 (at most 30,000
-    steps), or less where h times the fastest rate of the offset blocks M_k
-    or Abar would pass 1/64 of RK4's stability interval (at most 2^21)."""
-    if config.horizon is not None:
-        T = float(config.horizon)
+def _auto_grid(spec: PopulationSpec, ops, Abar, horizon: float | None,
+               steps: int | None) -> TimeGrid:
+    """[0, T] with T the given horizon or set by the slowest decay; the
+    given steps, or h = 0.01 (at most 30,000 steps), or less where h times
+    the fastest rate of the offset blocks M_k or Abar would pass 1/64 of
+    RK4's stability interval (at most 2^21)."""
+    if horizon is not None:
+        T = float(horizon)
     else:
         rates = [spec.rho]
         for o in ops:
@@ -259,17 +252,19 @@ def _auto_grid(spec: PopulationSpec, ops, Abar, config: SolverConfig) -> TimeGri
             rates.append(-a_bar)
         T = _DECAY_TARGET / min(rates)
         T = min(max(T, 10.0), 500.0)
-    if config.steps is not None:
-        return TimeGrid(0.0, T, config.steps)
+    if steps is not None:
+        return TimeGrid(0.0, T, steps)
     fastest = max(np.abs(np.linalg.eigvals(M)).max() for M in [o.M for o in ops] + [Abar])
     steps = max(min(math.ceil(T / 0.01), 30000), math.ceil(T * fastest / _RK4_STEP))
     return TimeGrid(0.0, T, min(steps, 2 ** 21))
 
 
-def solve_consistency(spec: PopulationSpec, config: SolverConfig | None = None,
+def solve_consistency(spec: PopulationSpec, *, horizon: float | None = None,
+                      steps: int | None = None,
                       system: str = "exploratory") -> MeanFieldSolution:
     """The consistency fixed point, solved directly (``solve_stacked``) with
-    s(T) the algebraic steady state; ``iterations`` is 1.
+    s(T) the algebraic steady state; ``iterations`` is 1.  The grid is
+    [0, horizon] in ``steps`` steps, each chosen automatically when None.
 
     ``system`` may be 'classical' or 'exploratory'; both labels run the
     identical mapping (the exploratory system replaces controls by policy
@@ -281,7 +276,6 @@ def solve_consistency(spec: PopulationSpec, config: SolverConfig | None = None,
     """
     if system not in ("classical", "exploratory"):
         raise ValueError(f"unknown system label {system!r}")
-    config = config or SolverConfig()
     report = validate_spec(spec)
     if not report.ok:
         raise SpecValidationError(report)
@@ -292,7 +286,7 @@ def solve_consistency(spec: PopulationSpec, config: SolverConfig | None = None,
     if not margin > 0:
         raise ConsistencyError(f"consistency system diverged: aggregate drift margin "
                                f"rho/2 - abscissa(Abar) = {margin:.3e} is not positive")
-    grid = _auto_grid(spec, ops, Abar, config)
+    grid = _auto_grid(spec, ops, Abar, horizon, steps)
     s_inf, _ = steady_state(spec, Pis)
     s_trajs, L, mbar, xbar, mubar = solve_stacked(spec, ops, J, Abar, grid,
                                                   np.concatenate(s_inf),

@@ -8,8 +8,9 @@ is state- and time-independent; at lambda_k = 0 the policy is a Dirac mass
 at the classical control.  ``tabulate_policy`` is the one place that writes
 the offset and the covariance, on the nodes of a grid (Pi constant, or one
 per node for a finite horizon); the simulator, the variational mean paths
-and the trading planner read its record, and the pointwise calls build a
-one-node record at t.  ``GaussianPolicy.sample`` draws one action.
+and the trading planner read its record, ``GaussianPolicy.at`` cuts the
+one-node record at t out of it, and ``GaussianPolicy.sample`` draws one
+action.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ __all__ = [
     "tabulate_policy",
     "exploration_covariance",
     "gaussian_entropy",
-    "classical_control",
-    "exploratory_policy",
     "policy_for",
     "policy_entropy",
     "analytic_coe",
@@ -53,6 +52,13 @@ class GaussianPolicy:
 
     def __post_init__(self):
         object.__setattr__(self, "chol", cholesky_psd(self.covariance))
+
+    def at(self, t: float) -> GaussianPolicy:
+        """The one-node record at t: its mean is this record's mean at t,
+        bit for bit, without interpolating on each call.  t outside the grid
+        raises, as in ``mean``."""
+        return GaussianPolicy(grid=None, gain=self.gain, covariance=self.covariance,
+                              offset=Trajectory(self.grid, self.offset).interp(t)[None])
 
     def mean(self, t: float, x: np.ndarray) -> np.ndarray:
         off = self.offset[0] if self.grid is None else Trajectory(self.grid, self.offset).interp(t)
@@ -92,31 +98,10 @@ def tabulate_policy(spec: PopulationSpec, k: int, Pi: np.ndarray, grid: TimeGrid
 
 
 def policy_for(mf: MeanFieldSolution, k: int) -> GaussianPolicy:
-    """Type k's optimal policy tabulated on the solve grid.  Its mean
-    interpolates the offset between nodes, where ``classical_control``
-    interpolates s and xbar: the two agree to rounding."""
+    """Type k's optimal policy tabulated on the solve grid: the mean
+    u* = -R^-1 [(B^T Pi + S^T) x + B^T s(t) - S^T psibar xbar(t) + n],
+    its offset linear in t between nodes, and the covariance lambda R^-1."""
     return tabulate_policy(mf.spec, k, mf.Pi[k].Pi, mf.grid, mf.s[k].values, mf.xbar.values)
-
-
-def _policy_at(mf: MeanFieldSolution, k: int, t: float) -> GaussianPolicy:
-    """The one-node record at t; t outside the solved grid raises."""
-    return tabulate_policy(mf.spec, k, mf.Pi[k].Pi, None,
-                           mf.s[k].interp([t]), mf.xbar.interp([t]))
-
-
-def classical_control(t: float, x: np.ndarray, mf: MeanFieldSolution, k: int) -> np.ndarray:
-    """u* = -R^-1 [(B^T Pi + S^T) x + B^T s(t) - S^T psibar xbar(t) + n].
-
-    s(t) and xbar(t) interpolate linearly between grid nodes; t outside the
-    solved grid raises.
-    """
-    return _policy_at(mf, k, t).mean(t, x)
-
-
-def exploratory_policy(t: float, x: np.ndarray, mf: MeanFieldSolution, k: int):
-    """The optimal control distribution at (t, x): (mean, covariance)."""
-    pol = _policy_at(mf, k, t)
-    return pol.mean(t, x), pol.covariance
 
 
 def policy_entropy(k: int, spec: PopulationSpec) -> float:

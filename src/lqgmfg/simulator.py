@@ -135,10 +135,14 @@ class PolicyDeviation:
 
     def __post_init__(self):
         # a zero scale is no density (its entropy is -inf); a negative or
-        # non-finite one would turn the sampled actions into NaN
+        # non-finite scale, or a non-finite shift, would make the sampled
+        # actions non-finite
         if not (math.isfinite(self.cov_scale) and self.cov_scale > 0):
             raise ValueError(f"cov_scale must be finite and positive, "
                              f"got {self.cov_scale!r}")
+        if self.mean_shift is not None and not np.all(
+                np.isfinite(np.asarray(self.mean_shift, dtype=float))):
+            raise ValueError(f"mean_shift must be finite, got {self.mean_shift!r}")
 
     def shift(self, m: int) -> np.ndarray:
         """The mean shift as an m-vector; zero when none was given."""

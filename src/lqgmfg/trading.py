@@ -59,7 +59,7 @@ __all__ = [
     "estimate_params",
     "realized_cost",
     "rl_loop",
-    "params_to_json",
+    "doc_float",
     "params_from_json",
 ]
 
@@ -98,13 +98,19 @@ def _check_explore(lambda_explore: float) -> None:
                          f"got {lambda_explore!r}")
 
 
-def params_to_json(p: MarketParams) -> dict:
-    return asdict(p)
+def doc_float(doc: dict, key: str, default: float | None = None) -> float:
+    """A real field of a market doc: a bool or a string is refused, not
+    converted.  Without a default the key is required."""
+    value = doc[key] if default is None else doc.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
 
 
 def params_from_json(doc: dict) -> MarketParams:
-    """MarketParams from a dict holding every field (other keys ignored)."""
-    return MarketParams(**{f.name: float(doc[f.name]) for f in fields(MarketParams)})
+    """MarketParams from a dict holding every field (other keys ignored);
+    ``dataclasses.asdict`` writes one."""
+    return MarketParams(**{f.name: doc_float(doc, f.name) for f in fields(MarketParams)})
 
 
 @dataclass
@@ -395,9 +401,6 @@ class TradingLoopConfig:
 @dataclass
 class LearningTrace:
     rows: list[dict] = field(default_factory=list)
-
-    def to_json(self) -> list[dict]:
-        return self.rows
 
     def write_csv(self, path) -> None:
         write_csv(path, ["iteration", "sigma_hat", "lambda_hat", "a_hat", "se_lambda",

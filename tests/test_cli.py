@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -23,7 +24,7 @@ from lqgmfg.model import (PopulationSpec, SubpopParams, load_spec, save_spec,
                           spec_to_json, validate_spec)
 from lqgmfg.presets import (coupled_single_type_spec, scalar_decoupled_spec,
                             unstable_spec)
-from lqgmfg.trading import MarketParams, params_to_json
+from lqgmfg.trading import MarketParams
 
 
 @pytest.fixture(scope="module")
@@ -36,9 +37,9 @@ def spec_files(tmp_path_factory):
     uns = root / "unstable.json"
     save_spec(unstable_spec(), uns)
     market = root / "market.json"
-    doc = params_to_json(MarketParams(sigma=0.1, lambda_perm=0.05, a_temp=0.05,
-                                      phi_urgency=0.1, psi_terminal=1.0, T=1.0,
-                                      F0=10.0, q0=5.0))
+    doc = dataclasses.asdict(MarketParams(sigma=0.1, lambda_perm=0.05, a_temp=0.05,
+                                          phi_urgency=0.1, psi_terminal=1.0, T=1.0,
+                                          F0=10.0, q0=5.0))
     doc.update(lambda_explore=0.1, iterations=3, episodes=3, n_traders=4)
     doc["init"] = dict(sigma=0.2, lambda_perm=0.0, a_temp=0.02, phi_urgency=0.1,
                        psi_terminal=1.0, T=1.0, F0=10.0, q0=5.0)
@@ -47,10 +48,15 @@ def spec_files(tmp_path_factory):
     (root / "market_no_traders.json").write_text(json.dumps(dict(doc, n_traders=0)))
     (root / "market_no_episodes.json").write_text(json.dumps(dict(doc, episodes=0)))
     # a non-finite number, or a fraction where a count belongs, is an input error
-    for name, bad in (("q0_inf", dict(q0=math.inf)), ("lambda_nan", dict(lambda_explore="nan")),
+    for name, bad in (("q0_inf", dict(q0=math.inf)), ("lambda_nan", dict(lambda_explore=math.nan)),
                       ("steps_frac", dict(steps=1.5)), ("traders_frac", dict(n_traders=2.5)),
                       ("iterations_frac", dict(iterations=1.5)),
                       ("episodes_frac", dict(episodes=1.5))):
+        (root / f"market_{name}.json").write_text(json.dumps(dict(doc, **bad)))
+    # a bool or a string where a real number belongs is refused, not converted
+    for name, bad in (("sigma_bool", dict(sigma=True)), ("lambda_str", dict(lambda_explore="0.2")),
+                      ("init_sigma_str", dict(init=dict(doc["init"], sigma="0.1"))),
+                      ("init_q0_bool", dict(init=dict(doc["init"], q0=False)))):
         (root / f"market_{name}.json").write_text(json.dumps(dict(doc, **bad)))
     (root / "market_a0.json").write_text(json.dumps(
         dict(doc, init=dict(doc["init"], a_temp=0.0))))      # R = 0 in the first plan
@@ -261,6 +267,14 @@ def _case(id, argv, code, err_type=None, match=None):
           "ValueError", "lambda_explore must be finite"),
     _case("learn-doc-lambda-nan", ["trade", "learn", "market_lambda_nan"], 1, "ValueError",
           "lambda_explore must be finite"),
+    _case("simulate-doc-sigma-bool", ["trade", "simulate", "market_sigma_bool"], 1,
+          "ValueError", "sigma must be a number, got True"),
+    _case("simulate-doc-lambda-string", ["trade", "simulate", "market_lambda_str"], 1,
+          "ValueError", "lambda_explore must be a number, got '0.2'"),
+    _case("learn-doc-init-string", ["trade", "learn", "market_init_sigma_str"], 1,
+          "ValueError", "sigma must be a number, got '0.1'"),
+    _case("learn-doc-init-bool", ["trade", "learn", "market_init_q0_bool"], 1,
+          "ValueError", "q0 must be a number, got False"),
     _case("simulate-doc-steps-fraction", ["trade", "simulate", "market_steps_frac"], 1,
           "ValueError", "steps must be an integer, got 1.5"),
     _case("simulate-doc-traders-fraction", ["trade", "simulate", "market_traders_frac"], 1,
@@ -387,9 +401,9 @@ def test_trade_learn(spec_files, tmp_path):
 
 
 def test_trade_simulate_martingale(spec_files, tmp_path):
-    params = params_to_json(MarketParams(sigma=0.1, lambda_perm=0.0, a_temp=0.01,
-                                         phi_urgency=0.1, psi_terminal=1.0,
-                                         T=1.0, F0=10.0, q0=5.0))
+    params = dataclasses.asdict(MarketParams(sigma=0.1, lambda_perm=0.0, a_temp=0.01,
+                                             phi_urgency=0.1, psi_terminal=1.0,
+                                             T=1.0, F0=10.0, q0=5.0))
     params["lambda_explore"] = 0.05
     f = tmp_path / "zero_impact.json"
     f.write_text(json.dumps(params))

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from lqgmfg.meanfield import (ConsistencyError, SolverConfig, consistency_blocks,
+from lqgmfg.meanfield import (ConsistencyError, consistency_blocks,
                               consistency_residual, solve_consistency, solve_stacked,
                               stability_reports, stacked_system, steady_state)
 from lqgmfg.model import PopulationSpec, SpecValidationError, SubpopParams
@@ -209,14 +209,14 @@ def _stiff_decoupled_spec(Q=2500.0):
     return PopulationSpec(subpops=(sub,), pi=[1.0], rho=0.1, x0_mean=[1.0], x0_cov=[[0.0]])
 
 
-@pytest.mark.parametrize("config", [SolverConfig(), SolverConfig(horizon=20.0, steps=500)])
+@pytest.mark.parametrize("config", [{}, dict(horizon=20.0, steps=500)])
 def test_stiff_decoupled_spec_matches_sequential_rk4(config):
     # decoupled with constant data, so s stays at s_inf and xbar is the
     # forward mean equation driven by it; the split solve must keep both, on
     # the auto grid (h * 50 = 0.044) and on a coarse one (h * 50 = 2), though
     # 64 steps of the offsets' forward growth would span e^2.8 to e^128
     spec = _stiff_decoupled_spec()
-    mf = solve_consistency(spec, config)
+    mf = solve_consistency(spec, **config)
     (o,), _, Abar = consistency_blocks(spec, mf.Pi)
     grid = mf.grid
     s_inf = steady_state(spec, mf.Pi)[0][0]
@@ -260,4 +260,4 @@ def test_grid_too_coarse_for_rk4_diverges():
     # h * 50 = 5 puts the closed-loop mode outside RK4's stability interval:
     # the mean path grows without bound, which must be refused, not returned
     with pytest.raises(ConsistencyError, match="diverged"):
-        solve_consistency(_stiff_decoupled_spec(), SolverConfig(horizon=20.0, steps=200))
+        solve_consistency(_stiff_decoupled_spec(), horizon=20.0, steps=200)

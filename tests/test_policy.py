@@ -10,8 +10,7 @@ from lqgmfg import solve_consistency
 from lqgmfg.meanfield import ConsistencyError
 from lqgmfg.model import PopulationSpec, SubpopParams
 from lqgmfg.numerics import Trajectory
-from lqgmfg.policy import (_policy_at, analytic_coe, classical_control, exploratory_policy,
-                           policy_entropy, policy_for, value_gap)
+from lqgmfg.policy import analytic_coe, policy_entropy, policy_for, value_gap
 from lqgmfg.presets import planar_spec, scalar_decoupled_spec
 from lqgmfg.riccati import feedback_gain
 from lqgmfg.trading import FiniteHorizonSolution, LqgMapping, trading_policy
@@ -20,7 +19,7 @@ from lqgmfg.variational import gaussian_grid_density
 
 def test_classical_control_zero_state(decoupled):
     spec, mf = decoupled
-    u = classical_control(1.0, np.zeros(1), mf, 0)
+    u = policy_for(mf, 0).mean(1.0, np.zeros(1))
     assert np.allclose(u, 0.0, atol=1e-12)
 
 
@@ -29,7 +28,7 @@ def test_classical_control_formula(decoupled):
     # u* = -R^-1[(B^T Pi + S^T) x + B^T s(t) - S^T psibar xbar + n]
     Pi = mf.Pi[0].Pi[0, 0]
     x = np.array([2.0])
-    u = classical_control(0.5, x, mf, 0)
+    u = policy_for(mf, 0).mean(0.5, x)
     s_t = mf.s[0].interp(0.5)[0]
     assert u[0] == pytest.approx(-(Pi * 2.0 + s_t), abs=1e-12)
 
@@ -37,58 +36,51 @@ def test_classical_control_formula(decoupled):
 def test_classical_control_outside_grid(decoupled):
     spec, mf = decoupled
     with pytest.raises(ValueError, match="outside"):
-        classical_control(mf.grid.t1 + 1.0, np.zeros(1), mf, 0)
-
-
-def test_exploratory_mean_matches_classical_bitwise(coupled):
-    spec, mf = coupled
-    rng = np.random.default_rng(2)
-    for _ in range(100):
-        t = rng.uniform(0.0, mf.grid.t1)
-        x = rng.normal(size=1)
-        mean, cov = exploratory_policy(t, x, mf, 0)
-        assert np.array_equal(mean, classical_control(t, x, mf, 0))
-    assert np.allclose(cov, spec.subpops[0].lambda_explore * np.linalg.inv(spec.subpops[0].R))
+        policy_for(mf, 0).mean(mf.grid.t1 + 1.0, np.zeros(1))
 
 
 @pytest.mark.parametrize("fixture", ["coupled", "two_type"])
-def test_policy_for_mean_matches_classical_control(fixture, request):
-    # policy_for's mean interpolates the tabulated offset, classical_control
-    # interpolates s and xbar: the same affine map, so equal to rounding
+def test_policy_at_matches_record_bitwise(fixture, request):
+    # the one-node record cut out at t has the tabulated record's mean, and
+    # draws its samples, to the bit: at nodes and between them
     spec, mf = request.getfixturevalue(fixture)
     rng = np.random.default_rng(4)
+    ts = mf.grid.times()
+    nodes = ts[[0, 1, ts.size // 2, -2, -1]]
     for k in range(spec.K):
         pol = policy_for(mf, k)
-        for _ in range(200):
-            t = rng.uniform(0.0, mf.grid.t1)
+        for t in np.concatenate([nodes, rng.uniform(0.0, mf.grid.t1, 50)]):
             x = rng.normal(size=spec.n)
-            u = classical_control(t, x, mf, k)
-            scale = np.abs(pol.gain) @ np.abs(x) + np.abs(u)
-            assert np.all(np.abs(pol.mean(t, x) - u) <= 4 * np.finfo(float).eps * scale)
+            one = pol.at(t)
+            assert one.grid is None and one.offset.shape == (1, spec.m)
+            assert np.array_equal(one.mean(t, x), pol.mean(t, x))
+            seed = int(rng.integers(2**32))
+            assert np.array_equal(one.sample(t, x, np.random.default_rng(seed)),
+                                  pol.sample(t, x, np.random.default_rng(seed)))
+        for t in (-1.0, mf.grid.t1 + 1.0):
+            with pytest.raises(ValueError, match="outside"):
+                pol.mean(t, np.zeros(spec.n))
+            with pytest.raises(ValueError, match="outside"):
+                pol.at(t)
 
 
 def test_dirac_limit_lambda_zero():
     spec = scalar_decoupled_spec(lambda_explore=0.0, rho=0.5)
-    from lqgmfg import solve_consistency
     mf = solve_consistency(spec)
-    mean, cov = exploratory_policy(0.5, np.array([1.0]), mf, 0)
-    assert np.array_equal(cov, np.zeros((1, 1)))
+    pol = policy_for(mf, 0).at(0.5)
+    assert np.array_equal(pol.covariance, np.zeros((1, 1)))
     rng = np.random.default_rng(0)
-    assert np.array_equal(_policy_at(mf, 0, 0.5).sample(0.5, np.array([1.0]), rng), mean)
+    x = np.array([1.0])
+    assert np.array_equal(pol.sample(0.5, x, rng), pol.mean(0.5, x))
 
 
-def test_planar_identity_covariance(planar):
-    spec, mf = planar
+def test_planar_identity_covariance():
     # lambda = 1, R = I -> covariance I
-    spec1 = planar_spec(lambda_explore=1.0)
-    from lqgmfg import solve_consistency
-    mf1 = solve_consistency(spec1)
-    _mean, cov = exploratory_policy(0.1, np.zeros(2), mf1, 0)
-    assert np.allclose(cov, np.eye(2), atol=1e-14)
+    mf1 = solve_consistency(planar_spec(lambda_explore=1.0))
+    assert np.allclose(policy_for(mf1, 0).covariance, np.eye(2), atol=1e-14)
 
 
 def test_covariance_linear_in_lambda():
-    from lqgmfg import solve_consistency
     s1 = scalar_decoupled_spec(lambda_explore=0.3, rho=0.5)
     s2 = scalar_decoupled_spec(lambda_explore=0.6, rho=0.5)
     c1 = policy_for(solve_consistency(s1), 0).covariance
@@ -99,7 +91,7 @@ def test_covariance_linear_in_lambda():
 def test_sample_action_moments(decoupled):
     spec, mf = decoupled
     t, x = 1.0, np.array([0.7])
-    pol = _policy_at(mf, 0, t)              # the one-node record: a cheap mean
+    pol = policy_for(mf, 0).at(t)           # the one-node record: a cheap mean
     rng = np.random.default_rng(31)
     mean, cov = pol.mean(t, x), pol.covariance
     draws = np.array([pol.sample(t, x, rng)[0] for _ in range(200_000)])

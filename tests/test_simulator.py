@@ -419,6 +419,13 @@ def test_deviation_rejects_bad_cov_scale(scale):
         PolicyDeviation(cov_scale=scale)
 
 
+@pytest.mark.parametrize("shift", [[math.nan], [math.inf], [0.5, -math.inf]])
+def test_deviation_rejects_non_finite_mean_shift(shift):
+    # bad input, refused where it is given, not a blow-up in the Euler loop
+    with pytest.raises(ValueError, match="mean_shift must be finite"):
+        PolicyDeviation(mean_shift=shift)
+
+
 @pytest.mark.parametrize("shift", [[0.5], [0.5, 0.5, 0.5], [[0.5, 0.5]]])
 def test_mis_sized_mean_shift_rejected_on_both_paths(planar, shift):
     spec, mf = planar

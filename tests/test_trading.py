@@ -11,7 +11,7 @@ from lqgmfg.numerics import TimeGrid, rng_stream
 from lqgmfg.policy import GaussianPolicy
 from lqgmfg.trading import (EstimationError, MarketParams, MarketPaths, TradingDataset,
                             TradingLoopConfig, estimate_params,
-                            params_from_json, params_to_json, rl_loop,
+                            params_from_json, rl_loop,
                             simulate_market, solve_finite_horizon, to_lqg,
                             trading_policy)
 
@@ -355,7 +355,7 @@ def test_trace_csv(tmp_path):
 
 
 def test_params_json_round_trip():
-    doc = params_to_json(TRUE)
+    doc = dataclasses.asdict(TRUE)
     back = params_from_json(doc)
     assert back == TRUE
 
