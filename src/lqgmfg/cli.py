@@ -2,7 +2,9 @@
 solvers and the equilibrium experiments, and emit CSV/JSON tables.
 
 `main` is the one error boundary: the commands raise, and only `main`
-turns an exception into an exit code.  0 on success; 1 on a usage, input
+turns an exception into an exit code.  Every command reads its input file
+as a JSON document, then builds the spec or market parameters from it
+inside the output directory's run.  0 on success; 1 on a usage, input
 or I/O error (OSError, KeyError, TypeError, the other ValueErrors); 2 on a
 numerical failure (RuntimeError, SpecValidationError, LinAlgError).  Once
 the output directory exists, a failure writes error.json there.
@@ -27,16 +29,15 @@ import numpy as np
 
 from . import __version__
 from .meanfield import consistency_residual, solve_consistency, stability_reports
-from .model import SpecValidationError, load_spec
+from .model import SpecValidationError, spec_from_json
 from .numerics import (RNG_SCHEME, TimeGrid, cholesky_psd, rng_stream, write_csv,
                        write_json)
 from .policy import exploration_covariance, policy_entropy, value_gap
 from .simulator import (PolicyDeviation, coe_experiment, cost_gap_experiment,
                         coupling_gap_experiment, nash_deviation_experiment,
                         write_experiment_csv)
-from .trading import (TradingLoopConfig, doc_float, params_from_json, rl_loop,
-                      simulate_market, solve_finite_horizon, to_lqg,
-                      trading_policy)
+from .trading import (TradingLoopConfig, doc_float, doc_int, params_from_json, rl_loop,
+                      simulate_market, solve_finite_horizon, to_lqg, trading_policy)
 from .variational import gaussian_grid_density
 
 # exit 2 is caught first: SpecValidationError and LinAlgError are ValueErrors
@@ -89,7 +90,8 @@ def _solve(spec, args):
     return solve_consistency(spec, horizon=args.horizon, steps=args.steps)
 
 
-def cmd_solve(args, spec, out: Path) -> None:
+def cmd_solve(args, spec_doc: dict, out: Path) -> None:
+    spec = spec_from_json(spec_doc)
     mf = _solve(spec, args)
     reports = stability_reports(mf, spec)
     doc = mf.to_json_dict()
@@ -236,27 +238,18 @@ _EXPERIMENTS = {"coupling-gap": (_gap(coupling_gap_experiment), _GAP_FLAGS),
 EXPERIMENT_KINDS = tuple(_EXPERIMENTS)
 
 
-def cmd_experiment(args, spec, out: Path) -> None:
-    rows, summary = _EXPERIMENTS[args.kind][0](spec, args)
+def cmd_experiment(args, spec_doc: dict, out: Path) -> None:
+    rows, summary = _EXPERIMENTS[args.kind][0](spec_from_json(spec_doc), args)
     write_experiment_csv(out / "experiment.csv", rows)
     write_json(out / "summary.json", summary)
     print(f"{args.kind}: wrote {len(rows)} rows to {out / 'experiment.csv'}")
 
 
-def _doc_int(doc: dict, key: str, default: int) -> int:
-    """An integer field of the market doc: a fraction, a bool or a string
-    is refused, not truncated."""
-    value = doc.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
 def cmd_trade(args, doc: dict, out: Path) -> None:
     params = params_from_json(doc)
     lam_explore = doc_float(doc, "lambda_explore", 0.1)
-    n_traders = _doc_int(doc, "n_traders", 8)
-    steps = _doc_int(doc, "steps", 200)
+    n_traders = doc_int(doc, "n_traders", 8)
+    steps = doc_int(doc, "steps", 200)
     if args.kind == "simulate":
         reps = args.reps
         if reps < 2:
@@ -285,8 +278,8 @@ def cmd_trade(args, doc: dict, out: Path) -> None:
     else:
         init = params_from_json(doc.get("init", doc))
         cfg = TradingLoopConfig(
-            iterations=_doc_int(doc, "iterations", 5),
-            inner_repeats=_doc_int(doc, "episodes", 5),
+            iterations=doc_int(doc, "iterations", 5),
+            inner_repeats=doc_int(doc, "episodes", 5),
             n_traders=n_traders, steps=steps,
             lambda_explore=lam_explore, seed=args.seed)
         trace = rl_loop(params, init, cfg)
@@ -336,27 +329,26 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="Exploratory LQG mean-field-game solver and experiments")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def command(p, path, load, func, flags):
+    def command(p, path, func, flags):
         p.add_argument("path", metavar=path[0], help=path[1])
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default="out", help="output directory")
         dests = [p.add_argument(flag, **_FLAGS[flag]).dest for flag in flags]
         # the flags besides --seed and --out go into the manifest's overrides
-        p.set_defaults(load=load, func=func, overrides=dests, parser=p)
+        p.set_defaults(func=func, overrides=dests, parser=p)
 
     def kinds(name, help):
         return sub.add_parser(name, help=help).add_subparsers(dest="kind", required=True)
 
     spec = ("spec", "population spec JSON")
     command(sub.add_parser("solve", help="solve the consistency fixed point"), spec,
-            load_spec, cmd_solve, _SOLVE_FLAGS)
+            cmd_solve, _SOLVE_FLAGS)
     experiment = kinds("experiment", "run an equilibrium experiment")
     for kind, (_, flags) in _EXPERIMENTS.items():
-        command(experiment.add_parser(kind), spec, load_spec, cmd_experiment, flags)
+        command(experiment.add_parser(kind), spec, cmd_experiment, flags)
     trade = kinds("trade", "trading application (simulate | learn)")
     for kind, flags in (("simulate", ("--reps",)), ("learn", ())):
-        command(trade.add_parser(kind), ("params", "market params JSON"), _load_doc,
-                cmd_trade, flags)
+        command(trade.add_parser(kind), ("params", "market params JSON"), cmd_trade, flags)
     return ap
 
 
@@ -371,9 +363,9 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     out = None
     try:
-        source = args.load(args.path)
+        doc = _load_doc(args.path)
         out = _prepare_out(args)
-        args.func(args, source, out)
+        args.func(args, doc, out)
     except _EXIT_2 as exc:
         return _fail(out, exc, 2)
     except _EXIT_1 as exc:

@@ -13,7 +13,8 @@ expanded to [pi_1 F, ..., pi_K F] so that expand(F) @ xbar equals
 F @ (sum_k pi_k xbar_k).
 
 All types here are immutable after construction and safe to share across
-threads.  Construction only normalizes shapes; semantic checks (definiteness,
+threads.  Construction normalizes shapes and refuses non-finite numbers and
+offset knots that do not strictly increase; semantic checks (definiteness,
 mixture normalization, discount sign) live in validate_spec, which reports
 rather than raises.
 """
@@ -47,6 +48,14 @@ __all__ = [
 _EIG_FLOOR = 1e-10
 
 
+def _check_finite(obj) -> None:
+    """Refuse a NaN or an infinity in any number or array field of ``obj``."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, (float, np.ndarray)) and not np.all(np.isfinite(value)):
+            raise ValueError(f"{f.name} must be finite, got {np.asarray(value).tolist()!r}")
+
+
 class SpecValidationError(ValueError):
     """Raised by solvers when handed a spec whose assumptions fail."""
 
@@ -73,6 +82,9 @@ class TimeTable:
             object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
             if self.values.ndim != 2 or self.values.shape[0] != self.times.shape[0]:
                 raise ValueError("tabulated offset needs values of shape (len(times), n)")
+        _check_finite(self)
+        if self.times is not None and not np.all(np.diff(self.times) > 0):
+            raise ValueError(f"offset knots must strictly increase, got {self.times.tolist()!r}")
 
     @property
     def dim(self) -> int:
@@ -172,6 +184,7 @@ class SubpopParams:
         object.__setattr__(self, "psi", _mat(psi, (n, n), "psi"))
         object.__setattr__(self, "lambda_explore", float(self.lambda_explore))
         object.__setattr__(self, "phi_lagrange", float(self.phi_lagrange))
+        _check_finite(self)
 
     @property
     def n(self) -> int:
@@ -222,6 +235,7 @@ class PopulationSpec:
         if cov.ndim == 0:
             cov = cov.reshape(1, 1)
         object.__setattr__(self, "x0_cov", cov)
+        _check_finite(self)
 
     @property
     def K(self) -> int:

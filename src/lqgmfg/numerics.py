@@ -143,23 +143,17 @@ class Trajectory:
             )
 
     def interp(self, t: float | np.ndarray) -> np.ndarray:
-        """Linear interpolation between grid nodes; errors outside the grid.
-        The interval is the one ``times()`` would give, so at a node the node
-        value comes back exactly, not as a blend of its neighbours, but no
-        grid is built: (t - t0) / dt guesses the interval, and the nodes
-        beside the guess, computed as ``np.linspace`` computes them (i dt +
-        t0, the last one t1), move it by one where the quotient rounded
-        across a node."""
-        g, dt = self.grid, self.grid.dt
+        """Linear interpolation between grid nodes; errors outside the grid
+        (a NaN t included).  The interval is searched among ``times()``, so
+        at a node the node value comes back exactly, not as a blend of its
+        neighbours."""
+        g = self.grid
         tarr = np.asarray(t, dtype=float)
-        if np.any(tarr < g.t0 - 1e-12) or np.any(tarr > g.t1 + 1e-12):
+        if not np.all((tarr >= g.t0 - 1e-12) & (tarr <= g.t1 + 1e-12)):
             raise ValueError(f"t={t} outside solved grid [{g.t0}, {g.t1}]")
-        guess = np.minimum(np.maximum(np.floor((tarr - g.t0) / dt), 0.0), g.steps - 1)
-        guess = guess + ((guess + 1.0) * dt + g.t0 <= tarr) - (guess * dt + g.t0 > tarr)
-        i0 = np.minimum(np.maximum(guess, 0.0), g.steps - 1).astype(int)
-        lo = i0 * dt + g.t0
-        hi = np.where(i0 == g.steps - 1, g.t1, (i0 + 1) * dt + g.t0)
-        w = np.clip((tarr - lo) / (hi - lo), 0.0, 1.0)
+        ts = g.times()
+        i0 = np.clip(np.searchsorted(ts, tarr, side="right") - 1, 0, g.steps - 1)
+        w = np.clip((tarr - ts[i0]) / (ts[i0 + 1] - ts[i0]), 0.0, 1.0)
         w = w.reshape(w.shape + (1,) * (self.values.ndim - 1))
         return (1.0 - w) * self.values[i0] + w * self.values[i0 + 1]
 

@@ -2,13 +2,13 @@
 discounted costs, and the convergence-rate / epsilon-Nash / cost-of-
 exploration experiments.
 
-Simulation scheme: Euler-Maruyama with fixed step dt.  Exploratory-mode
-drift follows the exploratory finite-population dynamics: an agent's state
-responds to its policy MEAN and to the population average of means, never
-to the sampled actions -- sampled actions are recorded for cost estimation
-and covariance checks only.  A deterministic classical feedback applies the
-same numbers (its control equals the policy mean), so the two modes share
-one kernel and, for a shared seed, one state path.
+Simulation scheme: Euler-Maruyama with fixed step dt.  The drift follows
+the exploratory finite-population dynamics: an agent's state responds to
+its policy MEAN and to the population average of means, never to the
+sampled actions -- sampled actions are recorded for cost estimation and
+covariance checks only.  The classical game is the lambda = 0 spec: its
+policy covariance is zero, so every sampled action is its policy mean, the
+classical control.
 
 Noise discipline: one draw rule, ``_noise_chunks``, for every path's noise.
 A batch of paths reads its stream time-major: every path's initial state,
@@ -17,8 +17,8 @@ increments, a chunk of nodes per ``standard_normal`` fill, so the values do
 not depend on the chunk.  Each fill runs one chunk ahead on a worker thread,
 into the other of two chunk buffers while the consumer reads the chunk
 before; one fill is outstanding at a time, so the values are those of a
-serial draw.  ``_euler`` draws each chunk as it steps, in both modes
-alike, from ``rng_stream(seed, 0)`` for populations and representative
+serial draw.  ``_euler`` draws each chunk as it steps, whatever lambda,
+from ``rng_stream(seed, 0)`` for populations and representative
 paths (``rng_stream(seed)`` for the cost of exploration): no (N, nodes, .)
 noise array exists.  Common random numbers pass one ``draw_noise`` pack, the
 same values in the same time-major order, to both systems.  Experiments that
@@ -118,7 +118,6 @@ class SimConfig:
     counts: tuple[int, ...]
     grid: TimeGrid
     seed: int
-    mode: str = "exploratory"
 
     def __post_init__(self):
         if sum(self.counts) != self.N:
@@ -321,8 +320,7 @@ def _draw_sums(spec: PopulationSpec, grid: TimeGrid, counts, reps: int, seed: in
 @np.errstate(over="ignore", invalid="ignore")
 def _euler(spec: PopulationSpec, mf: MeanFieldSolution, grid: TimeGrid, counts,
            noise, types, sums: bool = False, shifts=0.0,
-           scales=1.0, exogenous: bool = False, mode: str = "exploratory",
-           steps: int | None = None):
+           scales=1.0, exogenous: bool = False, steps: int | None = None):
     """The one Euler-Maruyama loop: every population path of the module.
 
     Steps a batch of populations of sum(counts) agents, the leading axes of
@@ -403,9 +401,8 @@ def _euler(spec: PopulationSpec, mf: MeanFieldSolution, grid: TimeGrid, counts,
                 mu[..., sl, :] = off[i] - x[..., sl, :] @ G[k]
             mu[..., own, :] += shifts
             u[...] = mu[..., own, :]
-            if mode == "exploratory":
-                for k, sl in carried:
-                    u[..., sl, :] += sd[..., sl, :] * (az[j][..., sl, :] @ chol[k])
+            for k, sl in carried:
+                u[..., sl, :] += sd[..., sl, :] * (az[j][..., sl, :] @ chol[k])
             xa = x_avg[i] = np.ascontiguousarray(np.swapaxes(x, -1, -2)).sum(axis=-1) / N
             ma = mu_avg[i] = np.ascontiguousarray(np.swapaxes(mu, -1, -2)).sum(axis=-1) / N
             if not np.all(np.isfinite(xa)):
@@ -425,14 +422,13 @@ def _euler(spec: PopulationSpec, mf: MeanFieldSolution, grid: TimeGrid, counts,
 
 
 def _agent_batch(spec: PopulationSpec, mf: MeanFieldSolution, grid: TimeGrid,
-                 types: np.ndarray, seed: int, noise: AgentNoise | None, mode: str,
+                 types: np.ndarray, seed: int, noise: AgentNoise | None,
                  deviations: dict[int, PolicyDeviation] | None,
                  exogenous: bool) -> SimulationBatch:
     """One population of agents of ``types`` (sorted), every one carried by
     ``_euler``; ``deviations`` keyed by agent index.  The noise is drawn
     from ``rng_stream(seed, 0)`` chunk by chunk as the kernel steps, or read
     from the pack ``noise``."""
-    _require(mode in ("classical", "exploratory"), f"unknown simulation mode {mode!r}")
     N, n, m, r, steps = types.size, spec.n, spec.m, spec.subpops[0].r, grid.steps
     if noise is None:
         chunks = _noise_chunks(rng_stream(seed, 0), N, n, m, r, steps, _NOISE_CHUNK)
@@ -448,7 +444,7 @@ def _agent_batch(spec: PopulationSpec, mf: MeanFieldSolution, grid: TimeGrid,
         shifts[idx], cov_scales[idx] = dev.shift(m), dev.cov_scale
     states, means, actions, x_avg, mu_avg = _euler(
         spec, mf, grid, np.bincount(types, minlength=spec.K), chunks, types,
-        shifts=shifts, scales=cov_scales, exogenous=exogenous, mode=mode)
+        shifts=shifts, scales=cov_scales, exogenous=exogenous)
     xref = mf.xbar.interp(grid.times()) if exogenous else x_avg
     return SimulationBatch(grid=grid, types=types,
                            states=states.transpose(1, 0, 2),
@@ -466,7 +462,7 @@ def simulate_population(spec: PopulationSpec, mf: MeanFieldSolution,
 
     The drift couples through the empirical averages: the average state and,
     following the exploratory dynamics, the average of policy MEANS (which
-    in classical mode equals the average applied control).
+    at lambda = 0 equals the average applied control).
 
     ``deviations`` maps agent indices, in the block (type-sorted) layout of
     ``config.counts``, to a ``PolicyDeviation``: its ``mean_shift`` is added
@@ -477,13 +473,12 @@ def simulate_population(spec: PopulationSpec, mf: MeanFieldSolution,
     _require(len(config.counts) == spec.K,
              f"counts {config.counts} name {len(config.counts)} types, the spec K={spec.K}")
     return _agent_batch(spec, mf, config.grid, np.repeat(np.arange(spec.K), config.counts),
-                        config.seed, noise, config.mode, deviations, exogenous=False)
+                        config.seed, noise, deviations, exogenous=False)
 
 
 def simulate_representative(spec: PopulationSpec, mf: MeanFieldSolution,
                             grid: TimeGrid, seed: int, k: int = 0,
-                            n_paths: int = 1, mode: str = "exploratory",
-                            noise: AgentNoise | None = None,
+                            n_paths: int = 1, noise: AgentNoise | None = None,
                             deviations: dict[int, PolicyDeviation] | None = None,
                             types: np.ndarray | None = None) -> SimulationBatch:
     """Simulate paths of the limiting (infinite-population) dynamics, where
@@ -502,32 +497,31 @@ def simulate_representative(spec: PopulationSpec, mf: MeanFieldSolution,
     types = np.asarray(types, dtype=int)
     _require(np.all(np.diff(types) >= 0), "types must be sorted ascending (block layout)")
     _require(np.all((types >= 0) & (types < spec.K)), f"types outside [0, K={spec.K})")
-    return _agent_batch(spec, mf, grid, types, seed, noise, mode, deviations, exogenous=True)
+    return _agent_batch(spec, mf, grid, types, seed, noise, deviations, exogenous=True)
 
 
 def _tagged_costs(spec: PopulationSpec, mf: MeanFieldSolution, grid: TimeGrid,
-                  counts, noise: AgentNoise, members, mode: str,
-                  tag_type: int = 0, exogenous_field: bool = False) -> np.ndarray:
-    """Discounted cost of the tagged agent, (members, repetitions): the
-    per-type sums plus the tagged row, stepped by ``_euler`` for every
-    member and repetition at once, then every tagged path costed by one
-    ``_path_costs`` call against its own population average (or the solved
-    mean)."""
+                  counts, noise: AgentNoise, members, tag_type: int = 0,
+                  exogenous_field: bool = False) -> np.ndarray:
+    """Discounted 'exploratory-regularized' cost of the tagged agent,
+    (members, repetitions): the per-type sums plus the tagged row, stepped
+    by ``_euler`` for every member and repetition at once, then every
+    tagged path costed by one ``_path_costs`` call against its own
+    population average (or the solved mean)."""
     shifts = np.array([d.shift(spec.m) for d in members])[:, None, None, :]
     scales = np.array([d.cov_scale for d in members])[:, None, None]
-    states, means, actions, x_avg, _ = _euler(
+    states, means, _, x_avg, _ = _euler(
         spec, mf, grid, counts, _pack_chunks(noise), [tag_type],
         sums=True, shifts=shifts, scales=scales, exogenous=exogenous_field)
-    nodes, M, R = actions.shape[:3]
+    nodes, M, R = means.shape[:3]
     # every (member, repetition)'s last row, the tagged one, as (nodes, M R, .)
-    x, u = (a[:, :, :, -1].reshape(nodes, M * R, -1)
-            for a in (states, actions if mode == "classical" else means))
+    x, u = (a[:, :, :, -1].reshape(nodes, M * R, -1) for a in (states, means))
     p = spec.subpops[tag_type]
     if exogenous_field:
         y = (mf.xbar.interp(grid.times()) @ spec.psibar(tag_type).T)[:, None, :]
     else:
         y = x_avg.reshape(nodes, M * R, -1) @ p.psi.T
-    rates = _cost_rates(p, mode, np.repeat(scales.ravel(), R))
+    rates = _cost_rates(p, "exploratory-regularized", np.repeat(scales.ravel(), R))
     return _path_costs(p, grid, spec.rho, x, y, u, rates)[0].reshape(M, R)
 
 
@@ -578,7 +572,8 @@ def _path_costs(p, grid: TimeGrid, rho: float, x: np.ndarray, y: np.ndarray,
     path (nodes, P, n); u (nodes, P, m) is the applied action (classical) or
     the policy mean, and ``rates`` (P,) the constant of ``_cost_rates``.
     The discount sum is an einsum, which rounds a path alike wherever it
-    sits among the P; the product ``dw @ running`` does not.
+    sits among P >= 2 paths; the product ``dw @ running`` does not.  A
+    path costed alone (P = 1) may round differently, by an ulp.
     """
     ts = grid.times()
     dw = np.exp(-rho * ts) * trapezoid_weights(ts.size, grid.dt)
@@ -600,19 +595,16 @@ def _path_costs(p, grid: TimeGrid, rho: float, x: np.ndarray, y: np.ndarray,
 
 
 def empirical_cost(batch: SimulationBatch, spec: PopulationSpec, k: int,
-                   mode: str, rho: float, agents=None,
-                   tail_tol: float | None = None) -> CostEstimate:
-    """Discounted trapezoid cost along each selected agent path of type k.
+                   mode: str, rho: float) -> CostEstimate:
+    """Discounted trapezoid cost along each agent path of type k, in the
+    batch's order (``per_agent``).
 
     Modes: 'classical' evaluates the running cost at the applied actions;
     'exploratory' integrates the running cost against the Gaussian policy
     (closed form in its mean and covariance); 'exploratory-regularized'
     additionally charges the entropy term lambda * ln-density, a
-    state-independent rate for Gaussian policies.
-
-    When ``tail_tol`` is given, the reported truncation bound must not
-    exceed tail_tol * (1 + |mean|); otherwise the horizon is too short for
-    the requested discount.
+    state-independent rate for Gaussian policies.  ``truncation_bound``
+    bounds the cost omitted past the horizon.
 
     Agents are costed by ``_path_costs`` in blocks of ``_COST_BLOCK``, read
     time-major, so the temporaries stay a few (nodes, block) arrays whatever
@@ -624,11 +616,8 @@ def empirical_cost(batch: SimulationBatch, spec: PopulationSpec, k: int,
     _require(rho > 0, "empirical_cost needs rho > 0")
     _require(0 <= k < spec.K, f"type k={k} outside [0, K={spec.K})")
     p = spec.subpops[k]
-    of_k = np.flatnonzero(batch.types == k)
-    agents = of_k if agents is None else np.asarray(agents, dtype=int)
+    agents = np.flatnonzero(batch.types == k)
     _require(agents.size > 0, f"no paths of type {k} to cost")
-    wrong = agents[~np.isin(agents, of_k)]
-    _require(wrong.size == 0, f"agents {wrong.tolist()} are not paths of type k={k}")
     rates = _cost_rates(p, mode, batch.cov_scales[agents])
     grid = batch.grid
     y = (batch.xref @ (spec.psibar(k) if batch.infinite else p.psi).T)[:, None, :]
@@ -658,11 +647,8 @@ def empirical_cost(batch: SimulationBatch, spec: PopulationSpec, k: int,
             late = max(late, odd.result())
 
     bound = 1.5 * late * math.exp(-rho * grid.t1) / rho
-    mean = float(per_agent.mean())
-    if tail_tol is not None and bound > tail_tol * (1.0 + abs(mean)):
-        raise ValueError(f"horizon too short for rho (truncation bound {bound:.3g})")
-    return CostEstimate(mean=mean, std_err=float(_se(per_agent)), per_agent=per_agent, mode=mode,
-                        truncation_bound=bound)
+    return CostEstimate(mean=float(per_agent.mean()), std_err=float(_se(per_agent)),
+                        per_agent=per_agent, mode=mode, truncation_bound=bound)
 
 
 # ---------------------------------------------------------------------------
@@ -715,10 +701,9 @@ def _rep_rows(res: ExperimentResult, N: int, t: float, vals: np.ndarray, value) 
 
 def coupling_gap_experiment(spec: PopulationSpec, mf: MeanFieldSolution,
                             Ns, reps: int, seed: int,
-                            grid: TimeGrid | None = None,
-                            checkpoint_frac: float = 0.5) -> ExperimentResult:
+                            grid: TimeGrid | None = None) -> ExperimentResult:
     """Mean squared gap between each agent's finite-N path and its limiting
-    path, per N, with the fitted log-log rate.  Each agent's noise is
+    path at the grid's midpoint node, per N, with the fitted log-log rate.  Each agent's noise is
     replayed in both systems (common random numbers), which makes the
     O(1/N) decay measurable.
 
@@ -729,10 +714,8 @@ def coupling_gap_experiment(spec: PopulationSpec, mf: MeanFieldSolution,
     as such (``_draw_sums``) over the whole grid, so the stream does not
     depend on the checkpoint.
     """
-    _require(0.0 <= checkpoint_frac <= 1.0,
-             f"checkpoint_frac must lie in [0, 1], got {checkpoint_frac}")
     grid = _experiment_grid(mf, grid, reps=reps, Ns=Ns)
-    ck = int(round(checkpoint_frac * grid.steps))
+    ck = round(grid.steps / 2)
     t_ck = grid.times()[ck]
     res = ExperimentResult("coupling-gap")
     means, ses = [], []
@@ -755,12 +738,11 @@ def coupling_gap_experiment(spec: PopulationSpec, mf: MeanFieldSolution,
 
 def cost_gap_experiment(spec: PopulationSpec, mf: MeanFieldSolution,
                         Ns, reps: int, seed: int,
-                        deviation: PolicyDeviation | None = None,
-                        grid: TimeGrid | None = None,
-                        mode: str = "exploratory-regularized") -> ExperimentResult:
-    """|J_i^N - J_i^infty| for a tagged agent playing a fixed deviation while
-    everyone else plays the equilibrium policy; common random numbers pair
-    the finite and limiting runs.
+                        grid: TimeGrid | None = None) -> ExperimentResult:
+    """|J_i^N - J_i^infty| of the 'exploratory-regularized' cost for a
+    tagged agent shifting its policy mean by 0.5 while everyone else plays
+    the equilibrium policy; common random numbers pair the finite and
+    limiting runs.
 
     Both runs step each repetition's per-type sums plus its tagged row (the
     first agent of type 0), drawn as such by ``_draw_sums``, with ``_euler``
@@ -768,14 +750,13 @@ def cost_gap_experiment(spec: PopulationSpec, mf: MeanFieldSolution,
     all repetitions of one N step together.
     """
     grid = _experiment_grid(mf, grid, T=6.0, reps=reps, Ns=Ns)
-    if deviation is None:
-        deviation = PolicyDeviation(mean_shift=np.full(spec.m, 0.5))
+    deviation = PolicyDeviation(mean_shift=np.full(spec.m, 0.5))
     res = ExperimentResult("cost-gap")
     gaps, ses = [], []
     for N in Ns:
         counts = exact_counts(spec.pi, N)
         sums = _draw_sums(spec, grid, counts, reps, seed, tag_type=0)
-        fin, inf = (_tagged_costs(spec, mf, grid, counts, sums, [deviation], mode,
+        fin, inf = (_tagged_costs(spec, mf, grid, counts, sums, [deviation],
                                   exogenous_field=exo)[0] for exo in (False, True))
         diffs = fin - inf
         gaps.append(abs(diffs.mean()))
@@ -790,10 +771,10 @@ def cost_gap_experiment(spec: PopulationSpec, mf: MeanFieldSolution,
 
 def nash_deviation_experiment(spec: PopulationSpec, mf: MeanFieldSolution,
                               N: int, deviation_family, reps: int, seed: int,
-                              grid: TimeGrid | None = None,
-                              mode: str = "exploratory-regularized") -> ExperimentResult:
+                              grid: TimeGrid | None = None) -> ExperimentResult:
     """Best gain a tagged agent can extract from a finite deviation family:
-    eps-hat = max(0, J^N(equilibrium) - min over family J^N(deviation)).
+    eps-hat = max(0, J^N(equilibrium) - min over family J^N(deviation)), J
+    the 'exploratory-regularized' cost.
 
     A lower bound on the true epsilon: the infimum over all admissible
     policies, the exact epsilon, is not computed in this package.  The same
@@ -809,7 +790,7 @@ def nash_deviation_experiment(spec: PopulationSpec, mf: MeanFieldSolution,
     family = list(deviation_family)
     sums = _draw_sums(spec, grid, counts, reps, seed, tag_type=0)
     costs = _tagged_costs(spec, mf, grid, counts, sums,      # row 0: equilibrium
-                          [PolicyDeviation()] + family, mode)
+                          [PolicyDeviation()] + family)
 
     base_mean = costs[0].mean()
     dev_means = []

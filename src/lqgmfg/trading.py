@@ -60,6 +60,7 @@ __all__ = [
     "realized_cost",
     "rl_loop",
     "doc_float",
+    "doc_int",
     "params_from_json",
 ]
 
@@ -107,6 +108,15 @@ def doc_float(doc: dict, key: str, default: float | None = None) -> float:
     return float(value)
 
 
+def doc_int(doc: dict, key: str, default: int) -> int:
+    """An integer field of a market doc: a fraction, a bool or a string is
+    refused, not truncated."""
+    value = doc.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def params_from_json(doc: dict) -> MarketParams:
     """MarketParams from a dict holding every field (other keys ignored);
     ``dataclasses.asdict`` writes one."""
@@ -124,9 +134,8 @@ class LqgMapping:
     T: float
 
 
-def to_lqg(params: MarketParams, N_types: int = 1,
-           lambda_explore: float = 0.0) -> LqgMapping:
-    """Cast the trading problem as an LQG mean-field game.
+def to_lqg(params: MarketParams, lambda_explore: float = 0.0) -> LqgMapping:
+    """Cast the trading problem as a one-type LQG mean-field game.
 
     Per trader: state x = (q, F - F0), control nu, n = 2, m = 1.  The
     permanent impact enters as the mean-control coupling H = (0, lambda)^T;
@@ -149,8 +158,7 @@ def to_lqg(params: MarketParams, N_types: int = 1,
         nvec=np.array([params.F0]),
         lambda_explore=lambda_explore,
     )
-    pi = np.full(N_types, 1.0 / N_types)
-    pop = PopulationSpec(subpops=(sub,) * N_types, pi=pi, rho=0.0,
+    pop = PopulationSpec(subpops=(sub,), pi=[1.0], rho=0.0,
                          x0_mean=np.array([params.q0, 0.0]),
                          x0_cov=np.zeros((2, 2)))
     Pi_T = np.array([[2.0 * params.psi_terminal, -1.0], [-1.0, 0.0]])
@@ -177,8 +185,9 @@ def solve_finite_horizon(mapping: LqgMapping, steps: int = 200) -> FiniteHorizon
     """The finite-horizon consistency system, solved directly.
 
     The same stacked system as the stationary solver
-    (``meanfield.solve_stacked``), but the Riccati weight Pi_k(t) is the
-    backward differential solution from the terminal matrix, so the gains
+    (``meanfield.solve_stacked``), but each type's Riccati weight Pi_k(t)
+    is its own backward differential solution from the terminal matrix
+    (``to_lqg`` makes one type; a K-type mapping solves K tables), so the gains
     and blocks are tabulated on the doubled grid, and s(T) is the mapping's
     terminal offset.  Pi_k is exact at every node, with no refinement
     however stiff.  Two validate_spec aspects are waived here: the positive
@@ -198,13 +207,10 @@ def solve_finite_horizon(mapping: LqgMapping, steps: int = 200) -> FiniteHorizon
         raise ValueError(f"trading spec violates model assumptions: {hard}")
     grid = TimeGrid(0.0, mapping.T, steps)
 
-    # exact Pi on the doubled grid: its midpoints are the RK4 stage inputs;
-    # one table per distinct sub-population (to_lqg repeats one object K times)
+    # exact Pi on the doubled grid: its midpoints are the RK4 stage inputs
     fine = TimeGrid(grid.t0, grid.t1, 2 * steps)
-    distinct = {id(p): p for p in spec.subpops}
-    tables = {key: solve_differential_riccati(p, spec.rho, mapping.terminal_weight, fine).values
-              for key, p in distinct.items()}
-    Pi_half = [tables[id(p)] for p in spec.subpops]
+    Pi_half = [solve_differential_riccati(p, spec.rho, mapping.terminal_weight, fine).values
+               for p in spec.subpops]
     Pi_trajs = [Trajectory(grid, P[::2]) for P in Pi_half]
     ops, J_half, Abar_half = consistency_blocks(spec, Pi_half)
     s_T = np.tile(mapping.terminal_offset, spec.K)
@@ -214,13 +220,13 @@ def solve_finite_horizon(mapping: LqgMapping, steps: int = 200) -> FiniteHorizon
                                  mubar=mubar, iterations=1)
 
 
-def trading_policy(mapping: LqgMapping, fh: FiniteHorizonSolution,
-                   k: int = 0) -> GaussianPolicy:
-    """Type k's time-varying Gaussian trading policy: the policy record on
-    the solve grid, its gain tabulated from the Riccati table, so the mean
-    is -gain(t) x + offset(t) and the covariance lambda_explore R^-1."""
-    return tabulate_policy(mapping.population, k, fh.Pi[k].values, fh.grid,
-                           fh.s[k].values, fh.xbar.values)
+def trading_policy(mapping: LqgMapping, fh: FiniteHorizonSolution) -> GaussianPolicy:
+    """The traders' time-varying Gaussian policy (type 0): the policy record
+    on the solve grid, its gain tabulated from the Riccati table, so the
+    mean is -gain(t) x + offset(t) and the covariance lambda_explore R^-1.
+    ``policy.tabulate_policy`` reads another type of a K-type mapping."""
+    return tabulate_policy(mapping.population, 0, fh.Pi[0].values, fh.grid,
+                           fh.s[0].values, fh.xbar.values)
 
 
 # ---------------------------------------------------------------------------

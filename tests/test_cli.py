@@ -60,6 +60,18 @@ def spec_files(tmp_path_factory):
         (root / f"market_{name}.json").write_text(json.dumps(dict(doc, **bad)))
     (root / "market_a0.json").write_text(json.dumps(
         dict(doc, init=dict(doc["init"], a_temp=0.0))))      # R = 0 in the first plan
+    # a spec with a non-finite number, or with offset knots that do not
+    # increase, is refused where it is built
+    for name, (where, key, value) in {
+            "lambda_nan": ("subpop", "lambda_explore", math.nan),
+            "D_nan": ("subpop", "D", [[math.nan]]),
+            "b_knots": ("subpop", "b", {"times": [4.0, 0.0], "values": [[0.1], [0.2]]}),
+            "x0_cov_nan": ("spec", "x0_cov", [[math.nan]]),
+            "x0_mean_nan": ("spec", "x0_mean", [math.nan]),
+            "pi_nan": ("spec", "pi", [math.nan])}.items():
+        bad = spec_to_json(coupled_single_type_spec())
+        (bad["subpops"][0] if where == "subpop" else bad)[key] = value
+        (root / f"spec_{name}.json").write_text(json.dumps(bad))
     # explicit Euler on the default experiment grids blows up at A = -450
     save_spec(scalar_decoupled_spec(A=-450.0, D=0.1, x0_var=0.1), root / "stiff.json")
     return root
@@ -283,6 +295,24 @@ def _case(id, argv, code, err_type=None, match=None):
           "ValueError", "iterations must be an integer, got 1.5"),
     _case("learn-doc-episodes-fraction", ["trade", "learn", "market_episodes_frac"], 1,
           "ValueError", "episodes must be an integer, got 1.5"),
+    _case("solve-spec-lambda-nan", ["solve", "spec_lambda_nan"], 1, "ValueError",
+          "lambda_explore must be finite, got nan"),
+    _case("coe-spec-lambda-nan", ["experiment", "coe", "spec_lambda_nan"], 1, "ValueError",
+          "lambda_explore must be finite"),
+    _case("nash-spec-lambda-nan",
+          ["experiment", "nash", "spec_lambda_nan", "--Ns", "8", "--reps", "2"], 1,
+          "ValueError", "lambda_explore must be finite"),
+    _case("solve-spec-D-nan", ["solve", "spec_D_nan"], 1, "ValueError", "D must be finite"),
+    _case("solve-spec-x0-cov-nan", ["solve", "spec_x0_cov_nan"], 1, "ValueError",
+          "x0_cov must be finite"),
+    _case("solve-spec-x0-mean-nan", ["solve", "spec_x0_mean_nan"], 1, "ValueError",
+          "x0_mean must be finite"),
+    _case("solve-spec-pi-nan", ["solve", "spec_pi_nan"], 1, "ValueError", "pi must be finite"),
+    _case("solve-spec-b-knots-decrease", ["solve", "spec_b_knots"], 1, "ValueError",
+          "offset knots must strictly increase"),
+    _case("coupling-gap-spec-b-knots-decrease",
+          ["experiment", "coupling-gap", "spec_b_knots", "--Ns", "8", "--reps", "2"], 1,
+          "ValueError", "offset knots must strictly increase"),
     _case("nash-empty-Ns", ["experiment", "nash", "coupled", "--Ns", ""], 1,
           "ValueError", "--Ns needs"),
     _case("lambda-sweep-empty-list",

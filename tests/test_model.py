@@ -103,6 +103,23 @@ def test_timetable_constant_and_affine():
     assert tab(np.array([0.0, 2.0])).shape == (2, 1)
 
 
+@pytest.mark.parametrize("make, match", [
+    (lambda: scalar_spec(lambda_explore=float("nan")), "lambda_explore must be finite"),
+    (lambda: scalar_spec(Q=np.inf), "Q must be finite"),
+    (lambda: scalar_spec(b=[-np.inf]), "values must be finite"),
+    (lambda: scalar_spec(phi_lagrange=np.inf), "phi_lagrange must be finite"),
+    (lambda: dataclasses.replace(scalar_spec(), rho=float("nan")), "rho must be finite"),
+    (lambda: dataclasses.replace(scalar_spec(), x0_cov=[[np.inf]]), "x0_cov must be finite"),
+    (lambda: TimeTable([[0.0], [1.0]], [0.0, np.nan]), "times must be finite"),
+    (lambda: TimeTable([[0.0], [1.0]], [1.0, 1.0]), "knots must strictly increase"),
+    (lambda: TimeTable([[0.0], [1.0], [2.0]], [0.0, 2.0, 1.0]), "knots must strictly increase"),
+])
+def test_non_finite_numbers_and_unordered_knots_refused(make, match):
+    # refused where the spec is built, as MarketParams refuses its own
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
 def test_json_round_trip(tmp_path):
     spec = two_type_spec()
     doc = spec_to_json(spec)

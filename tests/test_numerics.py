@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -356,8 +357,8 @@ def test_trajectory_interp_returns_node_values_at_nodes(coupled):
 
 
 def interp_on_times(traj, t):
-    """Interpolation with the interval searched among ``grid.times()``: the
-    reference for ``Trajectory.interp``, which builds no grid."""
+    """Interpolation with the interval searched among ``grid.times()``,
+    written out: the rule ``Trajectory.interp`` keeps, node values exact."""
     g = traj.grid
     tarr = np.asarray(t, dtype=float)
     ts = g.times()
@@ -380,18 +381,27 @@ def test_trajectory_interp_matches_search_among_times(t0, span, steps, seed):
     probes = np.concatenate([rng.uniform(grid.t0, grid.t1, 64), ts,
                              np.nextafter(ts, np.inf), np.nextafter(ts, -np.inf)])
     probes = probes[(probes >= grid.t0 - 1e-12) & (probes <= grid.t1 + 1e-12)]
-    assert np.array_equal(traj.interp(probes), interp_on_times(traj, probes))
+    got = traj.interp(probes)
+    assert np.array_equal(got, interp_on_times(traj, probes))
     for t in probes[rng.integers(0, probes.size, 8)]:
-        got, ref = traj.interp(float(t)), interp_on_times(traj, float(t))
-        assert got.shape == ref.shape and np.array_equal(got, ref)
+        one, ref = traj.interp(float(t)), interp_on_times(traj, float(t))
+        assert one.shape == ref.shape and np.array_equal(one, ref)
+    # and numpy's own linear interpolation, a rule that shares no code
+    ref = np.stack([np.interp(probes, ts, traj.values[:, j]) for j in range(2)], axis=1)
+    np.testing.assert_allclose(got, ref, rtol=1e-14,
+                               atol=1e-14 * float(np.max(np.abs(traj.values))))
 
 
 def test_trajectory_interp_bounds():
     grid = TimeGrid(0.0, 1.0, 10)
     traj = Trajectory(grid, np.linspace(0.0, 1.0, 11)[:, None])
     assert traj.interp(0.55) == pytest.approx(0.55)
-    with pytest.raises(ValueError):
-        traj.interp(1.5)
+    # a NaN t is outside the grid too, refused before any interval is sought
+    for t in (1.5, -0.1, math.nan, np.array([0.2, math.nan]), math.inf):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="outside solved grid"):
+                traj.interp(t)
 
 
 def test_write_json(tmp_path):

@@ -15,6 +15,7 @@ difference, most of it the reference's own Riccati table where that is
 stiff.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -186,7 +187,11 @@ MARKETS = {
 @pytest.mark.parametrize("market", sorted(MARKETS))
 @pytest.mark.parametrize("N_types", [1, 2])
 def test_finite_horizon_matches_picard(market, N_types):
-    mapping = to_lqg(MarketParams(**MARKETS[market]), N_types=N_types, lambda_explore=0.1)
+    mapping = to_lqg(MarketParams(**MARKETS[market]), lambda_explore=0.1)
+    # N_types equal trader types in equal shares
+    mapping = dataclasses.replace(mapping, population=dataclasses.replace(
+        mapping.population, subpops=mapping.population.subpops * N_types,
+        pi=np.full(N_types, 1.0 / N_types)))
     fh = solve_finite_horizon(mapping, steps=600)
     assert fh.iterations == 1
     assert np.array_equal(fh.xbar.values[0], np.tile(mapping.population.x0_mean, N_types))

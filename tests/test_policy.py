@@ -10,7 +10,7 @@ from lqgmfg import solve_consistency
 from lqgmfg.meanfield import ConsistencyError
 from lqgmfg.model import PopulationSpec, SubpopParams
 from lqgmfg.numerics import Trajectory
-from lqgmfg.policy import analytic_coe, policy_entropy, policy_for, value_gap
+from lqgmfg.policy import analytic_coe, policy_entropy, policy_for, tabulate_policy, value_gap
 from lqgmfg.presets import planar_spec, scalar_decoupled_spec
 from lqgmfg.riccati import feedback_gain
 from lqgmfg.trading import FiniteHorizonSolution, LqgMapping, trading_policy
@@ -193,7 +193,10 @@ def test_policy_record_matches_offset_formula_on_random_specs(spec):
                                                          mf.xbar.values))
         assert np.array_equal(pol.gain, feedback_gain(p, mf.Pi[k].Pi))
         assert np.array_equal(pol.covariance, cov)
-        pol = trading_policy(mapping, fh, k)
+        # trading_policy reads type 0; another type of the mapping, its record
+        pol = (trading_policy(mapping, fh) if k == 0 else
+               tabulate_policy(spec, k, fh.Pi[k].values, fh.grid, fh.s[k].values,
+                               fh.xbar.values))
         assert np.array_equal(pol.offset, offset_formula(spec, k, mf.s[k].values,
                                                          mf.xbar.values))
         assert np.array_equal(pol.gain, feedback_gain(p, Pi_tab[k]))

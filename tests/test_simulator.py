@@ -36,8 +36,20 @@ def rows(noise, idx):
     return AgentNoise(noise.x0_z[idx], noise.action_z[:, idx], noise.dW[:, idx])
 
 
-def cfg_for(N, grid=GRID, seed=0, mode="exploratory"):
-    return SimConfig(N=N, counts=(N,), grid=grid, seed=seed, mode=mode)
+def cfg_for(N, grid=GRID, seed=0):
+    return SimConfig(N=N, counts=(N,), grid=grid, seed=seed)
+
+
+def with_lambda(spec, lam):
+    """The spec with every type's exploration weight set to ``lam``."""
+    return dataclasses.replace(spec, subpops=tuple(
+        dataclasses.replace(p, lambda_explore=lam) for p in spec.subpops))
+
+
+def of_kind(spec, kind):
+    """The 'exploratory' game is the spec; the 'classical' game is its
+    lambda = 0 spec, whose policy is a Dirac mass at the classical control."""
+    return spec if kind == "exploratory" else with_lambda(spec, 0.0)
 
 
 def pack_sums(spec, grid, counts, reps, seed, tag_type=None):
@@ -180,24 +192,20 @@ def test_empirical_cost_zero_paths():
 
 
 def test_type_index_checked(two_type):
-    # k = -1 once ran the last type, k = K raised a bare IndexError, and an
-    # agent of another type was costed with type k's weights
+    # k = -1 once ran the last type, and k = K raised a bare IndexError
     spec, mf = two_type
     grid = TimeGrid(0.0, 1.0, 20)
     batch = simulate_population(spec, mf, SimConfig(N=4, counts=(2, 2), grid=grid, seed=0))
     cases = [
         (lambda: coe_experiment(spec, mf, -1, reps=4, seed=0, grid=grid), "type k=-1 outside"),
         (lambda: coe_experiment(spec, mf, 2, reps=4, seed=0, grid=grid), "type k=2 outside"),
-        (lambda: empirical_cost(batch, spec, -1, "classical", spec.rho, agents=[0]),
-         "type k=-1 outside"),
+        (lambda: empirical_cost(batch, spec, -1, "classical", spec.rho), "type k=-1 outside"),
         (lambda: empirical_cost(batch, spec, 2, "classical", spec.rho), "type k=2 outside"),
-        (lambda: empirical_cost(batch, spec, 0, "classical", spec.rho, agents=[2]),
-         r"agents \[2\] are not paths of type k=0"),
     ]
     for call, match in cases:
         with pytest.raises(ValueError, match=match):
             call()
-    assert empirical_cost(batch, spec, 1, "classical", spec.rho, agents=[2, 3]).per_agent.size == 2
+    assert empirical_cost(batch, spec, 1, "classical", spec.rho).per_agent.size == 2
 
 
 def dp_value_oracle(A, B, Q, R, rho, x0, dt=0.01, iters=3000):
@@ -224,9 +232,9 @@ def test_empirical_cost_against_dp_oracle():
                                  x0=1.0, x0_var=0.0)
     mf = solve_consistency(spec)
     grid = TimeGrid(0.0, 16.0, 3200)
-    batch = simulate_population(spec, mf, SimConfig(N=1, counts=(1,), grid=grid,
-                                                    seed=0, mode="classical"))
-    est = empirical_cost(batch, spec, 0, "classical", spec.rho, tail_tol=0.01)
+    batch = simulate_population(spec, mf, cfg_for(1, grid=grid))
+    est = empirical_cost(batch, spec, 0, "classical", spec.rho)
+    assert est.truncation_bound <= 0.01 * (1.0 + abs(est.mean))
     dp = dp_value_oracle(0.0, 1.0, 1.0, 1.0, 0.5, 1.0)
     closed = 0.5 * mf.Pi[0].Pi[0, 0]
     assert est.mean == pytest.approx(closed, rel=0.02)
@@ -286,14 +294,6 @@ def test_truncation_bound_covers_tail(decoupled_noisy):
     assert c1.truncation_bound >= omitted
 
 
-def test_horizon_too_short_raises(decoupled_noisy):
-    spec, mf = decoupled_noisy
-    grid = TimeGrid(0.0, 1.0, 100)
-    batch = simulate_population(spec, mf, cfg_for(4, grid=grid))
-    with pytest.raises(ValueError, match="horizon too short"):
-        empirical_cost(batch, spec, 0, "classical", spec.rho, tail_tol=1e-6)
-
-
 def test_coupling_gap_zero_when_uncoupled(decoupled_noisy):
     spec, mf = decoupled_noisy
     res = coupling_gap_experiment(spec, mf, [8, 16], reps=3, seed=1,
@@ -313,8 +313,7 @@ def test_coupling_gap_monotone_and_rate(coupled):
 def test_cost_gap_zero_when_uncoupled(decoupled_noisy):
     spec, mf = decoupled_noisy
     res = cost_gap_experiment(spec, mf, [8, 16], reps=3, seed=2,
-                              grid=TimeGrid(0.0, 3.0, 300),
-                              deviation=PolicyDeviation(mean_shift=[0.4]))
+                              grid=TimeGrid(0.0, 3.0, 300))
     assert max(res.summary["cost_gaps"]) < 1e-12
 
 
@@ -356,8 +355,7 @@ def test_nash_matches_direct_per_repetition_costs(coupled):
     counts = exact_counts(spec.pi, N)
 
     def tagged_costs(dev):
-        return tagged_cost_reference(spec, mf, grid, counts, seed, reps, dev,
-                                     "exploratory-regularized")
+        return tagged_cost_reference(spec, mf, grid, counts, seed, reps, dev)
 
     base = tagged_costs(None).mean()
     devs = [tagged_costs(dev) for dev in family]
@@ -489,8 +487,7 @@ def test_csv_writer_deterministic(tmp_path, decoupled_noisy):
 c_order = np.ascontiguousarray
 
 
-def simulate_reference(spec, mf, grid, counts, noise, mode, deviations,
-                       exogenous_field):
+def simulate_reference(spec, mf, grid, counts, noise, deviations, exogenous_field):
     """Agent-major Euler-Maruyama loop: paths stored as (N, nodes, .), one
     strided row per agent per node.  The reference for the kernel that
     ``simulate_population`` and ``simulate_representative`` run.  Every
@@ -542,12 +539,9 @@ def simulate_reference(spec, mf, grid, counts, noise, mode, deviations,
         for k, sl in enumerate(slices):
             mu[sl] = -(x[sl] @ c_order(gains[k].T)) + offsets[k][i][None, :]
         mu += shifts
-        if mode == "exploratory":
-            u = np.empty((N, m))
-            for k, sl in enumerate(slices):
-                u[sl] = mu[sl] + sd_scales[sl] * (noise.action_z[i, sl] @ c_order(chols[k].T))
-        else:
-            u = mu.copy()
+        u = np.empty((N, m))
+        for k, sl in enumerate(slices):
+            u[sl] = mu[sl] + sd_scales[sl] * (noise.action_z[i, sl] @ c_order(chols[k].T))
         means[:, i] = mu
         actions[:, i] = u
         x_avg[i] = c_order(x.T).sum(axis=1) / N
@@ -572,19 +566,17 @@ def simulate_reference(spec, mf, grid, counts, noise, mode, deviations,
 _BATCH_FIELDS = ("states", "actions", "means", "x_avg", "mu_avg", "cov_scales")
 
 
-def _assert_kernel_matches_reference(spec, mf, grid, counts, noise, mode,
-                                     deviations):
+def _assert_kernel_matches_reference(spec, mf, grid, counts, noise, deviations):
     N = sum(counts)
     types = np.repeat(np.arange(spec.K), counts)
-    cfg = SimConfig(N=N, counts=tuple(counts), grid=grid, seed=0, mode=mode)
+    cfg = SimConfig(N=N, counts=tuple(counts), grid=grid, seed=0)
     batches = {
         False: simulate_population(spec, mf, cfg, deviations=deviations,
                                    noise=noise),
-        True: simulate_representative(spec, mf, grid, 0, mode=mode, noise=noise,
+        True: simulate_representative(spec, mf, grid, 0, noise=noise,
                                       deviations=deviations, types=types)}
     for exogenous, batch in batches.items():
-        ref = simulate_reference(spec, mf, grid, counts, noise, mode,
-                                 deviations, exogenous)
+        ref = simulate_reference(spec, mf, grid, counts, noise, deviations, exogenous)
         for f in _BATCH_FIELDS:
             assert np.array_equal(getattr(batch, f), ref[f]), (f, exogenous)
         assert batch.states.shape == (N, grid.steps + 1, spec.n)
@@ -625,12 +617,13 @@ def _random_game(rng, K, n, m, r, steps):
 @given(K=st.integers(1, 3), n=st.integers(1, 2), m=st.integers(1, 2),
        r=st.integers(1, 2), steps=st.integers(1, 30),
        counts=st.lists(st.integers(0, 5), min_size=3, max_size=3),
-       mode=st.sampled_from(["exploratory", "classical"]),
+       kind=st.sampled_from(["exploratory", "classical"]),
        n_devs=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
-def test_kernel_matches_agent_major_reference(K, n, m, r, steps, counts, mode,
+def test_kernel_matches_agent_major_reference(K, n, m, r, steps, counts, kind,
                                               n_devs, seed):
     rng = np.random.default_rng(seed)
     spec, mf, grid = _random_game(rng, K, n, m, r, steps)
+    spec = of_kind(spec, kind)
     counts = counts[:K]
     counts[0] = max(counts[0], 1)
     N = sum(counts)
@@ -641,23 +634,53 @@ def test_kernel_matches_agent_major_reference(K, n, m, r, steps, counts, mode,
                                           if rng.random() < 0.7 else None,
                                           cov_scale=float(rng.uniform(0.2, 3.0)))
                   for i in rng.choice(N, size=min(n_devs, N), replace=False)}
-    _assert_kernel_matches_reference(spec, mf, grid, counts, noise, mode,
-                                     deviations or None)
+    _assert_kernel_matches_reference(spec, mf, grid, counts, noise, deviations or None)
 
 
-@pytest.mark.parametrize("mode", ["exploratory", "classical"])
+@pytest.mark.parametrize("kind", ["exploratory", "classical"])
 # planar (n = m = 2): 40 rows per component, so the averages' order shows
 @pytest.mark.parametrize("game", ["coupled", "two_type", "planar"])
-def test_kernel_matches_reference_on_solved_games(request, game, mode):
+def test_kernel_matches_reference_on_solved_games(request, game, kind):
     spec, mf = request.getfixturevalue(game)
+    spec = of_kind(spec, kind)
     grid = TimeGrid(0.0, 2.0, 200)
     counts = list(exact_counts(spec.pi, 40))
     noise = draw_noise(3, 40, grid.steps, spec.n, spec.m, spec.subpops[0].r)
     deviations = {0: PolicyDeviation(mean_shift=np.full(spec.m, 0.3), cov_scale=1.7),
                   7: PolicyDeviation(cov_scale=0.4),
                   39: PolicyDeviation(mean_shift=np.full(spec.m, -0.2))}
-    _assert_kernel_matches_reference(spec, mf, grid, counts, noise, mode,
-                                     deviations)
+    _assert_kernel_matches_reference(spec, mf, grid, counts, noise, deviations)
+
+
+@pytest.mark.parametrize("game", ["coupled", "two_type", "planar"])
+def test_classical_game_is_the_zero_lambda_spec(request, game):
+    # the lambda = 0 spec, solved on its own, steps the spec's own paths bit
+    # for bit, deviations included, with every action at its policy mean;
+    # so its 'classical' cost is its 'exploratory' cost
+    spec, mf = request.getfixturevalue(game)
+    classical = with_lambda(spec, 0.0)
+    mf0 = solve_consistency(classical)
+    grid = TimeGrid(0.0, 2.0, 100)
+    shift = np.full(spec.m, 0.3)
+    runs = {
+        "population": lambda s, m: simulate_population(
+            s, m, SimConfig(N=300, counts=exact_counts(spec.pi, 300), grid=grid, seed=5),
+            {0: PolicyDeviation(mean_shift=shift, cov_scale=1.7),
+             150: PolicyDeviation(cov_scale=0.4), 299: PolicyDeviation(mean_shift=-shift)}),
+        "representative": lambda s, m: simulate_representative(
+            s, m, grid, 5, types=np.repeat(np.arange(spec.K), exact_counts(spec.pi, 50)),
+            deviations={0: PolicyDeviation(mean_shift=-shift, cov_scale=2.0),
+                        49: PolicyDeviation(mean_shift=shift)})}
+    for name, run in runs.items():
+        a, b = run(spec, mf), run(classical, mf0)
+        for f in ("states", "means", "x_avg", "mu_avg", "cov_scales"):
+            assert np.array_equal(getattr(a, f), getattr(b, f)), (name, f)
+        assert np.array_equal(b.actions, b.means), name
+        assert not np.array_equal(a.actions, a.means), name
+        for k in range(spec.K):
+            assert np.array_equal(
+                empirical_cost(b, classical, k, "classical", spec.rho).per_agent,
+                empirical_cost(b, classical, k, "exploratory", spec.rho).per_agent), (name, k)
 
 
 def test_noise_pack_is_the_time_major_stream():
@@ -784,18 +807,17 @@ def test_blow_up_joins_the_worker(run):
 DRAW_GRID = TimeGrid(0.0, 2.0, 50)
 
 
-def draw_cases(spec, mf, mode):
+def draw_cases(spec, mf):
     """A population and typed representative paths of 13 agents, both with
     deviations, as functions of the noise pack (None: the default draw)."""
     counts = exact_counts(spec.pi, 13)
     types = np.repeat(np.arange(spec.K), counts)
     devs = {0: PolicyDeviation(mean_shift=[0.3], cov_scale=1.7),
             7: PolicyDeviation(cov_scale=0.4), 12: PolicyDeviation(mean_shift=[-0.2])}
-    cfg = SimConfig(N=13, counts=counts, grid=DRAW_GRID, seed=6, mode=mode)
+    cfg = SimConfig(N=13, counts=counts, grid=DRAW_GRID, seed=6)
     return {"population": lambda noise: simulate_population(spec, mf, cfg, devs, noise),
             "representative": lambda noise: simulate_representative(
-                spec, mf, DRAW_GRID, 6, mode=mode, noise=noise, deviations=devs,
-                types=types)}
+                spec, mf, DRAW_GRID, 6, noise=noise, deviations=devs, types=types)}
 
 
 def assert_batches_equal(a, b):
@@ -803,20 +825,20 @@ def assert_batches_equal(a, b):
         assert np.array_equal(getattr(a, f), getattr(b, f)), f
 
 
-@pytest.mark.parametrize("mode", ["exploratory", "classical"])
-def test_default_draw_equals_injected_pack(two_type, mode):
+@pytest.mark.parametrize("kind", ["exploratory", "classical"])
+def test_default_draw_equals_injected_pack(two_type, kind):
     spec, mf = two_type
     pack = draw_noise(6, 13, DRAW_GRID.steps, spec.n, spec.m, spec.subpops[0].r)
-    for run in draw_cases(spec, mf, mode).values():
+    for run in draw_cases(of_kind(spec, kind), mf).values():
         assert_batches_equal(run(None), run(pack))
 
 
 # 51 nodes: chunks of 1 and 7 end on a partial chunk, 51 and 500 hold them all
 @pytest.mark.parametrize("chunk", [1, 7, 51, 500])
-@pytest.mark.parametrize("mode", ["exploratory", "classical"])
-def test_draw_does_not_depend_on_chunk(two_type, mode, chunk):
+@pytest.mark.parametrize("kind", ["exploratory", "classical"])
+def test_draw_does_not_depend_on_chunk(two_type, kind, chunk):
     spec, mf = two_type
-    runs = draw_cases(spec, mf, mode)
+    runs = draw_cases(of_kind(spec, kind), mf)
     default = {name: run(None) for name, run in runs.items()}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulator, "_NOISE_CHUNK", chunk)
@@ -917,11 +939,10 @@ def test_coe_matches_per_step_reference(request, game):
     assert res.summary["std_err"] == pytest.approx(se, rel=1e-12, abs=0)
 
 
-def coupling_gap_reference(spec, mf, Ns, reps, seed, grid, checkpoint_frac):
-    """Both systems simulated on the full grid in exploratory mode, the
-    checkpoint read afterwards.  The reference for
-    ``coupling_gap_experiment``."""
-    ck = int(round(checkpoint_frac * grid.steps))
+def coupling_gap_reference(spec, mf, Ns, reps, seed, grid):
+    """Both systems simulated on the full grid, the midpoint node read
+    afterwards.  The reference for ``coupling_gap_experiment``."""
+    ck = int(round(0.5 * grid.steps))
     t_ck = grid.times()[ck]
     res = simulator.ExperimentResult("coupling-gap")
     means, ses = [], []
@@ -964,15 +985,17 @@ def assert_rows_close(rows, ref_rows, rtol):
                 np.testing.assert_allclose(row[key], v, rtol=rtol, atol=0)
 
 
-# the ids name the coupling the gap runs on, common random numbers
+# the ids name the coupling the gap runs on, common random numbers; frac
+# places the checkpoint on [0, 3] in steps of 0.015, as the midpoint of a
+# grid of twice that length
 @pytest.mark.parametrize("frac", [0.5, 1.0, 0.37],
                          ids=lambda frac: f"{frac}-common-random-numbers")
 def test_coupling_gap_matches_full_grid_reference(two_type, frac):
     # the gap is now a difference of type means, not of agent paths: it
     # matches the agent-by-agent reference to rounding, not bitwise
     spec, mf = two_type
-    grid = TimeGrid(0.0, 3.0, 200)
-    kw = dict(reps=3, seed=6, checkpoint_frac=frac)
+    grid = TimeGrid(0.0, 6.0 * frac, round(400 * frac))
+    kw = dict(reps=3, seed=6)
     Ns = [8, 16, 40]
     with on_packs():
         res = coupling_gap_experiment(spec, mf, Ns, grid=grid, **kw)
@@ -993,12 +1016,11 @@ def solved(spec):
 @settings(max_examples=12, deadline=None, derandomize=True)
 @given(spec=random_specs(coupling=st.sampled_from([0.1, 0.3])),
        Ns=st.lists(st.integers(1, 30), min_size=1, max_size=3),
-       steps=st.integers(2, 40), frac=st.sampled_from([0.5, 1.0]),
-       seed=st.integers(0, 2**32 - 1))
-def test_coupling_gap_matches_reference_on_random_specs(spec, Ns, steps, frac, seed):
+       steps=st.integers(2, 40), seed=st.integers(0, 2**32 - 1))
+def test_coupling_gap_matches_reference_on_random_specs(spec, Ns, steps, seed):
     mf = solved(spec)
     grid = TimeGrid(0.0, 2.0, steps)
-    kw = dict(reps=2, seed=seed, grid=grid, checkpoint_frac=frac)
+    kw = dict(reps=2, seed=seed, grid=grid)
     with on_packs():
         res = coupling_gap_experiment(spec, mf, Ns, **kw)
     ref = coupling_gap_reference(spec, mf, Ns, **kw)
@@ -1138,6 +1160,8 @@ def test_draw_sums_are_scaled_stream_normals():
 
 
 def test_coupling_gap_draw_does_not_depend_on_checkpoint(coupled):
+    # the run stops at the midpoint node, but the sums it reads are those
+    # drawn over the whole grid
     spec, mf = coupled
     drawn = []
 
@@ -1145,21 +1169,20 @@ def test_coupling_gap_draw_does_not_depend_on_checkpoint(coupled):
         drawn.append(DRAW_SUMS(*args, **kw))
         return drawn[-1]
 
+    grid = TimeGrid(0.0, 2.0, 50)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulator, "_draw_sums", spy)
-        for frac in (0.2, 0.5, 1.0):
-            coupling_gap_experiment(spec, mf, [9], reps=3, seed=8,
-                                    grid=TimeGrid(0.0, 2.0, 50), checkpoint_frac=frac)
-    for sums in drawn[1:]:
-        assert np.array_equal(sums.x0_z, drawn[0].x0_z)
-        assert np.array_equal(sums.dW, drawn[0].dW)
+        coupling_gap_experiment(spec, mf, [9], reps=3, seed=8, grid=grid)
+    whole = DRAW_SUMS(spec, grid, exact_counts(spec.pi, 9), 3, 8)
+    (sums,) = drawn
+    assert len(sums.dW) == grid.steps
+    assert np.array_equal(sums.x0_z, whole.x0_z)
+    assert np.array_equal(sums.dW, whole.dW)
 
 
 @pytest.mark.parametrize("kw, match", [
     (dict(reps=0), "reps must be at least 1"),
     (dict(Ns=[8, 0]), "every N must be at least 1"),
-    (dict(checkpoint_frac=1.5), "checkpoint_frac"),
-    (dict(checkpoint_frac=-0.1), "checkpoint_frac"),
     (dict(grid=TimeGrid(0.0, 1e6, 10)), "past the solved horizon"),
 ])
 def test_experiments_name_a_bad_argument(coupled, kw, match):
@@ -1168,8 +1191,6 @@ def test_experiments_name_a_bad_argument(coupled, kw, match):
     args.update(kw)
     with pytest.raises(ValueError, match=match):
         coupling_gap_experiment(spec, mf, **args)
-    if "checkpoint_frac" in kw:
-        return
     Ns = args.pop("Ns")
     with pytest.raises(ValueError, match=match):
         cost_gap_experiment(spec, mf, Ns, **args)
@@ -1180,12 +1201,11 @@ def test_experiments_name_a_bad_argument(coupled, kw, match):
             coe_experiment(spec, mf, 0, **args)
 
 
-def tagged_cost_reference(spec, mf, grid, counts, seed, reps, dev, mode, k=0,
-                          exogenous=False):
+def tagged_cost_reference(spec, mf, grid, counts, seed, reps, dev, k=0, exogenous=False):
     """The first agent of type k playing ``dev`` (None: the equilibrium) in
     each repetition's full N-agent simulation, or alone on its limiting path
-    with ``exogenous``, costed directly.  The reference for the
-    superposition kernel's tagged costs."""
+    with ``exogenous``, its 'exploratory-regularized' cost computed
+    directly.  The reference for the superposition kernel's tagged costs."""
     N = sum(counts)
     row = sum(counts[:k])
     vals = np.empty(reps)
@@ -1193,15 +1213,16 @@ def tagged_cost_reference(spec, mf, grid, counts, seed, reps, dev, mode, k=0,
         pack = draw_noise(seed, N, grid.steps, spec.n, spec.m,
                           spec.subpops[0].r, rep=rep)
         if exogenous:
-            agent, devs = 0, None if dev is None else {0: dev}
+            devs = None if dev is None else {0: dev}
             batch = simulate_representative(spec, mf, grid, seed, k=k, n_paths=1,
                                             noise=rows(pack, [row]), deviations=devs)
         else:
-            agent, devs = row, None if dev is None else {row: dev}
+            devs = None if dev is None else {row: dev}
             cfg = SimConfig(N=N, counts=tuple(counts), grid=grid, seed=seed)
             batch = simulate_population(spec, mf, cfg, noise=pack, deviations=devs)
-        vals[rep] = empirical_cost(batch, spec, k, mode, spec.rho,
-                                   agents=[agent]).per_agent[0]
+        # the tagged agent is the first path of type k
+        vals[rep] = empirical_cost(batch, spec, k, "exploratory-regularized",
+                                   spec.rho).per_agent[0]
     return vals
 
 
@@ -1222,49 +1243,43 @@ def test_tagged_costs_match_direct_simulation(spec, steps, seed, counts):
         cnt = counts[:spec.K]
         cnt[k] = max(cnt[k], 1)
         sums = pack_sums(spec, grid, cnt, reps, seed, tag_type=k)
-        for mode in ("classical", "exploratory", "exploratory-regularized"):
-            for exogenous in (False, True):
-                got = simulator._tagged_costs(
-                    spec, mf, grid, cnt, sums,
-                    [dev or PolicyDeviation() for dev in members], mode,
-                    tag_type=k, exogenous_field=exogenous)
-                ref = np.array([tagged_cost_reference(spec, mf, grid, cnt, seed, reps,
-                                                      dev, mode, k, exogenous)
-                                for dev in members])
-                np.testing.assert_allclose(got, ref, rtol=1e-12,
-                                           atol=1e-12 * np.max(np.abs(ref)),
-                                           err_msg=f"type {k} {mode} exogenous={exogenous}")
+        for exogenous in (False, True):
+            got = simulator._tagged_costs(
+                spec, mf, grid, cnt, sums, [dev or PolicyDeviation() for dev in members],
+                tag_type=k, exogenous_field=exogenous)
+            ref = np.array([tagged_cost_reference(spec, mf, grid, cnt, seed, reps,
+                                                  dev, k, exogenous)
+                            for dev in members])
+            np.testing.assert_allclose(got, ref, rtol=1e-12,
+                                       atol=1e-12 * np.max(np.abs(ref)),
+                                       err_msg=f"type {k} exogenous={exogenous}")
         # the equilibrium and a zero deviation are one member, to the bit
         same = simulator._tagged_costs(spec, mf, grid, cnt, sums,
-                                       [PolicyDeviation()] * 2,
-                                       "exploratory-regularized", tag_type=k)
+                                       [PolicyDeviation()] * 2, tag_type=k)
         assert np.array_equal(same[0], same[1])
 
 
 def test_cost_gap_matches_direct_simulation(two_type):
     spec, mf = two_type
     grid = TimeGrid(0.0, 2.0, 200)
-    dev = PolicyDeviation(mean_shift=[0.2], cov_scale=1.3)
-    kw = dict(reps=4, seed=5, grid=grid, deviation=dev, mode="classical")
+    dev = PolicyDeviation(mean_shift=[0.5])          # the experiment's deviation
     with on_packs():
-        res = cost_gap_experiment(spec, mf, [5, 12], **kw)
+        res = cost_gap_experiment(spec, mf, [5, 12], reps=4, seed=5, grid=grid)
     for N, row in zip([5, 12], [r for r in res.rows if r["rep"] == -1]):
         counts = exact_counts(spec.pi, N)
-        diffs = (tagged_cost_reference(spec, mf, grid, counts, 5, 4, dev, "classical")
-                 - tagged_cost_reference(spec, mf, grid, counts, 5, 4, dev, "classical",
-                                         exogenous=True))
+        diffs = (tagged_cost_reference(spec, mf, grid, counts, 5, 4, dev)
+                 - tagged_cost_reference(spec, mf, grid, counts, 5, 4, dev, exogenous=True))
         got = [r["value"] for r in res.rows if r["N"] == N and r["rep"] >= 0]
         np.testing.assert_allclose(got, diffs, rtol=1e-12, atol=0)
         assert row["value"] == pytest.approx(abs(diffs.mean()), rel=1e-11, abs=0)
 
 
-def empirical_cost_reference(batch, spec, k, mode, rho, agents=None):
-    """All agents at once with 3-operand einsums over (agents, nodes, .)
-    gathers.  The reference for ``empirical_cost``'s blocked kernel."""
+def empirical_cost_reference(batch, spec, k, mode, rho):
+    """All agents of type k at once with 3-operand einsums over (agents,
+    nodes, .) gathers.  The reference for ``empirical_cost``'s blocked
+    kernel."""
     p = spec.subpops[k]
-    if agents is None:
-        agents = np.flatnonzero(batch.types == k)
-    agents = np.asarray(agents, dtype=int)
+    agents = np.flatnonzero(batch.types == k)
     grid = batch.grid
     ts = grid.times()
     psib = spec.psibar(k) if batch.infinite else p.psi
@@ -1321,23 +1336,20 @@ def _random_batch(rng, spec, N, steps, infinite):
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(spec=random_specs(), steps=st.integers(1, 12),
        extra=st.integers(1, 300), infinite=st.booleans(),
-       subset=st.booleans(), seed=st.integers(0, 2**32 - 1))
+       one_type=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_empirical_cost_matches_einsum_reference(spec, steps, extra, infinite,
-                                                 subset, seed):
+                                                 one_type, seed):
     rng = np.random.default_rng(seed)
     block = simulator._COST_BLOCK
     batch = _random_batch(rng, spec, block + extra, steps, infinite)
     k = int(rng.integers(0, spec.K))
-    # an unsorted subset across a block boundary, or all agents of type k;
-    # only paths of type k are costed with its weights, so a subset (or too
-    # few paths of type k) makes every path type k
-    if subset or np.sum(batch.types == k) < 2:
+    # the agents of type k among the others, or every path type k (also
+    # when too few paths are), so that a block boundary is crossed
+    if one_type or np.sum(batch.types == k) < 2:
         batch.types[:] = k
-    agents = (rng.choice(batch.N, size=block + (extra + 1) // 2, replace=False)
-              if subset else None)
     for mode in ("classical", "exploratory", "exploratory-regularized"):
-        got = empirical_cost(batch, spec, k, mode, spec.rho, agents=agents)
-        ref = empirical_cost_reference(batch, spec, k, mode, spec.rho, agents)
+        got = empirical_cost(batch, spec, k, mode, spec.rho)
+        ref = empirical_cost_reference(batch, spec, k, mode, spec.rho)
         scale = np.max(np.abs(ref.per_agent))
         np.testing.assert_allclose(got.per_agent, ref.per_agent, rtol=0,
                                    atol=1e-12 * scale)
@@ -1407,10 +1419,6 @@ def test_threaded_cost_matches_serial_costing():
             assert np.array_equal(got.per_agent, serial), (mode, k)
             assert got.truncation_bound == (1.5 * np.max(np.abs(running[-tail:]))
                                             * math.exp(-spec.rho * grid.t1) / spec.rho)
-            # a shuffled subset across both threads' blocks
-            agents = rng.permutation(of_k)[:block + block // 2 + 7]
-            sub = empirical_cost(batch, spec, k, mode, spec.rho, agents=agents)
-            assert np.array_equal(sub.per_agent, serial[np.searchsorted(of_k, agents)])
     finally:
         sys.setswitchinterval(interval)
 
@@ -1420,17 +1428,6 @@ def test_empirical_cost_rejects_no_paths(two_type):
     batch = simulate_population(spec, mf, SimConfig(N=3, counts=(3, 0), grid=GRID, seed=0))
     with pytest.raises(ValueError, match="no paths of type 1"):
         empirical_cost(batch, spec, 1, "exploratory", spec.rho)
-    with pytest.raises(ValueError, match="no paths of type 0"):
-        empirical_cost(batch, spec, 0, "exploratory", spec.rho, agents=[])
-
-
-@pytest.mark.parametrize("mode", ["exploratory-regularized", "Exploratory"])
-def test_unknown_simulation_mode_raises(decoupled, mode):
-    spec, mf = decoupled
-    with pytest.raises(ValueError, match=f"unknown simulation mode '{mode}'"):
-        simulate_representative(spec, mf, GRID, 0, mode=mode)
-    with pytest.raises(ValueError, match=f"unknown simulation mode '{mode}'"):
-        simulate_population(spec, mf, cfg_for(2, mode=mode))
 
 
 def test_types_checked_against_K(two_type):

@@ -358,30 +358,3 @@ def test_params_json_round_trip():
     doc = dataclasses.asdict(TRUE)
     back = params_from_json(doc)
     assert back == TRUE
-
-
-def test_one_riccati_table_per_distinct_subpop(monkeypatch):
-    from lqgmfg import trading
-    mapping = to_lqg(TRUE, N_types=2, lambda_explore=0.1)
-    sub = mapping.population.subpops[0]
-    assert mapping.population.subpops == (sub, sub)
-    # the same game with two distinct (equal) objects solves both tables
-    distinct = dataclasses.replace(mapping, population=dataclasses.replace(
-        mapping.population, subpops=(sub, dataclasses.replace(sub))))
-    ref = solve_finite_horizon(distinct, steps=200)
-
-    calls = []
-    solve = trading.solve_differential_riccati
-
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(trading, "solve_differential_riccati", counting)
-    fh = solve_finite_horizon(mapping, steps=200)
-    assert len(calls) == 1 and calls[0] is sub
-    for k in range(2):
-        assert np.array_equal(fh.Pi[k].values, ref.Pi[k].values)
-        assert np.array_equal(fh.s[k].values, ref.s[k].values)
-    assert np.array_equal(fh.xbar.values, ref.xbar.values)
-    assert np.array_equal(fh.mubar.values, ref.mubar.values)
