@@ -4,10 +4,13 @@ solvers and the equilibrium experiments, and emit CSV/JSON tables.
 `main` is the one error boundary: the commands raise, and only `main`
 turns an exception into an exit code.  Every command reads its input file
 as a JSON document, then builds the spec or market parameters from it
-inside the output directory's run.  0 on success; 1 on a usage, input
-or I/O error (OSError, KeyError, TypeError, the other ValueErrors); 2 on a
-numerical failure (RuntimeError, SpecValidationError, LinAlgError).  Once
-the output directory exists, a failure writes error.json there.
+inside the output directory's run, before any other work; construction
+refuses a malformed spec (a block of the wrong shape, a string or a bool
+for a number, a non-finite number) with a ValueError.  0 on success; 1 on
+a usage, input or I/O error (OSError, KeyError, TypeError, the other
+ValueErrors); 2 on a numerical failure (RuntimeError, SpecValidationError,
+which reports a violated model assumption, LinAlgError).  Once the output
+directory exists, a failure writes error.json there.
 
 Every run writes a manifest (command, inputs, seed, version, timestamp) and
 a copy of the input into the output directory; reruns with the same

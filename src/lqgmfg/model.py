@@ -13,10 +13,14 @@ expanded to [pi_1 F, ..., pi_K F] so that expand(F) @ xbar equals
 F @ (sum_k pi_k xbar_k).
 
 All types here are immutable after construction and safe to share across
-threads.  Construction normalizes shapes and refuses non-finite numbers and
-offset knots that do not strictly increase; semantic checks (definiteness,
-mixture normalization, discount sign) live in validate_spec, which reports
-rather than raises.
+threads.  A spec that builds is well-formed: construction fills a block
+given as a scalar or a 1-d value into the block's rows, and raises
+ValueError, naming the field, for a block that does not fit its type's
+n, m and r, for types of different (n, m, r), for weights or an initial
+law of the wrong size, for non-finite numbers and for offset knots that do
+not strictly increase.  The model's assumptions (mixture normalization,
+discount sign, definiteness, exploration sign) live in validate_spec, which
+reports rather than raises.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ __all__ = [
     "expand",
     "spec_to_json",
     "spec_from_json",
+    "is_json_number",
     "save_spec",
     "load_spec",
 ]
@@ -106,15 +111,19 @@ class TimeTable:
         return {"times": self.times.tolist(), "values": self.values.tolist()}
 
 
-def _mat(x, shape, name: str) -> np.ndarray:
-    a = np.asarray(x, dtype=float)
-    if a.ndim == 0:
-        a = a.reshape(1, 1)
-    if a.ndim == 1 and shape is not None and len(shape) == 2:
-        # allow scalar-problem convenience: 1-d rows become column/row blocks
-        a = a.reshape(shape) if a.size == shape[0] * shape[1] else a
-    if shape is not None and a.shape != shape:
-        raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
+def _shaped(x, shape: tuple, name: str) -> np.ndarray:
+    """``x`` as a float array of ``shape``, where a None width takes any.  A
+    scalar or a 1-d value fills a block's rows in order, and a scalar is a
+    one-entry vector."""
+    given = np.asarray(x, dtype=float)
+    a = given
+    if len(shape) == 1:
+        a = np.atleast_1d(a)
+    elif a.ndim < 2 and shape[0] and a.size % shape[0] == 0:
+        a = a.reshape(shape[0], -1)
+    if a.ndim != len(shape) or any(w not in (None, d) for w, d in zip(shape, a.shape)):
+        want = str(shape).replace("None", "*")
+        raise ValueError(f"{name} must have shape {want}, got {given.shape}")
     return a
 
 
@@ -143,45 +152,23 @@ class SubpopParams:
     phi_lagrange: float = 0.0
 
     def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        n = A.shape[0]
-        B = np.asarray(self.B, dtype=float)
-        if B.ndim == 0:
-            B = B.reshape(1, 1)
-        elif B.ndim == 1:
-            B = B.reshape(n, -1)
+        A = np.asarray(self.A, dtype=float)
+        n = A.shape[0] if A.ndim == 2 else 1
+        B = _shaped(self.B, (n, None), "B")
         m = B.shape[1]
-        object.__setattr__(self, "A", _mat(A, (n, n), "A"))
-        object.__setattr__(self, "B", _mat(B, (n, m), "B"))
-        object.__setattr__(self, "Q", _mat(self.Q, (n, n), "Q"))
-        object.__setattr__(self, "R", _mat(self.R, (m, m), "R"))
-        S = self.S if self.S is not None else np.zeros((n, m))
-        object.__setattr__(self, "S", _mat(S, (n, m), "S"))
-        F = self.F if self.F is not None else np.zeros((n, n))
-        object.__setattr__(self, "F", _mat(F, (n, n), "F"))
-        H = self.H if self.H is not None else np.zeros((n, m))
-        object.__setattr__(self, "H", _mat(H, (n, m), "H"))
-        D = self.D if self.D is not None else np.zeros((n, 1))
-        D = np.asarray(D, dtype=float)
-        if D.ndim == 0:
-            D = D.reshape(1, 1)
-        elif D.ndim == 1:
-            D = D.reshape(n, -1)
-        object.__setattr__(self, "D", D)
-        b = self.b
-        if b is None:
-            b = TimeTable(np.zeros(n))
-        elif isinstance(b, dict):           # TimeTable.to_json's tabulated form
-            b = TimeTable(b["values"], b["times"])
-        elif not isinstance(b, TimeTable):
-            b = TimeTable(np.asarray(b, dtype=float))
+        shapes = dict(A=(n, n), B=(n, m), Q=(n, n), R=(m, m), S=(n, m), F=(n, n),
+                      H=(n, m), D=(n, None), eta=(n,), nvec=(m,), psi=(n, n))
+        for name, shape in shapes.items():
+            value = getattr(self, name)
+            if value is None:       # a zero block; no noise is one zero column of D
+                value = np.zeros([1 if w is None else w for w in shape])
+            object.__setattr__(self, name, _shaped(value, shape, name))
+        b = self.b if isinstance(self.b, TimeTable) else TimeTable(
+            np.zeros(n) if self.b is None else self.b)
+        want = (n,) if b.times is None else (len(b.times), n)
+        if b.values.shape != want:
+            raise ValueError(f"b must have shape {want}, got {b.values.shape}")
         object.__setattr__(self, "b", b)
-        eta = self.eta if self.eta is not None else np.zeros(n)
-        object.__setattr__(self, "eta", np.atleast_1d(np.asarray(eta, dtype=float)))
-        nvec = self.nvec if self.nvec is not None else np.zeros(m)
-        object.__setattr__(self, "nvec", np.atleast_1d(np.asarray(nvec, dtype=float)))
-        psi = self.psi if self.psi is not None else np.zeros((n, n))
-        object.__setattr__(self, "psi", _mat(psi, (n, n), "psi"))
         object.__setattr__(self, "lambda_explore", float(self.lambda_explore))
         object.__setattr__(self, "phi_lagrange", float(self.phi_lagrange))
         _check_finite(self)
@@ -198,21 +185,6 @@ class SubpopParams:
     def r(self) -> int:
         return self.D.shape[1]
 
-    def dims_consistent(self) -> list[str]:
-        """Messages for every dimension mismatch (empty when consistent); the
-        matrix blocks other than D are shape-checked at construction."""
-        n, m = self.n, self.m
-        bad = []
-        if self.D.shape[0] != n:
-            bad.append(f"D has {self.D.shape[0]} rows, expected {n}")
-        if self.eta.shape != (n,):
-            bad.append(f"eta has shape {self.eta.shape}, expected ({n},)")
-        if self.nvec.shape != (m,):
-            bad.append(f"nvec has shape {self.nvec.shape}, expected ({m},)")
-        if self.b.dim != n:
-            bad.append(f"b(t) has dimension {self.b.dim}, expected {n}")
-        return bad
-
 
 @dataclass(frozen=True)
 class PopulationSpec:
@@ -227,14 +199,19 @@ class PopulationSpec:
 
     def __post_init__(self):
         subpops = tuple(self.subpops)
+        if not subpops:
+            raise ValueError("subpops must hold at least one type")
+        n, m, r = subpops[0].n, subpops[0].m, subpops[0].r
+        for k, p in enumerate(subpops):
+            if (p.n, p.m) != (n, m):
+                raise ValueError(f"subpops[{k}] has (n, m) = {(p.n, p.m)}, type 0 has {(n, m)}")
+            if p.r != r:    # the simulator draws one noise width for every type
+                raise ValueError(f"subpops[{k}]: D has {p.r} columns, type 0's has {r}")
         object.__setattr__(self, "subpops", subpops)
-        object.__setattr__(self, "pi", np.atleast_1d(np.asarray(self.pi, dtype=float)))
+        object.__setattr__(self, "pi", _shaped(self.pi, (len(subpops),), "pi"))
         object.__setattr__(self, "rho", float(self.rho))
-        object.__setattr__(self, "x0_mean", np.atleast_1d(np.asarray(self.x0_mean, dtype=float)))
-        cov = np.asarray(self.x0_cov, dtype=float)
-        if cov.ndim == 0:
-            cov = cov.reshape(1, 1)
-        object.__setattr__(self, "x0_cov", cov)
+        object.__setattr__(self, "x0_mean", _shaped(self.x0_mean, (n,), "x0_mean"))
+        object.__setattr__(self, "x0_cov", _shaped(self.x0_cov, (n, n), "x0_cov"))
         _check_finite(self)
 
     @property
@@ -300,40 +277,26 @@ def _sym_min_eig(M: np.ndarray) -> tuple[float, float]:
 
 
 def validate_spec(spec: PopulationSpec) -> ValidationReport:
-    """Check every statically checkable model assumption.
+    """Check every statically checkable model assumption of a spec, whose
+    shapes its construction has already checked.
 
-    Covered: initial-state covariance PSD, mixture normalization, positive
-    discount, convexity (R > 0) and state-convexity (Q - S R^-1 S^T >= 0),
-    nonnegative exploration weights, and dimension consistency; each
-    violation is tagged with its aspect.  Solution existence and
-    the stability margins (Assumption 4) are checked downstream by the
-    riccati and meanfield modules, not here.
+    Covered: mixture normalization, positive discount, convexity (R > 0),
+    state-convexity (Q - S R^-1 S^T >= 0), nonnegative exploration weights
+    and the initial-state covariance (symmetric PSD); each violation is
+    tagged with its aspect.  Solution existence and the stability margins
+    (Assumption 4) are checked downstream by the riccati and meanfield
+    modules, not here.
     """
     v: list[tuple[str, str]] = []
-    K = spec.K
-    if K == 0:
-        return ValidationReport((("dimensions", "no sub-populations"),))
-    if spec.pi.shape != (K,):
-        v.append(("mixture", f"pi has length {spec.pi.shape[0]}, expected {K}"))
-    else:
-        if np.any(spec.pi < 0):
-            v.append(("mixture", "mixture weights must be nonnegative"))
-        if abs(spec.pi.sum() - 1.0) > 1e-12:
-            v.append(("mixture", "mixture weights sum != 1"))
+    if np.any(spec.pi < 0):
+        v.append(("mixture", "mixture weights must be nonnegative"))
+    if abs(spec.pi.sum() - 1.0) > 1e-12:
+        v.append(("mixture", "mixture weights sum != 1"))
     if not spec.rho > 0:
         v.append(("discount", f"rho must be > 0, got {spec.rho}"))
 
-    n0, m0, r0 = spec.subpops[0].n, spec.subpops[0].m, spec.subpops[0].r
     for k, p in enumerate(spec.subpops):
         tag = f"subpop {k}"
-        if (p.n, p.m) != (n0, m0):
-            v.append(("dimensions", f"{tag}: state/control dims {(p.n, p.m)} differ from {(n0, m0)}"))
-            continue
-        if p.r != r0:
-            # the simulator draws one noise width for every type
-            v.append(("dimensions", f"{tag}: D has {p.r} columns, type 0's has {r0}"))
-        for msg in p.dims_consistent():
-            v.append(("dimensions", f"{tag}: {msg}"))
         floor = _EIG_FLOOR * (1.0 + float(np.max(np.abs(p.R), initial=0.0)))
         min_eig, asym = _sym_min_eig(p.R)
         if asym > floor:
@@ -352,17 +315,12 @@ def validate_spec(spec: PopulationSpec) -> ValidationReport:
         if p.lambda_explore < 0:
             v.append(("exploration", f"{tag}: lambda_explore must be >= 0"))
 
-    if spec.x0_mean.shape != (n0,):
-        v.append(("initial-state", f"x0_mean has shape {spec.x0_mean.shape}, expected ({n0},)"))
-    if spec.x0_cov.shape != (n0, n0):
-        v.append(("initial-state", f"x0_cov has shape {spec.x0_cov.shape}, expected ({n0}, {n0})"))
-    else:
-        cfloor = _EIG_FLOOR * (1.0 + float(np.max(np.abs(spec.x0_cov), initial=0.0)))
-        cmin, casym = _sym_min_eig(spec.x0_cov)
-        if casym > cfloor:
-            v.append(("initial-state", "x0_cov not symmetric"))
-        if cmin < -cfloor:
-            v.append(("initial-state", "x0_cov not positive semidefinite"))
+    cfloor = _EIG_FLOOR * (1.0 + float(np.max(np.abs(spec.x0_cov), initial=0.0)))
+    cmin, casym = _sym_min_eig(spec.x0_cov)
+    if casym > cfloor:
+        v.append(("initial-state", "x0_cov not symmetric"))
+    if cmin < -cfloor:
+        v.append(("initial-state", "x0_cov not positive semidefinite"))
     return ValidationReport(tuple(v))
 
 
@@ -392,15 +350,39 @@ def spec_to_json(spec: PopulationSpec) -> dict:
     }
 
 
+def is_json_number(value) -> bool:
+    """Whether a parsed JSON value is a number or a nested list of numbers;
+    a bool, a string or a null is neither."""
+    if isinstance(value, list):
+        return all(map(is_json_number, value))
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _json_numbers(value, name: str):
+    if not is_json_number(value):
+        raise ValueError(f"{name} must be a number or a list of numbers, got {value!r}")
+    return value
+
+
+def _json_field(doc: dict, key: str):
+    value = doc[key]
+    if key == "b" and isinstance(value, dict):      # TimeTable.to_json's tabulated form
+        return TimeTable(_json_numbers(value["values"], "b values"),
+                         _json_numbers(value["times"], "b times"))
+    return _json_numbers(value, key)
+
+
 def spec_from_json(doc: dict) -> PopulationSpec:
-    """The spec of a ``spec_to_json`` document.  Each block needs A, B, Q and
-    R (a missing one raises KeyError); ``SubpopParams`` defaults the rest."""
-    optional = [f.name for f in fields(SubpopParams)][4:]
+    """The spec of a ``spec_to_json`` document, whose numbers must be JSON
+    numbers: a string or a bool is refused, not converted.  Each block needs
+    A, B, Q and R (a missing one raises KeyError); ``SubpopParams`` defaults
+    the rest, null ones too."""
+    names = [f.name for f in fields(SubpopParams)]
     return PopulationSpec(
-        subpops=tuple(SubpopParams(blk["A"], blk["B"], blk["Q"], blk["R"],
-                                   **{name: blk[name] for name in optional if name in blk})
+        subpops=tuple(SubpopParams(**{name: _json_field(blk, name) for name in names
+                                      if name in names[:4] or blk.get(name) is not None})
                       for blk in doc["subpops"]),
-        pi=doc["pi"], rho=doc["rho"], x0_mean=doc["x0_mean"], x0_cov=doc["x0_cov"])
+        **{key: _json_field(doc, key) for key in ("pi", "rho", "x0_mean", "x0_cov")})
 
 
 def save_spec(spec: PopulationSpec, path) -> None:

@@ -608,10 +608,11 @@ def empirical_cost(batch: SimulationBatch, spec: PopulationSpec, k: int,
 
     Agents are costed by ``_path_costs`` in blocks of ``_COST_BLOCK``, read
     time-major, so the temporaries stay a few (nodes, block) arrays whatever
-    the population.  The even blocks run on the calling thread and the odd
-    ones on one worker (none starts for one block); each block writes its
-    own entries and the bound takes the maximum over the blocks, so the
-    values are those of a serial run.
+    the population.  No block holds a single path unless the type has one
+    agent: a path costed alone can round differently.  The even blocks run
+    on the calling thread and the odd ones on one worker (none starts for
+    one block); each block writes its own entries and the bound takes the
+    maximum over the blocks, so the values are those of a serial run.
     """
     _require(rho > 0, "empirical_cost needs rho > 0")
     _require(0 <= k < spec.K, f"type k={k} outside [0, K={spec.K})")
@@ -628,21 +629,23 @@ def empirical_cost(batch: SimulationBatch, spec: PopulationSpec, k: int,
     tail = grid.steps // 4 + 1
     per_agent = np.empty(agents.size)
 
-    def cost(starts) -> float:
+    def cost(blocks) -> float:
         # each block writes its own slice; returns the blocks' largest late cost
         late = 0.0
-        for lo in starts:
-            blk = slice(lo, lo + _COST_BLOCK)
+        for blk in blocks:
             per_agent[blk], running = _path_costs(
                 p, grid, rho, np.take(states, agents[blk], axis=1), y,
                 np.take(controls, agents[blk], axis=1), rates[blk])
             late = max(late, float(np.max(np.abs(running[-tail:]))))
         return late
 
-    starts = range(0, agents.size, _COST_BLOCK)
+    bounds = [*range(0, agents.size, _COST_BLOCK), agents.size]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        bounds[-2] -= 1         # the last block takes two paths, not one
+    blocks = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     with ThreadPoolExecutor(1) as worker:
-        odd = worker.submit(cost, starts[1::2]) if len(starts) > 1 else None
-        late = cost(starts[::2])
+        odd = worker.submit(cost, blocks[1::2]) if len(blocks) > 1 else None
+        late = cost(blocks[::2])
         if odd is not None:
             late = max(late, odd.result())
 

@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .meanfield import consistency_blocks, solve_stacked
-from .model import PopulationSpec, SubpopParams, validate_spec
+from .model import PopulationSpec, SubpopParams, _check_finite, is_json_number, validate_spec
 from .numerics import (TimeGrid, Trajectory, rk4_linear_time_varying, rng_stream,
                        trapezoid_weights, write_csv)
 from .policy import GaussianPolicy, tabulate_policy
@@ -81,9 +81,7 @@ class MarketParams:
     q0: float
 
     def __post_init__(self):
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
+        _check_finite(self)
         if not self.sigma > 0:
             raise ValueError("sigma must be positive")
         if not self.T > 0:
@@ -103,7 +101,7 @@ def doc_float(doc: dict, key: str, default: float | None = None) -> float:
     """A real field of a market doc: a bool or a string is refused, not
     converted.  Without a default the key is required."""
     value = doc[key] if default is None else doc.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if isinstance(value, list) or not is_json_number(value):
         raise ValueError(f"{key} must be a number, got {value!r}")
     return float(value)
 
@@ -112,7 +110,7 @@ def doc_int(doc: dict, key: str, default: int) -> int:
     """An integer field of a market doc: a fraction, a bool or a string is
     refused, not truncated."""
     value = doc.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not (isinstance(value, int) and is_json_number(value)):
         raise ValueError(f"{key} must be an integer, got {value!r}")
     return value
 
@@ -196,8 +194,8 @@ def solve_finite_horizon(mapping: LqgMapping, steps: int = 200) -> FiniteHorizon
     which only guarantees the infinite-horizon flow stays in the PSD cone --
     the trading terminal weight is itself indefinite (the -q_T F_T book
     value), so a finite escape of Pi on [0, T] (det X <= 0 on the
-    Hamiltonian flow) raises OdeBlowupError instead.  R > 0 and all
-    structural checks remain hard errors.  A solve that diverges raises
+    Hamiltonian flow) raises OdeBlowupError instead.  R > 0 and the other
+    aspects remain hard errors.  A solve that diverges raises
     ConsistencyError; both errors are RuntimeErrors.
     """
     spec = mapping.population

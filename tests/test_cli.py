@@ -23,8 +23,26 @@ from lqgmfg.numerics import RNG_SCHEME
 from lqgmfg.model import (PopulationSpec, SubpopParams, load_spec, save_spec,
                           spec_to_json, validate_spec)
 from lqgmfg.presets import (coupled_single_type_spec, scalar_decoupled_spec,
-                            unstable_spec)
+                            two_type_spec, unstable_spec)
 from lqgmfg.trading import MarketParams
+
+
+# two_type_spec with one field of the wrong shape: where, key, value
+_MALFORMED_TWO_TYPE = {
+    "Q_shape": ("subpop", "Q", [[1.0, 0.0]]),
+    "eta_shape": ("subpop", "eta", [0.1, 0.2]),
+    "nvec_shape": ("subpop", "nvec", [0.1, 0.2]),
+    "D_rows": ("subpop", "D", [[0.2], [0.1]]),
+    "b_width": ("subpop", "b", [0.1, 0.2]),
+    "x0_mean_shape": ("spec", "x0_mean", [0.5, 0.1]),
+    "x0_cov_shape": ("spec", "x0_cov", [[0.1, 0.0]]),
+    "pi_length": ("spec", "pi", [0.6, 0.3, 0.1]),
+}
+# each malformed spec file and what its error.json names
+_MALFORMED = {**{name: f"{key} must have shape"
+                 for name, (_w, key, _v) in _MALFORMED_TWO_TYPE.items()},
+              "rho_str": "rho must be a number", "lambda_bool": "lambda_explore must be a number",
+              "A_str": "A must be a number", "pi_bool": "pi must be a number"}
 
 
 @pytest.fixture(scope="module")
@@ -60,18 +78,26 @@ def spec_files(tmp_path_factory):
         (root / f"market_{name}.json").write_text(json.dumps(dict(doc, **bad)))
     (root / "market_a0.json").write_text(json.dumps(
         dict(doc, init=dict(doc["init"], a_temp=0.0))))      # R = 0 in the first plan
-    # a spec with a non-finite number, or with offset knots that do not
-    # increase, is refused where it is built
-    for name, (where, key, value) in {
-            "lambda_nan": ("subpop", "lambda_explore", math.nan),
-            "D_nan": ("subpop", "D", [[math.nan]]),
-            "b_knots": ("subpop", "b", {"times": [4.0, 0.0], "values": [[0.1], [0.2]]}),
-            "x0_cov_nan": ("spec", "x0_cov", [[math.nan]]),
-            "x0_mean_nan": ("spec", "x0_mean", [math.nan]),
-            "pi_nan": ("spec", "pi", [math.nan])}.items():
-        bad = spec_to_json(coupled_single_type_spec())
-        (bad["subpops"][0] if where == "subpop" else bad)[key] = value
-        (root / f"spec_{name}.json").write_text(json.dumps(bad))
+    # a spec with a non-finite number, with offset knots that do not
+    # increase, with a block of the wrong shape or with a string or a bool
+    # for a number is refused where it is built
+    coupled = {
+        "lambda_nan": ("subpop", "lambda_explore", math.nan),
+        "D_nan": ("subpop", "D", [[math.nan]]),
+        "b_knots": ("subpop", "b", {"times": [4.0, 0.0], "values": [[0.1], [0.2]]}),
+        "x0_cov_nan": ("spec", "x0_cov", [[math.nan]]),
+        "x0_mean_nan": ("spec", "x0_mean", [math.nan]),
+        "pi_nan": ("spec", "pi", [math.nan]),
+        "rho_str": ("spec", "rho", "0.5"),
+        "lambda_bool": ("subpop", "lambda_explore", True),
+        "A_str": ("subpop", "A", [["0.0"]]),
+        "pi_bool": ("spec", "pi", [True])}
+    for base, cases in ((coupled_single_type_spec, coupled),
+                        (two_type_spec, _MALFORMED_TWO_TYPE)):
+        for name, (where, key, value) in cases.items():
+            bad = spec_to_json(base())
+            (bad["subpops"][0] if where == "subpop" else bad)[key] = value
+            (root / f"spec_{name}.json").write_text(json.dumps(bad))
     # explicit Euler on the default experiment grids blows up at A = -450
     save_spec(scalar_decoupled_spec(A=-450.0, D=0.1, x0_var=0.1), root / "stiff.json")
     return root
@@ -107,21 +133,19 @@ def test_solve_missing_required_key_exit_1(tmp_path):
     assert main(["solve", str(path), "--out", str(tmp_path / "o")]) == 1
 
 
-def test_noise_width_mismatch_exit_2(tmp_path):
-    # the simulator draws one noise width for every type: validation refuses
-    # the spec before a draw fails on ragged D blocks
-    base = dict(A=-0.5, B=1.0, Q=1.0, R=1.0, F=0.2, lambda_explore=0.1)
-    spec = PopulationSpec(subpops=(SubpopParams(D=[[0.2]], **base),
-                                   SubpopParams(D=[[0.2, 0.1]], **base)),
-                          pi=[0.5, 0.5], rho=0.5, x0_mean=[1.0], x0_cov=[[0.1]])
+def test_noise_width_mismatch_exit_1(tmp_path):
+    # the simulator draws one noise width for every type: construction
+    # refuses ragged D blocks before any work
+    doc = spec_to_json(two_type_spec())
+    doc["subpops"][1]["D"] = [[0.2, 0.1]]
     path = tmp_path / "mixed.json"
-    save_spec(spec, path)
+    path.write_text(json.dumps(doc))
     out = tmp_path / "gap"
     rc = main(["experiment", "coupling-gap", str(path), "--out", str(out),
                "--reps", "2", "--Ns", "4,8,16"])
-    assert rc == 2
+    assert rc == 1
     err = json.loads((out / "error.json").read_text())
-    assert err["type"] == "SpecValidationError" and "D has 2 columns" in err["error"]
+    assert err["type"] == "ValueError" and "D has 2 columns" in err["error"]
 
 
 @pytest.mark.parametrize("kind", ["coe", "lambda-sweep"])
@@ -308,6 +332,9 @@ def _case(id, argv, code, err_type=None, match=None):
     _case("solve-spec-x0-mean-nan", ["solve", "spec_x0_mean_nan"], 1, "ValueError",
           "x0_mean must be finite"),
     _case("solve-spec-pi-nan", ["solve", "spec_pi_nan"], 1, "ValueError", "pi must be finite"),
+    *[_case(f"{cmd[-1]}-spec-{name}", [*cmd, f"spec_{name}"], 1, "ValueError", match)
+      for name, match in _MALFORMED.items()
+      for cmd in (["solve"], ["experiment", "coe"], ["experiment", "lambda-sweep"])],
     _case("solve-spec-b-knots-decrease", ["solve", "spec_b_knots"], 1, "ValueError",
           "offset knots must strictly increase"),
     _case("coupling-gap-spec-b-knots-decrease",

@@ -134,27 +134,76 @@ def test_json_round_trip(tmp_path):
         assert p.phi_lagrange == q.phi_lagrange
 
 
-def test_dims_inconsistency_reported():
-    sub = SubpopParams(A=np.zeros((2, 2)), B=np.ones((2, 1)),
-                       Q=np.eye(2), R=np.eye(1), eta=np.zeros(3))
-    spec = PopulationSpec(subpops=(sub,), pi=[1.0], rho=0.5,
-                          x0_mean=np.zeros(2), x0_cov=np.zeros((2, 2)))
-    report = validate_spec(spec)
-    assert any(a == "dimensions" for a, _m in report.violations)
+def _corrupt_spec(**changes):
+    """two_type_spec with some of its own fields, or its first type's, replaced."""
+    spec = two_type_spec()
+    own = {k: v for k, v in changes.items() if k in ("pi", "x0_mean", "x0_cov", "subpops")}
+    first = dataclasses.replace(spec.subpops[0],
+                                **{k: v for k, v in changes.items() if k not in own})
+    return dataclasses.replace(spec, **{"subpops": (first, spec.subpops[1]), **own})
 
 
-def mixed_noise_spec():
-    """Two valid types whose D have 1 and 2 columns."""
-    base = dict(A=-0.5, B=1.0, Q=1.0, R=1.0, F=0.2, lambda_explore=0.1)
-    return PopulationSpec(subpops=(SubpopParams(D=[[0.2]], **base),
-                                   SubpopParams(D=[[0.2, 0.1]], **base)),
-                          pi=[0.5, 0.5], rho=0.5, x0_mean=[1.0], x0_cov=[[0.1]])
+@pytest.mark.parametrize("corrupt, match", [
+    *[pytest.param({name: value}, f"{name} must have shape", id=name) for name, value in (
+        ("B", np.ones((2, 2))), ("Q", [[1.0, 0.0]]), ("R", [1.0, 2.0]), ("S", np.zeros((2, 1))),
+        ("H", np.zeros((1, 2))), ("psi", 2 * [0.1]))],
+    pytest.param(dict(eta=[0.1, 0.2]), r"eta must have shape \(1,\)", id="eta"),
+    pytest.param(dict(nvec=np.zeros(2)), r"nvec must have shape \(1,\)", id="nvec"),
+    pytest.param(dict(D=[[0.2], [0.1]]), r"D must have shape \(1, \*\)", id="D-rows"),
+    pytest.param(dict(b=[0.1, 0.2]), r"b must have shape \(1,\)", id="b-width"),
+    pytest.param(dict(b=TimeTable([[0.1, 0.2], [0.3, 0.4]], [0.0, 1.0])),
+                 r"b must have shape \(2, 1\)", id="b-table-width"),
+    pytest.param(dict(x0_mean=[0.5, 0.1]), r"x0_mean must have shape \(1,\)", id="x0_mean"),
+    pytest.param(dict(x0_cov=[[0.1, 0.0]]), r"x0_cov must have shape \(1, 1\)", id="x0_cov"),
+    pytest.param(dict(pi=[0.6, 0.3, 0.1]), r"pi must have shape \(2,\)", id="pi-length"),
+    pytest.param(dict(subpops=(SubpopParams(A=0.0, B=1.0, Q=1.0, R=1.0),
+                               SubpopParams(A=np.eye(2), B=[1.0, 1.0], Q=np.eye(2), R=1.0))),
+                 r"subpops\[1\] has \(n, m\) = \(2, 1\)", id="mixed-n"),
+    pytest.param(dict(subpops=(SubpopParams(A=0.0, B=1.0, Q=1.0, R=1.0, D=[[0.2]]),
+                               SubpopParams(A=0.0, B=1.0, Q=1.0, R=1.0, D=[[0.2, 0.1]]))),
+                 r"subpops\[1\]: D has 2 columns", id="ragged-D"),
+    pytest.param(dict(subpops=()), "subpops must hold at least one type", id="no-types"),
+])
+def test_malformed_spec_refused_at_construction(corrupt, match):
+    # a spec that builds is well-formed: validate_spec has no shape to report
+    with pytest.raises(ValueError, match=match):
+        _corrupt_spec(**corrupt)
 
 
-def test_noise_width_mismatch_reported():
-    report = validate_spec(mixed_noise_spec())
-    assert not report.ok
-    assert any(a == "dimensions" and "D has 2 columns" in m for a, m in report.violations)
+def test_one_reshape_rule_fills_rows():
+    # a scalar or a 1-d value fills a block's rows in order, B and D included
+    p = SubpopParams(A=np.zeros((2, 2)), B=[1.0, 2.0], Q=[1.0, 0.0, 0.0, 1.0], R=1.0,
+                     D=[0.1, 0.2, 0.3, 0.4], S=[0.5, 0.6])
+    assert np.array_equal(p.B, [[1.0], [2.0]]) and (p.n, p.m, p.r) == (2, 1, 2)
+    assert np.array_equal(p.Q, np.eye(2)) and np.array_equal(p.D, [[0.1, 0.2], [0.3, 0.4]])
+    assert np.array_equal(p.S, [[0.5], [0.6]])
+    scalar = SubpopParams(A=-0.5, B=1.0, Q=1.0, R=1.0, D=0.2, eta=0.1)
+    assert scalar.D.shape == (1, 1) and scalar.eta.shape == (1,)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(spec=unconstrained_specs())
+def test_validate_spec_reports_only_model_assumptions(spec):
+    aspects = {a for a, _m in validate_spec(spec).violations}
+    assert aspects <= {"mixture", "discount", "convexity", "state-convexity",
+                       "exploration", "initial-state"}
+
+
+def test_spec_json_refuses_strings_and_bools():
+    doc = spec_to_json(two_type_spec())
+    for where, key, value in (("spec", "rho", "0.5"), ("spec", "pi", [True, 0.4]),
+                              ("subpop", "lambda_explore", True), ("subpop", "A", [["0.0"]]),
+                              ("subpop", "b", {"times": [0.0, 1.0], "values": [[0.1], ["x"]]})):
+        bad = json.loads(json.dumps(doc))
+        (bad["subpops"][0] if where == "subpop" else bad)[key] = value
+        with pytest.raises(ValueError, match=f"{key}.* must be a number"):
+            spec_from_json(bad)
+
+
+def test_spec_json_null_block_takes_the_default():
+    doc = spec_to_json(two_type_spec())
+    doc["subpops"][0]["S"] = None
+    assert np.array_equal(spec_from_json(doc).subpops[0].S, [[0.0]])
 
 
 def assert_specs_equal(a, b):

@@ -1375,21 +1375,19 @@ def test_empirical_cost_memory_stays_below_the_paths(planar):
 
 def test_empirical_cost_rounds_equal_paths_alike(planar):
     # one path tiled across a block boundary, into a last block of odd
-    # width: the discount sum must not round a path by its position
+    # width or of one path past the full blocks: the discount sum must not
+    # round a path by its position, nor cost one alone
     spec, _mf = planar
     one = _random_batch(np.random.default_rng(5), spec, 1, 400, False)
-    N = simulator._COST_BLOCK + 45
-
-    def tile(a):
-        return np.repeat(a, N, axis=0)
-
-    batch = dataclasses.replace(
-        one, types=np.zeros(N, dtype=int), states=tile(one.states),
-        actions=tile(one.actions), means=tile(one.means),
-        cov_scales=tile(one.cov_scales))
-    for mode in ("classical", "exploratory", "exploratory-regularized"):
-        costs = empirical_cost(batch, spec, 0, mode, spec.rho).per_agent
-        assert np.all(costs == costs[0]), mode
+    block = simulator._COST_BLOCK
+    for N in (block + 45, block + 1, 2 * block + 1):
+        batch = dataclasses.replace(
+            one, types=np.zeros(N, dtype=int),
+            **{name: np.repeat(getattr(one, name), N, axis=0)
+               for name in ("states", "actions", "means", "cov_scales")})
+        for mode in ("classical", "exploratory", "exploratory-regularized"):
+            costs = empirical_cost(batch, spec, 0, mode, spec.rho).per_agent
+            assert np.all(costs == costs[0]), (N, mode)
 
 
 def test_threaded_cost_matches_serial_costing():
