@@ -8,9 +8,10 @@ inside the output directory's run, before any other work; construction
 refuses a malformed spec (a block of the wrong shape, a string or a bool
 for a number, a non-finite number) with a ValueError.  0 on success; 1 on
 a usage, input or I/O error (OSError, KeyError, TypeError, the other
-ValueErrors); 2 on a numerical failure (RuntimeError, SpecValidationError,
-which reports a violated model assumption, LinAlgError).  Once the output
-directory exists, a failure writes error.json there.
+ValueErrors, and MemoryError, a grid or a batch too large for memory); 2
+on a numerical failure (RuntimeError, SpecValidationError, which reports a
+violated model assumption, LinAlgError).  Once the output directory exists,
+a failure writes error.json there.
 
 Every run writes a manifest (command, inputs, seed, version, timestamp) and
 a copy of the input into the output directory; reruns with the same
@@ -45,7 +46,7 @@ from .variational import gaussian_grid_density
 
 # exit 2 is caught first: SpecValidationError and LinAlgError are ValueErrors
 _EXIT_2 = (RuntimeError, SpecValidationError, np.linalg.LinAlgError)
-_EXIT_1 = (OSError, KeyError, TypeError, ValueError)
+_EXIT_1 = (OSError, KeyError, TypeError, ValueError, MemoryError)
 
 
 def _prepare_out(args) -> Path:
@@ -68,7 +69,7 @@ def _prepare_out(args) -> Path:
 
 
 def _fail(out: Path | None, exc: Exception, code: int) -> int:
-    doc = {"error": str(exc), "type": type(exc).__name__}
+    doc = {"error": str(exc) or type(exc).__name__, "type": type(exc).__name__}
     if out is not None:
         try:
             write_json(out / "error.json", doc)
@@ -90,7 +91,12 @@ def _solve(spec, args):
         raise ValueError(f"--steps must be at least 4, got {args.steps}")
     if args.horizon is not None and not 0 < args.horizon < math.inf:
         raise ValueError(f"--horizon must be positive and finite, got {args.horizon}")
-    return solve_consistency(spec, horizon=args.horizon, steps=args.steps)
+    mf = solve_consistency(spec, horizon=args.horizon, steps=args.steps)
+    if mf.grid.steps < 4:       # the automatic step count of a short horizon
+        raise ValueError(f"--horizon {args.horizon} gives {mf.grid.steps} grid step(s) of "
+                         f"{mf.grid.dt:.3g}; at least 4 are needed: lengthen --horizon "
+                         f"or pass --steps")
+    return mf
 
 
 def cmd_solve(args, spec_doc: dict, out: Path) -> None:
@@ -255,23 +261,19 @@ def cmd_trade(args, doc: dict, out: Path) -> None:
     steps = doc_int(doc, "steps", 200)
     if args.kind == "simulate":
         reps = args.reps
-        if reps < 2:
-            raise ValueError(f"--reps must be at least 2 for a standard error, got {reps}")
         mapping = to_lqg(params, lambda_explore=lam_explore)
         fh_sol = solve_finite_horizon(mapping, steps=steps)
         pol = trading_policy(mapping, fh_sol)
         grid = TimeGrid(0.0, params.T, steps)
-        paths = simulate_market(params, pol, n_traders, grid, args.seed)
-        _write_market_csv(out / "market.csv", paths)
-        drifts = []
-        for rep in range(reps):
-            pr = simulate_market(params, pol, n_traders, grid, args.seed,
-                                 rep=1 + rep)
-            drifts.append(pr.F[-1] - pr.F[0])
-        drifts = np.asarray(drifts)
+        # episode 0 is the market path written out, episodes 1..reps the drifts
+        paths = simulate_market(params, pol, n_traders, grid, args.seed,
+                                episodes=range(1 + reps))
+        first = paths.episode(0)
+        _write_market_csv(out / "market.csv", first)
+        drifts = paths.F[1:, -1] - paths.F[1:, 0]
         se = drifts.std(ddof=1) / math.sqrt(reps)
         summary = {
-            "terminal_inventory_mean": float(paths.q[:, -1].mean()),
+            "terminal_inventory_mean": float(first.q[:, -1].mean()),
             "midprice_drift_mean": float(drifts.mean()),
             "midprice_drift_se": float(se),
             "martingale_check_4se": bool(abs(drifts.mean()) <= 4 * se)
@@ -310,7 +312,7 @@ def _gain_drift(trace) -> float | None:
 def _write_market_csv(path: Path, paths) -> None:
     nu_mean = paths.nu.mean(axis=0)
     write_csv(path, ["t", "F", "q_mean", "nu_mean", "cash_mean"],
-              [{"t": t, "F": paths.F[i], "q_mean": paths.q[:, i].mean(),
+              [{"t": t, "F": paths.F[0, i], "q_mean": paths.q[:, i].mean(),
                 "nu_mean": nu_mean[i] if i < nu_mean.size else 0.0,
                 "cash_mean": paths.Z[:, i].mean()}
                for i, t in enumerate(paths.grid.times())])
@@ -368,6 +370,10 @@ def main(argv=None) -> int:
     try:
         doc = _load_doc(args.path)
         out = _prepare_out(args)
+        # every command that takes --reps reports a standard error over them
+        if getattr(args, "reps", 2) < 2:
+            raise ValueError(f"--reps must be at least 2 for a standard error, "
+                             f"got {args.reps}")
         args.func(args, doc, out)
     except _EXIT_2 as exc:
         return _fail(out, exc, 2)

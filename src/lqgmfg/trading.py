@@ -26,7 +26,9 @@ unpenalized (a singular control problem with R = 0), which the quadratic
 framework cannot represent.  The mapping carries the population spec
 those blocks make, the terminal weight and offset, and the horizon T.  The plan is the library's one policy record
 (``policy.GaussianPolicy``), its gain tabulated from the Riccati table, and
-the market simulator samples the traders' rates from it.
+the market simulator samples the traders' rates from it.  The simulator
+steps a batch of episodes at once, each on its own noise stream, and the
+learning loop runs each phase's episodes as one such batch.
 """
 
 from __future__ import annotations
@@ -233,31 +235,50 @@ def trading_policy(mapping: LqgMapping, fh: FiniteHorizonSolution) -> GaussianPo
 
 @dataclass
 class MarketPaths:
+    """The paths of E episodes of N traders each.  Trader rows are
+    episode-major: row e * N + i is trader i of episode e."""
+
     grid: TimeGrid
-    F: np.ndarray          # (nodes,)
-    q: np.ndarray          # (N, nodes)
-    nu: np.ndarray         # (N, steps) applied trading rates
-    S: np.ndarray          # (N, nodes) execution price marks
-    Z: np.ndarray          # (N, nodes) cash
-    cumvol: np.ndarray     # (N, nodes) integral of own nu
+    F: np.ndarray          # (E, nodes) midprice of each episode
+    q: np.ndarray          # (E * N, nodes)
+    nu: np.ndarray         # (E * N, steps) applied trading rates
+    S: np.ndarray          # (E * N, nodes) execution price marks
+    Z: np.ndarray          # (E * N, nodes) cash
+    cumvol: np.ndarray     # (E * N, nodes) integral of own nu
+
+    @property
+    def n_traders(self) -> int:
+        return self.q.shape[0] // self.F.shape[0]
+
+    def episode(self, e: int) -> MarketPaths:
+        """Episode e alone, as a one-episode batch."""
+        rows = slice(e * self.n_traders, (e + 1) * self.n_traders)
+        return MarketPaths(grid=self.grid, F=self.F[e:e + 1], q=self.q[rows],
+                           nu=self.nu[rows], S=self.S[rows], Z=self.Z[rows],
+                           cumvol=self.cumvol[rows])
 
 
 def simulate_market(params: MarketParams, policy: GaussianPolicy, N: int,
-                    grid: TimeGrid, seed: int, rep: int = 0) -> MarketPaths:
+                    grid: TimeGrid, seed: int, episodes: range = range(1)) -> MarketPaths:
     """Euler simulation of the trading dynamics with executed (sampled)
     trading rates nu = -gain(t) x + offset(t) + chol z, z standard normal,
     read from the policy record (m = 1).
 
     Execution price marks S_i(t) = F(t) + a * cumulative own volume; cash
-    dZ = -S dq at the left point.  Episode ``rep`` of ``seed`` draws from
-    one stream, ``rng_stream(seed, rep)``: row 0 of a C-order (N + 1, steps)
-    draw is the common midprice noise and row 1 + i trader i's, so neither
-    depends on N.  A non-finite q or F raises at the first node it reaches.
+    dZ = -S dq at the left point.  Each episode r of ``episodes`` has its
+    own midprice and draws from its own stream, ``rng_stream(seed, r)``:
+    row 0 of a C-order (N + 1, steps) draw is the common midprice noise and
+    row 1 + i trader i's, so neither depends on N or on the other episodes.
+    The episodes run as one batch of E * N trader rows (see MarketPaths).  A
+    non-finite q or F in any episode raises at the first node it reaches.
 
     The loop steps only q and F, which feed back; volume, marks and cash are
-    running sums formed after it.  The policy mean stays an (N, 2) @ (2,)
+    running sums formed after it.  The policy mean stays an (E * N, 2) @ (2,)
     BLAS product, whose fused multiply-add plain float arithmetic would not
-    reproduce bit for bit.
+    reproduce bit for bit.  For N >= 2 each episode of a batch equals the
+    same episode run alone bit for bit.  With N = 1 an episode run alone is
+    a one-row product, which BLAS computes with another kernel than a
+    batch's E rows, so the two agree only to round-off.
     """
     steps, dt = grid.steps, grid.dt
     sqdt = math.sqrt(dt)
@@ -265,37 +286,57 @@ def simulate_market(params: MarketParams, policy: GaussianPolicy, N: int,
         raise ValueError("policy grid does not match the simulation grid")
     if N < 1:
         raise ValueError(f"need at least one trader, got N={N}")
-    noise = rng_stream(seed, rep).standard_normal((N + 1, steps))
-    dF_noise = (params.sigma * sqdt * noise[0]).tolist()
-    L = float(policy.chol[0, 0])
-    Lz = L * np.ascontiguousarray(noise[1:].T)       # (steps, N), time-major
+    E = len(episodes)
+    if E < 1:
+        raise ValueError("need at least one episode")
+    # time-major noise: episode e's midprice column e, its traders' columns
+    dF_noise, Lz = np.empty((steps, E)), np.empty((steps, E * N))
+    for e, rep in enumerate(episodes):
+        z = rng_stream(seed, rep).standard_normal((N + 1, steps))
+        dF_noise[:, e] = z[0]
+        Lz[:, e * N:(e + 1) * N] = z[1:].T
+    Lz *= float(policy.chol[0, 0])
     gain, offset = policy.gain[:, 0], policy.offset[:, 0].tolist()
     lam, F0 = params.lambda_perm, params.F0
 
-    x = np.full((N, 2), float(params.q0))            # (q, F - F0) of each trader
-    xq, xd = x[:, 0], x[:, 1]
-    q = np.empty((steps + 1, N))
+    x = np.full((E, N, 2), float(params.q0))         # (q, F - F0) of each trader
+    xd, x = x[:, :, 1], x.reshape(E * N, 2)
+    xq = x[:, 0]
+    q = np.empty((steps + 1, E * N))
     q[0] = xq
-    nu = np.empty((steps, N))
-    F = [F0]
+    nu = np.empty((steps, E * N))
+    nu_e = nu.reshape(steps, E, N)                   # the same rates, by episode
+    F = np.empty((steps + 1, E))
+    F[0] = F0
+    F_rows = F[:, :, None]                           # broadcasts over traders
+    # an overflow, in the noise or in the state, is reported by the check below
     with np.errstate(over="ignore", invalid="ignore"):
+        dF_noise *= params.sigma * sqdt
         for i in range(steps):
-            xd.fill(F[i] - F0)
+            np.subtract(F_rows[i], F0, out=xd)
             nu_i = np.subtract(offset[i], np.dot(x, gain[i]), out=nu[i])
             nu_i += Lz[i]
             xq += nu_i * dt
             q[i + 1] = xq
-            # the sum / N of nu_i.mean(), without its Python overhead
-            F.append(F[i] + lam * (float(np.add.reduce(nu_i)) / N) * dt + dF_noise[i])
-    F = np.asarray(F)
-    bad = ~(np.isfinite(q[1:]).all(axis=1) & np.isfinite(F[1:]))
+            # each episode's nu_i.mean(), as a pairwise sum over its traders
+            nubar = np.add.reduce(nu_e[i], axis=1) / N
+            F_next = np.add(F[i], lam * nubar * dt, out=F[i + 1])
+            F_next += dF_noise[i]
+    bad = ~(np.isfinite(q[1:]).all(axis=1) & np.isfinite(F[1:]).all(axis=1))
     if bad.any():
         raise RuntimeError(f"non-finite market state at t={grid.times()[np.argmax(bad) + 1]:.4g}")
-    q, nu = np.ascontiguousarray(q.T), np.ascontiguousarray(nu.T)
-    zero = np.zeros((N, 1))
-    cumvol = np.cumsum(np.concatenate([zero, nu * dt], axis=1), axis=1)
-    S = F + params.a_temp * cumvol
-    Z = np.cumsum(np.concatenate([zero, -(S[:, :-1] * nu * dt)], axis=1), axis=1)
+    F, q, nu = np.ascontiguousarray(F.T), np.ascontiguousarray(q.T), np.ascontiguousarray(nu.T)
+    # running sums from a zero first column, formed in place: batch-sized
+    # temporaries would raise the peak memory
+    cumvol = np.zeros((E * N, steps + 1))
+    np.multiply(nu, dt, out=cumvol[:, 1:])
+    np.cumsum(cumvol, axis=1, out=cumvol)
+    S = np.repeat(F, N, axis=0)
+    S += params.a_temp * cumvol
+    Z = np.zeros((E * N, steps + 1))
+    cash = np.multiply(S[:, :-1], nu, out=Z[:, 1:])
+    cash *= -dt
+    np.cumsum(Z, axis=1, out=Z)
     return MarketPaths(grid=grid, F=F, q=q, nu=nu, S=S, Z=Z, cumvol=cumvol)
 
 
@@ -319,12 +360,15 @@ class TradingDataset:
         return self.dF.size
 
     def append(self, paths: MarketPaths) -> None:
-        dt = paths.grid.dt
-        self.dF = np.concatenate([self.dF, np.diff(paths.F)])
-        self.nubar_dt = np.concatenate([self.nubar_dt, paths.nu.mean(axis=0) * dt])
-        self.dt_rows = np.concatenate([self.dt_rows, np.full(paths.grid.steps, dt)])
-        conc = (paths.S - paths.F[None, :]).ravel()
-        self.concession = np.concatenate([self.concession, conc])
+        """Append every episode of ``paths``, episode by episode."""
+        dt, E = paths.grid.dt, paths.F.shape[0]
+        self.dF = np.concatenate([self.dF, np.diff(paths.F, axis=1).ravel()])
+        nubar = paths.nu.reshape(E, paths.n_traders, -1).mean(axis=1)
+        self.nubar_dt = np.concatenate([self.nubar_dt, (nubar * dt).ravel()])
+        self.dt_rows = np.concatenate([self.dt_rows, np.full(E * paths.grid.steps, dt)])
+        conc = paths.S.reshape(E, paths.n_traders, -1) - paths.F[:, None, :]
+        self.concession = np.concatenate([self.concession, conc.ravel()])
+        del conc        # not kept through the next concatenation
         self.cumvol = np.concatenate([self.cumvol, paths.cumvol.ravel()])
 
 
@@ -373,13 +417,15 @@ def estimate_params(dataset: TradingDataset) -> ParamEstimates:
 
 
 def realized_cost(paths: MarketPaths, params: MarketParams) -> float:
-    """Average realized trading cost across traders:
-    phi/2 int q^2 dt - Z_T - q_T (F_T - psi q_T)."""
+    """Realized trading cost phi/2 int q^2 dt - Z_T - q_T (F_T - psi q_T),
+    averaged over each episode's traders, then over the episodes."""
+    E, N = paths.F.shape[0], paths.n_traders
     w = trapezoid_weights(paths.grid.steps + 1, paths.grid.dt)
     run = 0.5 * params.phi_urgency * (paths.q ** 2 @ w)
     qT = paths.q[:, -1]
-    term = -paths.Z[:, -1] - qT * (paths.F[-1] - params.psi_terminal * qT)
-    return float(np.mean(run + term))
+    FT = np.repeat(paths.F[:, -1], N)
+    term = -paths.Z[:, -1] - qT * (FT - params.psi_terminal * qT)
+    return float(np.mean((run + term).reshape(E, N).mean(axis=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +470,9 @@ def rl_loop(true_params: MarketParams, init_params: MarketParams,
             config: TradingLoopConfig | None = None) -> LearningTrace:
     """Model-based learning: initialize with a base policy, then alternate
     model learning (re-estimate on all collected data), planning (re-solve
-    the finite-horizon consistency system), and acting (sample and execute,
-    appending to the dataset).
+    the finite-horizon consistency system), and acting (sample and execute
+    the phase's ``inner_repeats`` episodes as one batch, appending them to
+    the dataset; the trace's cost is their mean realized cost).
 
     The simulator runs the hidden true parameters; the learner sees only
     paths.  Exploration (lambda_explore > 0) keeps the permanent-impact
@@ -460,17 +507,17 @@ def rl_loop(true_params: MarketParams, init_params: MarketParams,
             trace.rows.append({"iteration": it, "failed": True, "error": str(exc),
                                "n_rows": dataset.n_rows, "identifiable": identifiable})
             return trace
-        costs = []
-        for ep in range(config.inner_repeats):
-            paths = simulate_market(true_params, policy, config.n_traders, grid,
-                                    config.seed, rep=it * config.inner_repeats + ep)
-            dataset.append(paths)
-            costs.append(realized_cost(paths, true_params))
+        first = it * config.inner_repeats
+        paths = simulate_market(true_params, policy, config.n_traders, grid, config.seed,
+                                episodes=range(first, first + config.inner_repeats))
+        dataset.append(paths)
+        cost = realized_cost(paths, true_params)
+        del paths           # a phase's batch is not kept through the next estimate
         trace.rows.append({
             "iteration": it,
             **asdict(est),            # at it = 0 the initial parameters
             "gain_q0": gain_q0,
-            "cost": float(np.mean(costs)),
+            "cost": cost,
             "n_rows": dataset.n_rows,
             "identifiable": identifiable,
             "failed": False,

@@ -200,6 +200,21 @@ def test_cli_import_leaves_out_scipy_interpolate():
     assert proc.stdout.strip() == "False", proc.stderr
 
 
+@pytest.mark.parametrize("exc, text", [
+    (MemoryError("Unable to allocate 8.00 EiB for an array"), "Unable to allocate"),
+    (MemoryError(), "MemoryError")])
+def test_memory_error_exit_1(spec_files, tmp_path, capsys, monkeypatch, exc, text):
+    # a solve that runs out of memory, without allocating anything
+    def out_of_memory(*args, **kwargs):
+        raise exc
+    monkeypatch.setattr("lqgmfg.cli.solve_consistency", out_of_memory)
+    out = tmp_path / "oom"
+    assert main(["solve", str(spec_files / "coupled.json"), "--out", str(out)]) == 1
+    err = json.loads((out / "error.json").read_text())
+    assert err["type"] == "MemoryError" and text in err["error"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_solve_missing_file(tmp_path):
     rc = main(["solve", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])
     assert rc == 1
@@ -264,27 +279,24 @@ def _case(id, argv, code, err_type=None, match=None):
 
 
 @pytest.mark.parametrize("argv, code, err_type, match", [
-    _case("coupling-gap-extra0-reps must be at least 1",
-          ["experiment", "coupling-gap", "coupled", "--reps", "0"], 1, "ValueError",
-          "reps must be at least 1"),
+    # one sample gives no standard error: every command with --reps refuses it
+    *[_case(f"{kind}-reps-{reps}", ["experiment", kind, "coupled", "--reps", reps], 1,
+            "ValueError", "--reps must be at least 2")
+      for kind in ("coupling-gap", "cost-gap", "nash", "coe") for reps in ("0", "1")],
     _case("coupling-gap-extra1-every N must be at least 1",
           ["experiment", "coupling-gap", "coupled", "--Ns", "0,16"], 1, "ValueError",
           "every N must be at least 1"),
     _case("cost-gap-extra2-past the solved horizon",
           ["experiment", "cost-gap", "coupled", "--horizon", "2", "--steps", "20"], 1,
           "ValueError", "past the solved horizon"),
-    _case("nash-extra3-reps must be at least 1",
-          ["experiment", "nash", "coupled", "--Ns", "8", "--reps", "0"], 1, "ValueError",
-          "reps must be at least 1"),
-    _case("coe-extra4-reps must be at least 1",
-          ["experiment", "coe", "coupled", "--reps", "0"], 1, "ValueError",
-          "reps must be at least 1"),
     _case("solve-steps-0", ["solve", "coupled", "--steps", "0"], 1, "ValueError",
           "--steps must be at least 4"),
     _case("solve-horizon-negative", ["solve", "coupled", "--horizon", "-1"], 1,
           "ValueError", "--horizon must be positive"),
     _case("solve-steps-3", ["solve", "coupled", "--horizon", "0.5", "--steps", "3"], 1,
           "ValueError", "--steps must be at least 4"),
+    _case("solve-horizon-too-short", ["solve", "coupled", "--horizon", "1e-300"], 1,
+          "ValueError", "--horizon 1e-300 gives 1 grid step(s) of 1e-300"),
     _case("simulate-reps-negative", ["trade", "simulate", "market", "--reps", "-3"], 1,
           "ValueError", "--reps must be at least 2"),
     _case("simulate-reps-1", ["trade", "simulate", "market", "--reps", "1"], 1,

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from lqgmfg.model import validate_spec
 from lqgmfg.numerics import TimeGrid, rng_stream
 from lqgmfg.policy import GaussianPolicy
-from lqgmfg.trading import (EstimationError, MarketParams, MarketPaths, TradingDataset,
-                            TradingLoopConfig, estimate_params,
-                            params_from_json, rl_loop,
+from lqgmfg.trading import (EstimationError, MarketParams, MarketPaths, ParamEstimates,
+                            TradingDataset, TradingLoopConfig, estimate_params,
+                            params_from_json, realized_cost, rl_loop,
                             simulate_market, solve_finite_horizon, to_lqg,
                             trading_policy)
 
@@ -33,8 +33,9 @@ def constant_policy(grid, rate):
 
 
 def simulate_market_reference(params, policy, N, grid, seed, rep=0):
-    """The market simulator's earlier loop, every array written at every
-    step; ``simulate_market`` must reproduce it bit for bit."""
+    """The market simulator's earlier loop, one episode at a time, every
+    array written at every step; each episode of ``simulate_market`` must
+    reproduce it bit for bit (for N >= 2)."""
     steps, dt = grid.steps, grid.dt
     sqdt = math.sqrt(dt)
     nodes = steps + 1
@@ -61,7 +62,7 @@ def simulate_market_reference(params, policy, N, grid, seed, rep=0):
         if not (np.all(np.isfinite(q[:, i + 1])) and np.isfinite(F[i + 1])):
             raise RuntimeError(f"non-finite market state at t={grid.times()[i + 1]:.4g}")
     S[:, steps] = F[steps] + params.a_temp * cumvol[:, steps]
-    return MarketPaths(grid=grid, F=F, q=q, nu=nu, S=S, Z=Z, cumvol=cumvol)
+    return MarketPaths(grid=grid, F=F[None, :], q=q, nu=nu, S=S, Z=Z, cumvol=cumvol)
 
 
 def _assert_paths_equal(got, ref):
@@ -69,13 +70,14 @@ def _assert_paths_equal(got, ref):
         assert np.array_equal(getattr(got, name), getattr(ref, name)), name
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(N=st.integers(1, 9), steps=st.integers(1, 50),
-       lam=st.sampled_from([0.0, 0.05, 0.7]), a=st.sampled_from([0.0, 0.02, 0.3]),
-       var=st.sampled_from([0.0, 0.1, 2.0]), scale=st.floats(1e-3, 1e3),
-       seed=st.integers(0, 2**32 - 1))
-def test_simulate_market_matches_reference_bitwise(N, steps, lam, a, var, scale, seed):
-    # random gain and offset tables, with and without impacts and exploration
+def _blowup_message(run):
+    with pytest.raises(RuntimeError, match="non-finite market state") as info:
+        run()
+    return str(info.value)
+
+
+def _random_market(steps, lam, a, var, scale, seed):
+    """Random gain and offset tables, with and without impacts and exploration."""
     rng = np.random.default_rng(seed)
     params = MarketParams(sigma=0.1, lambda_perm=lam, a_temp=a, phi_urgency=0.1,
                           psi_terminal=1.0, T=1.0, F0=10.0, q0=float(rng.uniform(-5.0, 5.0)))
@@ -83,22 +85,68 @@ def test_simulate_market_matches_reference_bitwise(N, steps, lam, a, var, scale,
     pol = GaussianPolicy(grid=grid, gain=scale * rng.uniform(-1.0, 1.0, (steps + 1, 1, 2)),
                          offset=scale * rng.uniform(-1.0, 1.0, (steps + 1, 1)),
                          covariance=np.full((1, 1), var))
-    _assert_paths_equal(simulate_market(params, pol, N, grid, seed, rep=3),
+    return params, pol, grid
+
+
+_MARKETS = dict(lam=st.sampled_from([0.0, 0.05, 0.7]), a=st.sampled_from([0.0, 0.02, 0.3]),
+                var=st.sampled_from([0.0, 0.1, 2.0]), scale=st.floats(1e-3, 1e3),
+                seed=st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(N=st.integers(1, 9), steps=st.integers(1, 50), **_MARKETS)
+def test_simulate_market_matches_reference_bitwise(N, steps, lam, a, var, scale, seed):
+    params, pol, grid = _random_market(steps, lam, a, var, scale, seed)
+    _assert_paths_equal(simulate_market(params, pol, N, grid, seed, episodes=range(3, 4)),
                         simulate_market_reference(params, pol, N, grid, seed, rep=3))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(N=st.integers(2, 9), E=st.integers(1, 6), first=st.integers(0, 40),
+       steps=st.integers(1, 30), **_MARKETS)
+def test_batched_episodes_match_reference_bitwise(N, E, first, steps, lam, a, var, scale, seed):
+    # every episode of a batch is that episode run alone, bit for bit
+    params, pol, grid = _random_market(steps, lam, a, var, scale, seed)
+    episodes = range(first, first + E)
+    refs, failures = [], []
+    with np.errstate(all="ignore"):
+        for rep in episodes:
+            try:
+                refs.append(simulate_market_reference(params, pol, N, grid, seed, rep))
+            except RuntimeError as exc:     # an unstable random table
+                failures.append(str(exc))
+    if failures:
+        # the batch raises at the first node that any of its episodes reaches
+        first_failure = min(failures, key=lambda msg: float(msg.split("t=")[1]))
+        assert _blowup_message(lambda: simulate_market(params, pol, N, grid, seed,
+                                                       episodes)) == first_failure
+        return
+    paths = simulate_market(params, pol, N, grid, seed, episodes)
+    assert paths.F.shape == (E, steps + 1) and paths.q.shape == (E * N, steps + 1)
+    for e, ref in enumerate(refs):
+        _assert_paths_equal(paths.episode(e), ref)
 
 
 def test_simulate_market_matches_reference_on_planned_policy(planned):
     _mapping, _fh, pol = planned
     grid = TimeGrid(0.0, 1.0, 200)
+    paths = simulate_market(TRUE, pol, 8, grid, 5, episodes=range(3))
     for rep in range(3):
-        _assert_paths_equal(simulate_market(TRUE, pol, 8, grid, 5, rep),
+        _assert_paths_equal(paths.episode(rep),
                             simulate_market_reference(TRUE, pol, 8, grid, 5, rep))
 
 
-def _blowup_message(run):
-    with pytest.raises(RuntimeError, match="non-finite market state") as info:
-        run()
-    return str(info.value)
+def test_lone_trader_batch_matches_reference_to_round_off(planned):
+    # with one trader an episode run alone is a one-row BLAS product, which
+    # takes another kernel than the E-row product of a batch: the episodes
+    # agree to round-off, not bit for bit
+    _mapping, _fh, pol = planned
+    grid = TimeGrid(0.0, 1.0, 200)
+    paths = simulate_market(TRUE, pol, 1, grid, 5, episodes=range(12))
+    for rep in range(12):
+        got, ref = paths.episode(rep), simulate_market_reference(TRUE, pol, 1, grid, 5, rep)
+        for name in ("F", "q", "nu", "S", "Z", "cumvol"):
+            assert np.max(np.abs(getattr(got, name) - getattr(ref, name))) <= 1e-12, name
 
 
 @pytest.mark.parametrize("case", ["nan_offset", "inf_offset_zero_gain", "q_overflow",
@@ -129,6 +177,29 @@ def test_simulate_market_blowup_raises_at_same_node(case):
     assert _blowup_message(lambda: simulate_market(params, pol, N, grid, 0)) == ref
     if node is not None:
         assert ref.endswith(f"t={grid.times()[node]:.4g}")
+
+
+def test_batch_raises_where_its_first_episode_blows_up():
+    # midprice steps of a third of the largest double: each episode's F
+    # overflows at a node of its own noise, or never
+    params = MarketParams(sigma=6e307, lambda_perm=0.0, a_temp=0.0, phi_urgency=0.1,
+                          psi_terminal=1.0, T=6.0, F0=0.0, q0=0.0)
+    grid = TimeGrid(0.0, 6.0, 6)
+    pol = GaussianPolicy(grid=grid, gain=np.zeros((7, 1, 2)), offset=np.zeros((7, 1)),
+                         covariance=np.zeros((1, 1)))
+    finite, failures = {}, []
+    with np.errstate(all="ignore"):
+        for rep in range(8):
+            try:
+                finite[rep] = simulate_market_reference(params, pol, 2, grid, 0, rep)
+            except RuntimeError as exc:
+                failures.append((float(str(exc).split("t=")[1]), str(exc)))
+    assert len(finite) >= 2 and failures            # a mixed batch
+    assert _blowup_message(lambda: simulate_market(params, pol, 2, grid, 0,
+                                                   range(8))) == min(failures)[1]
+    # the episodes that stay finite, batched alone, do not raise
+    for rep, ref in finite.items():
+        _assert_paths_equal(simulate_market(params, pol, 2, grid, 0, range(rep, rep + 1)), ref)
 
 
 def test_to_lqg_structure():
@@ -220,18 +291,18 @@ def test_market_noise_streams():
     assert np.array_equal(two.nu, three.nu[:2])
     assert np.array_equal(two.F, three.F)
     for other in (simulate_market(params, pol, 2, grid, 1),
-                  simulate_market(params, pol, 2, grid, 0, rep=1)):
+                  simulate_market(params, pol, 2, grid, 0, episodes=range(1, 2))):
         assert not np.isin(other.nu, two.nu).any()
-        assert not np.isin(other.F[1:], two.F[1:]).any()
+        assert not np.isin(other.F[:, 1:], two.F[:, 1:]).any()
 
 
 def test_wealth_accounting_identity(planned):
     _mapping, _fh, pol = planned
     grid = TimeGrid(0.0, 1.0, 200)
     paths = simulate_market(TRUE, pol, 6, grid, 21)
-    dt = grid.dt
-    dF = np.diff(paths.F)
-    lhs = paths.Z[:, -1] + paths.q[:, -1] * paths.F[-1] - paths.q[:, 0] * paths.F[0]
+    dt, F = grid.dt, paths.F[0]
+    dF = np.diff(F)
+    lhs = paths.Z[:, -1] + paths.q[:, -1] * F[-1] - paths.q[:, 0] * F[0]
     gains = paths.q[:, :-1] @ dF
     impact = TRUE.a_temp * np.sum(paths.cumvol[:, :-1] * paths.nu * dt, axis=1)
     cross = np.sum(paths.nu * dt * dF[None, :], axis=1)
@@ -298,10 +369,51 @@ def test_midprice_martingale_without_impacts():
     drifts = []
     for rep in range(128):
         paths = simulate_market(params, constant_policy(grid, -1.0), 2, grid, rep)
-        drifts.append(paths.F[-1] - paths.F[0])
+        drifts.append(paths.F[0, -1] - paths.F[0, 0])
     drifts = np.asarray(drifts)
     se = drifts.std(ddof=1) / math.sqrt(drifts.size)
     assert abs(drifts.mean()) < 4 * se
+
+
+def rl_loop_reference(true_params, init_params, config):
+    """``rl_loop`` acting one episode at a time: one ``simulate_market`` call
+    per episode, each appended and costed alone, the phase's cost the mean
+    of its episodes' costs."""
+    grid = TimeGrid(0.0, true_params.T, config.steps)
+    rows, dataset, current = [], TradingDataset(), init_params
+    est = ParamEstimates(sigma_hat=init_params.sigma, lambda_hat=init_params.lambda_perm,
+                         a_hat=init_params.a_temp, se_lambda=float("nan"), se_a=float("nan"))
+    for it in range(config.iterations + 1):
+        identifiable = True
+        if it > 0:
+            try:
+                est = estimate_params(dataset)
+                current = dataclasses.replace(
+                    true_params, sigma=max(est.sigma_hat, 1e-8),
+                    lambda_perm=max(est.lambda_hat, 0.0), a_temp=max(est.a_hat, 1e-10))
+            except EstimationError:
+                identifiable = False
+        mapping = to_lqg(current, lambda_explore=config.lambda_explore)
+        policy = trading_policy(mapping, solve_finite_horizon(mapping, steps=config.steps))
+        costs = []
+        for rep in range(it * config.inner_repeats, (it + 1) * config.inner_repeats):
+            paths = simulate_market(true_params, policy, config.n_traders, grid, config.seed,
+                                    episodes=range(rep, rep + 1))
+            dataset.append(paths)
+            costs.append(realized_cost(paths, true_params))
+        rows.append({"iteration": it, **dataclasses.asdict(est),
+                     "gain_q0": float(policy.gain[0, 0, 0]), "cost": float(np.mean(costs)),
+                     "n_rows": dataset.n_rows, "identifiable": identifiable, "failed": False})
+    return rows
+
+
+@pytest.mark.parametrize("n_traders, inner_repeats, seed", [(8, 5, 2), (3, 4, 11), (2, 1, 0)])
+def test_rl_loop_matches_one_episode_calls(n_traders, inner_repeats, seed):
+    init = dataclasses.replace(TRUE, sigma=0.2, lambda_perm=0.0, a_temp=0.02)
+    cfg = TradingLoopConfig(iterations=3, inner_repeats=inner_repeats, n_traders=n_traders,
+                            steps=60, lambda_explore=0.1, seed=seed)
+    # repr: the first row's standard errors are NaN
+    assert repr(rl_loop(TRUE, init, cfg).rows) == repr(rl_loop_reference(TRUE, init, cfg))
 
 
 def test_rl_loop_fixed_point_at_truth():
