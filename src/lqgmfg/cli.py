@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import math
 import shutil
@@ -329,31 +330,33 @@ _FLAGS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     ap = argparse.ArgumentParser(prog="lqgmfg",
                                  description="Exploratory LQG mean-field-game solver and experiments")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def command(p, path, func, flags):
+    def command(p, path, flags):
         p.add_argument("path", metavar=path[0], help=path[1])
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default="out", help="output directory")
         dests = [p.add_argument(flag, **_FLAGS[flag]).dest for flag in flags]
         # the flags besides --seed and --out go into the manifest's overrides
-        p.set_defaults(func=func, overrides=dests, parser=p)
+        p.set_defaults(overrides=dests, parser=p)
 
     def kinds(name, help):
         return sub.add_parser(name, help=help).add_subparsers(dest="kind", required=True)
 
     spec = ("spec", "population spec JSON")
     command(sub.add_parser("solve", help="solve the consistency fixed point"), spec,
-            cmd_solve, _SOLVE_FLAGS)
+            _SOLVE_FLAGS)
     experiment = kinds("experiment", "run an equilibrium experiment")
     for kind, (_, flags) in _EXPERIMENTS.items():
-        command(experiment.add_parser(kind), spec, cmd_experiment, flags)
+        command(experiment.add_parser(kind), spec, flags)
     trade = kinds("trade", "trading application (simulate | learn)")
     for kind, flags in (("simulate", ("--reps",)), ("learn", ())):
-        command(trade.add_parser(kind), ("params", "market params JSON"), cmd_trade, flags)
+        command(trade.add_parser(kind), ("params", "market params JSON"), flags)
     return ap
 
 
@@ -374,7 +377,9 @@ def main(argv=None) -> int:
         if getattr(args, "reps", 2) < 2:
             raise ValueError(f"--reps must be at least 2 for a standard error, "
                              f"got {args.reps}")
-        args.func(args, doc, out)
+        # the command is read from the module at each call, not kept by the
+        # parser, which is built once: a replaced cmd_solve is the one that runs
+        globals()[f"cmd_{args.command}"](args, doc, out)
     except _EXIT_2 as exc:
         return _fail(out, exc, 2)
     except _EXIT_1 as exc:

@@ -36,7 +36,7 @@ import numpy as np
 from scipy.linalg import block_diag
 
 from .model import PopulationSpec, SpecValidationError, selector_matrix, validate_spec
-from .numerics import (OdeBlowupError, TimeGrid, Trajectory, rk4_linear_tabulated,
+from .numerics import (OdeBlowupError, TimeGrid, Trajectory, matvec, rk4_linear_tabulated,
                        spectral_abscissa)
 from .riccati import (RiccatiSolution, StabilityReport, feedback_gain,
                       solve_discounted_are, verify_stability)
@@ -127,7 +127,7 @@ class TypeBlocks:
     def c0(self, ts: np.ndarray) -> np.ndarray:
         """Driver-independent part of g_k at times ts; with a tabulated Pi,
         ts holds one time per table row."""
-        return (self.Pi @ self.params.b(ts)[..., None])[..., 0] + self.c_const
+        return matvec(self.Pi, self.params.b(ts)) + self.c_const
 
     def L_row(self, s_vals: np.ndarray) -> np.ndarray:
         """-R^-1 (B^T s(t) + n) for tabulated s values (nodes, n)."""
@@ -185,7 +185,7 @@ def _drift_offset(A: np.ndarray, f: np.ndarray, s_vals: np.ndarray) -> np.ndarra
     """mbar(t), the xbar rows of the stacked system less Abar xbar, at the
     nodes of s_vals (A constant or tabulated on the same nodes as f)."""
     N = s_vals.shape[-1]
-    return (A[..., N:, :N] @ s_vals[..., None])[..., 0] + f[:, N:]
+    return matvec(A[..., N:, :N], s_vals) + f[:, N:]
 
 
 def solve_stacked(spec: PopulationSpec, blocks: list[TypeBlocks], J: np.ndarray,
@@ -195,8 +195,9 @@ def solve_stacked(spec: PopulationSpec, blocks: list[TypeBlocks], J: np.ndarray,
     (``rk4_linear_tabulated`` for constant blocks, ``rk4_linear_time_varying``
     for blocks tabulated on the doubled grid).
 
-    Returns (s trajectories, L, mbar, xbar, mubar).  A non-finite value or
-    a singular boundary system raises ConsistencyError('... diverged ...').
+    Returns (s trajectories, L, mbar, xbar, mubar, (Acal, f)), the last the
+    stacked system on the doubled grid.  A non-finite value or a singular
+    boundary system raises ConsistencyError('... diverged ...').
     """
     ts_half = np.linspace(grid.t0, grid.t1, 2 * grid.steps + 1)
     A, f = stacked_system(blocks, J, Abar, ts_half)
@@ -211,10 +212,10 @@ def solve_stacked(spec: PopulationSpec, blocks: list[TypeBlocks], J: np.ndarray,
     L_vals = np.hstack([o.L_row(tr.values) for o, tr in zip(blocks, s_trajs)])
     xbar = z[:, N:]
     J_nodes, A_nodes = (J, A) if J.ndim == 2 else (J[::2], A[::2])
-    mubar = (J_nodes @ xbar[..., None])[..., 0] + L_vals
+    mubar = matvec(J_nodes, xbar) + L_vals
     mbar = _drift_offset(A_nodes, f[::2], z[:, :N])
     return (s_trajs, Trajectory(grid, L_vals), Trajectory(grid, mbar),
-            Trajectory(grid, xbar), Trajectory(grid, mubar))
+            Trajectory(grid, xbar), Trajectory(grid, mubar), (A, f))
 
 
 def steady_state(spec: PopulationSpec, Pis=None):
@@ -288,16 +289,15 @@ def solve_consistency(spec: PopulationSpec, *, horizon: float | None = None,
                                f"rho/2 - abscissa(Abar) = {margin:.3e} is not positive")
     grid = _auto_grid(spec, ops, Abar, horizon, steps)
     s_inf, _ = steady_state(spec, Pis)
-    s_trajs, L, mbar, xbar, mubar = solve_stacked(spec, ops, J, Abar, grid,
-                                                  np.concatenate(s_inf),
-                                                  rk4_linear_tabulated)
+    s_trajs, L, mbar, xbar, mubar, (A, f) = solve_stacked(spec, ops, J, Abar, grid,
+                                                          np.concatenate(s_inf),
+                                                          rk4_linear_tabulated)
     bound = 1e8 * (1.0 + float(np.max(np.abs(spec.x0_mean))))   # bounded under the margin
     if not np.max(np.abs(xbar.values)) <= bound:
         raise ConsistencyError(f"consistency system diverged: |xbar| > {bound:.3g} (step "
                                f"{grid.dt:.3g} too coarse for RK4?)")
-    A, f = stacked_system(ops, J, Abar, grid.times())
     z = np.hstack([tr.values for tr in s_trajs] + [xbar.values])
-    residual = _simpson_defect(z, z @ A.T + f, grid.dt)
+    residual = _simpson_defect(z, z @ A.T + f[::2], grid.dt)
     return MeanFieldSolution(Pi=Pis, s=s_trajs, J=J, L=L, Abar=Abar, mbar=mbar,
                              xbar=xbar, mubar=mubar, residual=residual,
                              iterations=1, grid=grid, spec=spec)

@@ -372,12 +372,23 @@ def _json_field(doc: dict, key: str):
     return _json_numbers(value, key)
 
 
+def _refuse_unknown_keys(doc: dict, keys, where: str) -> None:
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        raise ValueError(f"{where} has unknown key {', '.join(map(repr, unknown))}; "
+                         f"the keys are {', '.join(keys)}")
+
+
 def spec_from_json(doc: dict) -> PopulationSpec:
     """The spec of a ``spec_to_json`` document, whose numbers must be JSON
-    numbers: a string or a bool is refused, not converted.  Each block needs
-    A, B, Q and R (a missing one raises KeyError); ``SubpopParams`` defaults
-    the rest, null ones too."""
+    numbers: a string or a bool is refused, not converted, and a key that
+    ``spec_to_json`` does not write is refused, not ignored (ValueError).
+    Each block needs A, B, Q and R (a missing one raises KeyError);
+    ``SubpopParams`` defaults the rest, null ones too."""
     names = [f.name for f in fields(SubpopParams)]
+    _refuse_unknown_keys(doc, ("rho", "pi", "x0_mean", "x0_cov", "subpops"), "spec")
+    for k, blk in enumerate(doc["subpops"]):
+        _refuse_unknown_keys(blk, names, f"subpops[{k}]")
     return PopulationSpec(
         subpops=tuple(SubpopParams(**{name: _json_field(blk, name) for name in names
                                       if name in names[:4] or blk.get(name) is not None})

@@ -14,9 +14,11 @@ each RK4 step is an affine map y -> P_i y + c_i, with P_i the RK4 polynomial
 in hM and c_i set by the step's three tabulated g values; all step maps are
 built at once with batched matmuls and composed, in chunks of up to 64
 steps, by a log-depth prefix scan (Hillis-Steele; Blelloch, "Prefix sums and
-their applications", 1990).  Besides the initial value problem, the
-kernels solve the split two-point boundary problem of the consistency
-system (some components pinned at each end): the chunk-start
+their applications", 1990).  A constant M gives every step the same P, so
+the scan and the read-out of the nodes apply powers of that one P, each as
+a single matrix product over all the steps.  Besides the initial value
+problem, the kernels solve the split two-point boundary problem of the
+consistency system (some components pinned at each end): the chunk-start
 states come from one banded linear solve, multiple shooting with chunks
 short enough that none grows by more than e^8.  The result is the same
 fixed-step RK4 as a sequential loop up to the order of rounding, and still
@@ -158,6 +160,13 @@ class Trajectory:
         return (1.0 - w) * self.values[i0] + w * self.values[i0 + 1]
 
 
+def matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M v for every row of ``v`` (..., d): one product v @ M^T for a
+    constant (d, d) M, or one matrix per row for M tabulated on v's leading
+    axes (..., d, d)."""
+    return v @ M.T if M.ndim == 2 else (M @ v[..., None])[..., 0]
+
+
 def scan_chunk(steps: int, norm: float) -> int:
     """Steps per chunk for step maps of infinity norm ``norm``: at most 64,
     and few enough that no product within a chunk passes e^_SPLIT_GROWTH."""
@@ -200,10 +209,12 @@ def _rk4_linear(M: np.ndarray, g_half: np.ndarray, y0: np.ndarray,
     """Classical RK4 for dy/dt = M(t) y + g(t), all steps at once.
 
     One RK4 step is the affine map y -> P_i y + c_i, built for every step
-    with batched matmuls (P_i is shared when M is constant).  The steps are
-    cut into chunks; an inclusive Hillis-Steele scan composes each chunk's
-    maps in ceil(log2 chunk) batched passes, so every node is its chunk's
-    prefix map applied to the chunk-start state.
+    with batched matmuls.  The steps are cut into chunks; an inclusive
+    Hillis-Steele scan composes each chunk's maps in ceil(log2 chunk)
+    batched passes, so every node is its chunk's prefix map applied to the
+    chunk-start state.  When M is constant, P_i is one P: the prefix maps
+    are its powers, and each pass and the read-out multiply by them as
+    single matrix products.
 
     With ``n_far`` = 0 it is the initial value problem from y(t0) = ``y0``
     and the chunk starts follow one another; a problem pinned at t1 is that
@@ -239,7 +250,7 @@ def _rk4_linear(M: np.ndarray, g_half: np.ndarray, y0: np.ndarray,
                                 (Mb, g_half[2::2], 1.0, 1.0)):
             K = Ms @ (eye + (frac * h) * K)
             P += w * K
-            k = (Ms @ ((frac * h) * k)[..., None])[..., 0] + gs
+            k = matvec(Ms, (frac * h) * k) + gs
             c += w * k
         P *= h / 6.0
         P += eye
@@ -252,18 +263,27 @@ def _rk4_linear(M: np.ndarray, g_half: np.ndarray, y0: np.ndarray,
         last[-1] = steps - 1 - (C - 1) * chunk         # the last chunk may be short
 
         # chunked scan: lin[..., i] and c[:, i] become the map of steps 0..i
-        # of each chunk; a shared P needs only its powers P^1..P^chunk
+        # of each chunk
         c = np.concatenate([c, np.zeros((C * chunk - steps, d))]).reshape(C, chunk, d)
         if P.ndim == 2:
-            lin = np.broadcast_to(P, (chunk, d, d)).copy()
+            # a shared P needs only its powers lin[i] = P^(i+1), by doubling;
+            # each scan pass then applies one P^shift to every entry
+            lin = np.empty((chunk, d, d))
+            lin[0] = P
+            shift = 1
+            while shift < chunk:
+                top = min(2 * shift, chunk)
+                lin[shift:top] = lin[shift - 1] @ lin[:top - shift]
+                c[:, shift:] += c[:, :-shift] @ lin[shift - 1].T
+                shift *= 2
         else:
             lin = np.concatenate([P, np.broadcast_to(eye, (C * chunk - steps, d, d))])
             lin = lin.reshape(C, chunk, d, d)
-        shift = 1
-        while shift < chunk:
-            c[:, shift:] += (lin[..., shift:, :, :] @ c[:, :-shift, :, None])[..., 0]
-            lin[..., shift:, :, :] = lin[..., shift:, :, :] @ lin[..., :-shift, :, :]
-            shift *= 2
+            shift = 1
+            while shift < chunk:
+                c[:, shift:] += (lin[..., shift:, :, :] @ c[:, :-shift, :, None])[..., 0]
+                lin[..., shift:, :, :] = lin[..., shift:, :, :] @ lin[..., :-shift, :, :]
+                shift *= 2
         Q = np.broadcast_to(lin, (C, chunk, d, d))[np.arange(C), last]
         r = c[np.arange(C), last]
 
@@ -277,7 +297,11 @@ def _rk4_linear(M: np.ndarray, g_half: np.ndarray, y0: np.ndarray,
             starts[0] = y0
             for j in range(C):
                 starts[j + 1] = Q[j] @ starts[j] + r[j]
-        y = ((lin @ starts[:-1, None, :, None])[..., 0] + c).reshape(-1, d)[:steps]
+        if P.ndim == 2:     # every node at once: starts @ [P^1.T ... P^chunk.T]
+            y = (starts[:-1] @ lin.transpose(2, 0, 1).reshape(d, chunk * d)).reshape(C, chunk, d)
+        else:
+            y = (lin @ starts[:-1, None, :, None])[..., 0]
+        y = (y + c).reshape(-1, d)[:steps]
 
     finite = np.isfinite(y).all(axis=1)
     if not finite.all():

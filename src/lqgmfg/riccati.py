@@ -58,12 +58,21 @@ class StabilityReport:
     messages: tuple[str, ...] = ()
 
 
-def are_residual(Pi: np.ndarray, params: SubpopParams, rho: float) -> float:
-    """Frobenius norm of the stationary-equation defect at Pi."""
+def _are_defect(Pi: np.ndarray, params: SubpopParams, rho: float) -> tuple[float, float]:
+    """Frobenius norm of the stationary-equation defect at Pi, and the size
+    of its terms: ||Q|| + ||Pi A|| + ||G R^-1 G^T|| + rho ||Pi|| with
+    G = Pi B + S."""
     A, B, Q, R, S = params.A, params.B, params.Q, params.R, params.S
     G = Pi @ B + S
-    defect = rho * Pi - Pi @ A - A.T @ Pi + G @ np.linalg.solve(R, G.T) - Q
-    return float(np.linalg.norm(defect, "fro"))
+    PiA, GRG = Pi @ A, G @ np.linalg.solve(R, G.T)
+    defect = rho * Pi - PiA - A.T @ Pi + GRG - Q
+    d, q, pa, grg, p = (np.linalg.norm(M, "fro") for M in (defect, Q, PiA, GRG, Pi))
+    return float(d), float(q + pa + grg + rho * p)
+
+
+def are_residual(Pi: np.ndarray, params: SubpopParams, rho: float) -> float:
+    """Frobenius norm of the stationary-equation defect at Pi."""
+    return _are_defect(Pi, params, rho)[0]
 
 
 def feedback_gain(params: SubpopParams, Pi: np.ndarray) -> np.ndarray:
@@ -82,9 +91,10 @@ def solve_discounted_are(params: SubpopParams, rho: float,
     """Solve the discounted cross-term ARE as the standard ARE of A - rho/2 I.
 
     Uses scipy's Schur-vector solver (Arnold & Laub, Proc. IEEE 1984).  No
-    stabilizing solution (a failed solve, a non-finite result, or a residual
-    above tol) raises RiccatiError; the closed-loop margin is left to
-    verify_stability.
+    stabilizing solution (a failed solve, a non-finite result, or a defect
+    above tol times the size of the equation's terms, so that scaling every
+    cost weight by c changes nothing) raises RiccatiError; the closed-loop
+    margin is left to verify_stability.  ``residual`` is the absolute defect.
     """
     A, B, Q, R, S = params.A, params.B, params.Q, params.R, params.S
     shifted = A - 0.5 * rho * np.eye(params.n)
@@ -95,10 +105,10 @@ def solve_discounted_are(params: SubpopParams, rho: float,
     Pi = 0.5 * (Pi + Pi.T)
     if not np.all(np.isfinite(Pi)):
         raise RiccatiError("Riccati did not stabilize: non-finite solution")
-    resid = are_residual(Pi, params, rho)
-    if not resid <= tol:
-        raise RiccatiError(
-            f"Riccati did not stabilize: residual {resid:.3e} above tol {tol:.1e}")
+    resid, size = _are_defect(Pi, params, rho)
+    if not resid <= tol * size:
+        raise RiccatiError(f"Riccati did not stabilize: residual {resid:.3e} above tol "
+                           f"{tol:.1e} times the terms' size {size:.3e}")
     cl = spectral_abscissa(closed_loop_matrix(params, Pi))
     return RiccatiSolution(Pi=Pi, residual=resid, closed_loop_abscissa=cl)
 

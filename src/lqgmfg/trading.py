@@ -214,8 +214,8 @@ def solve_finite_horizon(mapping: LqgMapping, steps: int = 200) -> FiniteHorizon
     Pi_trajs = [Trajectory(grid, P[::2]) for P in Pi_half]
     ops, J_half, Abar_half = consistency_blocks(spec, Pi_half)
     s_T = np.tile(mapping.terminal_offset, spec.K)
-    s_trajs, _, _, xbar, mubar = solve_stacked(spec, ops, J_half, Abar_half, grid, s_T,
-                                               rk4_linear_time_varying)
+    s_trajs, _, _, xbar, mubar, _ = solve_stacked(spec, ops, J_half, Abar_half, grid, s_T,
+                                                  rk4_linear_time_varying)
     return FiniteHorizonSolution(grid=grid, Pi=Pi_trajs, s=s_trajs, xbar=xbar,
                                  mubar=mubar, iterations=1)
 

@@ -98,6 +98,14 @@ def spec_files(tmp_path_factory):
             bad = spec_to_json(base())
             (bad["subpops"][0] if where == "subpop" else bad)[key] = value
             (root / f"spec_{name}.json").write_text(json.dumps(bad))
+    # a key the reader does not know is refused, not ignored: a block's
+    # "lambda" for "lambda_explore" (which would run the classical game), a
+    # top-level "rh0" next to "rho"
+    bad = spec_to_json(coupled_single_type_spec())
+    bad["subpops"][0]["lambda"] = bad["subpops"][0].pop("lambda_explore")
+    (root / "spec_block_key.json").write_text(json.dumps(bad))
+    (root / "spec_top_key.json").write_text(json.dumps(
+        dict(spec_to_json(coupled_single_type_spec()), rh0=0.5)))
     # explicit Euler on the default experiment grids blows up at A = -450
     save_spec(scalar_decoupled_spec(A=-450.0, D=0.1, x0_var=0.1), root / "stiff.json")
     return root
@@ -213,6 +221,19 @@ def test_memory_error_exit_1(spec_files, tmp_path, capsys, monkeypatch, exc, tex
     err = json.loads((out / "error.json").read_text())
     assert err["type"] == "MemoryError" and text in err["error"]
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_replaced_command_runs_on_a_built_parser(spec_files, tmp_path, monkeypatch):
+    # the parser is built once per process, and the command it runs is read
+    # from the module at each call: a cmd_solve replaced after the first
+    # call (a benchmark's timing wrapper, say) is the one the next call runs
+    path = str(spec_files / "decoupled.json")
+    assert main(["solve", path, "--out", str(tmp_path / "first")]) == 0
+    calls = []
+    monkeypatch.setattr("lqgmfg.cli.cmd_solve", lambda args, doc, out: calls.append(out))
+    assert main(["solve", path, "--out", str(tmp_path / "second")]) == 0
+    assert calls == [tmp_path / "second"]
+    assert build_parser() is build_parser()
 
 
 def test_solve_missing_file(tmp_path):
@@ -347,6 +368,12 @@ def _case(id, argv, code, err_type=None, match=None):
     *[_case(f"{cmd[-1]}-spec-{name}", [*cmd, f"spec_{name}"], 1, "ValueError", match)
       for name, match in _MALFORMED.items()
       for cmd in (["solve"], ["experiment", "coe"], ["experiment", "lambda-sweep"])],
+    _case("solve-spec-block-key", ["solve", "spec_block_key"], 1, "ValueError",
+          "subpops[0] has unknown key 'lambda'"),
+    _case("solve-spec-top-key", ["solve", "spec_top_key"], 1, "ValueError",
+          "spec has unknown key 'rh0'"),
+    _case("coe-spec-block-key", ["experiment", "coe", "spec_block_key"], 1, "ValueError",
+          "subpops[0] has unknown key 'lambda'"),
     _case("solve-spec-b-knots-decrease", ["solve", "spec_b_knots"], 1, "ValueError",
           "offset knots must strictly increase"),
     _case("coupling-gap-spec-b-knots-decrease",

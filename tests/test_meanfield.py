@@ -202,6 +202,21 @@ def test_steady_state_solves_the_stacked_system(two_type):
     assert np.array_equal(np.concatenate(s_inf), np.concatenate([s.values[-1] for s in mf.s]))
 
 
+@pytest.mark.parametrize("c", [1e4, 1e6])
+@pytest.mark.parametrize("preset", [coupled_single_type_spec, two_type_spec, planar_spec])
+def test_scaling_every_cost_weight_leaves_the_solution(preset, c):
+    # every cost weight times c is the same game; the ARE check measures its
+    # defect against the size of the equation's terms, which scale with c
+    spec = preset()
+    scaled = dataclasses.replace(spec, subpops=tuple(
+        dataclasses.replace(p, Q=c * p.Q, R=c * p.R, S=c * p.S, eta=c * p.eta,
+                            nvec=c * p.nvec, lambda_explore=c * p.lambda_explore)
+        for p in spec.subpops))
+    ref = solve_consistency(spec).xbar.values
+    got = solve_consistency(scaled).xbar.values
+    assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
 def _stiff_decoupled_spec(Q=2500.0):
     # Q/R = 2500: Pi ~ 50, so the offsets grow forward at rate ~50 and the
     # mean state decays at the same rate

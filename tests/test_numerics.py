@@ -116,6 +116,26 @@ def test_rk4_linear_kernels_match_sequential_loop(d, steps, T, scale, time_varyi
     assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
+@settings(max_examples=150, deadline=None)
+@given(d=st.integers(1, 4), steps=st.sampled_from([1, 63, 64, 65]) | st.integers(2, 300),
+       T=st.floats(0.05, 2.0), scale=st.floats(0.0, 2.0), seed=st.integers(0, 2**32 - 1))
+def test_rk4_constant_kernel_matches_time_varying_one(d, steps, T, scale, seed):
+    # a constant M goes through the shared-P scan (powers of one P), the
+    # same M tabulated at every node through the per-step maps: both must
+    # give the same solution of the initial value problem (n_far = 0) and of
+    # every split problem, a short last chunk included (steps = 65)
+    rng = np.random.default_rng(seed)
+    grid = TimeGrid(0.0, T, steps)
+    M = scale * rng.uniform(-1.0, 1.0, (d, d))
+    M_half = np.broadcast_to(M, (2 * steps + 1, d, d))
+    g_half = rng.uniform(-1.0, 1.0, (2 * steps + 1, d))
+    y0 = rng.uniform(-1.0, 1.0, d)
+    for n_far in range(d + 1):
+        got = rk4_linear_tabulated(M, g_half, y0, grid, n_far=n_far).values
+        ref = rk4_linear_time_varying(M_half, g_half, y0, grid, n_far=n_far).values
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 @pytest.mark.parametrize("direction", ["forward", "backward"])
 def test_rk4_linear_time_varying_matches_generic(direction):
     grid = TimeGrid(0.0, 2.0, 120)
